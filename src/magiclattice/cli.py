@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .clifford import generate_clifford_qutrit, orbit_partition, verify_e6_correspondence
-from .entangle import entanglement_census, classify_entanglement, pairwise_concurrence_2qubit
+from .entangle import entanglement_census, pairwise_concurrence_2qubit
 from .lattices import (
     DEFAULT_NODE_BUDGET,
     build_lattice,
@@ -28,7 +28,7 @@ from .lattices import (
     ensure_shell,
     theta_check,
 )
-from .magic import magic_label, sre_census, xi_batch_gaussian
+from .magic import sre_census, xi_batch_gaussian
 from .states import StateSet, dedup, real_to_complex, vector_to_state
 
 DEFAULT_NORMS = {"E8": (2, 4, 6, 8), "BW16": (4, 6), "E6": (3, 6, 9, 12, 15)}
@@ -244,16 +244,19 @@ def cmd_orbits(args, failures: Failures) -> None:
         )
 
 
+_PROFILE_COLUMNS = ("C_AB", "C_AC", "C_BC", "C_A(BC)", "C_B(AC)", "C_C(AB)", "F3")
+
+
 def _entangle_bw16(args, failures: Failures) -> None:
     profiles = []
     aggregates: dict[str, int] = {}
     for norm in (4, 6):
         state_set = _load_state_set("BW16", norm, args)
-        xi2_values = xi_batch_gaussian(state_set.states, alphas=(2,))[2]
-        for i, (state, xi) in enumerate(zip(state_set.states, xi2_values)):
-            profile = classify_entanglement(state, magic_label(xi, 8, "gaussian"))
-            profiles.append((state_set.state_id(i), profile))
-            aggregates[profile.label] = aggregates.get(profile.label, 0) + 1
+        census = entanglement_census(state_set)
+        for i, label in enumerate(census.labels):
+            values = census.pairwise[i] + census.one_to_other[i] + (census.f3[i],)
+            profiles.append((state_set.state_id(i), [_fmt_float(v) for v in values], label))
+            aggregates[label] = aggregates.get(label, 0) + 1
     stab = {k: aggregates.get(k, 0) for k in ("I", "II", "III")}
     magic = {k: aggregates.get(k, 0) for k in ("A", "B")}
     failures.check(stab == EXPECTED_STAB_CLASSES, f"stabiliser classes {stab}")
@@ -263,23 +266,14 @@ def _entangle_bw16(args, failures: Failures) -> None:
         f"unclassified states: {aggregates.get('Unclassified', 0)}",
     )
     if args.format == "json":
+        keys = [c.replace("(", "_").replace(")", "") for c in _PROFILE_COLUMNS]
         print(
             json.dumps(
                 {
                     "aggregates": aggregates,
                     "profiles": [
-                        {
-                            "state_id": sid,
-                            "C_AB": _fmt_float(p.pairwise[0]),
-                            "C_AC": _fmt_float(p.pairwise[1]),
-                            "C_BC": _fmt_float(p.pairwise[2]),
-                            "C_A_BC": _fmt_float(p.one_to_other[0]),
-                            "C_B_AC": _fmt_float(p.one_to_other[1]),
-                            "C_C_AB": _fmt_float(p.one_to_other[2]),
-                            "F3": _fmt_float(p.f3),
-                            "class": p.label,
-                        }
-                        for sid, p in profiles
+                        {"state_id": sid, **dict(zip(keys, values)), "class": label}
+                        for sid, values, label in profiles
                     ],
                 },
                 indent=2,
@@ -287,16 +281,9 @@ def _entangle_bw16(args, failures: Failures) -> None:
         )
         return
     writer = csv.writer(sys.stdout)
-    writer.writerow(
-        ["state_id", "C_AB", "C_AC", "C_BC", "C_A(BC)", "C_B(AC)", "C_C(AB)", "F3", "class"]
-    )
-    for sid, p in profiles:
-        writer.writerow(
-            [sid]
-            + [_fmt_float(v) for v in p.pairwise]
-            + [_fmt_float(v) for v in p.one_to_other]
-            + [_fmt_float(p.f3), p.label]
-        )
+    writer.writerow(["state_id", *_PROFILE_COLUMNS, "class"])
+    for sid, values, label in profiles:
+        writer.writerow([sid, *values, label])
     print(f"# aggregate: {json.dumps(aggregates, sort_keys=True)}")
 
 

@@ -1,28 +1,36 @@
 """Concurrence-based entanglement measures on 2- and 3-qubit states.
 
-Density matrices are exact: Gaussian-integer numerators over the shared
-denominator norm_sq.  Squared one-to-other concurrences and the squared
-triangle measure F3 are exact rationals.  Pairwise (Wootters) concurrence
-of a reduced 2-qubit state needs eigenvalues of rho*rho_tilde; these are
-obtained as roots of the exact integer characteristic polynomial via a
-Sturm-sequence isolation plus bisection, the only floating step in the
-module.
+The 3-qubit census runs on one batched kernel, concurrence_kernel.  For
+every state it computes exact integers: the one-to-other purities and,
+for each qubit pair, the first two characteristic coefficients of
+rho*rho_tilde.  Class labels follow from integer identities on them, so
+no label depends on a float; the float columns (concurrences and F3)
+are derived from the same integers for display only.
+
+The other 3-qubit routines are the kernel's test oracles: exact reduced
+density matrices with Gaussian-integer numerators over the denominator
+norm_sq, one-to-other concurrences and F3 from their purities, and the
+Wootters concurrence from the real roots of the exact characteristic
+quartic, found by Sturm-sequence isolation plus bisection.
+pairwise_concurrence_2qubit is the pure-state formula for 2-qubit
+states.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .exact import GaussianInt
 from .magic import MAX_MAGIC_SIC, STABILISER, magic_label, xi_batch_gaussian
-from .states import PureStateExact, StateSet
+from .states import PureStateExact, StateSet, component_arrays
 
 ROOT_TOL = 1e-12
-CLASS_TOL = 1e-9
-HERON_CLAMP = 1e-12
 
 _Y_SIGN = (-1, 1, 1, -1)  # sign of (sigma_y x sigma_y)|r> -> |r^3|
 
@@ -428,27 +436,6 @@ def one_to_other_concurrence(state: PureStateExact, i: int) -> tuple[float, Frac
     return math.sqrt(float(c_sq)), c_sq
 
 
-def _one_to_other_sq_fast(state: PureStateExact, i: int) -> Fraction:
-    """2(1 - purity) without DensityMatrixExact overhead."""
-    c = state.components
-    n = 3
-    rest = [q for q in range(n) if q != i]
-    bit = 1 << (n - 1 - i)
-    total = 0
-    for a in (0, 1):
-        for b in (0, 1):
-            acc = GaussianInt(0)
-            for r in range(4):
-                idx = 0
-                if r & 2:
-                    idx |= 1 << (n - 1 - rest[0])
-                if r & 1:
-                    idx |= 1 << (n - 1 - rest[1])
-                acc = acc + c[idx | (bit if a else 0)] * c[idx | (bit if b else 0)].conjugate()
-            total += acc.norm()
-    return 2 * (1 - Fraction(total, state.norm_sq**2))
-
-
 def pairwise_concurrence_2qubit(state: PureStateExact) -> tuple[float, Fraction]:
     """Pure-state concurrence of a 2-qubit state: C = 2|c1 c4 - c2 c3| / N,
     exact square returned alongside."""
@@ -465,20 +452,104 @@ def f3(state: PureStateExact) -> tuple[float, Fraction]:
     F3 = (4/sqrt(3)) * sqrt(Q(Q-C1)(Q-C2)(Q-C3)).  Computed from the
     exact squares via Heron's identity, so the squared value is an
     exact rational."""
-    sqs = [_one_to_other_sq_fast(state, i) for i in range(3)]
-    return _f3_from_squares(sqs)
-
-
-def _f3_from_squares(sqs: Sequence[Fraction]) -> tuple[float, Fraction]:
-    a2, b2, c2 = sqs
+    a2, b2, c2 = (one_to_other_concurrence(state, i)[1] for i in range(3))
     # 16 * heron = 2(a2 b2 + b2 c2 + c2 a2) - a2^2 - b2^2 - c2^2
     heron16 = 2 * (a2 * b2 + b2 * c2 + c2 * a2) - a2 * a2 - b2 * b2 - c2 * c2
+    if heron16 < 0:
+        raise ValueError("one-to-other concurrences violate the triangle inequality")
     f3_sq = heron16 / 3
-    if f3_sq < 0:
-        if float(heron16) / 16 >= -HERON_CLAMP:
-            return 0.0, Fraction(0)
-        raise ValueError(f"Heron radicand {float(heron16) / 16} below clamp threshold")
     return math.sqrt(float(f3_sq)), f3_sq
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # column order of pairwise arrays: AB, AC, BC
+_SPIN_FLIP = np.outer(_Y_SIGN, _Y_SIGN)
+
+
+def _kernel_peak(norm_sq: int) -> int:
+    """Bound on every intermediate of concurrence_kernel and its label
+    identities over states with norm_sq <= N.
+
+    A reduced numerator has |num_ab| <= N, so |M_ab| <= 4N^2,
+    |tr M| <= 16N^2, |tr M^2| <= 256N^4 and |c2| <= 384N^4; the largest
+    quantity formed is 324*c2 in the C^2 = 2/9 test.
+    """
+    return 324 * 384 * norm_sq**4
+
+
+@dataclass(frozen=True, eq=False)
+class ConcurrenceArrays:
+    """Exact integer invariants of S 3-qubit states with norm_sq N.
+
+    purity[:, i] = P_i = N^2 Tr rho_i^2 for qubits A, B, C, so that
+    C_i(rest)^2 = 2(1 - P_i/N^2).  For the pairs AB, AC, BC, c1 = -tr M
+    and c2 = (tr^2 M - tr M^2)/2 with M = num*num_tilde the reduced
+    numerator times its spin flip; M has rank <= 2, so the Wootters
+    concurrence is (C*N)^2 = -c1 - 2 sqrt(c2).  F3^2 = 4*heron/(3 N^4).
+    """
+
+    norm_sq: np.ndarray  # (S,)
+    purity: np.ndarray  # (S, 3)
+    c1: np.ndarray  # (S, 3)
+    c2: np.ndarray  # (S, 3)
+    heron: np.ndarray  # (S,)
+
+
+def _reduced_numerators(re: np.ndarray, im: np.ndarray, keep: tuple[int, ...]):
+    """Real and imaginary parts, each (S, k, k), of the numerators of the
+    reduced density matrices on the qubits in keep (big-endian order)."""
+    traced = tuple(q for q in range(3) if q not in keep)
+    axes = (0,) + tuple(1 + q for q in keep + traced)
+    shape = (len(re), 1 << len(keep), -1)
+    ar = re.reshape(-1, 2, 2, 2).transpose(axes).reshape(shape)
+    ai = im.reshape(-1, 2, 2, 2).transpose(axes).reshape(shape)
+    art, ait = ar.swapaxes(1, 2), ai.swapaxes(1, 2)
+    return ar @ art + ai @ ait, ai @ art - ar @ ait
+
+
+def concurrence_kernel(states: Sequence[PureStateExact]) -> ConcurrenceArrays:
+    """ConcurrenceArrays of 3-qubit states, in int64 when _kernel_peak
+    fits and in Python ints otherwise."""
+    if not states or any(s.dim != 8 or s.ring != "gaussian" for s in states):
+        raise ValueError("the concurrence kernel expects 3-qubit states")
+    re, im, norm_sq = component_arrays(states, _kernel_peak)
+    purity = []
+    for q in range(3):
+        nr, ni = _reduced_numerators(re, im, (q,))
+        purity.append((nr * nr + ni * ni).sum(axis=(1, 2)))
+    c1, c2 = [], []
+    for pair in _PAIRS:
+        nr, ni = _reduced_numerators(re, im, pair)
+        tr = _SPIN_FLIP * nr[:, ::-1, ::-1]
+        ti = -_SPIN_FLIP * ni[:, ::-1, ::-1]
+        mr = nr @ tr - ni @ ti
+        mi = nr @ ti + ni @ tr
+        trace = np.trace(mr, axis1=1, axis2=2)
+        trace_sq = (mr * mr.swapaxes(1, 2) - mi * mi.swapaxes(1, 2)).sum(axis=(1, 2))
+        c1.append(-trace)
+        c2.append((trace * trace - trace_sq) // 2)
+    purity = np.stack(purity, axis=1)
+    gap = (norm_sq * norm_sq)[:, None] - purity
+    heron = gap.sum(axis=1) ** 2 - 2 * (gap * gap).sum(axis=1)
+    if (heron < 0).any():
+        raise ValueError("one-to-other concurrences violate the triangle inequality")
+    return ConcurrenceArrays(norm_sq, purity, np.stack(c1, axis=1), np.stack(c2, axis=1), heron)
+
+
+def _display_columns(k: ConcurrenceArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float pairwise (S, 3), one-to-other (S, 3) and F3 (S,) values for
+    printing, rounded the same way as the exact rationals they stand for:
+    in the int64 regime every numerator and denominator is below 2**53,
+    so each float division is correctly rounded."""
+    n2 = k.norm_sq * k.norm_sq
+    radicand = (-k.c1).astype(float) - 2.0 * np.sqrt(np.maximum(k.c2, 0).astype(float))
+    pairwise = np.sqrt(np.maximum(radicand, 0.0)) / k.norm_sq.astype(float)[:, None]
+    one_to_other = np.sqrt((2 * (n2[:, None] - k.purity) / n2[:, None]).astype(float))
+    f3_values = np.sqrt((4 * k.heron / (3 * n2 * n2)).astype(float))
+    return pairwise, one_to_other, f3_values
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +563,44 @@ CLASS_A = "A"
 CLASS_B = "B"
 UNCLASSIFIED = "Unclassified"
 
-_SQRT2_3 = math.sqrt(2.0) / 3.0
+
+def _labels(k: ConcurrenceArrays, magic_classes: Sequence[str]) -> list[str]:
+    """Class label of every state, decided by integer identities.
+
+    Stabiliser states split into fully separable (I), one separable
+    qubit with a maximally entangled complementary pair (II), and
+    GHZ-type (III); maximal magic states of SIC type split on their
+    pairwise values being all 0 (A) or all sqrt(2)/3 (B).
+    """
+    n2 = (k.norm_sq * k.norm_sq)[:, None]
+    c1, c2 = k.c1, k.c2
+    separable = k.purity == n2  # C_i(rest) = 0
+    maximal = 2 * k.purity == n2  # C_i(rest)^2 = 1
+    sic_sides = 3 * k.purity == 2 * n2  # C_i(rest)^2 = 2/3
+    pair_zero = c1 * c1 == 4 * c2  # C = 0
+    d = -c1 - n2
+    pair_one = (d >= 0) & (d * d == 4 * c2)  # C = 1
+    d = -9 * c1 - 2 * n2
+    pair_b = (d >= 0) & (d * d == 324 * c2)  # C^2 = 2/9
+    magic = np.asarray(magic_classes)
+    stab = magic == STABILISER
+    sic = (magic == MAX_MAGIC_SIC) & sic_sides.all(axis=1)
+    # reversed, the pair columns BC, AC, AB line up with the qubits A, B, C
+    # they leave out
+    class_ii = (
+        (separable.sum(axis=1) == 1)
+        & (maximal.sum(axis=1) == 2)
+        & (separable & pair_one[:, ::-1]).any(axis=1)
+    )
+    conditions = [
+        stab & separable.all(axis=1),
+        stab & class_ii,
+        stab & maximal.all(axis=1) & pair_zero.all(axis=1),
+        sic & pair_zero.all(axis=1),
+        sic & pair_b.all(axis=1),
+    ]
+    choices = [CLASS_I, CLASS_II, CLASS_III, CLASS_A, CLASS_B]
+    return np.select(conditions, choices, UNCLASSIFIED).tolist()
 
 
 @dataclass(frozen=True)
@@ -505,89 +613,36 @@ class ConcurrenceProfile:
     label: str
 
 
-def _rank2_pairwise(state: PureStateExact, i: int, j: int) -> float:
-    """Pairwise concurrence using the rank bound: a 2-qubit reduction of
-    a pure 3-qubit state has rank <= 2, so rho*rho_tilde has at most two
-    nonzero eigenvalues and C = sqrt(max(0, -c1 - 2 sqrt(c2))) / den with
-    c1, c2 the first two characteristic coefficients."""
-    rho = reduced_density(state, [i, j])
-    num = [list(row) for row in rho.num]
-    tilde = _rho_tilde_num(num)
-    tr = GaussianInt(0)
-    tr2 = GaussianInt(0)
-    m = [
-        [
-            sum((num[a][k] * tilde[k][b] for k in range(4)), GaussianInt(0))
-            for b in range(4)
-        ]
-        for a in range(4)
-    ]
-    for a in range(4):
-        tr = tr + m[a][a]
-        for b in range(4):
-            tr2 = tr2 + m[a][b] * m[b][a]
-    if tr.im or tr2.im or (tr.re * tr.re - tr2.re) % 2:
-        raise ConcurrenceRootError("complex trace in rank-2 path", ())
-    c1 = -tr.re
-    c2 = (tr.re * tr.re - tr2.re) // 2
-    radicand = -c1 - 2.0 * math.sqrt(max(0, c2))
-    return math.sqrt(max(0.0, radicand)) / rho.den
-
-
 def classify_entanglement(state: PureStateExact, magic_class: str) -> ConcurrenceProfile:
-    """Profile + class label of a 3-qubit state.
-
-    Stabiliser states split into fully separable (I), one separable
-    qubit with a maximally entangled pair (II), and GHZ-type (III);
-    maximal magic states split on their pairwise values being all 0 (A)
-    or all sqrt(2)/3 (B).  Exact squares decide wherever available,
-    float comparisons use CLASS_TOL.
-    """
-    sqs = tuple(_one_to_other_sq_fast(state, i) for i in range(3))
-    oto = tuple(math.sqrt(float(s)) for s in sqs)
-    pairs = (
-        _rank2_pairwise(state, 0, 1),
-        _rank2_pairwise(state, 0, 2),
-        _rank2_pairwise(state, 1, 2),
-    )
-    f3_val, f3_sq = _f3_from_squares(sqs)
-
-    label = UNCLASSIFIED
-    if magic_class == STABILISER:
-        if all(s == 0 for s in sqs):
-            label = CLASS_I
-        elif sorted(sqs) == [Fraction(0), Fraction(1), Fraction(1)]:
-            # the pair complementary to the separable qubit must be maximal
-            sep = sqs.index(Fraction(0))
-            pair_value = pairs[{0: 2, 1: 1, 2: 0}[sep]]
-            if abs(pair_value - 1.0) <= CLASS_TOL:
-                label = CLASS_II
-        elif all(s == 1 for s in sqs) and all(p <= CLASS_TOL for p in pairs):
-            label = CLASS_III
-    elif magic_class == MAX_MAGIC_SIC:
-        if all(s == Fraction(2, 3) for s in sqs):
-            if all(p <= CLASS_TOL for p in pairs):
-                label = CLASS_A
-            elif all(abs(p - _SQRT2_3) <= CLASS_TOL for p in pairs):
-                label = CLASS_B
+    """Profile + class label of one 3-qubit state: concurrence_kernel
+    applied to it, with the exact squares as Fractions."""
+    k = concurrence_kernel([state])
+    pairwise, one_to_other, f3_values = _display_columns(k)
+    n2 = state.norm_sq * state.norm_sq
     return ConcurrenceProfile(
-        pairwise=pairs,
-        one_to_other=oto,
-        one_to_other_sq=sqs,
-        f3=f3_val,
-        f3_sq=f3_sq,
-        label=label,
+        pairwise=tuple(pairwise[0].tolist()),
+        one_to_other=tuple(one_to_other[0].tolist()),
+        one_to_other_sq=tuple(Fraction(2 * (n2 - int(p)), n2) for p in k.purity[0]),
+        f3=float(f3_values[0]),
+        f3_sq=Fraction(4 * int(k.heron[0]), 3 * n2 * n2),
+        label=_labels(k, [magic_class])[0],
     )
 
 
 @dataclass(frozen=True)
 class EntanglementCensus:
+    """Class counts and per-state labels of one 3-qubit StateSet, with
+    the per-state float columns for display."""
+
     lattice_name: str
     norm: int
     stabiliser_classes: dict[str, int]
     magic_classes: dict[str, int]
     other: int
     labels: tuple[str, ...]
+    pairwise: tuple[tuple[float, float, float], ...]  # C_AB, C_AC, C_BC
+    one_to_other: tuple[tuple[float, float, float], ...]  # C_A(BC), C_B(AC), C_C(AB)
+    f3: tuple[float, ...]
 
     def histogram(self) -> dict[str, int]:
         out = dict(self.stabiliser_classes)
@@ -600,32 +655,22 @@ class EntanglementCensus:
 def entanglement_census(state_set: StateSet) -> EntanglementCensus:
     """Classify every state of a 3-qubit StateSet.
 
-    Magic classes come from the exact Xi_2 batch; profiles use the
-    rank-2 pairwise path (cross-checked against the quartic reference
-    in the tests)."""
+    Magic classes come from the exact Xi_2 batch, the rest from one
+    concurrence_kernel call over all states."""
     states = state_set.states
-    if not states or states[0].dim != 8:
-        raise ValueError("entanglement census expects 3-qubit states")
+    k = concurrence_kernel(states)
     xi2_values = xi_batch_gaussian(states, alphas=(2,))[2]
-    stab: dict[str, int] = {}
-    magic: dict[str, int] = {}
-    other = 0
-    labels: list[str] = []
-    for st, xi in zip(states, xi2_values):
-        mclass = magic_label(xi, 8, "gaussian")
-        profile = classify_entanglement(st, mclass)
-        labels.append(profile.label)
-        if profile.label in (CLASS_I, CLASS_II, CLASS_III):
-            stab[profile.label] = stab.get(profile.label, 0) + 1
-        elif profile.label in (CLASS_A, CLASS_B):
-            magic[profile.label] = magic.get(profile.label, 0) + 1
-        else:
-            other += 1
+    labels = _labels(k, [magic_label(xi, 8, "gaussian") for xi in xi2_values])
+    counts = Counter(labels)
+    pairwise, one_to_other, f3_values = _display_columns(k)
     return EntanglementCensus(
         lattice_name=state_set.lattice_name,
         norm=state_set.norm,
-        stabiliser_classes=dict(sorted(stab.items())),
-        magic_classes=dict(sorted(magic.items())),
-        other=other,
+        stabiliser_classes={c: counts[c] for c in (CLASS_I, CLASS_II, CLASS_III) if c in counts},
+        magic_classes={c: counts[c] for c in (CLASS_A, CLASS_B) if c in counts},
+        other=counts[UNCLASSIFIED],
         labels=tuple(labels),
+        pairwise=tuple(map(tuple, pairwise.tolist())),
+        one_to_other=tuple(map(tuple, one_to_other.tolist())),
+        f3=tuple(f3_values.tolist()),
     )

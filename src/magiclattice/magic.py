@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import log2
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .exact import EisensteinInt, GaussianInt
-from .states import PureStateExact, StateSet, overlap_sq, vector_to_state
+from .states import PureStateExact, StateSet, component_arrays, overlap_sq, vector_to_state
 
 STABILISER = "Stabiliser"
 MAX_MAGIC_SIC = "MaxMagicSIC"
@@ -459,34 +459,39 @@ def _pauli_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, signs
 
 
-def xi_batch_gaussian(
-    states: Sequence[PureStateExact], alphas: Iterable[int] = (2,)
-) -> dict[int, list[Fraction]]:
-    """Exact Xi_alpha for many qubit-register states at once.
-
-    Bilinear sums are evaluated in vectorized int64 arithmetic; the
-    magnitudes involved are bounded by norm_sq^(2*alpha), which is
-    asserted to stay far below the int64 range.  Results are exact
-    rationals identical to xi_alpha.
-    """
-    alphas = tuple(alphas)
-    if not states:
-        return {a: [] for a in alphas}
-    dim = states[0].dim
-    n = dim.bit_length() - 1
-    re = np.array([[c.re for c in s.components] for s in states], dtype=np.int64)
-    im = np.array([[c.im for c in s.components] for s in states], dtype=np.int64)
-    norms = np.array([s.norm_sq for s in states], dtype=np.int64)
-    assert int(norms.max()) ** max(alphas) < 2**60 // (4**n), "int64 headroom"
+def _pauli_norms(re: np.ndarray, im: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """|<c|P|c>|^2 of every state's unnormalised components, one array
+    per Pauli string P in pauli_strings order.  Each value is at most
+    norm_sq^2, and so is every partial sum on the way."""
     perms, signs = _pauli_tables(n)
-    sums = {a: np.zeros(len(states), dtype=np.int64) for a in alphas}
     for o in range(perms.shape[0]):
         rp = re[:, perms[o]]
         ip = im[:, perms[o]]
         sg = signs[o]
         re_s = ((re * rp + im * ip) * sg).sum(axis=1)
         im_s = ((re * ip - im * rp) * sg).sum(axis=1)
-        gn = re_s * re_s + im_s * im_s
+        yield re_s * re_s + im_s * im_s
+
+
+def xi_batch_gaussian(
+    states: Sequence[PureStateExact], alphas: Iterable[int] = (2,)
+) -> dict[int, list[Fraction]]:
+    """Exact Xi_alpha for many qubit-register states at once.
+
+    The sums over the 4^n Pauli strings of |<c|P|c>|^(2*alpha) are at
+    most 4^n * norm_sq^(2*alpha); they run in int64 when that fits and
+    in Python ints otherwise.  Results are exact rationals identical to
+    xi_alpha.
+    """
+    alphas = tuple(alphas)
+    if not states:
+        return {a: [] for a in alphas}
+    dim = states[0].dim
+    n = dim.bit_length() - 1
+    top = max(alphas)
+    re, im, norms = component_arrays(states, lambda nn: 4**n * nn ** (2 * top))
+    sums = {a: np.zeros(len(states), dtype=re.dtype) for a in alphas}
+    for gn in _pauli_norms(re, im, n):
         for a in alphas:
             sums[a] += gn**a
     out: dict[int, list[Fraction]] = {}
@@ -503,22 +508,12 @@ def wh_covariance_check_all(states: Sequence[PureStateExact]) -> bool:
     if states[0].ring != "gaussian":
         return all(wh_covariance_check(s) for s in states)
     dim = states[0].dim
-    n = dim.bit_length() - 1
-    re = np.array([[c.re for c in s.components] for s in states], dtype=np.int64)
-    im = np.array([[c.im for c in s.components] for s in states], dtype=np.int64)
-    norms = np.array([s.norm_sq for s in states], dtype=np.int64)
-    perms, signs = _pauli_tables(n)
-    target_num = norms * norms  # need (D+1) * gn == norm_sq^2 for each op
-    for o in range(1, perms.shape[0]):
-        rp = re[:, perms[o]]
-        ip = im[:, perms[o]]
-        sg = signs[o]
-        re_s = ((re * rp + im * ip) * sg).sum(axis=1)
-        im_s = ((re * ip - im * rp) * sg).sum(axis=1)
-        gn = re_s * re_s + im_s * im_s
-        if not np.array_equal(gn * (dim + 1), target_num):
-            return False
-    return True
+    # need (D+1) * |<c|P|c>|^2 == norm_sq^2 for every non-identity P
+    re, im, norms = component_arrays(states, lambda nn: (dim + 1) * nn * nn)
+    target = norms * norms
+    gns = _pauli_norms(re, im, dim.bit_length() - 1)
+    next(gns)  # the identity
+    return all(np.array_equal(gn * (dim + 1), target) for gn in gns)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Sequence, Union
+from typing import IO, Callable, Sequence, Union
+
+import numpy as np
 
 from .exact import (
     EisensteinInt,
@@ -161,6 +163,24 @@ def dedup(shell: Shell) -> StateSet:
         ring=shell.lattice.ring,
         states=tuple(states),
     )
+
+
+def component_arrays(
+    states: Sequence[PureStateExact], peak: Callable[[int], int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real parts (S, dim), imaginary parts (S, dim) and norm_sq (S,) of
+    Gaussian-integer states, for vectorised exact arithmetic.
+
+    peak(N) must bound every intermediate of the caller's arithmetic on
+    states with norm_sq <= N.  The arrays are int64 when the bound at the
+    largest norm_sq stays below 2**63, and hold Python ints (dtype=object)
+    otherwise, so the same array code stays exact on any input.
+    """
+    dtype = np.int64 if peak(max(s.norm_sq for s in states)) < 2**63 else object
+    re = np.array([[c.re for c in s.components] for s in states], dtype=dtype)
+    im = np.array([[c.im for c in s.components] for s in states], dtype=dtype)
+    norms = np.array([s.norm_sq for s in states], dtype=dtype)
+    return re, im, norms
 
 
 def overlap_sq(psi: PureStateExact, chi: PureStateExact) -> Fraction:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -80,6 +81,26 @@ def test_orbits_json(capsys, store):
     assert blob["group_size"] == 216
     assert blob["orbit_sizes_l6"] == [36, 9]
     assert blob["correspondence"] is True
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        pytest.param(
+            "csv", "fe3aef7ebbd83c21bfbf62b7a9552121c1e9c9ce51e6bbceee6d1fbd12c5d190", id="csv"
+        ),
+        pytest.param(
+            "json", "4d6e18cfebffab92ebbed1525bde02c9fee041b0ee4dcd4865182af2e32eea04", id="json"
+        ),
+    ],
+)
+def test_entangle_bw16_output_pinned(capsys, store, fmt, digest):
+    # per-state profiles of all 16,440 BW16 l=4 and l=6 states, byte for byte
+    code, out = run_cli(capsys, store, "entangle", "--lattice", "BW16", "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        assert len(out.splitlines()) == 16442
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_entangle_e8_two_qubit_mode(capsys, store):

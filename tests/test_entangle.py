@@ -1,9 +1,17 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
+import magiclattice
 from magiclattice.exact import GaussianInt
 from magiclattice.states import vector_to_state
 from magiclattice import entangle as en
@@ -20,6 +28,42 @@ GHZ = qstate(1, 0, 0, 0, 0, 0, 0, 1)
 W = qstate(0, 1, 1, 0, 1, 0, 0, 0)
 ZERO_BELL = qstate(1, 0, 0, 1, 0, 0, 0, 0)  # |0> (x) Bell pair on the last two
 PRODUCT = qstate(1, 0, 0, 0, 0, 0, 0, 0)
+
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+# norm_sq 5,988,423: far past the kernel's int64 bound, and c2 itself
+# exceeds 2**63, so int64 arithmetic would wrap
+LARGE = qstate(
+    (1000, 7), (-3, 999), (2, -5), (998, 1), (11, 13), (-997, 2), (5, 1001), (0, -999)
+)
+
+
+def oracle_invariants(state):
+    """Kernel quantities from the exact density-matrix oracles: purity
+    numerators P_i and the characteristic coefficients c1, c2 of
+    num * num_tilde for the pairs AB, AC, BC."""
+    n2 = state.norm_sq**2
+    purity = [en.reduced_density(state, [q]).purity() * n2 for q in range(3)]
+    c1, c2 = [], []
+    for pair in PAIRS:
+        num = [list(row) for row in en.reduced_density(state, pair).num]
+        tilde = en._rho_tilde_num(num)
+        m = [
+            [sum((num[a][t] * tilde[t][b] for t in range(4)), G(0)) for b in range(4)]
+            for a in range(4)
+        ]
+        coeffs = en._char_poly_descending(m)
+        c1.append(coeffs[0])
+        c2.append(coeffs[1])
+    return purity, c1, c2
+
+
+def kernel_invariants(k, s):
+    return (
+        [int(v) for v in k.purity[s]],
+        [int(v) for v in k.c1[s]],
+        [int(v) for v in k.c2[s]],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +173,86 @@ def test_pairwise_concurrence_examples():
 
 
 def test_rank2_path_matches_quartic_on_fixtures():
-    for st in (GHZ, ZERO_BELL, PRODUCT, W):
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            quartic = en.pairwise_concurrence(st, i, j)
-            fast = en._rank2_pairwise(st, i, j)
-            assert abs(quartic - fast) <= 1e-10
+    fixtures = [GHZ, ZERO_BELL, PRODUCT, W]
+    k = en.concurrence_kernel(fixtures)
+    pairwise, _, _ = en._display_columns(k)
+    for s, st in enumerate(fixtures):
+        assert oracle_invariants(st) == kernel_invariants(k, s)
+        for col, (i, j) in enumerate(PAIRS):
+            assert abs(en.pairwise_concurrence(st, i, j) - pairwise[s, col]) <= 1e-10
+    assert en._labels(k, [mg.STABILISER] * 4) == [
+        en.CLASS_III,
+        en.CLASS_II,
+        en.CLASS_I,
+        en.UNCLASSIFIED,
+    ]
 
 
 def test_rank2_path_matches_quartic_on_lattice_states(store):
     states = store.states("BW16", 6).states[::997]
-    for st in states:
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            assert abs(en.pairwise_concurrence(st, i, j) - en._rank2_pairwise(st, i, j)) <= 1e-10
+    pairwise, _, _ = en._display_columns(en.concurrence_kernel(states))
+    for s, st in enumerate(states):
+        for col, (i, j) in enumerate(PAIRS):
+            assert abs(en.pairwise_concurrence(st, i, j) - pairwise[s, col]) <= 1e-10
+
+
+def three_qubit_states(bound):
+    component = hs.tuples(hs.integers(-bound, bound), hs.integers(-bound, bound))
+    vectors = hs.lists(component, min_size=8, max_size=8).filter(lambda v: any(a or b for a, b in v))
+    return vectors.map(lambda v: vector_to_state(tuple(G(*z) for z in v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hs.lists(three_qubit_states(5), min_size=1, max_size=5),
+    hs.lists(three_qubit_states(3000), max_size=2),
+)
+def test_kernel_matches_oracles_on_random_states(small, large):
+    # any large state moves the whole batch past int64 into Python ints
+    states = small + large
+    k = en.concurrence_kernel(states)
+    pairwise, one_to_other, f3_values = en._display_columns(k)
+    for s, st in enumerate(states):
+        assert kernel_invariants(k, s) == oracle_invariants(st)
+        for col, (i, j) in enumerate(PAIRS):
+            assert abs(pairwise[s, col] - en.pairwise_concurrence(st, i, j)) <= 1e-10
+        profile = en.classify_entanglement(st, mg.INTERMEDIATE)
+        for q in range(3):
+            value, sq = en.one_to_other_concurrence(st, q)
+            assert profile.one_to_other_sq[q] == sq
+            assert one_to_other[s, q] == value
+        value, sq = en.f3(st)
+        assert profile.f3_sq == sq and f3_values[s] == value
+        assert profile.pairwise == tuple(pairwise[s])
+
+
+_HEADROOM_SCRIPT = """
+import json
+from magiclattice import GaussianInt, concurrence_kernel, vector_to_state, xi_batch_gaussian
+two = vector_to_state(tuple(GaussianInt(v) for v in (625, 25, 25, 1)))
+xi = xi_batch_gaussian([two], alphas=(2, 3))
+large = vector_to_state(tuple(GaussianInt(*z) for z in json.loads(input())))
+k = concurrence_kernel([large])
+print(json.dumps([str(xi[2][0]), str(xi[3][0])] + [[int(v) for v in a[0]] for a in (k.purity, k.c1, k.c2)]))
+"""
+
+
+def test_headroom_guards_survive_optimize():
+    # both int64 headroom guards must still hold when -O strips asserts
+    env = dict(os.environ, PYTHONPATH=str(Path(magiclattice.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _HEADROOM_SCRIPT],
+        input=json.dumps([z.coords() for z in LARGE.components]),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    two = qstate(625, 25, 25, 1)
+    expected = [str(mg.xi_alpha(two, 2)), str(mg.xi_alpha(two, 3))]
+    expected += [list(v) for v in oracle_invariants(LARGE)]
+    assert json.loads(done.stdout) == expected
 
 
 def test_two_qubit_pure_concurrence():

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from magiclattice.exact import EisensteinInt, GaussianInt, OMEGA, THETA
 from magiclattice.states import dedup, overlap_sq, real_to_complex, vector_to_state
@@ -246,6 +248,38 @@ def test_batch_matches_scalar(store):
     for st, x2, x3 in zip(ss.states, by_alpha[2], by_alpha[3]):
         assert x2 == mg.xi_alpha(st, 2)
         assert x3 == mg.xi_alpha(st, 3)
+
+
+def test_batch_exact_past_int64_headroom():
+    # N = 391876: 4^n N^(2 alpha) is far past 2^63, so int64 sums would wrap
+    st = qstate(625, 25, 25, 1)
+    assert st.norm_sq == 391876
+    by_alpha = mg.xi_batch_gaussian([st], alphas=(2, 3))
+    assert by_alpha[2] == [mg.xi_alpha(st, 2)]
+    assert by_alpha[3] == [mg.xi_alpha(st, 3)]
+    assert by_alpha[3][0] > 0
+
+
+def qubit_states(n, bound):
+    component = hs.tuples(hs.integers(-bound, bound), hs.integers(-bound, bound))
+    vectors = hs.lists(component, min_size=1 << n, max_size=1 << n)
+    vectors = vectors.filter(lambda v: any(a or b for a, b in v))
+    return vectors.map(lambda v: vector_to_state(tuple(G(*z) for z in v)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hs.integers(1, 3).flatmap(
+        lambda n: hs.lists(
+            hs.one_of(qubit_states(n, 3), qubit_states(n, 10**5)), min_size=1, max_size=4
+        )
+    )
+)
+def test_batch_matches_scalar_on_random_states(states):
+    by_alpha = mg.xi_batch_gaussian(states, alphas=(2, 3))
+    assert by_alpha[2] == [mg.xi_alpha(st, 2) for st in states]
+    assert by_alpha[3] == [mg.xi_alpha(st, 3) for st in states]
+    assert mg.wh_covariance_check_all(states) == all(mg.wh_covariance_check(st) for st in states)
 
 
 def test_census_batch_equals_scalar(store):
