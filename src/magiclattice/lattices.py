@@ -154,36 +154,39 @@ class LatticeSpec:
     known_counts: dict[int, int]
     gram: tuple[tuple[Fraction, ...], ...]  # coefficient-space Gram matrix
     gram_inv_diag: tuple[Fraction, ...]
-    scaled_generator: Optional[tuple[tuple[int, ...], ...]]  # scale*M, E8/BW16
-    scaled_generator_inv: Optional[tuple[tuple[Fraction, ...], ...]]
+    scaled_generator: tuple[tuple[int, ...], ...]  # scale*M; ambient row = coeffs @ this
+    scaled_generator_inv: tuple[tuple[Fraction, ...], ...]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LatticeSpec({self.name})"
 
 
-def _e6_real_gram() -> list[list[Fraction]]:
-    # Quadratic form on the 6 integer coefficients (a1, a2, a3, b1, b2, b3)
-    # of beta = a + omega*b, obtained by polarization of the exact norm
-    # |beta M|^2.  Entries come out in (1/2)Z.
-    def norm_of(coeffs: Sequence[int]) -> int:
-        beta = [EisensteinInt(coeffs[k], coeffs[3 + k]) for k in range(3)]
-        total = 0
-        for col in range(3):
-            amb = EisensteinInt(0)
-            for row in range(3):
-                amb = amb + beta[row] * E6_GENERATOR[row][col]
-            total += amb.norm()
-        return total
-
-    basis = [[int(i == j) for j in range(6)] for i in range(6)]
-    diag = [norm_of(basis[i]) for i in range(6)]
-    g = [[Fraction(0)] * 6 for _ in range(6)]
+def _e6_real_generator() -> list[list[Fraction]]:
+    # Real form of E6_GENERATOR: row i holds the (a, b) pairs of the three
+    # ambient coordinates a + omega*b of the i-th unit coefficient vector
+    # (a1, a2, a3, b1, b2, b3), beta_k = a_k + omega*b_k.
+    rows = []
     for i in range(6):
-        g[i][i] = Fraction(diag[i])
-        for j in range(i + 1, 6):
-            both = [basis[i][k] + basis[j][k] for k in range(6)]
-            g[i][j] = g[j][i] = Fraction(norm_of(both) - diag[i] - diag[j], 2)
-    return g
+        beta = [EisensteinInt(int(i == k), int(i == 3 + k)) for k in range(3)]
+        row = []
+        for col in range(3):
+            amb = sum((beta[r] * E6_GENERATOR[r][col] for r in range(3)), EisensteinInt(0))
+            row.extend(Fraction(x) for x in amb.coords())
+        rows.append(row)
+    return rows
+
+
+def _eisenstein_gram(gen: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Gram matrix of the rows under sum_k |a_k + omega*b_k|^2, the form
+    a^2 - ab + b^2 on each (a, b) pair.  Entries come out in (1/2)Z."""
+
+    def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+        return sum(
+            x[k] * y[k] + x[k + 1] * y[k + 1] - (x[k] * y[k + 1] + x[k + 1] * y[k]) / 2
+            for k in range(0, len(x), 2)
+        )
+
+    return [[dot(x, y) for y in gen] for x in gen]
 
 
 _LATTICE_CACHE: dict[str, LatticeSpec] = {}
@@ -208,8 +211,8 @@ def build_lattice(name: str) -> LatticeSpec:
         counts = {4: 4320, 6: 61440, 8: 522720, 10: 2211840}
         ring, cdim, rdim = "gaussian", 8, 16
     elif key == "E6":
-        gen = None
-        gram = _e6_real_gram()
+        gen = _e6_real_generator()
+        gram = _eisenstein_gram(gen)
         scale = 1
         counts = {3: 72, 6: 270, 9: 720, 12: 936, 15: 2160}
         ring, cdim, rdim = "eisenstein", 3, 6
@@ -218,14 +221,10 @@ def build_lattice(name: str) -> LatticeSpec:
 
     inv = _mat_inverse(gram)
     diag = tuple(inv[i][i] for i in range(len(inv)))
-    if gen is not None:
-        scaled = tuple(tuple(int(x * scale) for x in row) for row in gen)
-        for row, frac_row in zip(scaled, gen):
-            assert all(Fraction(s) == f * scale for s, f in zip(row, frac_row))
-        scaled_inv = tuple(tuple(r) for r in _mat_inverse([[Fraction(x) for x in row] for row in scaled]))
-    else:
-        scaled = None
-        scaled_inv = None
+    if any((x * scale).denominator != 1 for row in gen for x in row):
+        raise ValueError(f"scale {scale} does not make the {key} generator integral")
+    scaled = tuple(tuple(int(x * scale) for x in row) for row in gen)
+    scaled_inv = tuple(tuple(r) for r in _mat_inverse([[Fraction(x) for x in row] for row in scaled]))
 
     spec = LatticeSpec(
         name=key,
@@ -366,17 +365,9 @@ def _form_for(lattice: LatticeSpec) -> tuple:
 
 
 def _dfs_enumerate(
-    lattice: LatticeSpec,
-    norm: int,
-    node_budget: int,
-    outer_range: Optional[tuple[int, int]] = None,
+    lattice: LatticeSpec, norm: int, node_budget: int
 ) -> tuple[list[tuple[int, ...]], int]:
-    """All coefficient vectors of the given norm, plus the node count.
-
-    If outer_range is given, only outermost DFS values lo <= x <= hi are
-    explored (used to partition work across processes); the symmetric
-    negatives of found vectors are still emitted.
-    """
+    """All coefficient vectors of the given norm, plus the node count."""
     order, lam, mus, weights, common = _form_for(lattice)
     n = lattice.coeff_dim
     target = common * norm
@@ -424,9 +415,6 @@ def _dfs_enumerate(
         hi = (s - sigma) // mu
         if zero_prefix and lo < 0:
             lo = 0
-        if level == n - 1 and outer_range is not None:
-            lo = max(lo, outer_range[0])
-            hi = min(hi, outer_range[1])
         visited += hi - lo + 1 if hi >= lo else 0
         if visited > node_budget:
             raise EnumerationBudgetExceeded(node_budget, visited)
@@ -442,26 +430,10 @@ def _dfs_enumerate(
     return full, visited
 
 
-def _worker_enumerate(args: tuple) -> tuple[list[tuple[int, ...]], int]:
-    name, norm, budget, rng = args
-    return _dfs_enumerate(build_lattice(name), norm, budget, rng)
-
-
 def _ambient_row(lattice: LatticeSpec, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    if lattice.scaled_generator is not None:
-        gen = lattice.scaled_generator
-        n = lattice.coeff_dim
-        return tuple(
-            sum(coeffs[i] * gen[i][k] for i in range(n)) for k in range(lattice.real_dim)
-        )
-    beta = [EisensteinInt(coeffs[k], coeffs[3 + k]) for k in range(3)]
-    row: list[int] = []
-    for col in range(3):
-        amb = EisensteinInt(0)
-        for r in range(3):
-            amb = amb + beta[r] * E6_GENERATOR[r][col]
-        row.extend(amb.coords())
-    return tuple(row)
+    gen = lattice.scaled_generator
+    n = lattice.coeff_dim
+    return tuple(sum(coeffs[i] * gen[i][k] for i in range(n)) for k in range(lattice.real_dim))
 
 
 def _row_norm_scaled(lattice: LatticeSpec, row: tuple[int, ...]) -> int:
@@ -474,10 +446,7 @@ def _row_norm_scaled(lattice: LatticeSpec, row: tuple[int, ...]) -> int:
 
 
 def enumerate_shell(
-    lattice: LatticeSpec,
-    norm: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
+    lattice: LatticeSpec, norm: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Shell:
     """Enumerate every lattice vector of the given square norm.
 
@@ -489,34 +458,7 @@ def enumerate_shell(
     """
     if norm <= 0:
         raise ValueError("shell norm must be positive")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-
-    if threads == 1:
-        coeff_vectors, _ = _dfs_enumerate(lattice, norm, node_budget)
-    else:
-        bound = coordinate_bounds(lattice, norm)
-        order, *_ = _form_for(lattice)
-        outer_bound = bound[order[-1]]
-        # Leading-positive convention restricts the outermost value to >= 0.
-        edges = np.linspace(0, outer_bound + 1, threads + 1, dtype=int)
-        ranges = [
-            (int(edges[k]), int(edges[k + 1]) - 1)
-            for k in range(threads)
-            if edges[k] <= edges[k + 1] - 1
-        ]
-        from concurrent.futures import ProcessPoolExecutor
-
-        coeff_vectors = []
-        total_nodes = 0
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            tasks = [(lattice.name, norm, node_budget, rng) for rng in ranges]
-            for part, nodes in pool.map(_worker_enumerate, tasks):
-                coeff_vectors.extend(part)
-                total_nodes += nodes
-        if total_nodes > node_budget:
-            raise EnumerationBudgetExceeded(node_budget, total_nodes)
-
+    coeff_vectors, _ = _dfs_enumerate(lattice, norm, node_budget)
     coeff_vectors.sort()
     scale_sq = lattice.scale * lattice.scale
     vectors = []
@@ -613,26 +555,6 @@ def solve_eisenstein_coefficients(
     return (out[0], out[1], beta3)
 
 
-def _coeffs_from_row(lattice: LatticeSpec, row: tuple[int, ...]) -> tuple[int, ...]:
-    """Recover integer coefficients from an ambient row; raises
-    ShellCacheError when the row is not a lattice point."""
-    if lattice.scaled_generator_inv is not None:
-        coeffs = []
-        inv = lattice.scaled_generator_inv
-        n = lattice.coeff_dim
-        for i in range(n):
-            val = sum(Fraction(row[k]) * inv[k][i] for k in range(n))
-            if val.denominator != 1:
-                raise ShellCacheError(f"row {row} is not a {lattice.name} lattice point")
-            coeffs.append(int(val))
-        return tuple(coeffs)
-    comps = tuple(EisensteinInt(row[2 * k], row[2 * k + 1]) for k in range(3))
-    beta = solve_eisenstein_coefficients(comps)
-    if beta is None:
-        raise ShellCacheError(f"row {row} is not an E6 lattice point")
-    return tuple(b.a for b in beta) + tuple(b.b for b in beta)
-
-
 # ---------------------------------------------------------------------------
 # shell cache
 
@@ -649,7 +571,11 @@ def shell_cache_path(cache_dir: Path, lattice: LatticeSpec, norm: int) -> Path:
 
 
 def save_shell(shell: Shell, path: Path) -> None:
-    """Write a shell to its cache file (header plus sorted ambient rows)."""
+    """Write a shell to its cache file (header plus sorted ambient rows).
+
+    The text goes to a temporary file in the same directory that then
+    replaces the cache file, so a failed write never leaves a partial
+    file under the cache name."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = sorted(v.ambient for v in shell.vectors)
@@ -658,11 +584,23 @@ def save_shell(shell: Shell, path: Path) -> None:
         f"scale={shell.lattice.scale} count={len(rows)}"
     ]
     lines.extend(" ".join(str(x) for x in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
-    """Load and fully re-validate a cached shell."""
+    """Load a cached shell and check that it is that shell.
+
+    Checked: the header (lattice, norm, scale and row count), and the
+    rows' width, coordinate bound, norm and lattice membership, that the
+    rows are distinct and that they are closed under negation.  Raises
+    ShellCacheError at the first failure.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -675,46 +613,41 @@ def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
     magic = " ".join(header[:2])
     if magic != _CACHE_MAGIC:
         raise ShellCacheError(f"{path}: bad header {lines[0]!r}")
-    fields = dict(part.split("=", 1) for part in header[2:])
-    if fields.get("lattice") != lattice.name or int(fields.get("norm", -1)) != norm:
+    try:
+        fields = dict(part.split("=", 1) for part in header[2:])
+        header_norm, scale, declared = (int(fields.get(k, -1)) for k in ("norm", "scale", "count"))
+    except ValueError as exc:
+        raise ShellCacheError(f"{path}: bad header {lines[0]!r}") from exc
+    if fields.get("lattice") != lattice.name or header_norm != norm:
         raise ShellCacheError(
             f"{path}: header is for {fields.get('lattice')} norm {fields.get('norm')}, "
             f"requested {lattice.name} norm {norm}"
         )
-    if int(fields.get("scale", -1)) != lattice.scale:
+    if scale != lattice.scale:
         raise ShellCacheError(f"{path}: scale mismatch")
-    declared = int(fields.get("count", -1))
     body = [line for line in lines[1:] if line.strip()]
     if len(body) != declared:
         raise ShellCacheError(
             f"{path}: header declares {declared} vectors, file has {len(body)}"
         )
-    width = lattice.real_dim
-    scale_sq = lattice.scale * lattice.scale
-    if lattice.scaled_generator_inv is not None and body:
-        vectors = _validate_rows_gaussian(lattice, path, body, norm * scale_sq)
-    else:
-        vectors = []
-        for line in body:
-            row = tuple(int(tok) for tok in line.split())
-            if len(row) != width:
-                raise ShellCacheError(f"{path}: row {line!r} has wrong width")
-            if _row_norm_scaled(lattice, row) != norm * scale_sq:
-                raise ShellCacheError(f"{path}: row {line!r} has wrong norm")
-            coeffs = _coeffs_from_row(lattice, row)
-            vectors.append(ShellVector(coeffs=coeffs, ambient=row))
-    vectors.sort(key=lambda v: v.coeffs)
-    return Shell(lattice=lattice, norm=norm, vectors=tuple(vectors))
+    rows, coeffs = _validate_rows(lattice, path, body, norm * lattice.scale * lattice.scale)
+    order = _shell_order(path, coeffs)
+    vectors = tuple(
+        ShellVector(coeffs=tuple(c), ambient=tuple(a))
+        for c, a in zip(coeffs[order].tolist(), rows[order].tolist())
+    )
+    return Shell(lattice=lattice, norm=norm, vectors=vectors)
 
 
-def _validate_rows_gaussian(
+def _validate_rows(
     lattice: LatticeSpec, path: Path, body: list[str], scaled_norm: int
-) -> list[ShellVector]:
-    """Vectorized version of the per-row validation for E8/BW16 caches.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ambient rows and coefficients of a cache body, every row checked
+    for width, coordinate bound, norm and lattice membership.
 
-    Equivalent to _coeffs_from_row on every line: coordinates and the
-    integerized generator inverse are small, so the int64 matmul is exact
-    (bounds asserted before use)."""
+    Coordinates are bounded before anything is squared: |x| <= sqrt(N)
+    for a sum of squares, and |a|, |b| <= sqrt(4N/3) for Eisenstein pairs
+    (a^2 - ab + b^2 >= 3a^2/4).  That bounds every int64 intermediate."""
     width = lattice.real_dim
     try:
         flat = np.fromiter(
@@ -724,35 +657,53 @@ def _validate_rows_gaussian(
     except (ValueError, OverflowError) as exc:
         raise ShellCacheError(f"{path}: malformed row ({exc})") from exc
     if flat.size != len(body) * width:
-        for line in body:
-            if len(line.split()) != width:
-                raise ShellCacheError(f"{path}: row {line!r} has wrong width")
-        raise ShellCacheError(f"{path}: malformed rows")
+        bad = next(line for line in body if len(line.split()) != width)
+        raise ShellCacheError(f"{path}: row {bad!r} has wrong width")
     rows = flat.reshape(len(body), width)
-    norms = (rows * rows).sum(axis=1)
+
+    inv = lattice.scaled_generator_inv
+    denom = _lcm(x.denominator for inv_row in inv for x in inv_row)
+    inv_num = [[int(x * denom) for x in inv_row] for inv_row in inv]
+    gaussian = lattice.ring == "gaussian"
+    limit = isqrt(scaled_norm if gaussian else 4 * scaled_norm // 3)
+    inv_max = max(abs(x) for inv_row in inv_num for x in inv_row)
+    if width * limit * max(2 * limit, inv_max) >= 2**63:
+        raise ShellCacheError(f"{path}: norm {scaled_norm} is past the int64 check's headroom")
+    outside = ((rows < -limit) | (rows > limit)).any(axis=1)
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise ShellCacheError(
+            f"{path}: row {body[bad]!r} has wrong norm (a coordinate is past {limit})"
+        )
+    if gaussian:
+        norms = (rows * rows).sum(axis=1)
+    else:
+        a, b = rows[:, 0::2], rows[:, 1::2]
+        norms = (a * a - a * b + b * b).sum(axis=1)
     if not (norms == scaled_norm).all():
         bad = int(np.argmin(norms == scaled_norm))
         raise ShellCacheError(f"{path}: row {body[bad]!r} has wrong norm")
 
-    inv = lattice.scaled_generator_inv
-    denom = 1
-    for inv_row in inv:
-        for x in inv_row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    inv_int = np.array(
-        [[int(x * denom) for x in inv_row] for inv_row in inv], dtype=np.int64
-    )
-    assert np.abs(rows).max() < 2**20 and np.abs(inv_int).max() < 2**20
-    coeff_num = rows @ inv_int
+    coeff_num = rows @ np.array(inv_num, dtype=np.int64)
     rem = coeff_num % denom
     if rem.any():
         bad = int(np.argmax(rem.any(axis=1)))
         raise ShellCacheError(f"{path}: row {body[bad]!r} is not a {lattice.name} lattice point")
-    coeffs = coeff_num // denom
-    return [
-        ShellVector(coeffs=tuple(c), ambient=tuple(a))
-        for c, a in zip(coeffs.tolist(), rows.tolist())
-    ]
+    return rows, coeff_num // denom
+
+
+def _shell_order(path: Path, coeffs: np.ndarray) -> np.ndarray:
+    """Lexicographic order of the coefficient rows; raises ShellCacheError
+    unless the rows are distinct and closed under negation."""
+    order = np.lexsort(coeffs.T[::-1])
+    ordered = coeffs[order]
+    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+        raise ShellCacheError(f"{path}: duplicate rows")
+    # negation reverses lexicographic order, so distinct rows are closed
+    # under negation iff the negated, reversed list is the list itself
+    if not np.array_equal(-ordered[::-1], ordered):
+        raise ShellCacheError(f"{path}: rows are not closed under negation")
+    return order
 
 
 def ensure_shell(
@@ -760,13 +711,12 @@ def ensure_shell(
     norm: int,
     cache_dir: Optional[Path] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    threads: int = 1,
 ) -> Shell:
     """Load the shell from cache, or enumerate it and populate the cache."""
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = shell_cache_path(cache, lattice, norm)
     if path.exists():
         return load_shell(lattice, norm, path)
-    shell = enumerate_shell(lattice, norm, node_budget=node_budget, threads=threads)
+    shell = enumerate_shell(lattice, norm, node_budget=node_budget)
     save_shell(shell, path)
     return shell

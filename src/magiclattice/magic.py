@@ -543,12 +543,12 @@ class CensusReport:
         return out
 
 
-def sre_census(state_set: StateSet, use_batch: bool = True) -> CensusReport:
+def sre_census(state_set: StateSet) -> CensusReport:
     """Histogram of exact Xi_2 values (and their magic classes) over a
-    StateSet.  The batched integer path and the scalar exact path give
-    identical rationals; the scalar path is kept as the reference."""
+    StateSet.  Qubit (Gaussian) states take the batched integer kernel,
+    qutrit (Eisenstein) states the scalar xi_alpha."""
     states = state_set.states
-    if use_batch and state_set.ring == "gaussian":
+    if state_set.ring == "gaussian":
         xi_values = xi_batch_gaussian(states, alphas=(2,))[2]
     else:
         xi_values = [xi_alpha(s, 2) for s in states]

@@ -1,0 +1,217 @@
+"""The checks behind every subcommand, one stage function per check.
+
+Each stage returns a small record whose ``checks()`` are (ok, description)
+pairs.  A subcommand runs its stage and formats the record; ``reproduce``
+runs every stage once and prints one PASS/FAIL line per check.  The
+expected tables the checks compare against live here too.
+"""
+
+from __future__ import annotations
+
+import time
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+from typing import Callable, Optional
+
+from .clifford import (
+    CorrespondenceReport,
+    generate_clifford_qutrit,
+    orbit_partition,
+    verify_e6_correspondence,
+)
+from .entangle import (
+    UNCLASSIFIED,
+    EntanglementCensus,
+    entanglement_census,
+    pairwise_concurrence_2qubit,
+)
+from .lattices import (
+    DEFAULT_NODE_BUDGET,
+    Shell,
+    ThetaCheckResult,
+    build_lattice,
+    ensure_shell,
+    theta_check,
+)
+from .magic import CensusReport, sre_census, xi_batch_gaussian
+from .states import StateSet
+
+DEFAULT_NORMS = {"E8": (2, 4, 6, 8), "BW16": (4, 6), "E6": (3, 6, 9, 12, 15)}
+HEAVY_NORMS = {"BW16": (8,)}
+TABLE_IDS = {"E8": "T2", "BW16": "T3", "E6": "T4"}
+# the shells that the stages after the census read
+ORBIT_SHELLS = (("E6", 3), ("E6", 6))
+ENTANGLE_SHELLS = (("BW16", 4), ("BW16", 6))
+TWO_QUBIT_SHELL = ("E8", 4)
+LATER_STAGE_SHELLS = {*ORBIT_SHELLS, *ENTANGLE_SHELLS, TWO_QUBIT_SHELL}
+
+# Frozen expected censuses (state counts per exact Xi_2 key).  These are
+# the computed values, cross-checked against an independent dense-matrix
+# oracle; rows where published reference tables disagree are flagged in
+# ROW_NOTES below and the discrepancy follows the computation.
+EXPECTED_CENSUS: dict[tuple[str, int], dict[str, int]] = {
+    ("E8", 2): {"1": 60},
+    ("E8", 4): {"1": 60, "7/16": 480},
+    ("E8", 6): {"19/27": 720, "5/9": 960},
+    ("E8", 8): {"1": 60, "139/256": 3840, "7/16": 480},
+    ("BW16", 4): {"1": 1080},
+    ("BW16", 6): {"2/9": 15360},
+    ("BW16", 8): {"1": 1080, "7/16": 60480, "11/32": 69120},
+    ("E6", 3): {"1": 12},
+    ("E6", 6): {"1/2": 45},
+    ("E6", 9): {"1": 12, "49/81": 108},
+    ("E6", 12): {"1": 12, "17/32": 144},
+    ("E6", 15): {"401/625": 216, "353/625": 144},
+}
+
+ROW_NOTES: dict[tuple[str, int], str] = {
+    ("E6", 15): (
+        "reference tables disagree internally on this row's vector total "
+        "(1260 vs 2160); counts here follow the enumeration"
+    ),
+    ("E8", 6): (
+        "the published reference table pairs these two state counts the "
+        "other way round (960 at 19/27, 720 at 5/9); counts here follow "
+        "the computed census, confirmed by an independent dense-matrix oracle"
+    ),
+    ("E6", 9): (
+        "reference prose lists 401/625 for the 108 non-stabiliser states "
+        "but the reference table column and the computed census give 49/81"
+    ),
+}
+VECTOR_TOTAL_NOTES = {("E6", 15)}  # notes that the shell report shows too
+
+CLIFFORD_GROUP_SIZE = 216
+EXPECTED_STAB_CLASSES = {"I": 216, "II": 432, "III": 432}
+EXPECTED_MAGIC_CLASSES = {"A": 1536, "B": 13824}
+EXPECTED_2QUBIT_HIST = {"1/4": 192, "1/2": 288}
+EXPECTED_ORBITS = {3: [12], 6: [36, 9]}
+E8_MAX_MAGIC_XI2 = Fraction(7, 16)
+
+Check = tuple[bool, str]
+StateLoader = Callable[[str, int], StateSet]  # (lattice, norm) -> deduplicated shell
+
+
+@dataclass(frozen=True)
+class ShellResult:
+    shell: Shell
+    theta: ThetaCheckResult
+    seconds: float
+
+    def checks(self) -> list[Check]:
+        s = self.shell
+        line = f"shell {s.lattice.name} l={s.norm}: {s.count} vectors ({self.seconds:.2f}s)"
+        return [(self.theta.ok, line)]
+
+
+def shell_stage(
+    name: str, norm: int, cache_dir: Path, node_budget: int = DEFAULT_NODE_BUDGET
+) -> ShellResult:
+    """Load or enumerate one shell and compare its size with the theta series."""
+    start = time.perf_counter()
+    shell = ensure_shell(build_lattice(name), norm, cache_dir=cache_dir, node_budget=node_budget)
+    return ShellResult(shell, theta_check(shell), time.perf_counter() - start)
+
+
+@dataclass(frozen=True)
+class CensusResult:
+    report: CensusReport
+    histogram: dict[str, int]  # str(Xi_2) -> states, in report row order
+    ok: bool
+    note: Optional[str]
+
+    def checks(self) -> list[Check]:
+        r = self.report
+        note = f"  [note: {self.note}]" if self.note else ""
+        return [(self.ok, f"census {r.lattice_name} l={r.norm}: {self.histogram}{note}")]
+
+
+def census_stage(state_set: StateSet) -> CensusResult:
+    """Exact SRE census of one state set; ok when every vector is counted
+    (vectors == states * multiplicity) and the expected table, if there
+    is one, matches."""
+    report = sre_census(state_set)
+    histogram = {str(row.xi2): row.state_count for row in report.rows}
+    key = (state_set.lattice_name, state_set.norm)
+    expected = EXPECTED_CENSUS.get(key, histogram)
+    conserved = report.vector_count == report.state_count * report.multiplicity
+    return CensusResult(report, histogram, conserved and histogram == expected, ROW_NOTES.get(key))
+
+
+@dataclass(frozen=True)
+class OrbitsResult:
+    group_size: int
+    orbit_sizes: dict[int, list[int]]  # E6 norm -> orbit sizes
+    correspondence: CorrespondenceReport
+
+    def checks(self) -> list[Check]:
+        c = self.correspondence
+        return [
+            (self.group_size == CLIFFORD_GROUP_SIZE, f"clifford group size: {self.group_size}"),
+            *(
+                (sizes == EXPECTED_ORBITS[norm], f"orbit sizes l={norm}: {sizes}")
+                for norm, sizes in self.orbit_sizes.items()
+            ),
+            (c.ok, f"correspondence: {c.vectors_covered} vectors covered"),
+        ]
+
+
+def orbits_stage(states: StateLoader) -> OrbitsResult:
+    """The qutrit Clifford group, its orbits on the E6 l=3 and l=6 states,
+    and the stabiliser / shortest-vector correspondence."""
+    group = generate_clifford_qutrit()
+    sizes = {
+        norm: [o.size for o in orbit_partition(states(name, norm), group)]
+        for name, norm in ORBIT_SHELLS
+    }
+    return OrbitsResult(len(group), sizes, verify_e6_correspondence())
+
+
+@dataclass(frozen=True)
+class EntangleResult:
+    censuses: tuple[tuple[StateSet, EntanglementCensus], ...]
+    aggregates: dict[str, int]  # class -> states, in order of first appearance
+
+    def checks(self) -> list[Check]:
+        stab = {k: self.aggregates.get(k, 0) for k in EXPECTED_STAB_CLASSES}
+        magic = {k: self.aggregates.get(k, 0) for k in EXPECTED_MAGIC_CLASSES}
+        other = self.aggregates.get(UNCLASSIFIED, 0)  # states outside every class
+        magic_line = f"entanglement max magic classes: {magic}"
+        if other:
+            magic_line += f"  [unclassified: {other}]"
+        return [
+            (stab == EXPECTED_STAB_CLASSES, f"entanglement stabiliser classes: {stab}"),
+            (magic == EXPECTED_MAGIC_CLASSES and not other, magic_line),
+        ]
+
+
+def entangle_stage(states: StateLoader) -> EntangleResult:
+    """Entanglement census of the BW16 l=4 and l=6 states."""
+    state_sets = [states(*key) for key in ENTANGLE_SHELLS]
+    censuses = tuple((ss, entanglement_census(ss)) for ss in state_sets)
+    aggregates = Counter(label for _, census in censuses for label in census.labels)
+    return EntangleResult(censuses, dict(aggregates))
+
+
+@dataclass(frozen=True)
+class TwoQubitResult:
+    rows: tuple[tuple[str, float, Fraction], ...]  # state id, C, C^2
+    histogram: dict[str, int]  # str(C^2) -> states, in order of first appearance
+
+    def checks(self) -> list[Check]:
+        line = f"2-qubit max magic C^2 histogram: {self.histogram}"
+        return [(self.histogram == EXPECTED_2QUBIT_HIST, line)]
+
+
+def two_qubit_stage(states: StateLoader) -> TwoQubitResult:
+    """Concurrence of every maximal-magic state of E8 l=4."""
+    state_set = states(*TWO_QUBIT_SHELL)
+    xi2_values = xi_batch_gaussian(state_set.states, alphas=(2,))[2]
+    rows = tuple(
+        (state_set.state_id(i), *pairwise_concurrence_2qubit(state))
+        for i, (state, xi) in enumerate(zip(state_set.states, xi2_values))
+        if xi == E8_MAX_MAGIC_XI2
+    )
+    return TwoQubitResult(rows, dict(Counter(str(value_sq) for _, _, value_sq in rows)))

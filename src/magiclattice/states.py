@@ -32,6 +32,10 @@ from .lattices import Shell
 RingVector = Union[Sequence[GaussianInt], Sequence[EisensteinInt]]
 
 
+class EmptyShellError(ValueError):
+    """Raised when a shell with no vectors is turned into states."""
+
+
 def real_to_complex(x: Sequence[int]) -> tuple[GaussianInt, ...]:
     """Pair a real vector of even length 2D into D Gaussian components,
     c_k = x_k + i*x_{D+k}.  Scale factors pass through untouched."""
@@ -106,7 +110,8 @@ class StateSet:
     @property
     def uniform_multiplicity(self) -> int:
         mult = len(self.states[0].provenance)
-        assert all(len(s.provenance) == mult for s in self.states)
+        if any(len(s.provenance) != mult for s in self.states):
+            raise ValueError(f"{self!r} has states of different multiplicity")
         return mult
 
     @property
@@ -131,7 +136,7 @@ def dedup(shell: Shell) -> StateSet:
     claim is asserted at runtime rather than assumed.
     """
     if shell.count == 0:
-        raise ValueError("cannot dedup an empty shell")
+        raise EmptyShellError(f"{shell.lattice.name} l={shell.norm} has no vectors, so no states")
     groups: dict[tuple, list[int]] = {}
     keys: dict[tuple, tuple] = {}
     for idx in range(shell.count):

@@ -2,11 +2,15 @@ import csv
 import hashlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from magiclattice import cli
+from magiclattice import cli, pipeline
 from magiclattice.lattices import build_lattice, shell_cache_path
+
+GOLDEN_REPRODUCE = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "reproduce.txt"
 
 
 def run_cli(capsys, store, *argv):
@@ -60,7 +64,7 @@ def test_census_notes_flag_reference_discrepancies(capsys, store):
 
 
 def test_census_expected_mismatch_sets_exit_code(capsys, store, monkeypatch):
-    monkeypatch.setitem(cli.EXPECTED_CENSUS, ("E6", 3), {"1": 99})
+    monkeypatch.setitem(pipeline.EXPECTED_CENSUS, ("E6", 3), {"1": 99})
     code, out = run_cli(capsys, store, "census", "--lattice", "E6", "--norms", "3")
     assert code == 1
     assert "FAIL" in out
@@ -151,3 +155,61 @@ def test_bad_norms_rejected():
         cli.main(["shells", "--lattice", "E8", "--norms", "-2"])
     with pytest.raises(SystemExit):
         cli.main(["nonsense"])
+
+
+def test_reproduce_matches_golden(capsys, store):
+    # every check of every subcommand, run once; timings are the only
+    # tokens that differ run to run
+    code, out = run_cli(capsys, store, "reproduce")
+    assert code == 0
+    assert re.sub(r" \(\d+\.\d+s\)", "", out) == GOLDEN_REPRODUCE.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce", "--format", "json"],
+        ["reproduce", "--norms", "2"],
+        ["orbits", "--norms", "3"],
+        ["orbits", "--node-budget", "5"],
+        ["project-e8", "--format", "json"],
+        ["entangle", "--include-heavy"],
+        ["shells", "--include-heavy"],
+        ["shells", "--format", "json"],
+        ["shells", "--threads", "2"],
+    ],
+    ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
+)
+def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _corrupt_cache(cache_dir):
+    path = shell_cache_path(cache_dir, build_lattice("E8"), 2)
+    path.write_text("#magiclattice-shell v1 lattice=E8 norm=2 scale=2 count=1\n2 2 0 0 0 0 0 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, prepare, message",
+    [
+        pytest.param(
+            ["shells", "--lattice", "BW16", "--norms", "6", "--node-budget", "50"],
+            None,
+            "node budget",
+            id="node-budget",
+        ),
+        pytest.param(["shells", "--lattice", "E8", "--norms", "2"], _corrupt_cache, "wrong norm", id="corrupt-cache"),
+        pytest.param(["census", "--lattice", "E8", "--norms", "3"], None, "E8 l=3 has no vectors", id="empty-shell"),
+    ],
+)
+def test_user_errors_are_one_line(capsys, tmp_path, argv, prepare, message):
+    if prepare is not None:
+        prepare(tmp_path)
+    code = cli.main(argv + ["--cache-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("magiclattice: error: ") and message in err
+    assert err.count("\n") == 1

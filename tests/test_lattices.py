@@ -1,5 +1,13 @@
+import errno
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import magiclattice
 from magiclattice.exact import EisensteinInt
 from magiclattice.lattices import (
     EnumerationBudgetExceeded,
@@ -181,6 +189,17 @@ def test_cache_corruption_non_lattice_row(tmp_path, cached_e8):
         load_shell(lat, 2, p)
 
 
+def test_e6_cache_rejects_non_lattice_row(tmp_path, store):
+    shell = store.shell("E6", 3)
+    path = tmp_path / "ok.shell"
+    save_shell(shell, path)
+    lines = path.read_text().splitlines()
+    # components (1, -1, 1): norm 3, but 1 - 1 - 1 is not divisible by theta
+    p = _write_variant(tmp_path, lines[:1] + ["1 0 -1 0 1 0"] + lines[2:])
+    with pytest.raises(ShellCacheError, match="not a E6 lattice point"):
+        load_shell(shell.lattice, 3, p)
+
+
 def test_cache_corruption_wrong_width(tmp_path, cached_e8):
     lat, lines = cached_e8
     p = _write_variant(tmp_path, lines[:1] + ["1 2 3"] + lines[2:])
@@ -229,3 +248,87 @@ def test_solve_eisenstein_rejects_non_lattice_point():
     assert solve_eisenstein_coefficients((one, zero, zero)) is None
     with pytest.raises(ValueError):
         solve_eisenstein_coefficients((one, zero))
+
+
+def test_cache_rejects_duplicate_rows(tmp_path, store):
+    shell = store.shell("E8", 4)
+    path = tmp_path / "ok.shell"
+    save_shell(shell, path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[3]  # row 3 copied over row 2; count and norms still fit
+    p = _write_variant(tmp_path, lines)
+    with pytest.raises(ShellCacheError, match="duplicate"):
+        load_shell(shell.lattice, 4, p)
+
+
+def test_cache_rejects_rows_not_closed_under_negation(tmp_path, cached_e8):
+    lat, lines = cached_e8
+    header = lines[0].replace("count=240", "count=239")
+    p = _write_variant(tmp_path, [header] + lines[2:])
+    with pytest.raises(ShellCacheError, match="negation"):
+        load_shell(lat, 2, p)
+
+
+# an E8 lattice point whose int64 square sum wraps to 8, the scaled norm 2
+_WRAPPING_ROW = "-2 -2 4294967296 0 0 0 0 0"
+_LOAD_SCRIPT = """
+import sys
+from magiclattice.lattices import ShellCacheError, build_lattice, load_shell
+try:
+    load_shell(build_lattice("E8"), 2, sys.argv[1])
+except ShellCacheError:
+    print("rejected")
+"""
+
+
+def test_cache_rejects_row_whose_norm_wraps_in_int64(tmp_path, cached_e8):
+    lat, lines = cached_e8
+    p = _write_variant(tmp_path, lines[:1] + [_WRAPPING_ROW] + lines[2:])
+    with pytest.raises(ShellCacheError, match="wrong norm"):
+        load_shell(lat, 2, p)
+    # and under -O, which strips asserts
+    env = dict(os.environ, PYTHONPATH=str(Path(magiclattice.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _LOAD_SCRIPT, str(p)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout == "rejected\n"
+
+
+def test_failed_save_keeps_the_old_cache_file(tmp_path, store, monkeypatch):
+    shell = store.shell("E8", 2)
+    path = tmp_path / "E8_norm2.shell"
+    save_shell(shell, path)
+    before = path.read_text()
+    real_open = io.open
+
+    class DiskFull:
+        """A text file that takes half of one write, then runs out of space."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_on_full_disk(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return DiskFull(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(io, "open", open_on_full_disk)
+    with pytest.raises(OSError):
+        save_shell(shell, path)
+    monkeypatch.undo()
+    assert path.read_text() == before
+    assert os.listdir(tmp_path) == [path.name]

@@ -1,8 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import magiclattice
 
 from magiclattice.exact import EisensteinInt, GaussianInt, THETA
 from magiclattice.states import (
@@ -92,3 +98,28 @@ def test_exports(store):
     blob = json.loads(export_json(ss))
     assert blob["lattice"] == "E6" and blob["norm"] == 3
     assert len(blob["states"]) == 12
+
+
+_MIXED_MULTIPLICITY_SCRIPT = """
+from magiclattice.exact import GaussianInt
+from magiclattice.states import StateSet, vector_to_state
+a = vector_to_state((GaussianInt(1), GaussianInt(0)), provenance=(0, 1))
+b = vector_to_state((GaussianInt(0), GaussianInt(1)), provenance=(2,))
+try:
+    StateSet("E8", 2, "gaussian", (a, b)).uniform_multiplicity
+except ValueError:
+    print("rejected")
+"""
+
+
+def test_mixed_multiplicity_raises_under_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(magiclattice.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _MIXED_MULTIPLICITY_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout == "rejected\n"
