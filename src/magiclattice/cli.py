@@ -26,7 +26,7 @@ from .lattices import (
     default_cache_dir,
 )
 from .magic import xi_batch_gaussian
-from .states import EmptyShellError, dedup
+from .states import EmptyShellError, StateSet, dedup
 
 
 def _fmt_float(x: float) -> str:
@@ -127,7 +127,8 @@ def cmd_census(args, failures: Failures) -> None:
 
 
 def cmd_orbits(args, failures: Failures) -> None:
-    result = pipeline.orbits_stage(_loader(args.cache_dir))
+    shortest = pipeline.shell_stage(*pipeline.SHORTEST_E6, args.cache_dir).shell
+    result = pipeline.orbits_stage(_loader(args.cache_dir), shortest)
     failures.check_all(result.checks())
     sizes, correspondence = result.orbit_sizes, result.correspondence
     if args.format == "json":
@@ -225,13 +226,12 @@ def cmd_project_e8(args, failures: Failures) -> None:
         tags = ["first"] * shell.count
         if norm == 4:
             state_set = dedup(shell)
-            xi2_values = xi_batch_gaussian(state_set.states, alphas=(2,))[2]
-            for state, xi in zip(state_set.states, xi2_values):
-                for index in state.provenance:
-                    tags[index] = "second-stab" if xi == 1 else "second-magic"
-        for vec, tag in zip(shell.vectors, tags):
+            xi2_values = xi_batch_gaussian(state_set, alphas=(2,))[2]
+            state_tags = ["second-stab" if xi == 1 else "second-magic" for xi in xi2_values]
+            tags = [state_tags[s] for s in state_set.state_of.tolist()]
+        for row, tag in zip(shell.rows.tolist(), tags):
             # ambient row is scaled by the lattice's integerization factor
-            coords = [a / shell.lattice.scale for a in vec.ambient]
+            coords = [a / shell.lattice.scale for a in row]
             x = sum(c * w for c, w in zip(coords, cos))
             y = sum(c * w for c, w in zip(coords, sin))
             tag_counts[tag] = tag_counts.get(tag, 0) + 1
@@ -266,12 +266,19 @@ def cmd_reproduce(args, failures: Failures) -> None:
         for norm in norms:
             loaded = pipeline.shell_stage(name, norm, args.cache_dir)
             status(loaded.checks())
+            if (name, norm) == pipeline.SHORTEST_E6:
+                shortest = loaded.shell
             state_set = dedup(loaded.shell)
             status(pipeline.census_stage(state_set).checks())
             if (name, norm) in pipeline.LATER_STAGE_SHELLS:
                 kept[name, norm] = state_set
-    for stage in (pipeline.orbits_stage, pipeline.entangle_stage, pipeline.two_qubit_stage):
-        status(stage(lambda name, norm: kept[name, norm]).checks())
+
+    def states(name: str, norm: int) -> StateSet:
+        return kept[name, norm]
+
+    status(pipeline.orbits_stage(states, shortest).checks())
+    for stage in (pipeline.entangle_stage, pipeline.two_qubit_stage):
+        status(stage(states).checks())
     print("reproduce: all checks passed" if not failures.messages else
           f"reproduce: {len(failures.messages)} check(s) FAILED")
 
@@ -283,7 +290,7 @@ _FLAGS = {
     ),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--node-budget": dict(type=int, default=DEFAULT_NODE_BUDGET),
-    "--include-heavy": dict(action="store_true", help="include the minutes-scale BW16 l=8 row"),
+    "--include-heavy": dict(action="store_true", help="include the BW16 l=8 row (about 10 s more)"),
 }
 
 

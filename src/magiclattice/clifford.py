@@ -22,7 +22,7 @@ from .exact import (
     ray_reduce,
     unit_canonicalize,
 )
-from .lattices import build_lattice, enumerate_shell, solve_eisenstein_coefficients
+from .lattices import Shell, solve_eisenstein_coefficients
 from .magic import WHDisplacement, wh_displacements
 from .states import PureStateExact, StateSet, vector_to_state
 
@@ -342,13 +342,16 @@ class CorrespondenceReport:
     mismatches: tuple[str, ...]
 
 
-def verify_e6_correspondence() -> CorrespondenceReport:
+def verify_e6_correspondence(shell: Shell) -> CorrespondenceReport:
     """Check that the 12 qutrit stabiliser states, scaled to norm 3, are
-    exactly the rays of the 72 shortest E6 vectors, and that each scaled
-    state has integral lattice coefficients."""
-    lattice = build_lattice("E6")
-    shell = enumerate_shell(lattice, 3)
-    shell_components = {v.eisenstein_components() for v in shell.vectors}
+    exactly the rays of the 72 shortest E6 vectors (shell, the E6 l=3
+    shell), and that each scaled state has integral lattice coefficients."""
+    if (shell.lattice.name, shell.norm) != ("E6", 3):
+        raise ValueError(f"expected the E6 l=3 shell, got {shell!r}")
+    shell_components = {
+        tuple(EisensteinInt(a, b) for a, b in zip(row[0::2], row[1::2]))
+        for row in shell.rows.tolist()
+    }
 
     mismatches: list[str] = []
     covered: set[tuple] = set()

@@ -510,12 +510,14 @@ def _reduced_numerators(re: np.ndarray, im: np.ndarray, keep: tuple[int, ...]):
     return ar @ art + ai @ ait, ai @ art - ar @ ait
 
 
-def concurrence_kernel(states: Sequence[PureStateExact]) -> ConcurrenceArrays:
+def concurrence_kernel(states: StateSet | Sequence[PureStateExact]) -> ConcurrenceArrays:
     """ConcurrenceArrays of 3-qubit states, in int64 when _kernel_peak
     fits and in Python ints otherwise."""
-    if not states or any(s.dim != 8 or s.ring != "gaussian" for s in states):
+    if not len(states):
         raise ValueError("the concurrence kernel expects 3-qubit states")
     re, im, norm_sq = component_arrays(states, _kernel_peak)
+    if re.shape[1] != 8:
+        raise ValueError("the concurrence kernel expects 3-qubit states")
     purity = []
     for q in range(3):
         nr, ni = _reduced_numerators(re, im, (q,))
@@ -657,9 +659,8 @@ def entanglement_census(state_set: StateSet) -> EntanglementCensus:
 
     Magic classes come from the exact Xi_2 batch, the rest from one
     concurrence_kernel call over all states."""
-    states = state_set.states
-    k = concurrence_kernel(states)
-    xi2_values = xi_batch_gaussian(states, alphas=(2,))[2]
+    k = concurrence_kernel(state_set)
+    xi2_values = xi_batch_gaussian(state_set, alphas=(2,))[2]
     labels = _labels(k, [magic_label(xi, 8, "gaussian") for xi in xi2_values])
     counts = Counter(labels)
     pairwise, one_to_other, f3_values = _display_columns(k)

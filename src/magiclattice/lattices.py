@@ -16,12 +16,14 @@ enumerated through its rational 6-dimensional real form.
 from __future__ import annotations
 
 import os
+import warnings
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .exact import EisensteinInt, THETA
 DEFAULT_NODE_BUDGET = 10**10
 CACHE_ENV_VAR = "MAGICLATTICE_CACHE"
 _CACHE_MAGIC = "#magiclattice-shell v1"
+_SAVE_BLOCK = 1 << 15  # rows formatted per write
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -259,32 +262,24 @@ def coordinate_bounds(lattice: LatticeSpec, norm: int) -> tuple[int, ...]:
 # shell container
 
 
-@dataclass(frozen=True)
-class ShellVector:
-    """One lattice vector: integer coefficients and its ambient row.
+@dataclass(frozen=True, eq=False)
+class Shell:
+    """The vectors of one shell, as int64 arrays sorted by coefficients.
 
-    For E8/BW16 the ambient row holds the 8/16 real coordinates times the
-    lattice scale.  For E6 it holds (a, b) integer pairs of the three
-    Eisenstein ambient coordinates, flattened to 6 integers.
+    coeffs[k] holds the lattice coefficients of vector k and rows[k] its
+    ambient row: for E8/BW16 the 8/16 real coordinates times the lattice
+    scale, for E6 the (a, b) integer pairs of the three Eisenstein
+    coordinates a + b*omega, flattened to 6 integers.
     """
 
-    coeffs: tuple[int, ...]
-    ambient: tuple[int, ...]
-
-    def eisenstein_components(self) -> tuple[EisensteinInt, ...]:
-        row = self.ambient
-        return tuple(EisensteinInt(row[2 * k], row[2 * k + 1]) for k in range(len(row) // 2))
-
-
-@dataclass(frozen=True)
-class Shell:
     lattice: LatticeSpec
     norm: int
-    vectors: tuple[ShellVector, ...]
+    coeffs: np.ndarray  # (N, coeff_dim) int64
+    rows: np.ndarray  # (N, real_dim) int64
 
     @property
     def count(self) -> int:
-        return len(self.vectors)
+        return len(self.coeffs)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Shell({self.lattice.name}, norm={self.norm}, count={self.count})"
@@ -364,15 +359,15 @@ def _form_for(lattice: LatticeSpec) -> tuple:
     return _FORM_CACHE[lattice.name]
 
 
-def _dfs_enumerate(
-    lattice: LatticeSpec, norm: int, node_budget: int
-) -> tuple[list[tuple[int, ...]], int]:
-    """All coefficient vectors of the given norm, plus the node count."""
+def _dfs_enumerate(lattice: LatticeSpec, norm: int, node_budget: int) -> tuple[np.ndarray, int]:
+    """All coefficient vectors of the given norm, (N, coeff_dim) int64 in
+    search order, plus the node count.  The caller checks that the
+    coefficients fit in int64."""
     order, lam, mus, weights, common = _form_for(lattice)
     n = lattice.coeff_dim
     target = common * norm
     xs = [0] * n
-    found: list[tuple[int, ...]] = []
+    found = array("q")  # flat, in DFS coordinate order
     visited = 0
 
     lam0 = lam[0]
@@ -400,10 +395,7 @@ def _dfs_enumerate(
                 if zero_prefix and x0 <= 0:
                     continue
                 xs[0] = x0
-                vec = [0] * n
-                for pos in range(n):
-                    vec[order[pos]] = xs[pos]
-                found.append(tuple(vec))
+                found.extend(xs)
             return
         w = weights[level]
         mu = mus[level]
@@ -425,24 +417,23 @@ def _dfs_enumerate(
 
     descend(n - 1, target, True)
     # Each vector found has its leading DFS coordinate positive; the shell
-    # is symmetric under negation.
-    full = found + [tuple(-x for x in v) for v in found]
-    return full, visited
+    # is symmetric under negation.  Column order[pos] of the result holds
+    # DFS position pos.
+    half = len(found) // n
+    coeffs = np.empty((2 * half, n), dtype=np.int64)
+    coeffs[:half, order] = np.frombuffer(found, dtype=np.int64).reshape(half, n)
+    del found
+    np.negative(coeffs[:half], out=coeffs[half:])
+    return coeffs, visited
 
 
-def _ambient_row(lattice: LatticeSpec, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    gen = lattice.scaled_generator
-    n = lattice.coeff_dim
-    return tuple(sum(coeffs[i] * gen[i][k] for i in range(n)) for k in range(lattice.real_dim))
-
-
-def _row_norm_scaled(lattice: LatticeSpec, row: tuple[int, ...]) -> int:
-    """Square norm of an ambient row times scale**2 (exact integer)."""
+def _scaled_norms(lattice: LatticeSpec, rows: np.ndarray) -> np.ndarray:
+    """Square norm of every ambient row times scale**2 (exact integers
+    while the caller's headroom check holds)."""
     if lattice.ring == "gaussian":
-        return sum(x * x for x in row)
-    return sum(
-        EisensteinInt(row[2 * k], row[2 * k + 1]).norm() for k in range(len(row) // 2)
-    )
+        return np.einsum("ij,ij->i", rows, rows)
+    a, b = rows[:, 0::2], rows[:, 1::2]
+    return np.einsum("ij,ij->i", a, a - b) + np.einsum("ij,ij->i", b, b)
 
 
 def enumerate_shell(
@@ -454,20 +445,25 @@ def enumerate_shell(
     integer arithmetic after clearing denominators, so pruning is exact.
     Vectors are returned sorted lexicographically by coefficients.  Raises
     EnumerationBudgetExceeded if more than node_budget branch nodes are
-    visited.
+    visited, and ValueError if the shell's arrays could overflow int64.
     """
-    if norm <= 0:
-        raise ValueError("shell norm must be positive")
-    coeff_vectors, _ = _dfs_enumerate(lattice, norm, node_budget)
-    coeff_vectors.sort()
-    scale_sq = lattice.scale * lattice.scale
-    vectors = []
-    for coeffs in coeff_vectors:
-        row = _ambient_row(lattice, coeffs)
-        if _row_norm_scaled(lattice, row) != norm * scale_sq:
-            raise AssertionError(f"enumerated vector {coeffs} fails the norm check")
-        vectors.append(ShellVector(coeffs=coeffs, ambient=row))
-    return Shell(lattice=lattice, norm=norm, vectors=tuple(vectors))
+    # Every coefficient is within coordinate_bounds, so every ambient
+    # coordinate, and every partial sum of the matmul, is within reach.
+    # A sum of squares adds at most reach^2 per coordinate and a^2 - ab + b^2
+    # at most 3 reach^2 per pair, so 2 reach^2 per coordinate bounds both.
+    bounds = coordinate_bounds(lattice, norm)
+    reach = max(
+        sum(b * abs(row[k]) for b, row in zip(bounds, lattice.scaled_generator))
+        for k in range(lattice.real_dim)
+    )
+    if 2 * lattice.real_dim * reach * reach >= 2**63:
+        raise ValueError(f"{lattice.name} norm {norm} is past the int64 headroom of the shell arrays")
+    coeffs, _ = _dfs_enumerate(lattice, norm, node_budget)
+    coeffs = coeffs[np.lexsort(coeffs.T[::-1])]
+    rows = coeffs @ np.array(lattice.scaled_generator, dtype=np.int64)
+    if not (_scaled_norms(lattice, rows) == norm * lattice.scale**2).all():
+        raise AssertionError(f"an enumerated {lattice.name} l={norm} vector fails the norm check")
+    return Shell(lattice=lattice, norm=norm, coeffs=coeffs, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +574,19 @@ def save_shell(shell: Shell, path: Path) -> None:
     file under the cache name."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = sorted(v.ambient for v in shell.vectors)
-    lines = [
-        f"{_CACHE_MAGIC} lattice={shell.lattice.name} norm={shell.norm} "
-        f"scale={shell.lattice.scale} count={len(rows)}"
-    ]
-    lines.extend(" ".join(str(x) for x in row) for row in rows)
+    order = np.lexsort(shell.rows.T[::-1])
+    line = "\n" + " ".join(["%d"] * shell.lattice.real_dim)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n")
+        with tmp.open("w") as fh:
+            fh.write(
+                f"{_CACHE_MAGIC} lattice={shell.lattice.name} norm={shell.norm} "
+                f"scale={shell.lattice.scale} count={shell.count}"
+            )
+            for start in range(0, shell.count, _SAVE_BLOCK):  # the text, a block at a time
+                block = shell.rows[order[start : start + _SAVE_BLOCK]].tolist()
+                fh.write("".join(line % tuple(row) for row in block))
+            fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -603,21 +603,38 @@ def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        with path.open() as fh:
+            declared = _check_header(lattice, norm, path, fh.readline())
+            rows = _parse_rows(path, fh, lattice.real_dim)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ShellCacheError(f"cannot read shell cache {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines:
+    if len(rows) != declared:
+        raise ShellCacheError(
+            f"{path}: header declares {declared} vectors, file has {len(rows)}"
+        )
+    coeffs = _validate_rows(lattice, path, rows, norm * lattice.scale * lattice.scale)
+    order = np.lexsort(coeffs.T[::-1])
+    coeffs = coeffs[order]
+    rows = rows[order]
+    _check_distinct_and_symmetric(path, coeffs)
+    return Shell(lattice=lattice, norm=norm, coeffs=coeffs, rows=rows)
+
+
+def _check_header(lattice: LatticeSpec, norm: int, path: Path, first: str) -> int:
+    """The row count a cache header declares, once its lattice, norm and
+    scale are checked."""
+    if not first:
         raise ShellCacheError(f"{path}: empty cache file")
-    header = lines[0].split()
+    first = first.rstrip("\n")
+    header = first.split()
     magic = " ".join(header[:2])
     if magic != _CACHE_MAGIC:
-        raise ShellCacheError(f"{path}: bad header {lines[0]!r}")
+        raise ShellCacheError(f"{path}: bad header {first!r}")
     try:
         fields = dict(part.split("=", 1) for part in header[2:])
         header_norm, scale, declared = (int(fields.get(k, -1)) for k in ("norm", "scale", "count"))
     except ValueError as exc:
-        raise ShellCacheError(f"{path}: bad header {lines[0]!r}") from exc
+        raise ShellCacheError(f"{path}: bad header {first!r}") from exc
     if fields.get("lattice") != lattice.name or header_norm != norm:
         raise ShellCacheError(
             f"{path}: header is for {fields.get('lattice')} norm {fields.get('norm')}, "
@@ -625,42 +642,41 @@ def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
         )
     if scale != lattice.scale:
         raise ShellCacheError(f"{path}: scale mismatch")
-    body = [line for line in lines[1:] if line.strip()]
-    if len(body) != declared:
-        raise ShellCacheError(
-            f"{path}: header declares {declared} vectors, file has {len(body)}"
-        )
-    rows, coeffs = _validate_rows(lattice, path, body, norm * lattice.scale * lattice.scale)
-    order = _shell_order(path, coeffs)
-    vectors = tuple(
-        ShellVector(coeffs=tuple(c), ambient=tuple(a))
-        for c, a in zip(coeffs[order].tolist(), rows[order].tolist())
-    )
-    return Shell(lattice=lattice, norm=norm, vectors=vectors)
+    return declared
+
+
+def _parse_rows(path: Path, fh: IO[str], width: int) -> np.ndarray:
+    """The (N, width) int64 rows of the rest of a cache file, read by
+    numpy's C parser; blank lines are skipped."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows: an empty shell
+            rows = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError as exc:
+        reason = str(exc).partition("\n")[0]
+        raise ShellCacheError(f"{path}: malformed row ({reason})") from exc
+    if not len(rows):
+        return np.empty((0, width), dtype=np.int64)
+    # loadtxt takes the column count from the first row
+    if rows.shape[1] != width:
+        raise ShellCacheError(f"{path}: rows have {rows.shape[1]} columns, expected {width}")
+    return rows
+
+
+def _row_text(row: np.ndarray) -> str:
+    return " ".join(str(x) for x in row.tolist())
 
 
 def _validate_rows(
-    lattice: LatticeSpec, path: Path, body: list[str], scaled_norm: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ambient rows and coefficients of a cache body, every row checked
-    for width, coordinate bound, norm and lattice membership.
+    lattice: LatticeSpec, path: Path, rows: np.ndarray, scaled_norm: int
+) -> np.ndarray:
+    """The coefficients of ambient rows, every row checked for coordinate
+    bound, norm and lattice membership.
 
     Coordinates are bounded before anything is squared: |x| <= sqrt(N)
     for a sum of squares, and |a|, |b| <= sqrt(4N/3) for Eisenstein pairs
     (a^2 - ab + b^2 >= 3a^2/4).  That bounds every int64 intermediate."""
     width = lattice.real_dim
-    try:
-        flat = np.fromiter(
-            (int(tok) for line in body for tok in line.split()),
-            dtype=np.int64,
-        )
-    except (ValueError, OverflowError) as exc:
-        raise ShellCacheError(f"{path}: malformed row ({exc})") from exc
-    if flat.size != len(body) * width:
-        bad = next(line for line in body if len(line.split()) != width)
-        raise ShellCacheError(f"{path}: row {bad!r} has wrong width")
-    rows = flat.reshape(len(body), width)
-
     inv = lattice.scaled_generator_inv
     denom = _lcm(x.denominator for inv_row in inv for x in inv_row)
     inv_num = [[int(x * denom) for x in inv_row] for inv_row in inv]
@@ -673,37 +689,33 @@ def _validate_rows(
     if outside.any():
         bad = int(np.argmax(outside))
         raise ShellCacheError(
-            f"{path}: row {body[bad]!r} has wrong norm (a coordinate is past {limit})"
+            f"{path}: row {_row_text(rows[bad])!r} has wrong norm (a coordinate is past {limit})"
         )
-    if gaussian:
-        norms = (rows * rows).sum(axis=1)
-    else:
-        a, b = rows[:, 0::2], rows[:, 1::2]
-        norms = (a * a - a * b + b * b).sum(axis=1)
+    norms = _scaled_norms(lattice, rows)
     if not (norms == scaled_norm).all():
         bad = int(np.argmin(norms == scaled_norm))
-        raise ShellCacheError(f"{path}: row {body[bad]!r} has wrong norm")
+        raise ShellCacheError(f"{path}: row {_row_text(rows[bad])!r} has wrong norm")
 
-    coeff_num = rows @ np.array(inv_num, dtype=np.int64)
-    rem = coeff_num % denom
-    if rem.any():
-        bad = int(np.argmax(rem.any(axis=1)))
-        raise ShellCacheError(f"{path}: row {body[bad]!r} is not a {lattice.name} lattice point")
-    return rows, coeff_num // denom
+    coeffs = rows @ np.array(inv_num, dtype=np.int64)
+    off_lattice = (coeffs % denom).any(axis=1)
+    if off_lattice.any():
+        bad = int(np.argmax(off_lattice))
+        raise ShellCacheError(
+            f"{path}: row {_row_text(rows[bad])!r} is not a {lattice.name} lattice point"
+        )
+    coeffs //= denom
+    return coeffs
 
 
-def _shell_order(path: Path, coeffs: np.ndarray) -> np.ndarray:
-    """Lexicographic order of the coefficient rows; raises ShellCacheError
-    unless the rows are distinct and closed under negation."""
-    order = np.lexsort(coeffs.T[::-1])
-    ordered = coeffs[order]
+def _check_distinct_and_symmetric(path: Path, ordered: np.ndarray) -> None:
+    """Raise ShellCacheError unless the lexicographically sorted
+    coefficient rows are distinct and closed under negation."""
     if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ShellCacheError(f"{path}: duplicate rows")
     # negation reverses lexicographic order, so distinct rows are closed
     # under negation iff the negated, reversed list is the list itself
     if not np.array_equal(-ordered[::-1], ordered):
         raise ShellCacheError(f"{path}: rows are not closed under negation")
-    return order
 
 
 def ensure_shell(

@@ -16,6 +16,7 @@ components act as index shifts, Z components as unit-phase factors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -437,67 +438,59 @@ def sic_check(
 # batched census over a StateSet
 
 
-def _pauli_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index permutations and sign patterns of all 4^n strings.
-
-    Returns (perms, signs) of shapes (4^n, 2^n): row o maps component j
-    to sign[o, j] * c[perm[o, j]] inside the bilinear form.
-    """
-    dim = 1 << n
-    ops = pauli_strings(n)
-    perms = np.empty((len(ops), dim), dtype=np.int64)
-    signs = np.empty((len(ops), dim), dtype=np.int64)
-    idx = np.arange(dim)
-    for o, op in enumerate(ops):
-        xm, zm, _ = op.masks()
-        perms[o] = idx ^ xm
-        bits = idx & zm
-        pop = np.zeros(dim, dtype=np.int64)
-        for b in range(n):
-            pop += (bits >> b) & 1
-        signs[o] = 1 - 2 * (pop & 1)
-    return perms, signs
+def _walsh_signs(n: int) -> np.ndarray:
+    """(2^n, 2^n) matrix of (-1)^popcount(j & z): the Z^z sign on basis
+    index j."""
+    idx = np.arange(1 << n)
+    both = idx[:, None] & idx[None, :]
+    return 1 - 2 * (sum((both >> b) & 1 for b in range(n)) & 1)
 
 
 def _pauli_norms(re: np.ndarray, im: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """|<c|P|c>|^2 of every state's unnormalised components, one array
-    per Pauli string P in pauli_strings order.  Each value is at most
-    norm_sq^2, and so is every partial sum on the way."""
-    perms, signs = _pauli_tables(n)
-    for o in range(perms.shape[0]):
-        rp = re[:, perms[o]]
-        ip = im[:, perms[o]]
-        sg = signs[o]
-        re_s = ((re * rp + im * ip) * sg).sum(axis=1)
-        im_s = ((re * ip - im * rp) * sg).sum(axis=1)
+    """|<c|P|c>|^2 of every state's unnormalised components, grouped by
+    X-mask: for x = 0, 1, ..., 2^n - 1 one (S, 2^n) array whose column z
+    is the Pauli string with X-mask x and Z-mask z (they differ from
+    X^x Z^z by a phase only), so the identity is column 0 of x = 0.
+
+    Per X-mask the terms conj(c_j) c_(j^x) are gathered once and one
+    +-1 matmul sums them under every Z sign pattern.  Each value is at
+    most norm_sq^2, and so is every intermediate on the way: every
+    partial sum is at most sum_j |c_j| |c_(j^x)| <= norm_sq."""
+    signs = _walsh_signs(n).astype(re.dtype)
+    idx = np.arange(1 << n)
+    for x in range(1 << n):
+        rp, ip = re[:, idx ^ x], im[:, idx ^ x]
+        re_s = (re * rp + im * ip) @ signs
+        im_s = (re * ip - im * rp) @ signs
         yield re_s * re_s + im_s * im_s
 
 
 def xi_batch_gaussian(
-    states: Sequence[PureStateExact], alphas: Iterable[int] = (2,)
+    states: Union[StateSet, Sequence[PureStateExact]], alphas: Iterable[int] = (2,)
 ) -> dict[int, list[Fraction]]:
     """Exact Xi_alpha for many qubit-register states at once.
 
     The sums over the 4^n Pauli strings of |<c|P|c>|^(2*alpha) are at
     most 4^n * norm_sq^(2*alpha); they run in int64 when that fits and
     in Python ints otherwise.  Results are exact rationals identical to
-    xi_alpha.
+    xi_alpha, one Fraction object per distinct (sum, norm_sq) pair.
     """
     alphas = tuple(alphas)
-    if not states:
+    if not len(states):
         return {a: [] for a in alphas}
     dim = states[0].dim
     n = dim.bit_length() - 1
     top = max(alphas)
     re, im, norms = component_arrays(states, lambda nn: 4**n * nn ** (2 * top))
-    sums = {a: np.zeros(len(states), dtype=re.dtype) for a in alphas}
+    sums = {a: np.zeros(len(norms), dtype=re.dtype) for a in alphas}
     for gn in _pauli_norms(re, im, n):
         for a in alphas:
-            sums[a] += gn**a
+            sums[a] += (gn**a).sum(axis=1)
     out: dict[int, list[Fraction]] = {}
     for a in alphas:
-        denom = [dim * int(nn) ** (2 * a) for nn in norms]
-        out[a] = [Fraction(int(s), d) for s, d in zip(sums[a], denom)]
+        keys = list(zip(sums[a].tolist(), (dim * norms ** (2 * a)).tolist()))
+        fractions = {key: Fraction(*key) for key in set(keys)}
+        out[a] = [fractions[key] for key in keys]
     return out
 
 
@@ -510,10 +503,11 @@ def wh_covariance_check_all(states: Sequence[PureStateExact]) -> bool:
     dim = states[0].dim
     # need (D+1) * |<c|P|c>|^2 == norm_sq^2 for every non-identity P
     re, im, norms = component_arrays(states, lambda nn: (dim + 1) * nn * nn)
-    target = norms * norms
-    gns = _pauli_norms(re, im, dim.bit_length() - 1)
-    next(gns)  # the identity
-    return all(np.array_equal(gn * (dim + 1), target) for gn in gns)
+    target = (norms * norms)[:, None]
+    for x, gn in enumerate(_pauli_norms(re, im, dim.bit_length() - 1)):
+        if not ((gn[:, 1:] if x == 0 else gn) * (dim + 1) == target).all():
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -547,15 +541,12 @@ def sre_census(state_set: StateSet) -> CensusReport:
     """Histogram of exact Xi_2 values (and their magic classes) over a
     StateSet.  Qubit (Gaussian) states take the batched integer kernel,
     qutrit (Eisenstein) states the scalar xi_alpha."""
-    states = state_set.states
     if state_set.ring == "gaussian":
-        xi_values = xi_batch_gaussian(states, alphas=(2,))[2]
+        xi_values = xi_batch_gaussian(state_set, alphas=(2,))[2]
     else:
-        xi_values = [xi_alpha(s, 2) for s in states]
-    counts: dict[Fraction, int] = {}
-    for xi in xi_values:
-        counts[xi] = counts.get(xi, 0) + 1
-    dim = states[0].dim
+        xi_values = [xi_alpha(s, 2) for s in state_set.states]
+    counts = Counter(xi_values)
+    dim = state_set.components.shape[1]
     rows = tuple(
         CensusRow(
             xi2=xi,

@@ -43,6 +43,7 @@ HEAVY_NORMS = {"BW16": (8,)}
 TABLE_IDS = {"E8": "T2", "BW16": "T3", "E6": "T4"}
 # the shells that the stages after the census read
 ORBIT_SHELLS = (("E6", 3), ("E6", 6))
+SHORTEST_E6 = ("E6", 3)  # the shell the stabiliser correspondence reads
 ENTANGLE_SHELLS = (("BW16", 4), ("BW16", 6))
 TWO_QUBIT_SHELL = ("E8", 4)
 LATER_STAGE_SHELLS = {*ORBIT_SHELLS, *ENTANGLE_SHELLS, TWO_QUBIT_SHELL}
@@ -158,15 +159,16 @@ class OrbitsResult:
         ]
 
 
-def orbits_stage(states: StateLoader) -> OrbitsResult:
+def orbits_stage(states: StateLoader, shortest: Shell) -> OrbitsResult:
     """The qutrit Clifford group, its orbits on the E6 l=3 and l=6 states,
-    and the stabiliser / shortest-vector correspondence."""
+    and the correspondence of the stabiliser states with the shortest E6
+    vectors (shortest, the E6 l=3 shell)."""
     group = generate_clifford_qutrit()
     sizes = {
         norm: [o.size for o in orbit_partition(states(name, norm), group)]
         for name, norm in ORBIT_SHELLS
     }
-    return OrbitsResult(len(group), sizes, verify_e6_correspondence())
+    return OrbitsResult(len(group), sizes, verify_e6_correspondence(shortest))
 
 
 @dataclass(frozen=True)
@@ -208,10 +210,10 @@ class TwoQubitResult:
 def two_qubit_stage(states: StateLoader) -> TwoQubitResult:
     """Concurrence of every maximal-magic state of E8 l=4."""
     state_set = states(*TWO_QUBIT_SHELL)
-    xi2_values = xi_batch_gaussian(state_set.states, alphas=(2,))[2]
+    xi2_values = xi_batch_gaussian(state_set, alphas=(2,))[2]
     rows = tuple(
-        (state_set.state_id(i), *pairwise_concurrence_2qubit(state))
-        for i, (state, xi) in enumerate(zip(state_set.states, xi2_values))
+        (state_set.state_id(i), *pairwise_concurrence_2qubit(state_set[i]))
+        for i, xi in enumerate(xi2_values)
         if xi == E8_MAX_MAGIC_XI2
     )
     return TwoQubitResult(rows, dict(Counter(str(value_sq) for _, _, value_sq in rows)))

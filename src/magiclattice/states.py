@@ -17,11 +17,14 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Callable, Sequence, Union
+from functools import cached_property
+from typing import IO, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
 from .exact import (
+    EISENSTEIN_UNITS,
+    GAUSSIAN_UNITS,
     EisensteinInt,
     GaussianInt,
     canonical_vector,
@@ -84,39 +87,65 @@ def vector_to_state(v: RingVector, provenance: tuple = ()) -> PureStateExact:
     )
 
 
-def _shell_components(shell: Shell, index: int) -> RingVector:
-    vec = shell.vectors[index]
-    if shell.lattice.ring == "gaussian":
-        return real_to_complex(vec.ambient)
-    return vec.eisenstein_components()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSet:
-    """Distinct canonical states of one shell, with multiplicities."""
+    """Distinct canonical states of one shell, as arrays.
+
+    components[s, k] holds the (re, im) or (a, b) coordinates of component
+    k of state s, primitive and unit-canonical; the states are in
+    lexicographic order of those coordinates.  state_of[v] is the state
+    that shell vector v reduces to, so the provenance of a state is the
+    ascending list of its vectors.  PureStateExact objects are built only
+    when asked for: one by index, or all of them through ``states``.
+    """
 
     lattice_name: str
     norm: int
     ring: str
-    states: tuple[PureStateExact, ...]
+    components: np.ndarray  # (S, dim, 2) int64
+    norm_sq: np.ndarray  # (S,) int64
+    state_of: np.ndarray  # (N,) int64
 
     @property
     def count(self) -> int:
-        return len(self.states)
+        return len(self.components)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index: int) -> PureStateExact:
+        index = range(self.count)[index]
+        return self._state(index, tuple(np.flatnonzero(self.state_of == index).tolist()))
+
+    def __iter__(self) -> Iterator[PureStateExact]:
+        return iter(self.states)
+
+    @cached_property
+    def states(self) -> tuple[PureStateExact, ...]:
+        members = np.split(
+            np.argsort(self.state_of, kind="stable"),
+            np.cumsum(np.bincount(self.state_of, minlength=self.count))[:-1],
+        )
+        return tuple(self._state(i, tuple(m.tolist())) for i, m in enumerate(members))
+
+    def _state(self, index: int, provenance: tuple) -> PureStateExact:
+        cls = GaussianInt if self.ring == "gaussian" else EisensteinInt
+        comps = tuple(cls(x, y) for x, y in self.components[index].tolist())
+        return PureStateExact(self.ring, comps, int(self.norm_sq[index]), provenance)
 
     def multiplicity(self, state: PureStateExact) -> int:
         return len(state.provenance)
 
     @property
     def uniform_multiplicity(self) -> int:
-        mult = len(self.states[0].provenance)
-        if any(len(s.provenance) != mult for s in self.states):
+        counts = np.bincount(self.state_of, minlength=self.count)
+        if (counts != counts[0]).any():
             raise ValueError(f"{self!r} has states of different multiplicity")
-        return mult
+        return int(counts[0])
 
     @property
     def vector_count(self) -> int:
-        return sum(len(s.provenance) for s in self.states)
+        return len(self.state_of)
 
     def state_id(self, index: int) -> str:
         return f"{self.lattice_name}-l{self.norm}-{index:05d}"
@@ -128,59 +157,96 @@ class StateSet:
         )
 
 
+def _unit_matrices(ring: str) -> np.ndarray:
+    """(U, 2, 2): unit u maps the coordinates v of a ring element to
+    units[u] @ v, in the order of GAUSSIAN_UNITS or EISENSTEIN_UNITS."""
+    cls, units = (GaussianInt, GAUSSIAN_UNITS) if ring == "gaussian" else (EisensteinInt, EISENSTEIN_UNITS)
+    images = [[(u * cls(1, 0)).coords(), (u * cls(0, 1)).coords()] for u in units]
+    return np.array(images, dtype=np.int64).transpose(0, 2, 1)
+
+
+def _canonical_arrays(coords: np.ndarray, ring: str) -> np.ndarray:
+    """canonical_vector of every row of coords, (N, dim, 2) nonzero ring
+    vectors: each row is divided by its integer content and rotated by the
+    unit that moves its first nonzero component into the canonical sector
+    (Gaussian re > 0, im >= 0; Eisenstein b >= 0, a > b)."""
+    n = len(coords)
+    prim = coords // np.gcd.reduce(np.gcd.reduce(coords, axis=2), axis=1)[:, None, None]
+    first = prim[np.arange(n), (prim != 0).any(axis=2).argmax(axis=1)]
+    units = _unit_matrices(ring)
+    x, y = (units @ first.T).swapaxes(0, 1)  # (U, N): the first component times each unit
+    in_sector = (x > 0) & (y >= 0) if ring == "gaussian" else (y >= 0) & (x > y)
+    choice = in_sector.argmax(axis=0)
+    for u, unit in enumerate(units[1:], start=1):  # in place, one unit at a time
+        rows = choice == u
+        prim[rows] = prim[rows] @ unit.T
+    return prim
+
+
 def dedup(shell: Shell) -> StateSet:
     """Group the vectors of a shell into distinct canonical states.
 
     The unit group acts freely on every shell treated here, so each state
     should absorb exactly |units| vectors (4 Gaussian, 6 Eisenstein); that
-    claim is asserted at runtime rather than assumed.
+    claim is checked at runtime rather than assumed.
     """
     if shell.count == 0:
         raise EmptyShellError(f"{shell.lattice.name} l={shell.norm} has no vectors, so no states")
-    groups: dict[tuple, list[int]] = {}
-    keys: dict[tuple, tuple] = {}
-    for idx in range(shell.count):
-        comps, _content, _unit = canonical_vector(_shell_components(shell, idx))
-        key = tuple(c.coords() for c in comps)
-        groups.setdefault(key, []).append(idx)
-        keys[key] = comps
-    expected_mult = 4 if shell.lattice.ring == "gaussian" else 6
-    for key, members in groups.items():
-        if len(members) != expected_mult:
-            raise AssertionError(
-                f"state {key} has multiplicity {len(members)}, "
-                f"expected {expected_mult} on every {shell.lattice.name} shell"
-            )
-    states = []
-    for key in sorted(groups):
-        comps = keys[key]
-        states.append(
-            PureStateExact(
-                ring=shell.lattice.ring,
-                components=comps,
-                norm_sq=vector_norm(comps),
-                provenance=tuple(groups[key]),
-            )
+    ring, rows = shell.lattice.ring, shell.rows
+    if ring == "gaussian":  # c_k = x_k + i*x_{D+k}, as in real_to_complex
+        coords = rows.reshape(len(rows), 2, -1).swapaxes(1, 2)
+    else:
+        coords = rows.reshape(len(rows), -1, 2)
+    flat = _canonical_arrays(coords, ring).reshape(len(rows), -1)
+    order = np.lexsort(flat.T[::-1])  # stable, so each state's vectors stay ascending
+    ordered = flat[order]
+    del flat
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    state_of = np.empty(len(order), dtype=np.int64)
+    state_of[order] = np.cumsum(first) - 1
+    counts = np.diff(np.append(np.flatnonzero(first), len(order)))
+    expected_mult = 4 if ring == "gaussian" else 6
+    if (counts != expected_mult).any():
+        bad = int(np.argmax(counts != expected_mult))
+        raise AssertionError(
+            f"state {ordered[first][bad].tolist()} has multiplicity {counts[bad]}, "
+            f"expected {expected_mult} on every {shell.lattice.name} shell"
         )
+    comps = ordered[first].reshape(len(counts), -1, 2)
+    x, y = comps[..., 0], comps[..., 1]
+    norm_sq = (x * x + y * y if ring == "gaussian" else x * x - x * y + y * y).sum(axis=1)
     return StateSet(
         lattice_name=shell.lattice.name,
         norm=shell.norm,
-        ring=shell.lattice.ring,
-        states=tuple(states),
+        ring=ring,
+        components=comps,
+        norm_sq=norm_sq,
+        state_of=state_of,
     )
 
 
 def component_arrays(
-    states: Sequence[PureStateExact], peak: Callable[[int], int]
+    states: Union[StateSet, Sequence[PureStateExact]], peak: Callable[[int], int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Real parts (S, dim), imaginary parts (S, dim) and norm_sq (S,) of
-    Gaussian-integer states, for vectorised exact arithmetic.
+    Gaussian-integer states of one dimension, for vectorised exact
+    arithmetic.
 
     peak(N) must bound every intermediate of the caller's arithmetic on
     states with norm_sq <= N.  The arrays are int64 when the bound at the
     largest norm_sq stays below 2**63, and hold Python ints (dtype=object)
     otherwise, so the same array code stays exact on any input.
     """
+    if isinstance(states, StateSet):
+        if states.ring != "gaussian":
+            raise ValueError("expected Gaussian-integer states")
+        coords, norms = states.components, states.norm_sq
+        if peak(int(norms.max())) >= 2**63:
+            coords, norms = coords.astype(object), norms.astype(object)
+        return coords[..., 0], coords[..., 1], norms
+    if any(s.ring != "gaussian" or s.dim != states[0].dim for s in states):
+        raise ValueError("expected Gaussian-integer states of one dimension")
     dtype = np.int64 if peak(max(s.norm_sq for s in states)) < 2**63 else object
     re = np.array([[c.re for c in s.components] for s in states], dtype=dtype)
     im = np.array([[c.im for c in s.components] for s in states], dtype=dtype)

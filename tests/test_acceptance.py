@@ -168,7 +168,7 @@ def test_criterion_6_clifford_orbits(store):
     rays = {ray_reduce(s.components) for s in short.states}
     assert {ray_reduce(stabiliser_state(g).components) for g in groups} == rays
 
-    report = verify_e6_correspondence()
+    report = verify_e6_correspondence(store.shell("E6", 3))
     assert report.ok and report.vectors_covered == 72 and not report.mismatches
 
 
@@ -209,7 +209,7 @@ def test_criterion_7_entanglement_census(store):
 def test_criterion_8_oracle_equivalence(store):
     # pruned enumerator vs exhaustive box scan
     for name, norm in (("E8", 2), ("E8", 4), ("E6", 3), ("E6", 6)):
-        fast = sorted(v.coeffs for v in store.shell(name, norm).vectors)
+        fast = sorted(map(tuple, store.shell(name, norm).coeffs.tolist()))
         assert fast == naive_box_enumerate(build_lattice(name), norm), (name, norm)
 
     # Wootters on a pure-state density matrix vs the pure formula
@@ -261,5 +261,5 @@ def test_criterion_9_bw16_l8(store):
     assert ss.count == 130680 and ss.uniform_multiplicity == 4
     report = sre_census(ss)
     assert report.histogram() == {F(1): 1080, F(7, 16): 60480, F(11, 32): 69120}
-    # measured ~31 s end to end here; stated target is 30 min
+    # measured ~9 s end to end on a 2-core VM; stated target is 30 min
     assert time.monotonic() - start < 1800.0

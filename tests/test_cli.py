@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,21 @@ def test_orbits(capsys, store):
     assert "216" in out
     assert "[12]" in out and "[36, 9]" in out
     assert "True (72 covered)" in out
+
+
+def test_warm_orbits_enumerates_nothing(capsys, tmp_path, monkeypatch):
+    assert cli.main(["orbits", "--cache-dir", str(tmp_path)]) == 0
+    cold = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_shell called with a warm cache")
+
+    # every module binding of the name, so a direct import is caught too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("magiclattice") and hasattr(module, "enumerate_shell"):
+            monkeypatch.setattr(module, "enumerate_shell", refuse)
+    assert cli.main(["orbits", "--cache-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == cold
 
 
 def test_orbits_json(capsys, store):

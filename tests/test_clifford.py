@@ -142,8 +142,8 @@ def test_orbit_escape_detected(group):
         cl.orbit_partition([e1], group)
 
 
-def test_correspondence_report():
-    rep = cl.verify_e6_correspondence()
+def test_correspondence_report(store):
+    rep = cl.verify_e6_correspondence(store.shell("E6", 3))
     assert rep.ok
     assert rep.vectors_covered == 72
     assert not rep.mismatches

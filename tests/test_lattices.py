@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import magiclattice
 from magiclattice.exact import EisensteinInt
@@ -24,6 +27,19 @@ from magiclattice.lattices import (
     solve_eisenstein_coefficients,
     theta_check,
 )
+
+
+def same_vectors(a, b):
+    return (
+        a.lattice == b.lattice
+        and a.norm == b.norm
+        and np.array_equal(a.coeffs, b.coeffs)
+        and np.array_equal(a.rows, b.rows)
+    )
+
+
+def eisenstein_components(row):
+    return tuple(EisensteinInt(a, b) for a, b in zip(row[0::2], row[1::2]))
 
 
 def test_build_lattice_specs():
@@ -54,8 +70,7 @@ def test_coordinate_bounds_cover_shell(store):
     lat = build_lattice("E8")
     bounds = coordinate_bounds(lat, 2)
     shell = store.shell("E8", 2)
-    for v in shell.vectors:
-        assert all(abs(c) <= b for c, b in zip(v.coeffs, bounds))
+    assert (np.abs(shell.coeffs) <= np.array(bounds)).all()
     with pytest.raises(ValueError):
         coordinate_bounds(lat, 0)
 
@@ -68,8 +83,8 @@ def test_enumeration_counts_small(store):
 
 def test_shell_is_negation_closed(store):
     shell = store.shell("E6", 3)
-    coeffs = {v.coeffs for v in shell.vectors}
-    assert all(tuple(-c for c in v.coeffs) in coeffs for v in shell.vectors)
+    coeffs = set(map(tuple, shell.coeffs.tolist()))
+    assert all(tuple(-c for c in v) in coeffs for v in coeffs)
 
 
 def test_empty_shell_for_impossible_norm():
@@ -80,7 +95,7 @@ def test_empty_shell_for_impossible_norm():
 @pytest.mark.parametrize("name,norm", [("E8", 2), ("E8", 4), ("E6", 3), ("E6", 6)])
 def test_box_oracle_equivalence(store, name, norm):
     shell = store.shell(name, norm)
-    fast = sorted(v.coeffs for v in shell.vectors)
+    fast = sorted(map(tuple, shell.coeffs.tolist()))
     brute = naive_box_enumerate(build_lattice(name), norm)
     assert fast == brute
 
@@ -93,11 +108,10 @@ def test_budget_exceeded():
 def test_ambient_rows_match_generator(store):
     lat = build_lattice("E8")
     gen = lat.scaled_generator
-    for v in store.shell("E8", 2).vectors:
-        row = tuple(
-            sum(v.coeffs[k] * gen[k][j] for k in range(8)) for j in range(8)
-        )
-        assert row == v.ambient
+    shell = store.shell("E8", 2)
+    for coeffs, ambient in zip(shell.coeffs.tolist(), shell.rows.tolist()):
+        row = [sum(coeffs[k] * gen[k][j] for k in range(8)) for j in range(8)]
+        assert row == ambient
         assert sum(x * x for x in row) == 2 * lat.scale**2
 
 
@@ -106,7 +120,7 @@ def test_theta_check_results(store):
     res = theta_check(shell)
     assert res.ok and res.checked and res.expected == 240 and res.actual == 240
 
-    truncated = Shell(lattice=shell.lattice, norm=2, vectors=shell.vectors[:-1])
+    truncated = Shell(lattice=shell.lattice, norm=2, coeffs=shell.coeffs[:-1], rows=shell.rows[:-1])
     res = theta_check(truncated)
     assert not res.ok and res.actual == 239
 
@@ -120,13 +134,13 @@ def test_cache_round_trip(tmp_path, store):
     path = tmp_path / "e6.shell"
     save_shell(shell, path)
     loaded = load_shell(shell.lattice, 3, path)
-    assert loaded.vectors == shell.vectors
+    assert same_vectors(loaded, shell)
 
     shell8 = store.shell("E8", 2)
     path8 = tmp_path / "e8.shell"
     save_shell(shell8, path8)
     loaded8 = load_shell(shell8.lattice, 2, path8)
-    assert loaded8.vectors == shell8.vectors
+    assert same_vectors(loaded8, shell8)
 
 
 def test_ensure_shell_writes_then_reads(tmp_path):
@@ -136,7 +150,7 @@ def test_ensure_shell_writes_then_reads(tmp_path):
     first = ensure_shell(lat, 3, cache_dir=tmp_path)
     assert path.exists()
     second = ensure_shell(lat, 3, cache_dir=tmp_path)
-    assert first.vectors == second.vectors
+    assert same_vectors(first, second)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -227,19 +241,18 @@ def test_e6_complex_norm_equals_coefficient_norm(store):
     # the real quadratic form and the sum of Eisenstein component norms
     # must agree on every shell vector
     for norm in (3, 6):
-        for v in store.shell("E6", norm).vectors:
-            comps = v.eisenstein_components()
-            assert sum(c.norm() for c in comps) == norm
+        for row in store.shell("E6", norm).rows.tolist():
+            assert sum(c.norm() for c in eisenstein_components(row)) == norm
 
 
 def test_solve_eisenstein_round_trip(store):
     lat = build_lattice("E6")
-    for v in store.shell("E6", 3).vectors:
-        comps = v.eisenstein_components()
-        beta = solve_eisenstein_coefficients(comps)
+    shell = store.shell("E6", 3)
+    for coeffs, row in zip(shell.coeffs.tolist(), shell.rows.tolist()):
+        beta = solve_eisenstein_coefficients(eisenstein_components(row))
         assert beta is not None
-        flat = tuple(b.a for b in beta) + tuple(b.b for b in beta)
-        assert flat == v.coeffs
+        flat = [b.a for b in beta] + [b.b for b in beta]
+        assert flat == coeffs
 
 
 def test_solve_eisenstein_rejects_non_lattice_point():
@@ -332,3 +345,88 @@ def test_failed_save_keeps_the_old_cache_file(tmp_path, store, monkeypatch):
     monkeypatch.undo()
     assert path.read_text() == before
     assert os.listdir(tmp_path) == [path.name]
+
+
+_HEADROOM_SCRIPT = """
+from magiclattice.lattices import build_lattice, enumerate_shell
+try:
+    enumerate_shell(build_lattice("E8"), 10**18)
+except ValueError as exc:
+    print("rejected" if "int64 headroom" in str(exc) else exc)
+"""
+
+
+def test_enumerate_headroom_guard_survives_optimize():
+    # coefficients up to 10^9 would wrap the int64 square sum of the norm
+    # check; the guard fires before the search, also under -O
+    with pytest.raises(ValueError, match="int64 headroom"):
+        enumerate_shell(build_lattice("E8"), 10**18)
+    env = dict(os.environ, PYTHONPATH=str(Path(magiclattice.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _HEADROOM_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout == "rejected\n"
+
+
+_SMALL_SHELLS = hs.sampled_from([("E8", 2), ("E6", 3)])
+
+
+def _cache_lines(store, tmp_path_factory, name, norm):
+    shell = store.shell(name, norm)
+    path = tmp_path_factory.mktemp("cache") / "good.shell"
+    save_shell(shell, path)
+    header, *rows = path.read_text().splitlines()
+    return shell, path, header, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=_SMALL_SHELLS, data=hs.data())
+def test_cache_rejects_random_corruptions(store, tmp_path_factory, key, data):
+    shell, path, header, rows = _cache_lines(store, tmp_path_factory, *key)
+    count = f"count={len(rows)}"
+    kind = data.draw(
+        hs.sampled_from(
+            ["sign", "drop", "drop-uncounted", "duplicate", "duplicate-uncounted", "float", "garbage"]
+        )
+    )
+    i = data.draw(hs.integers(0, len(rows) - 1))
+    tokens = rows[i].split()
+    if kind == "sign":  # another vector of the same norm is a duplicate row
+        j = data.draw(hs.sampled_from([j for j, tok in enumerate(tokens) if tok != "0"]))
+        tokens[j] = str(-int(tokens[j]))
+        rows[i] = " ".join(tokens)
+    elif kind.startswith("drop"):
+        del rows[i]
+        if kind == "drop":
+            header = header.replace(count, f"count={len(rows)}")
+    elif kind.startswith("duplicate"):
+        rows.insert(data.draw(hs.integers(0, len(rows))), rows[i])
+        if kind == "duplicate":
+            header = header.replace(count, f"count={len(rows)}")
+    else:
+        j = data.draw(hs.integers(0, len(tokens) - 1))
+        if kind == "float":
+            bad = hs.floats(allow_nan=False, allow_infinity=False).map(repr)
+        else:
+            bad = hs.text(alphabet="abxyz_+-.,;:!?*/%", min_size=1, max_size=4).filter(
+                lambda tok: not tok.lstrip("+-").isdigit()
+            )
+        tokens[j] = data.draw(bad)
+        rows[i] = " ".join(tokens)
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ShellCacheError) as info:
+        load_shell(shell.lattice, shell.norm, path)
+    assert "\n" not in str(info.value)
+
+
+@settings(max_examples=20, deadline=None)
+@given(key=_SMALL_SHELLS, data=hs.data())
+def test_cache_loads_any_row_order(store, tmp_path_factory, key, data):
+    shell, path, header, rows = _cache_lines(store, tmp_path_factory, *key)
+    path.write_text("\n".join([header] + data.draw(hs.permutations(rows))) + "\n")
+    assert same_vectors(load_shell(shell.lattice, shell.norm, path), shell)

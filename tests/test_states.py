@@ -6,11 +6,23 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import magiclattice
 
-from magiclattice.exact import EisensteinInt, GaussianInt, THETA
+from magiclattice.exact import (
+    EISENSTEIN_UNITS,
+    GAUSSIAN_UNITS,
+    EisensteinInt,
+    GaussianInt,
+    THETA,
+    canonical_vector,
+    vector_norm,
+)
+from magiclattice.lattices import Shell, build_lattice
 from magiclattice.states import (
     dedup,
     export_csv,
@@ -101,12 +113,12 @@ def test_exports(store):
 
 
 _MIXED_MULTIPLICITY_SCRIPT = """
-from magiclattice.exact import GaussianInt
-from magiclattice.states import StateSet, vector_to_state
-a = vector_to_state((GaussianInt(1), GaussianInt(0)), provenance=(0, 1))
-b = vector_to_state((GaussianInt(0), GaussianInt(1)), provenance=(2,))
+import numpy as np
+from magiclattice.states import StateSet
+# the states |0> and |1>: the first absorbs vectors 0 and 1, the second vector 2
+components = np.array([[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
 try:
-    StateSet("E8", 2, "gaussian", (a, b)).uniform_multiplicity
+    StateSet("E8", 2, "gaussian", components, np.array([1, 1]), np.array([0, 0, 1])).uniform_multiplicity
 except ValueError:
     print("rejected")
 """
@@ -123,3 +135,50 @@ def test_mixed_multiplicity_raises_under_optimize():
         check=True,
     )
     assert done.stdout == "rejected\n"
+
+
+def ring_vectors(cls, dim):
+    coord = hs.one_of(hs.just(0), hs.integers(-4, 4))
+    comps = hs.lists(hs.tuples(coord, coord), min_size=dim, max_size=dim)
+    return comps.filter(lambda v: any(a or b for a, b in v)).map(lambda v: tuple(cls(*z) for z in v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=hs.sampled_from(["E8", "BW16", "E6"]), data=hs.data())
+def test_dedup_matches_scalar_canonical_vector(name, data):
+    lattice = build_lattice(name)
+    gaussian = lattice.ring == "gaussian"
+    cls, units = (GaussianInt, GAUSSIAN_UNITS) if gaussian else (EisensteinInt, EISENSTEIN_UNITS)
+    seeds = data.draw(
+        hs.lists(hs.tuples(ring_vectors(cls, lattice.complex_dim), hs.integers(1, 3)), min_size=1, max_size=6)
+    )
+    # every unit multiple of each seed, times a content: the first nonzero
+    # component lands once in every quadrant or sextant, and each state
+    # absorbs exactly the unit multiples of one seed
+    vectors, seen = [], set()
+    for seed, content in seeds:
+        key = canonical_vector(seed)[0]
+        if key not in seen:
+            seen.add(key)
+            vectors += [tuple(u * c * content for c in seed) for u in units]
+    vectors = data.draw(hs.permutations(vectors))
+    if gaussian:  # c_k = x_k + i*x_{D+k}
+        rows = [[c.re for c in v] + [c.im for c in v] for v in vectors]
+    else:
+        rows = [[x for c in v for x in c.coords()] for v in vectors]
+    coeffs = np.zeros((len(rows), lattice.coeff_dim), dtype=np.int64)
+    state_set = dedup(Shell(lattice, 1, coeffs, np.array(rows, dtype=np.int64)))
+
+    groups = {}
+    for index, v in enumerate(vectors):
+        groups.setdefault(canonical_vector(v)[0], []).append(index)
+    expected = sorted(
+        (tuple(c.coords() for c in comps), vector_norm(comps), tuple(members))
+        for comps, members in groups.items()
+    )
+    def fields(states):
+        return [(tuple(c.coords() for c in s.components), s.norm_sq, s.provenance) for s in states]
+
+    assert fields(state_set.states) == expected
+    assert fields(state_set[i] for i in range(state_set.count)) == expected
+    assert state_set.uniform_multiplicity == len(units)
