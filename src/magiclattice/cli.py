@@ -25,7 +25,6 @@ from .lattices import (
     ShellCacheError,
     default_cache_dir,
 )
-from .magic import xi_batch_gaussian
 from .states import EmptyShellError, StateSet, dedup
 
 
@@ -128,7 +127,12 @@ def cmd_census(args, failures: Failures) -> None:
 
 def cmd_orbits(args, failures: Failures) -> None:
     shortest = pipeline.shell_stage(*pipeline.SHORTEST_E6, args.cache_dir).shell
-    result = pipeline.orbits_stage(_loader(args.cache_dir), shortest)
+    load = _loader(args.cache_dir)
+
+    def states(name: str, norm: int) -> StateSet:  # the shell in hand is not loaded again
+        return dedup(shortest) if (name, norm) == pipeline.SHORTEST_E6 else load(name, norm)
+
+    result = pipeline.orbits_stage(states, shortest)
     failures.check_all(result.checks())
     sizes, correspondence = result.orbit_sizes, result.correspondence
     if args.format == "json":
@@ -226,8 +230,7 @@ def cmd_project_e8(args, failures: Failures) -> None:
         tags = ["first"] * shell.count
         if norm == 4:
             state_set = dedup(shell)
-            xi2_values = xi_batch_gaussian(state_set, alphas=(2,))[2]
-            state_tags = ["second-stab" if xi == 1 else "second-magic" for xi in xi2_values]
+            state_tags = ["second-stab" if xi == 1 else "second-magic" for xi in state_set.xi2]
             tags = [state_tags[s] for s in state_set.state_of.tolist()]
         for row, tag in zip(shell.rows.tolist(), tags):
             # ambient row is scaled by the lattice's integerization factor

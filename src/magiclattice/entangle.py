@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import GaussianInt
-from .magic import MAX_MAGIC_SIC, STABILISER, magic_label, xi_batch_gaussian
+from .magic import MAX_MAGIC_SIC, STABILISER, magic_label
 from .states import PureStateExact, StateSet, component_arrays
 
 ROOT_TOL = 1e-12
@@ -660,8 +660,7 @@ def entanglement_census(state_set: StateSet) -> EntanglementCensus:
     Magic classes come from the exact Xi_2 batch, the rest from one
     concurrence_kernel call over all states."""
     k = concurrence_kernel(state_set)
-    xi2_values = xi_batch_gaussian(state_set, alphas=(2,))[2]
-    labels = _labels(k, [magic_label(xi, 8, "gaussian") for xi in xi2_values])
+    labels = _labels(k, [magic_label(xi, 8, "gaussian") for xi in state_set.xi2])
     counts = Counter(labels)
     pairwise, one_to_other, f3_values = _display_columns(k)
     return EntanglementCensus(

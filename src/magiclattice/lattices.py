@@ -16,14 +16,14 @@ enumerated through its rational 6-dimensional real form.
 from __future__ import annotations
 
 import os
-import warnings
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 from pathlib import Path
-from typing import IO, Iterable, Optional, Sequence
+from tokenize import TokenError
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,8 +31,6 @@ from .exact import EisensteinInt, THETA
 
 DEFAULT_NODE_BUDGET = 10**10
 CACHE_ENV_VAR = "MAGICLATTICE_CACHE"
-_CACHE_MAGIC = "#magiclattice-shell v1"
-_SAVE_BLOCK = 1 << 15  # rows formatted per write
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -158,7 +156,6 @@ class LatticeSpec:
     gram: tuple[tuple[Fraction, ...], ...]  # coefficient-space Gram matrix
     gram_inv_diag: tuple[Fraction, ...]
     scaled_generator: tuple[tuple[int, ...], ...]  # scale*M; ambient row = coeffs @ this
-    scaled_generator_inv: tuple[tuple[Fraction, ...], ...]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LatticeSpec({self.name})"
@@ -227,7 +224,6 @@ def build_lattice(name: str) -> LatticeSpec:
     if any((x * scale).denominator != 1 for row in gen for x in row):
         raise ValueError(f"scale {scale} does not make the {key} generator integral")
     scaled = tuple(tuple(int(x * scale) for x in row) for row in gen)
-    scaled_inv = tuple(tuple(r) for r in _mat_inverse([[Fraction(x) for x in row] for row in scaled]))
 
     spec = LatticeSpec(
         name=key,
@@ -240,7 +236,6 @@ def build_lattice(name: str) -> LatticeSpec:
         gram=tuple(tuple(row) for row in gram),
         gram_inv_diag=diag,
         scaled_generator=scaled,
-        scaled_generator_inv=scaled_inv,
     )
     _LATTICE_CACHE[key] = spec
     return spec
@@ -266,10 +261,11 @@ def coordinate_bounds(lattice: LatticeSpec, norm: int) -> tuple[int, ...]:
 class Shell:
     """The vectors of one shell, as int64 arrays sorted by coefficients.
 
-    coeffs[k] holds the lattice coefficients of vector k and rows[k] its
-    ambient row: for E8/BW16 the 8/16 real coordinates times the lattice
-    scale, for E6 the (a, b) integer pairs of the three Eisenstein
-    coordinates a + b*omega, flattened to 6 integers.
+    coeffs[k] holds the lattice coefficients of vector k (the array the
+    shell cache stores) and rows[k] its ambient row: for E8/BW16 the 8/16
+    real coordinates times the lattice scale, for E6 the (a, b) integer
+    pairs of the three Eisenstein coordinates a + b*omega, flattened to 6
+    integers.
     """
 
     lattice: LatticeSpec
@@ -436,6 +432,42 @@ def _scaled_norms(lattice: LatticeSpec, rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a - b) + np.einsum("ij,ij->i", b, b)
 
 
+def _int64_bounds(lattice: LatticeSpec, norm: int) -> np.ndarray:
+    """coordinate_bounds as an int64 array; ValueError unless a shell's
+    arrays fit in int64.
+
+    A coefficient row within these bounds has every ambient coordinate,
+    and every partial sum of the matmul, within reach.  A sum of squares
+    adds at most reach^2 per coordinate and a^2 - ab + b^2 at most
+    3 reach^2 per pair, so 2 reach^2 per coordinate bounds both."""
+    bounds = coordinate_bounds(lattice, norm)
+    reach = max(
+        sum(b * abs(row[k]) for b, row in zip(bounds, lattice.scaled_generator))
+        for k in range(lattice.real_dim)
+    )
+    if 2 * lattice.real_dim * reach * reach >= 2**63:
+        raise ValueError(f"{lattice.name} norm {norm} is past the int64 headroom of the shell arrays")
+    return np.array(bounds, dtype=np.int64)
+
+
+def _shell_from_coeffs(lattice: LatticeSpec, norm: int, coeffs: np.ndarray) -> Shell:
+    """The Shell of (N, coeff_dim) int64 coefficient rows, sorted, with
+    their ambient rows.  Raises ValueError past the int64 headroom or when
+    a row has the wrong norm; every coefficient is bounded before the
+    matmul, so no int64 intermediate can wrap."""
+    bounds = _int64_bounds(lattice, norm)
+    outside = ((coeffs < -bounds) | (coeffs > bounds)).any(axis=1)
+    if outside.any():
+        row = coeffs[np.argmax(outside)].tolist()
+        raise ValueError(f"row {row} has wrong norm (a coefficient is past its bound {bounds.tolist()})")
+    coeffs = coeffs[np.lexsort(coeffs.T[::-1])]
+    rows = coeffs @ np.array(lattice.scaled_generator, dtype=np.int64)
+    wrong = _scaled_norms(lattice, rows) != norm * lattice.scale**2
+    if wrong.any():
+        raise ValueError(f"row {coeffs[np.argmax(wrong)].tolist()} has wrong norm")
+    return Shell(lattice=lattice, norm=norm, coeffs=coeffs, rows=rows)
+
+
 def enumerate_shell(
     lattice: LatticeSpec, norm: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Shell:
@@ -445,25 +477,13 @@ def enumerate_shell(
     integer arithmetic after clearing denominators, so pruning is exact.
     Vectors are returned sorted lexicographically by coefficients.  Raises
     EnumerationBudgetExceeded if more than node_budget branch nodes are
-    visited, and ValueError if the shell's arrays could overflow int64.
+    visited, and ValueError if the shell's arrays could overflow int64
+    (checked before the search) or, on a bug, if a vector fails the norm
+    check.
     """
-    # Every coefficient is within coordinate_bounds, so every ambient
-    # coordinate, and every partial sum of the matmul, is within reach.
-    # A sum of squares adds at most reach^2 per coordinate and a^2 - ab + b^2
-    # at most 3 reach^2 per pair, so 2 reach^2 per coordinate bounds both.
-    bounds = coordinate_bounds(lattice, norm)
-    reach = max(
-        sum(b * abs(row[k]) for b, row in zip(bounds, lattice.scaled_generator))
-        for k in range(lattice.real_dim)
-    )
-    if 2 * lattice.real_dim * reach * reach >= 2**63:
-        raise ValueError(f"{lattice.name} norm {norm} is past the int64 headroom of the shell arrays")
+    _int64_bounds(lattice, norm)  # raises before a search past the headroom
     coeffs, _ = _dfs_enumerate(lattice, norm, node_budget)
-    coeffs = coeffs[np.lexsort(coeffs.T[::-1])]
-    rows = coeffs @ np.array(lattice.scaled_generator, dtype=np.int64)
-    if not (_scaled_norms(lattice, rows) == norm * lattice.scale**2).all():
-        raise AssertionError(f"an enumerated {lattice.name} l={norm} vector fails the norm check")
-    return Shell(lattice=lattice, norm=norm, coeffs=coeffs, rows=rows)
+    return _shell_from_coeffs(lattice, norm, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -563,30 +583,22 @@ def default_cache_dir() -> Path:
 
 
 def shell_cache_path(cache_dir: Path, lattice: LatticeSpec, norm: int) -> Path:
-    return Path(cache_dir) / f"{lattice.name}_norm{norm}.shell"
+    return Path(cache_dir) / f"{lattice.name}_norm{norm}.npy"
 
 
 def save_shell(shell: Shell, path: Path) -> None:
-    """Write a shell to its cache file (header plus sorted ambient rows).
+    """Write a shell's (N, coeff_dim) int64 coefficient array to its cache
+    file in .npy format.
 
-    The text goes to a temporary file in the same directory that then
+    The array goes to a temporary file in the same directory that then
     replaces the cache file, so a failed write never leaves a partial
     file under the cache name."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    order = np.lexsort(shell.rows.T[::-1])
-    line = "\n" + " ".join(["%d"] * shell.lattice.real_dim)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w") as fh:
-            fh.write(
-                f"{_CACHE_MAGIC} lattice={shell.lattice.name} norm={shell.norm} "
-                f"scale={shell.lattice.scale} count={shell.count}"
-            )
-            for start in range(0, shell.count, _SAVE_BLOCK):  # the text, a block at a time
-                block = shell.rows[order[start : start + _SAVE_BLOCK]].tolist()
-                fh.write("".join(line % tuple(row) for row in block))
-            fh.write("\n")
+        with tmp.open("wb") as fh:
+            np.save(fh, shell.coeffs, allow_pickle=False)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -596,115 +608,33 @@ def save_shell(shell: Shell, path: Path) -> None:
 def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
     """Load a cached shell and check that it is that shell.
 
-    Checked: the header (lattice, norm, scale and row count), and the
-    rows' width, coordinate bound, norm and lattice membership, that the
-    rows are distinct and that they are closed under negation.  Raises
-    ShellCacheError at the first failure.
+    The file must hold an (N, coeff_dim) int64 array in .npy format.  Its
+    rows then take the checks of an enumerated shell (int64 headroom,
+    coefficient bound, norm), and must be distinct and closed under
+    negation.  Every integer coefficient row is a lattice point, so
+    membership needs no check.  Raises ShellCacheError at the first
+    failure.
     """
     path = Path(path)
     try:
-        with path.open() as fh:
-            declared = _check_header(lattice, norm, path, fh.readline())
-            rows = _parse_rows(path, fh, lattice.real_dim)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ShellCacheError(f"cannot read shell cache {path}: {exc}") from exc
-    if len(rows) != declared:
-        raise ShellCacheError(
-            f"{path}: header declares {declared} vectors, file has {len(rows)}"
-        )
-    coeffs = _validate_rows(lattice, path, rows, norm * lattice.scale * lattice.scale)
-    order = np.lexsort(coeffs.T[::-1])
-    coeffs = coeffs[order]
-    rows = rows[order]
-    _check_distinct_and_symmetric(path, coeffs)
-    return Shell(lattice=lattice, norm=norm, coeffs=coeffs, rows=rows)
-
-
-def _check_header(lattice: LatticeSpec, norm: int, path: Path, first: str) -> int:
-    """The row count a cache header declares, once its lattice, norm and
-    scale are checked."""
-    if not first:
-        raise ShellCacheError(f"{path}: empty cache file")
-    first = first.rstrip("\n")
-    header = first.split()
-    magic = " ".join(header[:2])
-    if magic != _CACHE_MAGIC:
-        raise ShellCacheError(f"{path}: bad header {first!r}")
-    try:
-        fields = dict(part.split("=", 1) for part in header[2:])
-        header_norm, scale, declared = (int(fields.get(k, -1)) for k in ("norm", "scale", "count"))
-    except ValueError as exc:
-        raise ShellCacheError(f"{path}: bad header {first!r}") from exc
-    if fields.get("lattice") != lattice.name or header_norm != norm:
-        raise ShellCacheError(
-            f"{path}: header is for {fields.get('lattice')} norm {fields.get('norm')}, "
-            f"requested {lattice.name} norm {norm}"
-        )
-    if scale != lattice.scale:
-        raise ShellCacheError(f"{path}: scale mismatch")
-    return declared
-
-
-def _parse_rows(path: Path, fh: IO[str], width: int) -> np.ndarray:
-    """The (N, width) int64 rows of the rest of a cache file, read by
-    numpy's C parser; blank lines are skipped."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # no rows: an empty shell
-            rows = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
-    except ValueError as exc:
+        with path.open("rb") as fh:
+            coeffs = np.lib.format.read_array(fh, allow_pickle=False)
+    # numpy's header parser raises any of these on a malformed header, and
+    # MemoryError when the header declares more elements than memory holds
+    except (OSError, ValueError, TypeError, SyntaxError, TokenError, MemoryError) as exc:
         reason = str(exc).partition("\n")[0]
-        raise ShellCacheError(f"{path}: malformed row ({reason})") from exc
-    if not len(rows):
-        return np.empty((0, width), dtype=np.int64)
-    # loadtxt takes the column count from the first row
-    if rows.shape[1] != width:
-        raise ShellCacheError(f"{path}: rows have {rows.shape[1]} columns, expected {width}")
-    return rows
-
-
-def _row_text(row: np.ndarray) -> str:
-    return " ".join(str(x) for x in row.tolist())
-
-
-def _validate_rows(
-    lattice: LatticeSpec, path: Path, rows: np.ndarray, scaled_norm: int
-) -> np.ndarray:
-    """The coefficients of ambient rows, every row checked for coordinate
-    bound, norm and lattice membership.
-
-    Coordinates are bounded before anything is squared: |x| <= sqrt(N)
-    for a sum of squares, and |a|, |b| <= sqrt(4N/3) for Eisenstein pairs
-    (a^2 - ab + b^2 >= 3a^2/4).  That bounds every int64 intermediate."""
-    width = lattice.real_dim
-    inv = lattice.scaled_generator_inv
-    denom = _lcm(x.denominator for inv_row in inv for x in inv_row)
-    inv_num = [[int(x * denom) for x in inv_row] for inv_row in inv]
-    gaussian = lattice.ring == "gaussian"
-    limit = isqrt(scaled_norm if gaussian else 4 * scaled_norm // 3)
-    inv_max = max(abs(x) for inv_row in inv_num for x in inv_row)
-    if width * limit * max(2 * limit, inv_max) >= 2**63:
-        raise ShellCacheError(f"{path}: norm {scaled_norm} is past the int64 check's headroom")
-    outside = ((rows < -limit) | (rows > limit)).any(axis=1)
-    if outside.any():
-        bad = int(np.argmax(outside))
+        raise ShellCacheError(f"cannot read shell cache {path}: {reason}") from exc
+    if coeffs.dtype != np.int64 or coeffs.shape[1:] != (lattice.coeff_dim,):
         raise ShellCacheError(
-            f"{path}: row {_row_text(rows[bad])!r} has wrong norm (a coordinate is past {limit})"
+            f"{path}: holds a {coeffs.dtype} array of shape {coeffs.shape}, "
+            f"expected (N, {lattice.coeff_dim}) int64"
         )
-    norms = _scaled_norms(lattice, rows)
-    if not (norms == scaled_norm).all():
-        bad = int(np.argmin(norms == scaled_norm))
-        raise ShellCacheError(f"{path}: row {_row_text(rows[bad])!r} has wrong norm")
-
-    coeffs = rows @ np.array(inv_num, dtype=np.int64)
-    off_lattice = (coeffs % denom).any(axis=1)
-    if off_lattice.any():
-        bad = int(np.argmax(off_lattice))
-        raise ShellCacheError(
-            f"{path}: row {_row_text(rows[bad])!r} is not a {lattice.name} lattice point"
-        )
-    coeffs //= denom
-    return coeffs
+    try:
+        shell = _shell_from_coeffs(lattice, norm, coeffs)
+    except ValueError as exc:
+        raise ShellCacheError(f"{path}: {exc}") from exc
+    _check_distinct_and_symmetric(path, shell.coeffs)
+    return shell
 
 
 def _check_distinct_and_symmetric(path: Path, ordered: np.ndarray) -> None:

@@ -539,13 +539,8 @@ class CensusReport:
 
 def sre_census(state_set: StateSet) -> CensusReport:
     """Histogram of exact Xi_2 values (and their magic classes) over a
-    StateSet.  Qubit (Gaussian) states take the batched integer kernel,
-    qutrit (Eisenstein) states the scalar xi_alpha."""
-    if state_set.ring == "gaussian":
-        xi_values = xi_batch_gaussian(state_set, alphas=(2,))[2]
-    else:
-        xi_values = [xi_alpha(s, 2) for s in state_set.states]
-    counts = Counter(xi_values)
+    StateSet, from its per-state ``xi2``."""
+    counts = Counter(state_set.xi2)
     dim = state_set.components.shape[1]
     rows = tuple(
         CensusRow(

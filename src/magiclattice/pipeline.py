@@ -35,7 +35,7 @@ from .lattices import (
     ensure_shell,
     theta_check,
 )
-from .magic import CensusReport, sre_census, xi_batch_gaussian
+from .magic import CensusReport, sre_census
 from .states import StateSet
 
 DEFAULT_NORMS = {"E8": (2, 4, 6, 8), "BW16": (4, 6), "E6": (3, 6, 9, 12, 15)}
@@ -210,10 +210,9 @@ class TwoQubitResult:
 def two_qubit_stage(states: StateLoader) -> TwoQubitResult:
     """Concurrence of every maximal-magic state of E8 l=4."""
     state_set = states(*TWO_QUBIT_SHELL)
-    xi2_values = xi_batch_gaussian(state_set, alphas=(2,))[2]
     rows = tuple(
         (state_set.state_id(i), *pairwise_concurrence_2qubit(state_set[i]))
-        for i, xi in enumerate(xi2_values)
+        for i, xi in enumerate(state_set.xi2)
         if xi == E8_MAX_MAGIC_XI2
     )
     return TwoQubitResult(rows, dict(Counter(str(value_sq) for _, _, value_sq in rows)))

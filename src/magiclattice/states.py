@@ -96,7 +96,8 @@ class StateSet:
     lexicographic order of those coordinates.  state_of[v] is the state
     that shell vector v reduces to, so the provenance of a state is the
     ascending list of its vectors.  PureStateExact objects are built only
-    when asked for: one by index, or all of them through ``states``.
+    when asked for: one by index, or all of them through ``states``; the
+    exact Xi_2 of every state is computed once, on first use of ``xi2``.
     """
 
     lattice_name: str
@@ -127,6 +128,17 @@ class StateSet:
             np.cumsum(np.bincount(self.state_of, minlength=self.count))[:-1],
         )
         return tuple(self._state(i, tuple(m.tolist())) for i, m in enumerate(members))
+
+    @cached_property
+    def xi2(self) -> tuple[Fraction, ...]:
+        """Exact Xi_2 of every state: the batched integer kernel for qubit
+        (Gaussian) states, the scalar xi_alpha for qutrit (Eisenstein)
+        states."""
+        from .magic import xi_alpha, xi_batch_gaussian  # magic imports this module
+
+        if self.ring == "gaussian":
+            return tuple(xi_batch_gaussian(self, alphas=(2,))[2])
+        return tuple(xi_alpha(s, 2) for s in self.states)
 
     def _state(self, index: int, provenance: tuple) -> PureStateExact:
         cls = GaussianInt if self.ring == "gaussian" else EisensteinInt

@@ -6,9 +6,10 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from magiclattice import cli, pipeline
+from magiclattice import cli, lattices, magic, pipeline
 from magiclattice.lattices import build_lattice, shell_cache_path
 
 GOLDEN_REPRODUCE = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "reproduce.txt"
@@ -79,6 +80,25 @@ def test_orbits(capsys, store):
     assert "True (72 covered)" in out
 
 
+def _replace_everywhere(monkeypatch, fn, replacement):
+    # every module binding of the function, so a direct import is caught too
+    for name, module in list(sys.modules.items()):
+        if name.startswith("magiclattice") and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, replacement)
+
+
+def _count_calls(monkeypatch, fn):
+    """The list of the positional arguments of every call of fn."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    _replace_everywhere(monkeypatch, fn, counted)
+    return calls
+
+
 def test_warm_orbits_enumerates_nothing(capsys, tmp_path, monkeypatch):
     assert cli.main(["orbits", "--cache-dir", str(tmp_path)]) == 0
     cold = capsys.readouterr().out
@@ -86,12 +106,12 @@ def test_warm_orbits_enumerates_nothing(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate_shell called with a warm cache")
 
-    # every module binding of the name, so a direct import is caught too
-    for name, module in list(sys.modules.items()):
-        if name.startswith("magiclattice") and hasattr(module, "enumerate_shell"):
-            monkeypatch.setattr(module, "enumerate_shell", refuse)
+    _replace_everywhere(monkeypatch, lattices.enumerate_shell, refuse)
+    loads = _count_calls(monkeypatch, lattices.load_shell)
     assert cli.main(["orbits", "--cache-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == cold
+    # E6 l=3 and l=6, each once
+    assert sorted(norm for _, norm, _ in loads) == [3, 6]
 
 
 def test_orbits_json(capsys, store):
@@ -181,6 +201,19 @@ def test_reproduce_matches_golden(capsys, store):
     assert re.sub(r" \(\d+\.\d+s\)", "", out) == GOLDEN_REPRODUCE.read_text()
 
 
+def test_reproduce_evaluates_xi2_once_per_state_set(capsys, store, monkeypatch):
+    for name, norms in pipeline.DEFAULT_NORMS.items():  # a warm cache
+        for norm in norms:
+            store.shell(name, norm)
+    calls = _count_calls(monkeypatch, magic.xi_batch_gaussian)
+    code, _ = run_cli(capsys, store, "reproduce")
+    assert code == 0
+    # once for each of the 6 Gaussian state sets
+    assert sorted((states.lattice_name, states.norm) for states, *_ in calls) == [
+        ("BW16", 4), ("BW16", 6), ("E8", 2), ("E8", 4), ("E8", 6), ("E8", 8)
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -205,7 +238,8 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
 
 def _corrupt_cache(cache_dir):
     path = shell_cache_path(cache_dir, build_lattice("E8"), 2)
-    path.write_text("#magiclattice-shell v1 lattice=E8 norm=2 scale=2 count=1\n2 2 0 0 0 0 0 1\n")
+    with path.open("wb") as fh:  # one coefficient row, the zero vector
+        np.save(fh, np.zeros((1, 8), dtype=np.int64))
 
 
 @pytest.mark.parametrize(
