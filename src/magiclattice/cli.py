@@ -293,7 +293,7 @@ _FLAGS = {
     ),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--node-budget": dict(type=int, default=DEFAULT_NODE_BUDGET),
-    "--include-heavy": dict(action="store_true", help="include the BW16 l=8 row (about 10 s more)"),
+    "--include-heavy": dict(action="store_true", help="include the BW16 l=8 row (about 3 s more)"),
 }
 
 

@@ -1,11 +1,13 @@
 """Lattice data and exact shell enumeration for E8, BW16 and E6.
 
 A shell is the full set of lattice vectors of a given square norm.  The
-enumerator runs a depth-first branch-and-bound over the coefficient
-lattice using an exact LDL^T decomposition of the Gram matrix; after
-clearing denominators every bound test is integer arithmetic, so no
-solution can be lost to rounding.  A brute-force box scan over the
-coordinate bounds is provided as an independent cross-check.
+enumerator runs a branch-and-bound over the coefficient lattice using an
+exact LDL^T decomposition of the Gram matrix, level by level: each level
+decides one coefficient for every partial vector at once, in int64 numpy
+arrays.  After clearing denominators every bound test is integer
+arithmetic within a checked headroom, so no solution can be lost to
+rounding.  A brute-force box scan over the coordinate bounds is provided
+as an independent cross-check.
 
 E8 and BW16 live in R^8 and R^16 with half-integer coordinates; their
 ambient vectors are stored doubled (scale 2) so that every coordinate is
@@ -16,7 +18,7 @@ enumerated through its rational 6-dimensional real form.
 from __future__ import annotations
 
 import os
-from array import array
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -355,72 +357,103 @@ def _form_for(lattice: LatticeSpec) -> tuple:
     return _FORM_CACHE[lattice.name]
 
 
-def _dfs_enumerate(lattice: LatticeSpec, norm: int, node_budget: int) -> tuple[np.ndarray, int]:
+def _isqrt(values: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) of every int64 v, 0 <= v < 2**52 (see _int64_bounds):
+    such a v is an exact float64, and when v < k^2 its correctly rounded
+    root still falls short of k, so truncating it is exact."""
+    return np.sqrt(values.astype(np.float64)).astype(np.int64)
+
+
+def _search(lattice: LatticeSpec, norm: int, node_budget: int) -> tuple[np.ndarray, int]:
     """All coefficient vectors of the given norm, (N, coeff_dim) int64 in
-    search order, plus the node count.  The caller checks that the
-    coefficients fit in int64."""
+    no particular order, plus the branch-and-bound node count.
+
+    The search decides one DFS coordinate per level, from the outermost
+    (n - 1) to the innermost (0), for every partial vector at once.  A
+    frontier node carries its remaining budget common * norm - sum w t^2,
+    whether every coordinate so far is zero (so that of each pair +-v only
+    the one whose first nonzero coordinate is positive is searched), and,
+    for every level j still to come, the part of sigma_j that the decided
+    coordinates contribute.  Each level records the parent and the
+    coordinate of its nodes, from which the vectors are read back at the
+    end.  The node count is a depth-first search's: every child of a node
+    above level 0, and every level-1 node once more at level 0.  The
+    caller checks the int64 headroom first."""
     order, lam, mus, weights, common = _form_for(lattice)
     n = lattice.coeff_dim
-    target = common * norm
-    xs = [0] * n
-    found = array("q")  # flat, in DFS coordinate order
+    lam_mat = np.zeros((n, n), dtype=np.int64)  # sigma_j = sum_i lam_mat[j, i] * x_i
+    for j, pairs in enumerate(lam):
+        for i, c in pairs:
+            lam_mat[j, i] = c
+    sigmas = np.zeros((n, 1), dtype=np.int64)  # (levels to come, nodes)
+    remaining = np.array([common * norm], dtype=np.int64)
+    zero_prefix = np.ones(1, dtype=bool)
+    tree = []  # (parent, x) of the nodes of levels n - 1, ..., 1
     visited = 0
-
-    lam0 = lam[0]
-    mu0 = mus[0]
-    w0 = weights[0]
-
-    def descend(level: int, remaining: int, zero_prefix: bool) -> None:
-        nonlocal visited
-        if level == 0:
-            visited += 1
-            if remaining % w0:
-                return
-            q = remaining // w0
-            r = isqrt(q)
-            if r * r != q:
-                return
-            sigma = 0
-            for i, c in lam0:
-                sigma += c * xs[i]
-            for t in ((r,) if r == 0 else (r, -r)):
-                num = t - sigma
-                if num % mu0:
-                    continue
-                x0 = num // mu0
-                if zero_prefix and x0 <= 0:
-                    continue
-                xs[0] = x0
-                found.extend(xs)
-            return
-        w = weights[level]
-        mu = mus[level]
-        sigma = 0
-        for i, c in lam[level]:
-            sigma += c * xs[i]
-        s = isqrt(remaining // w)
-        lo = -((s + sigma) // mu)
+    for level in range(n - 1, 0, -1):
+        w, mu, sigma = weights[level], mus[level], sigmas[level]
+        s = _isqrt(remaining // w)
+        lo = -((s + sigma) // mu)  # the x with |mu*x + sigma| <= s
         hi = (s - sigma) // mu
-        if zero_prefix and lo < 0:
-            lo = 0
-        visited += hi - lo + 1 if hi >= lo else 0
+        lo[zero_prefix & (lo < 0)] = 0
+        counts = np.maximum(hi - lo + 1, 0)
+        visited += int(counts.sum())
         if visited > node_budget:
             raise EnumerationBudgetExceeded(node_budget, visited)
-        for x in range(lo, hi + 1):
-            t = mu * x + sigma
-            xs[level] = x
-            descend(level - 1, remaining - w * t * t, zero_prefix and x == 0)
+        parent = np.repeat(np.arange(len(counts)), counts)
+        x = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        t = mu * x + sigma[parent]
+        remaining = remaining[parent] - w * t * t
+        zero_prefix = zero_prefix[parent] & (x == 0)
+        sigmas = sigmas[:level, parent] + lam_mat[:level, level, None] * x
+        tree.append((parent, x))
 
-    descend(n - 1, target, True)
-    # Each vector found has its leading DFS coordinate positive; the shell
-    # is symmetric under negation.  Column order[pos] of the result holds
-    # DFS position pos.
-    half = len(found) // n
+    # level 0 in closed form: t_0 = +-sqrt(remaining / w_0) when that is an
+    # integer, and x_0 = (t_0 - sigma_0) / mu_0 when that is one
+    visited += len(remaining)
+    if visited > node_budget:
+        raise EnumerationBudgetExceeded(node_budget, visited)
+    q, rest = np.divmod(remaining, weights[0])
+    r = _isqrt(q)
+    node = np.flatnonzero((rest == 0) & (r * r == q))
+    r = r[node]
+    x0, rest = np.divmod(np.stack([r, -r]) - sigmas[0, node], mus[0])
+    keep = (rest == 0) & ~(zero_prefix[node] & (x0 <= 0))
+    keep[1] &= r != 0  # t_0 = 0 once
+    sign, hit = np.nonzero(keep)
+    node = node[hit]
+    half = len(node)  # the shell is symmetric under negation
     coeffs = np.empty((2 * half, n), dtype=np.int64)
-    coeffs[:half, order] = np.frombuffer(found, dtype=np.int64).reshape(half, n)
-    del found
+    coeffs[:half, order[0]] = x0[sign, hit]
+    for level, (parent, x) in zip(range(1, n), reversed(tree)):
+        coeffs[:half, order[level]] = x[node]
+        node = parent[node]
     np.negative(coeffs[:half], out=coeffs[half:])
     return coeffs, visited
+
+
+def packed_keys(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+    """(N, W) int64 sort keys of (N, k) int64 rows with |rows[:, c]| <=
+    bounds[c].
+
+    Column c is the digit rows[:, c] + bounds[c] of radix
+    2 * bounds[c] + 1, the first column most significant, and a new word
+    starts before a word's radix product would reach 2**63.  Two rows are
+    equal iff their keys are, and np.lexsort(keys.T[::-1]) is the stable
+    lexicographic order of the rows, that of np.lexsort(rows.T[::-1])."""
+    words: list[np.ndarray] = []
+    size = 2**63  # so that the first column starts a word
+    for column, bound in zip(rows.T, map(int, bounds)):
+        radix = 2 * bound + 1
+        if radix >= 2**63:
+            raise ValueError(f"bound {bound} is past the int64 headroom of a sort key")
+        if size * radix >= 2**63:
+            words.append(column + bound)
+            size = radix
+        else:
+            words[-1] = words[-1] * radix + (column + bound)
+            size *= radix
+    return np.stack(words, axis=1)
 
 
 def _scaled_norms(lattice: LatticeSpec, rows: np.ndarray) -> np.ndarray:
@@ -434,12 +467,18 @@ def _scaled_norms(lattice: LatticeSpec, rows: np.ndarray) -> np.ndarray:
 
 def _int64_bounds(lattice: LatticeSpec, norm: int) -> np.ndarray:
     """coordinate_bounds as an int64 array; ValueError unless a shell's
-    arrays fit in int64.
+    arrays and its search fit in int64.
 
     A coefficient row within these bounds has every ambient coordinate,
     and every partial sum of the matmul, within reach.  A sum of squares
     adds at most reach^2 per coordinate and a^2 - ab + b^2 at most
-    3 reach^2 per pair, so 2 reach^2 per coordinate bounds both."""
+    3 reach^2 per pair, so 2 reach^2 per coordinate bounds both.
+
+    In the search, every remaining budget and every w * t^2 is at most
+    common * norm; below 2**52 every quotient of it is an exact float64,
+    so _isqrt is exact.  Every node lies within the bounds (a prefix of a
+    point of the ellipsoid), so |sigma| at level j is at most the sum of
+    |c| * bound over lam[j], and lo, hi and t stay within s + |sigma|."""
     bounds = coordinate_bounds(lattice, norm)
     reach = max(
         sum(b * abs(row[k]) for b, row in zip(bounds, lattice.scaled_generator))
@@ -447,6 +486,10 @@ def _int64_bounds(lattice: LatticeSpec, norm: int) -> np.ndarray:
     )
     if 2 * lattice.real_dim * reach * reach >= 2**63:
         raise ValueError(f"{lattice.name} norm {norm} is past the int64 headroom of the shell arrays")
+    order, lam, _, _, common = _form_for(lattice)
+    sigma = max(sum(abs(c) * bounds[order[i]] for i, c in pairs) for pairs in lam)
+    if common * norm >= 2**52 or sigma >= 2**52:
+        raise ValueError(f"{lattice.name} norm {norm} is past the int64 headroom of the shell search")
     return np.array(bounds, dtype=np.int64)
 
 
@@ -460,7 +503,7 @@ def _shell_from_coeffs(lattice: LatticeSpec, norm: int, coeffs: np.ndarray) -> S
     if outside.any():
         row = coeffs[np.argmax(outside)].tolist()
         raise ValueError(f"row {row} has wrong norm (a coefficient is past its bound {bounds.tolist()})")
-    coeffs = coeffs[np.lexsort(coeffs.T[::-1])]
+    coeffs = coeffs[np.lexsort(packed_keys(coeffs, bounds).T[::-1])]
     rows = coeffs @ np.array(lattice.scaled_generator, dtype=np.int64)
     wrong = _scaled_norms(lattice, rows) != norm * lattice.scale**2
     if wrong.any():
@@ -477,13 +520,13 @@ def enumerate_shell(
     integer arithmetic after clearing denominators, so pruning is exact.
     Vectors are returned sorted lexicographically by coefficients.  Raises
     EnumerationBudgetExceeded if more than node_budget branch nodes are
-    visited, and ValueError if the shell's arrays could overflow int64
-    (checked before the search) or, on a bug, if a vector fails the norm
-    check.
+    visited, and ValueError if the shell's arrays or its search could
+    overflow int64 (checked before the search) or, on a bug, if a vector
+    fails the norm check.
     """
     _int64_bounds(lattice, norm)  # raises before a search past the headroom
-    coeffs, _ = _dfs_enumerate(lattice, norm, node_budget)
-    return _shell_from_coeffs(lattice, norm, coeffs)
+    # no reference kept here, so the unsorted array is freed once sorted
+    return _shell_from_coeffs(lattice, norm, _search(lattice, norm, node_budget)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +660,9 @@ def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
     """
     path = Path(path)
     try:
-        with path.open("rb") as fh:
+        # numpy warns on some malformed headers before it fails on them
+        with path.open("rb") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             coeffs = np.lib.format.read_array(fh, allow_pickle=False)
     # numpy's header parser raises any of these on a malformed header, and
     # MemoryError when the header declares more elements than memory holds

@@ -12,6 +12,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -35,7 +36,7 @@ from .lattices import (
     ensure_shell,
     theta_check,
 )
-from .magic import CensusReport, sre_census
+from .magic import CensusReport, sre_census, stabiliser_count
 from .states import StateSet
 
 DEFAULT_NORMS = {"E8": (2, 4, 6, 8), "BW16": (4, 6), "E6": (3, 6, 9, 12, 15)}
@@ -122,23 +123,31 @@ class CensusResult:
     histogram: dict[str, int]  # str(Xi_2) -> states, in report row order
     ok: bool
     note: Optional[str]
+    stabiliser_limit: int  # the stabiliser states of a register of this dimension
 
     def checks(self) -> list[Check]:
         r = self.report
         note = f"  [note: {self.note}]" if self.note else ""
+        stabilisers = self.histogram.get("1", 0)
+        if stabilisers > self.stabiliser_limit:
+            note += f"  [{stabilisers} states at Xi_2 = 1, more than the {self.stabiliser_limit} stabiliser states]"
         return [(self.ok, f"census {r.lattice_name} l={r.norm}: {self.histogram}{note}")]
 
 
 def census_stage(state_set: StateSet) -> CensusResult:
     """Exact SRE census of one state set; ok when every vector is counted
-    (vectors == states * multiplicity) and the expected table, if there
-    is one, matches."""
+    (vectors == states * multiplicity), no more states sit at Xi_2 = 1
+    than a register of that dimension has stabiliser states, and the
+    expected table, if there is one, matches."""
     report = sre_census(state_set)
     histogram = {str(row.xi2): row.state_count for row in report.rows}
     key = (state_set.lattice_name, state_set.norm)
     expected = EXPECTED_CENSUS.get(key, histogram)
     conserved = report.vector_count == report.state_count * report.multiplicity
-    return CensusResult(report, histogram, conserved and histogram == expected, ROW_NOTES.get(key))
+    d = 2 if state_set.ring == "gaussian" else 3
+    limit = stabiliser_count(round(log(state_set.components.shape[1], d)), d)
+    ok = conserved and histogram.get("1", 0) <= limit and histogram == expected
+    return CensusResult(report, histogram, ok, ROW_NOTES.get(key), limit)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .exact import (
     canonical_vector,
     vector_norm,
 )
-from .lattices import Shell
+from .lattices import Shell, packed_keys
 
 RingVector = Union[Sequence[GaussianInt], Sequence[EisensteinInt]]
 
@@ -179,18 +179,16 @@ def _unit_matrices(ring: str) -> np.ndarray:
 
 def _canonical_arrays(coords: np.ndarray, ring: str) -> np.ndarray:
     """canonical_vector of every row of coords, (N, dim, 2) nonzero ring
-    vectors: each row is divided by its integer content and rotated by the
-    unit that moves its first nonzero component into the canonical sector
-    (Gaussian re > 0, im >= 0; Eisenstein b >= 0, a > b)."""
+    vectors, as a C-contiguous array: each row is divided by its integer
+    content and rotated by the one unit that moves its first nonzero
+    component into the canonical sector (Gaussian re > 0, im >= 0;
+    Eisenstein b >= 0, a > b)."""
     n = len(coords)
-    prim = coords // np.gcd.reduce(np.gcd.reduce(coords, axis=2), axis=1)[:, None, None]
-    first = prim[np.arange(n), (prim != 0).any(axis=2).argmax(axis=1)]
-    units = _unit_matrices(ring)
-    x, y = (units @ first.T).swapaxes(0, 1)  # (U, N): the first component times each unit
-    in_sector = (x > 0) & (y >= 0) if ring == "gaussian" else (y >= 0) & (x > y)
-    choice = in_sector.argmax(axis=0)
-    for u, unit in enumerate(units[1:], start=1):  # in place, one unit at a time
-        rows = choice == u
+    prim = np.floor_divide(coords, np.gcd.reduce(coords, axis=(1, 2))[:, None, None], order="C")
+    first = prim[np.arange(n), (prim != 0).any(axis=2).argmax(axis=1)].T  # (2, N)
+    for unit in _unit_matrices(ring)[1:]:  # in place, one unit at a time
+        x, y = unit @ first
+        rows = (x > 0) & (y >= 0) if ring == "gaussian" else (y >= 0) & (x > y)
         prim[rows] = prim[rows] @ unit.T
     return prim
 
@@ -210,22 +208,23 @@ def dedup(shell: Shell) -> StateSet:
     else:
         coords = rows.reshape(len(rows), -1, 2)
     flat = _canonical_arrays(coords, ring).reshape(len(rows), -1)
-    order = np.lexsort(flat.T[::-1])  # stable, so each state's vectors stay ascending
-    ordered = flat[order]
-    del flat
+    keys = packed_keys(flat, np.maximum(flat.max(axis=0), -flat.min(axis=0)))
+    order = np.lexsort(keys.T[::-1])  # stable, so each state's vectors stay ascending
+    keys = keys[order]
     first = np.ones(len(order), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     state_of = np.empty(len(order), dtype=np.int64)
     state_of[order] = np.cumsum(first) - 1
+    heads = order[first]  # the first vector of each state
     counts = np.diff(np.append(np.flatnonzero(first), len(order)))
     expected_mult = 4 if ring == "gaussian" else 6
     if (counts != expected_mult).any():
         bad = int(np.argmax(counts != expected_mult))
         raise AssertionError(
-            f"state {ordered[first][bad].tolist()} has multiplicity {counts[bad]}, "
+            f"state {flat[heads[bad]].tolist()} has multiplicity {counts[bad]}, "
             f"expected {expected_mult} on every {shell.lattice.name} shell"
         )
-    comps = ordered[first].reshape(len(counts), -1, 2)
+    comps = flat[heads].reshape(len(counts), -1, 2)
     x, y = comps[..., 0], comps[..., 1]
     norm_sq = (x * x + y * y if ring == "gaussian" else x * x - x * y + y * y).sum(axis=1)
     return StateSet(

@@ -2,7 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,6 +72,16 @@ def test_census_expected_mismatch_sets_exit_code(capsys, store, monkeypatch):
     code, out = run_cli(capsys, store, "census", "--lattice", "E6", "--norms", "3")
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("name,norm,found,limit", [("E8", 10, 120, 60), ("E6", 21, 24, 12)])
+def test_census_fails_on_more_stabilisers_than_a_register_has(capsys, store, name, norm, found, limit):
+    # dedup divides out only the integer content, so past the paper's shells
+    # two ring multiples of one ray count as two states
+    code, out = run_cli(capsys, store, "census", "--lattice", name, "--norms", str(norm))
+    assert code == 1
+    (fail,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert f"[{found} states at Xi_2 = 1, more than the {limit} stabiliser states]" in fail
 
 
 def test_orbits(capsys, store):
@@ -263,3 +275,21 @@ def test_user_errors_are_one_line(capsys, tmp_path, argv, prepare, message):
     assert code == 2
     assert err.startswith("magiclattice: error: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_corrupt_cache_header_is_one_stderr_line(tmp_path):
+    # "(240, 8)" becomes "(24L, 8)": numpy parses it as a Python 2 header,
+    # with a UserWarning, and the 24 rows are not closed under negation
+    cache = tmp_path / "cache"
+    argv = [sys.executable, "-m", "magiclattice.cli", "shells", "--lattice", "E8", "--norms", "2"]
+    argv += ["--cache-dir", str(cache)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+    path = shell_cache_path(cache, build_lattice("E8"), 2)
+    raw = bytearray(path.read_bytes())
+    assert raw[62:64] == b"40"
+    raw[63] = ord("L")
+    path.write_bytes(raw)
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("magiclattice: error: ") and done.stderr.count("\n") == 1

@@ -1,8 +1,10 @@
 import errno
 import io
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,17 +18,21 @@ from magiclattice.lattices import (
     EnumerationBudgetExceeded,
     Shell,
     ShellCacheError,
+    _isqrt,
+    _search,
     build_lattice,
     coordinate_bounds,
     enumerate_shell,
     ensure_shell,
     load_shell,
     naive_box_enumerate,
+    packed_keys,
     save_shell,
     shell_cache_path,
     solve_eisenstein_coefficients,
     theta_check,
 )
+from oracles import dfs_enumerate
 
 
 def same_vectors(a, b):
@@ -105,6 +111,74 @@ def test_budget_exceeded():
         enumerate_shell(build_lattice("BW16"), 6, node_budget=50)
 
 
+def test_budget_exceeded_before_the_innermost_levels():
+    # BW16 l=8 visits 1,548,067 nodes; the search stops at the first level
+    # whose children pass the budget, before it expands them
+    with pytest.raises(EnumerationBudgetExceeded) as info:
+        enumerate_shell(build_lattice("BW16"), 8, node_budget=10**5)
+    assert info.value.budget == 10**5 and 10**5 < info.value.visited < 1_548_067
+
+
+def _same_search(name, norm):
+    lattice = build_lattice(name)
+    coeffs, visited = _search(lattice, norm, 10**10)
+    oracle, oracle_visited = dfs_enumerate(lattice, norm)
+    assert visited == oracle_visited
+    assert sorted(map(tuple, coeffs.tolist())) == sorted(map(tuple, oracle.tolist()))
+
+
+_PAPER_SHELLS = [("E8", n) for n in (2, 4, 6, 8)] + [("BW16", n) for n in (4, 6)] + [
+    ("E6", n) for n in (3, 6, 9, 12, 15)
+]
+_BEYOND_PAPER = [("E8", n) for n in (3, 10, 12, 14, 16)] + [("E6", n) for n in (4, 18, 21, 24, 27, 30)]
+
+
+@pytest.mark.parametrize("name,norm", _PAPER_SHELLS + _BEYOND_PAPER)
+def test_search_matches_recursive_oracle(name, norm):
+    # the same coefficient set and the same node count as a depth-first search
+    _same_search(name, norm)
+
+
+@pytest.mark.heavy
+def test_search_matches_recursive_oracle_bw16_l8():
+    _same_search("BW16", 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(root=hs.integers(0, 2**26), offset=hs.sampled_from([-1, 0, 1]))
+def test_isqrt_is_exact_below_2_52(root, offset):
+    value = min(max(root * root + offset, 0), 2**52 - 1)
+    assert _isqrt(np.array([value], dtype=np.int64))[0] == math.isqrt(value)
+
+
+@hs.composite
+def _bounded_rows(draw):
+    bounds = draw(hs.lists(hs.integers(0, 2**40) | hs.integers(0, 3), min_size=1, max_size=12))
+    pool = draw(
+        hs.lists(hs.tuples(*(hs.integers(-b, b) for b in bounds)), min_size=1, max_size=8)
+    )
+    rows = draw(hs.lists(hs.sampled_from(pool), max_size=40))  # drawn from a small pool: ties
+    return np.array(rows, dtype=np.int64).reshape(-1, len(bounds)), bounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_bounded_rows())
+def test_packed_keys_sort_like_lexsort(case):
+    rows, bounds = case
+    keys = packed_keys(rows, bounds)
+    assert np.array_equal(np.lexsort(keys.T[::-1]), np.lexsort(rows.T[::-1]))
+    equal_keys = (keys[:, None] == keys[None]).all(axis=2)
+    assert np.array_equal(equal_keys, (rows[:, None] == rows[None]).all(axis=2))
+
+
+def test_packed_keys_start_a_word_before_2_63():
+    # radix 2^21 + 1 three times would pass 2^63, radix 11 sixteen times would not
+    assert packed_keys(np.zeros((1, 3), dtype=np.int64), [2**20] * 3).shape == (1, 2)
+    assert packed_keys(np.zeros((1, 16), dtype=np.int64), [5] * 16).shape == (1, 1)
+    with pytest.raises(ValueError, match="headroom"):
+        packed_keys(np.zeros((1, 1), dtype=np.int64), [2**62])
+
+
 def test_ambient_rows_match_generator(store):
     lat = build_lattice("E8")
     gen = lat.scaled_generator
@@ -177,9 +251,12 @@ def _save_array(path, array):
 
 
 def _assert_rejected(lattice, norm, path, match=None):
-    with pytest.raises(ShellCacheError, match=match) as info:
-        load_shell(lattice, norm, path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ShellCacheError, match=match) as info:
+            load_shell(lattice, norm, path)
     assert "\n" not in str(info.value)
+    assert caught == []  # numpy's header parser warns on some flips
 
 
 @pytest.fixture()
@@ -206,6 +283,8 @@ def test_cache_corruption_bad_header(tmp_path, cached_e8):
         (raw.index(b"(240") + 1, b"9"),  # 940 rows declared, 240 stored
         (raw.index(b"(240") + 1, b"1"),  # 140 of the 240 rows
         (8, bytes([raw[8] - 16])),  # a shorter header length: the data read off by 16 bytes
+        (raw.index(b"(240") + 3, b"L"),  # 24 rows in a Python 2 header: a UserWarning inside numpy
+        (raw.index(b"descr"), b"\\"),  # an invalid escape: a DeprecationWarning inside numpy
     ]
     for pos, byte in flips:
         assert pos < header_end and raw[pos : pos + 1] != byte
@@ -382,29 +461,38 @@ def test_failed_save_keeps_the_old_cache_file(tmp_path, store, monkeypatch):
 
 
 _HEADROOM_SCRIPT = """
+import sys
 from magiclattice.lattices import build_lattice, enumerate_shell
 try:
-    enumerate_shell(build_lattice("E8"), 10**18)
+    enumerate_shell(build_lattice("E8"), int(sys.argv[1]), node_budget=10**6)
 except ValueError as exc:
     print("rejected" if "int64 headroom" in str(exc) else exc)
 """
 
 
 def test_enumerate_headroom_guard_survives_optimize():
-    # coefficients up to 10^9 would wrap the int64 square sum of the norm
-    # check; the guard fires before the search, also under -O
-    with pytest.raises(ValueError, match="int64 headroom"):
-        enumerate_shell(build_lattice("E8"), 10**18)
+    # the guard fires before the search (a search would exceed the node
+    # budget), also under -O
     env = dict(os.environ, PYTHONPATH=str(Path(magiclattice.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", _HEADROOM_SCRIPT],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-        check=True,
-    )
-    assert done.stdout == "rejected\n"
+    for norm in (
+        # coefficients up to 10^9 would wrap the int64 square sum of the
+        # norm check
+        10**18,
+        # the shell arrays fit, but common * norm = 6 * 10^15 is past the
+        # 2^52 below which the search's float-seeded square root is exact
+        10**14,
+    ):
+        with pytest.raises(ValueError, match="int64 headroom"):
+            enumerate_shell(build_lattice("E8"), norm, node_budget=10**6)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", _HEADROOM_SCRIPT, str(norm)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        assert done.stdout == "rejected\n"
 
 
 _SMALL_SHELLS = hs.sampled_from([("E8", 2), ("E6", 3)])
@@ -443,8 +531,6 @@ def test_cache_rejects_random_corruptions(store, tmp_path_factory, key, data):
     _assert_rejected(shell.lattice, shell.norm, path)
 
 
-# numpy's header parser warns on some malformed headers before it fails
-@pytest.mark.filterwarnings("ignore::DeprecationWarning", "ignore::UserWarning")
 @settings(max_examples=150, deadline=None)
 @given(key=_SMALL_SHELLS, data=hs.data())
 def test_cache_header_flips_never_load_a_wrong_shell(store, tmp_path_factory, key, data):
@@ -455,12 +541,17 @@ def test_cache_header_flips_never_load_a_wrong_shell(store, tmp_path_factory, ke
     pos = data.draw(hs.integers(0, raw.index(b"\n")))
     byte = data.draw(hs.integers(0, 255).filter(lambda b: b != raw[pos]))
     path.write_bytes(raw[:pos] + bytes([byte]) + raw[pos + 1 :])
-    try:
-        loaded = load_shell(shell.lattice, shell.norm, path)
-    except ShellCacheError as exc:
-        assert "\n" not in str(exc)
-    else:
-        assert same_vectors(loaded, shell)
+    # numpy's header parser warns on some malformed headers before it
+    # fails; no warning gets out of load_shell
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            loaded = load_shell(shell.lattice, shell.norm, path)
+        except ShellCacheError as exc:
+            assert "\n" not in str(exc)
+        else:
+            assert same_vectors(loaded, shell)
+    assert caught == []
 
 
 @settings(max_examples=20, deadline=None)
