@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import pipeline
 from .lattices import (
@@ -57,9 +57,9 @@ def _norms_arg(value: str) -> tuple[int, ...]:
     return norms
 
 
-def _loader(cache_dir, node_budget: int = DEFAULT_NODE_BUDGET) -> pipeline.StateLoader:
+def _loader(cache_dir) -> pipeline.StateLoader:
     # holds no reference to the shell, so it is freed before the stage runs
-    return lambda name, norm: dedup(pipeline.shell_stage(name, norm, cache_dir, node_budget).shell)
+    return lambda name, norm: dedup(pipeline.materialise(name, norm, cache_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ def cmd_shells(args, failures: Failures) -> None:
         key = (args.lattice, norm)
         extra = f"  [note: {pipeline.ROW_NOTES[key]}]" if key in pipeline.VECTOR_TOTAL_NOTES else ""
         print(
-            f"{args.lattice} l={norm}: {result.shell.count} vectors, theta {verdict} "
+            f"{args.lattice} l={norm}: {result.count} vectors, theta {verdict} "
             f"({result.seconds:.2f}s){extra}"
         )
         failures.check_all(result.checks())
@@ -86,10 +86,10 @@ def cmd_census(args, failures: Failures) -> None:
         norms = tuple(norms) + tuple(
             n for n in pipeline.HEAVY_NORMS.get(args.lattice, ()) if n not in norms
         )
-    states = _loader(args.cache_dir, args.node_budget)
     rows = []
     for norm in norms:
-        result = pipeline.census_stage(states(args.lattice, norm))
+        batches = pipeline.streamed_batches(args.lattice, norm, args.cache_dir, args.node_budget)
+        result = pipeline.census_stage(batches)
         failures.check_all(result.checks())
         report = result.report
         rows.append(
@@ -126,7 +126,7 @@ def cmd_census(args, failures: Failures) -> None:
 
 
 def cmd_orbits(args, failures: Failures) -> None:
-    shortest = pipeline.shell_stage(*pipeline.SHORTEST_E6, args.cache_dir).shell
+    shortest = pipeline.materialise(*pipeline.SHORTEST_E6, args.cache_dir)
     load = _loader(args.cache_dir)
 
     def states(name: str, norm: int) -> StateSet:  # the shell in hand is not loaded again
@@ -226,7 +226,7 @@ def cmd_project_e8(args, failures: Failures) -> None:
     writer.writerow(["shell", "x", "y", "tag"])
     tag_counts: dict[str, int] = {}
     for norm in (2, 4):
-        shell = pipeline.shell_stage("E8", norm, args.cache_dir).shell
+        shell = pipeline.materialise("E8", norm, args.cache_dir)
         tags = ["first"] * shell.count
         if norm == 4:
             state_set = dedup(shell)
@@ -252,8 +252,9 @@ def cmd_project_e8(args, failures: Failures) -> None:
 def cmd_reproduce(args, failures: Failures) -> None:
     """Run every stage once and print one PASS/FAIL line per check.
 
-    Each shell is loaded or enumerated once and deduplicated once; only
-    the state sets that a later stage reads outlive their census.
+    Each shell is loaded or enumerated once.  A shell that a later stage
+    reads is held whole and deduplicated once, and its census is of
+    those states; every other shell is streamed through its census.
     """
 
     def status(checks: Sequence[pipeline.Check]) -> None:
@@ -261,20 +262,26 @@ def cmd_reproduce(args, failures: Failures) -> None:
             if failures.check(ok, message):
                 print(f"PASS {message}")
 
-    kept = {}
+    kept, shortest = {}, None
+
+    def materialised(name: str, norm: int) -> Iterator[pipeline.Batch]:
+        nonlocal shortest
+        shell = pipeline.materialise(name, norm, args.cache_dir)
+        if (name, norm) == pipeline.SHORTEST_E6:
+            shortest = shell
+        kept[name, norm] = dedup(shell)
+        yield shell, kept[name, norm]
+
     for name in ("E8", "BW16", "E6"):
         norms = pipeline.DEFAULT_NORMS[name]
         if args.include_heavy:
             norms += pipeline.HEAVY_NORMS.get(name, ())
         for norm in norms:
-            loaded = pipeline.shell_stage(name, norm, args.cache_dir)
-            status(loaded.checks())
-            if (name, norm) == pipeline.SHORTEST_E6:
-                shortest = loaded.shell
-            state_set = dedup(loaded.shell)
-            status(pipeline.census_stage(state_set).checks())
             if (name, norm) in pipeline.LATER_STAGE_SHELLS:
-                kept[name, norm] = state_set
+                batches = materialised(name, norm)
+            else:
+                batches = pipeline.streamed_batches(name, norm, args.cache_dir)
+            status(pipeline.census_stage(batches).checks())
 
     def states(name: str, norm: int) -> StateSet:
         return kept[name, norm]
@@ -293,7 +300,7 @@ _FLAGS = {
     ),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--node-budget": dict(type=int, default=DEFAULT_NODE_BUDGET),
-    "--include-heavy": dict(action="store_true", help="include the BW16 l=8 row (about 3 s more)"),
+    "--include-heavy": dict(action="store_true", help="include the BW16 l=8 row (about 1 s more)"),
 }
 
 

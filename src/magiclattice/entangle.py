@@ -660,7 +660,8 @@ def entanglement_census(state_set: StateSet) -> EntanglementCensus:
     Magic classes come from the exact Xi_2 batch, the rest from one
     concurrence_kernel call over all states."""
     k = concurrence_kernel(state_set)
-    labels = _labels(k, [magic_label(xi, 8, "gaussian") for xi in state_set.xi2])
+    label_of = {xi: magic_label(xi, 8, "gaussian") for xi in set(state_set.xi2)}
+    labels = _labels(k, list(map(label_of.__getitem__, state_set.xi2)))
     counts = Counter(labels)
     pairwise, one_to_other, f3_values = _display_columns(k)
     return EntanglementCensus(

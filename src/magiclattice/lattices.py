@@ -4,10 +4,12 @@ A shell is the full set of lattice vectors of a given square norm.  The
 enumerator runs a branch-and-bound over the coefficient lattice using an
 exact LDL^T decomposition of the Gram matrix, level by level: each level
 decides one coefficient for every partial vector at once, in int64 numpy
-arrays.  After clearing denominators every bound test is integer
-arithmetic within a checked headroom, so no solution can be lost to
-rounding.  A brute-force box scan over the coordinate bounds is provided
-as an independent cross-check.
+arrays, and hands its vectors out in chunks, so that a shell can be
+streamed through a census without being held whole.  After clearing
+denominators every bound test is integer arithmetic within a checked
+headroom, so no solution can be lost to rounding.  A brute-force box
+scan over the coordinate bounds is provided as an independent
+cross-check.
 
 E8 and BW16 live in R^8 and R^16 with half-integer coordinates; their
 ambient vectors are stored doubled (scale 2) so that every coordinate is
@@ -19,19 +21,23 @@ from __future__ import annotations
 
 import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 from pathlib import Path
 from tokenize import TokenError
-from typing import Iterable, Optional, Sequence
+from typing import IO, Generator, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .exact import EisensteinInt, THETA
 
 DEFAULT_NODE_BUDGET = 10**10
+# Children per search chunk: a level whose frontier would expand past this
+# many nodes is searched in runs of parents (see _search_chunks).
+CHUNK_NODES = 2**13
 CACHE_ENV_VAR = "MAGICLATTICE_CACHE"
 
 
@@ -296,12 +302,15 @@ def theta_check(shell: Shell) -> ThetaCheckResult:
 
     Unknown norms are reported as unchecked rather than failed.
     """
-    expected = shell.lattice.known_counts.get(shell.norm)
+    return count_check(shell.lattice, shell.norm, shell.count)
+
+
+def count_check(lattice: LatticeSpec, norm: int, count: int) -> ThetaCheckResult:
+    """theta_check of a shell of count vectors."""
+    expected = lattice.known_counts.get(norm)
     if expected is None:
-        return ThetaCheckResult(ok=True, checked=False, expected=None, actual=shell.count)
-    return ThetaCheckResult(
-        ok=(shell.count == expected), checked=True, expected=expected, actual=shell.count
-    )
+        return ThetaCheckResult(ok=True, checked=False, expected=None, actual=count)
+    return ThetaCheckResult(ok=(count == expected), checked=True, expected=expected, actual=count)
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +373,28 @@ def _isqrt(values: np.ndarray) -> np.ndarray:
     return np.sqrt(values.astype(np.float64)).astype(np.int64)
 
 
-def _search(lattice: LatticeSpec, norm: int, node_budget: int) -> tuple[np.ndarray, int]:
-    """All coefficient vectors of the given norm, (N, coeff_dim) int64 in
-    no particular order, plus the branch-and-bound node count.
+def _search_chunks(
+    lattice: LatticeSpec, norm: int, node_budget: int
+) -> Generator[np.ndarray, None, int]:
+    """All coefficient vectors of the given norm, as chunks of (N,
+    coeff_dim) int64 rows in no particular order; returns the
+    branch-and-bound node count.
 
     The search decides one DFS coordinate per level, from the outermost
-    (n - 1) to the innermost (0), for every partial vector at once.  A
-    frontier node carries its remaining budget common * norm - sum w t^2,
-    whether every coordinate so far is zero (so that of each pair +-v only
-    the one whose first nonzero coordinate is positive is searched), and,
-    for every level j still to come, the part of sigma_j that the decided
-    coordinates contribute.  Each level records the parent and the
-    coordinate of its nodes, from which the vectors are read back at the
-    end.  The node count is a depth-first search's: every child of a node
-    above level 0, and every level-1 node once more at level 0.  The
+    (n - 1) to the innermost (0), for every partial vector of the frontier
+    at once.  A frontier node carries its remaining budget common * norm -
+    sum w t^2, whether every coordinate so far is zero (so that of each
+    pair +-v only the one whose first nonzero coordinate is positive is
+    searched), and, for every level j still to come, the part of sigma_j
+    that the decided coordinates contribute.  Each level records the
+    parent and the coordinate of its nodes, from which the vectors are
+    read back at level 0.  When a level's children would pass
+    CHUNK_NODES, its frontier is cut into runs of parents whose children
+    stay within it (a single parent may pass it alone), and each run is
+    searched on its own down to level 0, where it yields one chunk, so a
+    vector and its negation share a chunk and every run yields one, empty
+    or not.  The node count is a depth-first search's: every child of a
+    node above level 0, and every level-1 node once more at level 0.  The
     caller checks the int64 headroom first."""
     order, lam, mus, weights, common = _form_for(lattice)
     n = lattice.coeff_dim
@@ -385,51 +402,80 @@ def _search(lattice: LatticeSpec, norm: int, node_budget: int) -> tuple[np.ndarr
     for j, pairs in enumerate(lam):
         for i, c in pairs:
             lam_mat[j, i] = c
-    sigmas = np.zeros((n, 1), dtype=np.int64)  # (levels to come, nodes)
-    remaining = np.array([common * norm], dtype=np.int64)
-    zero_prefix = np.ones(1, dtype=bool)
-    tree = []  # (parent, x) of the nodes of levels n - 1, ..., 1
     visited = 0
-    for level in range(n - 1, 0, -1):
-        w, mu, sigma = weights[level], mus[level], sigmas[level]
-        s = _isqrt(remaining // w)
-        lo = -((s + sigma) // mu)  # the x with |mu*x + sigma| <= s
-        hi = (s - sigma) // mu
-        lo[zero_prefix & (lo < 0)] = 0
-        counts = np.maximum(hi - lo + 1, 0)
-        visited += int(counts.sum())
+
+    def descend(top, offset, sigmas, remaining, zero_prefix, tree):
+        # the frontier, nodes offset, offset + 1, ... of tree[-1], decides
+        # level top next; sigmas is (levels to come, nodes)
+        nonlocal visited
+        for level in range(top, 0, -1):
+            w, mu, sigma = weights[level], mus[level], sigmas[level]
+            s = _isqrt(remaining // w)
+            lo = -((s + sigma) // mu)  # the x with |mu*x + sigma| <= s
+            hi = (s - sigma) // mu
+            lo[zero_prefix & (lo < 0)] = 0
+            counts = np.maximum(hi - lo + 1, 0)
+            total = int(counts.sum())
+            if total > CHUNK_NODES and len(counts) > 1:
+                ends, start = np.cumsum(counts), 0
+                while start < len(ends):
+                    base = ends[start - 1] if start else 0
+                    stop = max(int(np.searchsorted(ends, base + CHUNK_NODES, side="right")), start + 1)
+                    yield from descend(
+                        level, offset + start, sigmas[:, start:stop], remaining[start:stop],
+                        zero_prefix[start:stop], tree,
+                    )
+                    start = stop
+                return
+            visited += total
+            if visited > node_budget:
+                raise EnumerationBudgetExceeded(node_budget, visited)
+            parent = np.repeat(np.arange(len(counts)), counts)
+            x = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+            t = mu * x + sigma[parent]
+            remaining = remaining[parent] - w * t * t
+            zero_prefix = zero_prefix[parent] & (x == 0)
+            sigmas = sigmas[:level, parent] + lam_mat[:level, level, None] * x
+            tree = [*tree, (parent + offset, x)]
+            offset = 0
+
+        # level 0 in closed form: t_0 = +-sqrt(remaining / w_0) when that is
+        # an integer, and x_0 = (t_0 - sigma_0) / mu_0 when that is one
+        visited += len(remaining)
         if visited > node_budget:
             raise EnumerationBudgetExceeded(node_budget, visited)
-        parent = np.repeat(np.arange(len(counts)), counts)
-        x = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-        t = mu * x + sigma[parent]
-        remaining = remaining[parent] - w * t * t
-        zero_prefix = zero_prefix[parent] & (x == 0)
-        sigmas = sigmas[:level, parent] + lam_mat[:level, level, None] * x
-        tree.append((parent, x))
+        q, rest = np.divmod(remaining, weights[0])
+        r = _isqrt(q)
+        node = np.flatnonzero((rest == 0) & (r * r == q))
+        r = r[node]
+        x0, rest = np.divmod(np.stack([r, -r]) - sigmas[0, node], mus[0])
+        keep = (rest == 0) & ~(zero_prefix[node] & (x0 <= 0))
+        keep[1] &= r != 0  # t_0 = 0 once
+        sign, hit = np.nonzero(keep)
+        node = node[hit]
+        half = len(node)  # the shell is symmetric under negation
+        coeffs = np.empty((2 * half, n), dtype=np.int64)
+        coeffs[:half, order[0]] = x0[sign, hit]
+        for level, (parent, x) in zip(range(1, n), reversed(tree)):
+            coeffs[:half, order[level]] = x[node]
+            node = parent[node]
+        np.negative(coeffs[:half], out=coeffs[half:])
+        yield coeffs
 
-    # level 0 in closed form: t_0 = +-sqrt(remaining / w_0) when that is an
-    # integer, and x_0 = (t_0 - sigma_0) / mu_0 when that is one
-    visited += len(remaining)
-    if visited > node_budget:
-        raise EnumerationBudgetExceeded(node_budget, visited)
-    q, rest = np.divmod(remaining, weights[0])
-    r = _isqrt(q)
-    node = np.flatnonzero((rest == 0) & (r * r == q))
-    r = r[node]
-    x0, rest = np.divmod(np.stack([r, -r]) - sigmas[0, node], mus[0])
-    keep = (rest == 0) & ~(zero_prefix[node] & (x0 <= 0))
-    keep[1] &= r != 0  # t_0 = 0 once
-    sign, hit = np.nonzero(keep)
-    node = node[hit]
-    half = len(node)  # the shell is symmetric under negation
-    coeffs = np.empty((2 * half, n), dtype=np.int64)
-    coeffs[:half, order[0]] = x0[sign, hit]
-    for level, (parent, x) in zip(range(1, n), reversed(tree)):
-        coeffs[:half, order[level]] = x[node]
-        node = parent[node]
-    np.negative(coeffs[:half], out=coeffs[half:])
-    return coeffs, visited
+    root = (np.zeros((n, 1), dtype=np.int64), np.array([common * norm], dtype=np.int64), np.ones(1, dtype=bool))
+    yield from descend(n - 1, 0, *root, [])
+    return visited
+
+
+def _search(lattice: LatticeSpec, norm: int, node_budget: int) -> tuple[np.ndarray, int]:
+    """The chunks of _search_chunks in one (N, coeff_dim) int64 array, plus
+    the node count."""
+    chunks, found = _search_chunks(lattice, norm, node_budget), []
+    while True:
+        try:
+            found.append(next(chunks))
+        except StopIteration as done:
+            return np.concatenate(found), done.value
 
 
 def packed_keys(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
@@ -493,17 +539,18 @@ def _int64_bounds(lattice: LatticeSpec, norm: int) -> np.ndarray:
     return np.array(bounds, dtype=np.int64)
 
 
-def _shell_from_coeffs(lattice: LatticeSpec, norm: int, coeffs: np.ndarray) -> Shell:
-    """The Shell of (N, coeff_dim) int64 coefficient rows, sorted, with
-    their ambient rows.  Raises ValueError past the int64 headroom or when
-    a row has the wrong norm; every coefficient is bounded before the
-    matmul, so no int64 intermediate can wrap."""
+def _shell_from_coeffs(lattice: LatticeSpec, norm: int, coeffs: np.ndarray, sort: bool = True) -> Shell:
+    """The Shell of (N, coeff_dim) int64 coefficient rows, sorted unless
+    sort is false, with their ambient rows.  Raises ValueError past the
+    int64 headroom or when a row has the wrong norm; every coefficient is
+    bounded before the matmul, so no int64 intermediate can wrap."""
     bounds = _int64_bounds(lattice, norm)
     outside = ((coeffs < -bounds) | (coeffs > bounds)).any(axis=1)
     if outside.any():
         row = coeffs[np.argmax(outside)].tolist()
         raise ValueError(f"row {row} has wrong norm (a coefficient is past its bound {bounds.tolist()})")
-    coeffs = coeffs[np.lexsort(packed_keys(coeffs, bounds).T[::-1])]
+    if sort:
+        coeffs = coeffs[np.lexsort(packed_keys(coeffs, bounds).T[::-1])]
     rows = coeffs @ np.array(lattice.scaled_generator, dtype=np.int64)
     wrong = _scaled_norms(lattice, rows) != norm * lattice.scale**2
     if wrong.any():
@@ -629,23 +676,29 @@ def shell_cache_path(cache_dir: Path, lattice: LatticeSpec, norm: int) -> Path:
     return Path(cache_dir) / f"{lattice.name}_norm{norm}.npy"
 
 
-def save_shell(shell: Shell, path: Path) -> None:
-    """Write a shell's (N, coeff_dim) int64 coefficient array to its cache
-    file in .npy format.
-
-    The array goes to a temporary file in the same directory that then
-    replaces the cache file, so a failed write never leaves a partial
-    file under the cache name."""
+@contextmanager
+def _replacing(path: Path) -> Iterator[IO[bytes]]:
+    """A binary file that replaces path once the block has ended without
+    an exception.  It is written as a temporary file in the same
+    directory, so a failed write never leaves a partial file under the
+    cache name."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            np.save(fh, shell.coeffs, allow_pickle=False)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_shell(shell: Shell, path: Path) -> None:
+    """Write a shell's (N, coeff_dim) int64 coefficient array to its cache
+    file in .npy format."""
+    with _replacing(path) as fh:
+        np.save(fh, shell.coeffs, allow_pickle=False)
 
 
 def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
@@ -691,6 +744,44 @@ def _check_distinct_and_symmetric(path: Path, ordered: np.ndarray) -> None:
     # under negation iff the negated, reversed list is the list itself
     if not np.array_equal(-ordered[::-1], ordered):
         raise ShellCacheError(f"{path}: rows are not closed under negation")
+
+
+def stream_shell(
+    lattice: LatticeSpec,
+    norm: int,
+    cache_dir: Optional[Path] = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> Iterator[Shell]:
+    """The shell as chunks: unsorted Shells that hold every vector once
+    between them.
+
+    A cached shell is loaded and is the one chunk.  Otherwise each chunk
+    of the search takes the checks of an enumerated shell (bound, matmul,
+    norm) and is appended to the cache file before it is yielded; the
+    file, its rows in search order, replaces the cache name once the
+    search is done.  A search that fails, a write that fails and a stream
+    closed before its end leave no file under the cache name."""
+    cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    path = shell_cache_path(cache, lattice, norm)
+    if path.exists():
+        yield load_shell(lattice, norm, path)
+        return
+    _int64_bounds(lattice, norm)  # raises before a search past the headroom
+    header = {"descr": "<i8", "fortran_order": False}
+    with _replacing(path) as fh:
+        np.lib.format.write_array_header_1_0(fh, {**header, "shape": (0, lattice.coeff_dim)})
+        data_start, rows = fh.tell(), 0
+        for coeffs in _search_chunks(lattice, norm, node_budget):
+            chunk = _shell_from_coeffs(lattice, norm, coeffs, sort=False)
+            fh.write(coeffs.astype("<i8", copy=False).data)
+            rows += chunk.count
+            yield chunk
+        # numpy pads the header so that the row count can grow to 21
+        # digits in place
+        fh.seek(0)
+        np.lib.format.write_array_header_1_0(fh, {**header, "shape": (rows, lattice.coeff_dim)})
+        if fh.tell() != data_start:
+            raise RuntimeError(f"the .npy header of {path} changed length with its row count")
 
 
 def ensure_shell(

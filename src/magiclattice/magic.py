@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import log2
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -480,12 +480,68 @@ def xi_batch_gaussian(
         return {a: [] for a in alphas}
     dim = states[0].dim
     n = dim.bit_length() - 1
-    top = max(alphas)
-    re, im, norms = component_arrays(states, lambda nn: 4**n * nn ** (2 * top))
-    sums = {a: np.zeros(len(norms), dtype=re.dtype) for a in alphas}
-    for gn in _pauli_norms(re, im, n):
+    re, im, norms = component_arrays(states, lambda nn: 4**n * nn ** (2 * max(alphas)))
+    return _xi_fractions(_pauli_norms(re, im, n), norms, dim, alphas)
+
+
+# _OMEGA_ROTATIONS[e] maps the coordinates (x, y) of z = x + y*omega to
+# those of omega^e * z
+_OMEGA_ROTATIONS = np.array([[[1, 0], [0, 1]], [[0, -1], [1, -1]], [[-1, 1], [-1, 0]]])
+
+
+def _displacement_norms(a: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
+    """|<c|D|c>|^2 of every qutrit state's unnormalised components
+    c_k = a_k + b_k*omega: for a1 = 0, 1, 2 one (S, 3) array whose column
+    a2 is the displacement D_{a1,a2} (the terms of _bilinear_norm), so the
+    identity is column 0 of a1 = 0.
+
+    Per a1 the terms conj(c_j) c_(j+a1) = x_j + y_j*omega are gathered
+    once, and two +-1 matmuls per coordinate rotate term j by
+    omega^(a2*(j+a1)) and sum.  With |a_k|, |b_k| <= 2|c_k|/sqrt(3) and
+    sum_j |c_j| |c_(j+a1)| <= norm_sq, every coordinate and partial sum is
+    at most 4 norm_sq, every partial sum of the norm re^2 - re*om + om^2
+    at most 4 norm_sq^2, and the norm itself at most norm_sq^2."""
+    idx = np.arange(3)
+    for a1 in range(3):
+        k = (idx + a1) % 3
+        ak, bk = a[:, k], b[:, k]
+        x = a * ak - b * ak + b * bk
+        y = a * bk - b * ak
+        rot = _OMEGA_ROTATIONS[np.outer(k, idx) % 3].astype(a.dtype)  # (j, a2, 2, 2)
+        re = x @ rot[..., 0, 0] + y @ rot[..., 0, 1]
+        om = x @ rot[..., 1, 0] + y @ rot[..., 1, 1]
+        yield re * re - re * om + om * om
+
+
+def xi_batch_eisenstein(
+    states: Union[StateSet, Sequence[PureStateExact]], alphas: Iterable[int] = (2,)
+) -> dict[int, list[Fraction]]:
+    """Exact Xi_alpha for many qutrit (Z[omega]) states at once.
+
+    The sums over the 9 displacements of |<c|D|c>|^(2*alpha) are at most
+    9 * norm_sq^(2*alpha), which also bounds every intermediate of
+    _displacement_norms; they run in int64 when that fits and in Python
+    ints otherwise.  Results are exact rationals identical to xi_alpha,
+    one Fraction object per distinct (sum, norm_sq) pair.
+    """
+    alphas = tuple(alphas)
+    if not len(states):
+        return {a: [] for a in alphas}
+    a, b, norms = component_arrays(states, lambda nn: 9 * nn ** (2 * max(alphas)), "eisenstein")
+    if a.shape[1] != 3:
+        raise ValueError("eisenstein states supported at dimension 3 only")
+    return _xi_fractions(_displacement_norms(a, b), norms, 3, alphas)
+
+
+def _xi_fractions(
+    groups: Iterable[np.ndarray], norms: np.ndarray, dim: int, alphas: tuple[int, ...]
+) -> dict[int, list[Fraction]]:
+    """Xi_alpha of every state from its squared expectation values, given
+    in (S, k) groups that together hold each operator once."""
+    sums = {a: np.zeros(len(norms), dtype=norms.dtype) for a in alphas}
+    for values in groups:
         for a in alphas:
-            sums[a] += (gn**a).sum(axis=1)
+            sums[a] += (values**a).sum(axis=1)
     out: dict[int, list[Fraction]] = {}
     for a in alphas:
         keys = list(zip(sums[a].tolist(), (dim * norms ** (2 * a)).tolist()))
@@ -537,25 +593,28 @@ class CensusReport:
         return out
 
 
-def sre_census(state_set: StateSet) -> CensusReport:
-    """Histogram of exact Xi_2 values (and their magic classes) over a
-    StateSet, from its per-state ``xi2``."""
-    counts = Counter(state_set.xi2)
-    dim = state_set.components.shape[1]
-    rows = tuple(
+def census_rows(counts: Mapping[Fraction, int], dim: int, ring: str) -> tuple[CensusRow, ...]:
+    """One row per exact Xi_2 value and its state count, in descending
+    Xi_2 order, with its magic class."""
+    return tuple(
         CensusRow(
             xi2=xi,
             m2=-log2(xi) if xi != 1 else 0.0,
-            label=magic_label(xi, dim, state_set.ring),
+            label=magic_label(xi, dim, ring),
             state_count=count,
         )
         for xi, count in sorted(counts.items(), reverse=True)
     )
+
+
+def sre_census(state_set: StateSet) -> CensusReport:
+    """Histogram of exact Xi_2 values (and their magic classes) over a
+    StateSet, from its per-state ``xi2``."""
     return CensusReport(
         lattice_name=state_set.lattice_name,
         norm=state_set.norm,
         multiplicity=state_set.uniform_multiplicity,
-        rows=rows,
+        rows=census_rows(Counter(state_set.xi2), state_set.components.shape[1], state_set.ring),
         state_count=state_set.count,
         vector_count=state_set.vector_count,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .clifford import (
     CorrespondenceReport,
@@ -28,16 +28,19 @@ from .entangle import (
     entanglement_census,
     pairwise_concurrence_2qubit,
 )
+from .exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS
 from .lattices import (
     DEFAULT_NODE_BUDGET,
     Shell,
     ThetaCheckResult,
     build_lattice,
+    count_check,
     ensure_shell,
+    stream_shell,
     theta_check,
 )
-from .magic import CensusReport, sre_census, stabiliser_count
-from .states import StateSet
+from .magic import CensusReport, census_rows, stabiliser_count
+from .states import EmptyShellError, StateSet, representatives
 
 DEFAULT_NORMS = {"E8": (2, 4, 6, 8), "BW16": (4, 6), "E6": (3, 6, 9, 12, 15)}
 HEAVY_NORMS = {"BW16": (8,)}
@@ -94,18 +97,28 @@ E8_MAX_MAGIC_XI2 = Fraction(7, 16)
 
 Check = tuple[bool, str]
 StateLoader = Callable[[str, int], StateSet]  # (lattice, norm) -> deduplicated shell
+# a chunk of a shell's vectors, and the states that have their
+# representative in it (the whole shell and all its states, for a
+# deduplicated shell)
+Batch = tuple[Shell, StateSet]
 
 
 @dataclass(frozen=True)
 class ShellResult:
-    shell: Shell
+    lattice_name: str
+    norm: int
+    count: int
     theta: ThetaCheckResult
     seconds: float
 
     def checks(self) -> list[Check]:
-        s = self.shell
-        line = f"shell {s.lattice.name} l={s.norm}: {s.count} vectors ({self.seconds:.2f}s)"
+        line = f"shell {self.lattice_name} l={self.norm}: {self.count} vectors ({self.seconds:.2f}s)"
         return [(self.theta.ok, line)]
+
+
+def materialise(name: str, norm: int, cache_dir: Path, node_budget: int = DEFAULT_NODE_BUDGET) -> Shell:
+    """Load one shell, or enumerate it and write its cache file."""
+    return ensure_shell(build_lattice(name), norm, cache_dir=cache_dir, node_budget=node_budget)
 
 
 def shell_stage(
@@ -113,12 +126,22 @@ def shell_stage(
 ) -> ShellResult:
     """Load or enumerate one shell and compare its size with the theta series."""
     start = time.perf_counter()
-    shell = ensure_shell(build_lattice(name), norm, cache_dir=cache_dir, node_budget=node_budget)
-    return ShellResult(shell, theta_check(shell), time.perf_counter() - start)
+    shell = materialise(name, norm, cache_dir, node_budget)
+    return ShellResult(name, norm, shell.count, theta_check(shell), time.perf_counter() - start)
+
+
+def streamed_batches(
+    name: str, norm: int, cache_dir: Path, node_budget: int = DEFAULT_NODE_BUDGET
+) -> Iterator[Batch]:
+    """One shell as a stream of chunks (lattices.stream_shell), each with
+    the states that have their representative in it."""
+    for chunk in stream_shell(build_lattice(name), norm, cache_dir, node_budget):
+        yield chunk, representatives(chunk)
 
 
 @dataclass(frozen=True)
 class CensusResult:
+    shell: ShellResult
     report: CensusReport
     histogram: dict[str, int]  # str(Xi_2) -> states, in report row order
     ok: bool
@@ -131,23 +154,46 @@ class CensusResult:
         stabilisers = self.histogram.get("1", 0)
         if stabilisers > self.stabiliser_limit:
             note += f"  [{stabilisers} states at Xi_2 = 1, more than the {self.stabiliser_limit} stabiliser states]"
-        return [(self.ok, f"census {r.lattice_name} l={r.norm}: {self.histogram}{note}")]
+        line = f"census {r.lattice_name} l={r.norm}: {self.histogram}{note}"
+        return [*self.shell.checks(), (self.ok, line)]
 
 
-def census_stage(state_set: StateSet) -> CensusResult:
-    """Exact SRE census of one state set; ok when every vector is counted
-    (vectors == states * multiplicity), no more states sit at Xi_2 = 1
-    than a register of that dimension has stabiliser states, and the
-    expected table, if there is one, matches."""
-    report = sre_census(state_set)
-    histogram = {str(row.xi2): row.state_count for row in report.rows}
-    key = (state_set.lattice_name, state_set.norm)
-    expected = EXPECTED_CENSUS.get(key, histogram)
-    conserved = report.vector_count == report.state_count * report.multiplicity
-    d = 2 if state_set.ring == "gaussian" else 3
-    limit = stabiliser_count(round(log(state_set.components.shape[1], d)), d)
-    ok = conserved and histogram.get("1", 0) <= limit and histogram == expected
-    return CensusResult(report, histogram, ok, ROW_NOTES.get(key), limit)
+def census_stage(batches: Iterable[Batch]) -> CensusResult:
+    """Exact SRE census of one shell, given as one or more batches whose
+    states hold each state of the shell once, from the Xi_2 of each
+    batch's states: a streamed shell is never held whole.
+
+    The shell passes when its size matches the theta series.  The census
+    is ok when the states account for every vector, |units| each (summed
+    over the batches, since a unit orbit can straddle chunks), no more
+    states sit at Xi_2 = 1 than a register of that dimension has
+    stabiliser states, and the expected table, if there is one, matches.
+    Raises EmptyShellError on a shell with no vectors."""
+    clock = time.perf_counter
+    counts: Counter[tuple[int, int]] = Counter()  # (numerator, denominator) -> states
+    vectors = states = 0
+    shell_seconds, last = 0.0, clock()
+    for chunk, state_set in batches:
+        shell_seconds += clock() - last
+        counts.update(map(Fraction.as_integer_ratio, state_set.xi2))
+        vectors += chunk.count
+        states += state_set.count
+        last = clock()
+    shell_seconds += clock() - last
+    lattice, norm = chunk.lattice, chunk.norm
+    if not vectors:
+        raise EmptyShellError(f"{lattice.name} l={norm} has no vectors, so no states")
+    shell = ShellResult(lattice.name, norm, vectors, count_check(lattice, norm, vectors), shell_seconds)
+    units = len(GAUSSIAN_UNITS if lattice.ring == "gaussian" else EISENSTEIN_UNITS)
+    rows = census_rows({Fraction(*pair): n for pair, n in counts.items()}, lattice.complex_dim, lattice.ring)
+    report = CensusReport(lattice.name, norm, units, rows, states, vectors)
+    histogram = {str(row.xi2): row.state_count for row in rows}
+    key = (lattice.name, norm)
+    d = 2 if lattice.ring == "gaussian" else 3
+    limit = stabiliser_count(round(log(lattice.complex_dim, d)), d)
+    conserved = vectors == states * units
+    ok = conserved and histogram.get("1", 0) <= limit and histogram == EXPECTED_CENSUS.get(key, histogram)
+    return CensusResult(shell, report, histogram, ok, ROW_NOTES.get(key), limit)
 
 
 @dataclass(frozen=True)

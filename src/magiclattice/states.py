@@ -89,15 +89,17 @@ def vector_to_state(v: RingVector, provenance: tuple = ()) -> PureStateExact:
 
 @dataclass(frozen=True, eq=False)
 class StateSet:
-    """Distinct canonical states of one shell, as arrays.
+    """Distinct canonical states of shell vectors, as arrays.
 
     components[s, k] holds the (re, im) or (a, b) coordinates of component
-    k of state s, primitive and unit-canonical; the states are in
-    lexicographic order of those coordinates.  state_of[v] is the state
-    that shell vector v reduces to, so the provenance of a state is the
-    ascending list of its vectors.  PureStateExact objects are built only
-    when asked for: one by index, or all of them through ``states``; the
-    exact Xi_2 of every state is computed once, on first use of ``xi2``.
+    k of state s, primitive and unit-canonical; the states of a shell
+    (dedup) are in lexicographic order of those coordinates, those of a
+    chunk's representatives (representatives) in chunk order.
+    state_of[v] is the state that vector v reduces to, so the provenance
+    of a state is the ascending list of its vectors.  PureStateExact
+    objects are built only when asked for: one by index, or all of them
+    through ``states``; the exact Xi_2 of every state is computed once, on
+    first use of ``xi2``.
     """
 
     lattice_name: str
@@ -131,14 +133,12 @@ class StateSet:
 
     @cached_property
     def xi2(self) -> tuple[Fraction, ...]:
-        """Exact Xi_2 of every state: the batched integer kernel for qubit
-        (Gaussian) states, the scalar xi_alpha for qutrit (Eisenstein)
-        states."""
-        from .magic import xi_alpha, xi_batch_gaussian  # magic imports this module
+        """Exact Xi_2 of every state, from the batched integer kernel of
+        its ring."""
+        from .magic import xi_batch_eisenstein, xi_batch_gaussian  # magic imports this module
 
-        if self.ring == "gaussian":
-            return tuple(xi_batch_gaussian(self, alphas=(2,))[2])
-        return tuple(xi_alpha(s, 2) for s in self.states)
+        kernel = xi_batch_gaussian if self.ring == "gaussian" else xi_batch_eisenstein
+        return tuple(kernel(self, alphas=(2,))[2])
 
     def _state(self, index: int, provenance: tuple) -> PureStateExact:
         cls = GaussianInt if self.ring == "gaussian" else EisensteinInt
@@ -177,18 +177,45 @@ def _unit_matrices(ring: str) -> np.ndarray:
     return np.array(images, dtype=np.int64).transpose(0, 2, 1)
 
 
+def _ring_coords(shell: Shell) -> np.ndarray:
+    """(N, dim, 2) view of a shell's ambient rows as ring coordinates."""
+    rows, dim = shell.rows, shell.lattice.complex_dim
+    if shell.lattice.ring == "gaussian":  # c_k = x_k + i*x_{D+k}, as in real_to_complex
+        return rows.reshape(len(rows), 2, dim).swapaxes(1, 2)
+    return rows.reshape(len(rows), dim, 2)
+
+
+def _first_nonzero(coords: np.ndarray) -> np.ndarray:
+    """(2, N): the coordinates of each row's first nonzero component."""
+    return coords[np.arange(len(coords)), (coords != 0).any(axis=2).argmax(axis=1)].T
+
+
+def _in_sector(x: np.ndarray, y: np.ndarray, ring: str) -> np.ndarray:
+    """Whether each ring element with coordinates (x, y) lies in the
+    canonical sector: Gaussian re > 0, im >= 0; Eisenstein b >= 0, a > b.
+    Each unit orbit of a nonzero element has exactly one member there."""
+    return (x > 0) & (y >= 0) if ring == "gaussian" else (y >= 0) & (x > y)
+
+
+def _primitive(coords: np.ndarray) -> np.ndarray:
+    """Each row of coords divided by its integer content, C-contiguous."""
+    return np.floor_divide(coords, np.gcd.reduce(coords, axis=(1, 2))[:, None, None], order="C")
+
+
+def _norm_sq(comps: np.ndarray, ring: str) -> np.ndarray:
+    x, y = comps[..., 0], comps[..., 1]
+    return (x * x + y * y if ring == "gaussian" else x * x - x * y + y * y).sum(axis=1)
+
+
 def _canonical_arrays(coords: np.ndarray, ring: str) -> np.ndarray:
     """canonical_vector of every row of coords, (N, dim, 2) nonzero ring
     vectors, as a C-contiguous array: each row is divided by its integer
     content and rotated by the one unit that moves its first nonzero
-    component into the canonical sector (Gaussian re > 0, im >= 0;
-    Eisenstein b >= 0, a > b)."""
-    n = len(coords)
-    prim = np.floor_divide(coords, np.gcd.reduce(coords, axis=(1, 2))[:, None, None], order="C")
-    first = prim[np.arange(n), (prim != 0).any(axis=2).argmax(axis=1)].T  # (2, N)
+    component into the canonical sector."""
+    prim = _primitive(coords)
+    first = _first_nonzero(prim)
     for unit in _unit_matrices(ring)[1:]:  # in place, one unit at a time
-        x, y = unit @ first
-        rows = (x > 0) & (y >= 0) if ring == "gaussian" else (y >= 0) & (x > y)
+        rows = _in_sector(*(unit @ first), ring)
         prim[rows] = prim[rows] @ unit.T
     return prim
 
@@ -202,12 +229,8 @@ def dedup(shell: Shell) -> StateSet:
     """
     if shell.count == 0:
         raise EmptyShellError(f"{shell.lattice.name} l={shell.norm} has no vectors, so no states")
-    ring, rows = shell.lattice.ring, shell.rows
-    if ring == "gaussian":  # c_k = x_k + i*x_{D+k}, as in real_to_complex
-        coords = rows.reshape(len(rows), 2, -1).swapaxes(1, 2)
-    else:
-        coords = rows.reshape(len(rows), -1, 2)
-    flat = _canonical_arrays(coords, ring).reshape(len(rows), -1)
+    ring = shell.lattice.ring
+    flat = _canonical_arrays(_ring_coords(shell), ring).reshape(shell.count, -1)
     keys = packed_keys(flat, np.maximum(flat.max(axis=0), -flat.min(axis=0)))
     order = np.lexsort(keys.T[::-1])  # stable, so each state's vectors stay ascending
     keys = keys[order]
@@ -225,24 +248,35 @@ def dedup(shell: Shell) -> StateSet:
             f"expected {expected_mult} on every {shell.lattice.name} shell"
         )
     comps = flat[heads].reshape(len(counts), -1, 2)
-    x, y = comps[..., 0], comps[..., 1]
-    norm_sq = (x * x + y * y if ring == "gaussian" else x * x - x * y + y * y).sum(axis=1)
-    return StateSet(
-        lattice_name=shell.lattice.name,
-        norm=shell.norm,
-        ring=ring,
-        components=comps,
-        norm_sq=norm_sq,
-        state_of=state_of,
-    )
+    return StateSet(shell.lattice.name, shell.norm, ring, comps, _norm_sq(comps, ring), state_of)
+
+
+def representatives(chunk: Shell) -> StateSet:
+    """The states that have their representative in a chunk of a shell.
+
+    A vector represents its state when its first nonzero component lies
+    in the canonical sector; divided by its integer content it is that
+    state's components.  The sector is a fundamental domain of the units
+    on the nonzero ring elements, so each unit orbit of vectors has
+    exactly one member there.  Two vectors of one shell with one canonical
+    state differ by a unit: their integer contents are equal because
+    their norms are.  So over the chunks of a unit-closed shell every
+    state has exactly one representative, and the representatives times
+    |units| are the shell's vectors.  The result is the StateSet of the
+    representative vectors alone, in chunk order, so state_of is the
+    identity."""
+    ring, coords = chunk.lattice.ring, _ring_coords(chunk)
+    comps = _primitive(coords[_in_sector(*_first_nonzero(coords), ring)])
+    return StateSet(chunk.lattice.name, chunk.norm, ring, comps, _norm_sq(comps, ring), np.arange(len(comps)))
 
 
 def component_arrays(
-    states: Union[StateSet, Sequence[PureStateExact]], peak: Callable[[int], int]
+    states: Union[StateSet, Sequence[PureStateExact]], peak: Callable[[int], int], ring: str = "gaussian"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Real parts (S, dim), imaginary parts (S, dim) and norm_sq (S,) of
-    Gaussian-integer states of one dimension, for vectorised exact
-    arithmetic.
+    """First coordinates (S, dim), second coordinates (S, dim) and norm_sq
+    (S,) of ring-integer states of one dimension, (re, im) for Gaussian
+    and (a, b) of a + b*omega for Eisenstein components, for vectorised
+    exact arithmetic.
 
     peak(N) must bound every intermediate of the caller's arithmetic on
     states with norm_sq <= N.  The arrays are int64 when the bound at the
@@ -250,19 +284,18 @@ def component_arrays(
     otherwise, so the same array code stays exact on any input.
     """
     if isinstance(states, StateSet):
-        if states.ring != "gaussian":
-            raise ValueError("expected Gaussian-integer states")
+        if states.ring != ring:
+            raise ValueError(f"expected {ring}-integer states")
         coords, norms = states.components, states.norm_sq
         if peak(int(norms.max())) >= 2**63:
             coords, norms = coords.astype(object), norms.astype(object)
         return coords[..., 0], coords[..., 1], norms
-    if any(s.ring != "gaussian" or s.dim != states[0].dim for s in states):
-        raise ValueError("expected Gaussian-integer states of one dimension")
+    if any(s.ring != ring or s.dim != states[0].dim for s in states):
+        raise ValueError(f"expected {ring}-integer states of one dimension")
     dtype = np.int64 if peak(max(s.norm_sq for s in states)) < 2**63 else object
-    re = np.array([[c.re for c in s.components] for s in states], dtype=dtype)
-    im = np.array([[c.im for c in s.components] for s in states], dtype=dtype)
+    coords = np.array([[c.coords() for c in s.components] for s in states], dtype=dtype)
     norms = np.array([s.norm_sq for s in states], dtype=dtype)
-    return re, im, norms
+    return coords[..., 0], coords[..., 1], norms
 
 
 def overlap_sq(psi: PureStateExact, chi: PureStateExact) -> Fraction:

@@ -84,6 +84,14 @@ def test_census_fails_on_more_stabilisers_than_a_register_has(capsys, store, nam
     assert f"[{found} states at Xi_2 = 1, more than the {limit} stabiliser states]" in fail
 
 
+def test_census_checks_the_theta_series(capsys, store, monkeypatch):
+    monkeypatch.setitem(build_lattice("E6").known_counts, 3, 73)
+    code, out = run_cli(capsys, store, "census", "--lattice", "E6", "--norms", "3")
+    assert code == 1
+    (fail,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fail.startswith("FAIL shell E6 l=3: 72 vectors")
+
+
 def test_orbits(capsys, store):
     code, out = run_cli(capsys, store, "orbits")
     assert code == 0
@@ -264,6 +272,9 @@ def _corrupt_cache(cache_dir):
             id="node-budget",
         ),
         pytest.param(["shells", "--lattice", "E8", "--norms", "2"], _corrupt_cache, "wrong norm", id="corrupt-cache"),
+        pytest.param(
+            ["census", "--lattice", "E8", "--norms", "2"], _corrupt_cache, "wrong norm", id="census-corrupt-cache"
+        ),
         pytest.param(["census", "--lattice", "E8", "--norms", "3"], None, "E8 l=3 has no vectors", id="empty-shell"),
     ],
 )

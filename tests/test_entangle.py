@@ -379,3 +379,17 @@ def test_entanglement_census_small_slice(store):
 def test_entanglement_census_rejects_wrong_dim(store):
     with pytest.raises(ValueError):
         en.entanglement_census(store.states("E8", 2))
+
+
+def test_entanglement_census_labels_each_xi2_value_once(store, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mg.magic_label(*args)
+
+    monkeypatch.setattr(en, "magic_label", counted)
+    ss = store.states("BW16", 4)
+    census = en.entanglement_census(ss)
+    assert len(calls) == len(set(ss.xi2)) == 1
+    assert census.stabiliser_classes == {en.CLASS_I: 216, en.CLASS_II: 432, en.CLASS_III: 432}

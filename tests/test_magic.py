@@ -308,3 +308,34 @@ def test_wh_covariance_check_all_both_rings(store):
     assert mg.wh_covariance_check_all(store.states("E6", 6).states) is True
     # stabiliser states are not SIC fiducials
     assert mg.wh_covariance_check_all(store.states("E8", 2).states) is False
+
+
+def qutrit_states(bound):
+    component = hs.tuples(hs.integers(-bound, bound), hs.integers(-bound, bound))
+    vectors = hs.lists(component, min_size=3, max_size=3).filter(lambda v: any(a or b for a, b in v))
+    return vectors.map(lambda v: vector_to_state(tuple(E(*z) for z in v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.lists(hs.one_of(qutrit_states(3), qutrit_states(10**5), qutrit_states(2**40)), min_size=1, max_size=5))
+def test_eisenstein_batch_matches_scalar_on_random_states(states):
+    # norm_sq up to about 2^82: 9 N^(2 alpha) is then far past 2^63, and
+    # the kernel must fall back to Python ints
+    by_alpha = mg.xi_batch_eisenstein(states, alphas=(2, 3))
+    assert by_alpha[2] == [mg.xi_alpha(st, 2) for st in states]
+    assert by_alpha[3] == [mg.xi_alpha(st, 3) for st in states]
+
+
+def test_eisenstein_batch_exact_past_int64_headroom():
+    # N is about 2 * 10^10: 9 N^4 is past 2^63, so int64 sums would wrap
+    st = vector_to_state((E(10**5, 0), E(0, 10**5 + 1), E(1, 1)))
+    assert st.norm_sq == 2 * 10**10 + 2 * 10**5 + 2
+    assert 9 * st.norm_sq**4 >= 2**63
+    assert mg.xi_batch_eisenstein([st]) == {2: [mg.xi_alpha(st, 2)]}
+
+
+@pytest.mark.parametrize("norm", [3, 6, 9, 12, 15])
+def test_eisenstein_batch_matches_scalar_on_e6_shells(store, norm):
+    ss = store.states("E6", norm)
+    assert list(ss.xi2) == [mg.xi_alpha(st, 2) for st in ss.states]
+    assert mg.xi_batch_eisenstein(ss) == mg.xi_batch_eisenstein(ss.states)
