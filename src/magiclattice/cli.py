@@ -25,7 +25,7 @@ from .lattices import (
     ShellCacheError,
     default_cache_dir,
 )
-from .states import EmptyShellError, StateSet, dedup
+from .states import EmptyShellError, StateSet, dedup, vector_states
 
 
 def _fmt_float(x: float) -> str:
@@ -218,7 +218,7 @@ def cmd_project_e8(args, failures: Failures) -> None:
 
     Row k of the 2x8 matrix is (cos, sin) of k*pi/8 over 2; applied to
     the true (unscaled) lattice coordinates.  A second-shell vector is
-    tagged by the magic class of the state it dedups to.
+    tagged by its magic class, from its own Xi_2: that of its state.
     """
     cos = [math.cos(k * math.pi / 8) / 2 for k in range(8)]
     sin = [math.sin(k * math.pi / 8) / 2 for k in range(8)]
@@ -229,9 +229,7 @@ def cmd_project_e8(args, failures: Failures) -> None:
         shell = pipeline.materialise("E8", norm, args.cache_dir)
         tags = ["first"] * shell.count
         if norm == 4:
-            state_set = dedup(shell)
-            state_tags = ["second-stab" if xi == 1 else "second-magic" for xi in state_set.xi2]
-            tags = [state_tags[s] for s in state_set.state_of.tolist()]
+            tags = ["second-stab" if xi == 1 else "second-magic" for xi in vector_states(shell).xi2]
         for row, tag in zip(shell.rows.tolist(), tags):
             # ambient row is scaled by the lattice's integerization factor
             coords = [a / shell.lattice.scale for a in row]

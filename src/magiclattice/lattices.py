@@ -706,10 +706,10 @@ def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
 
     The file must hold an (N, coeff_dim) int64 array in .npy format.  Its
     rows then take the checks of an enumerated shell (int64 headroom,
-    coefficient bound, norm), and must be distinct and closed under
-    negation.  Every integer coefficient row is a lattice point, so
-    membership needs no check.  Raises ShellCacheError at the first
-    failure.
+    coefficient bound, norm), and must be distinct and closed under the
+    ring's units, as an enumerated shell is.  Every integer coefficient
+    row is a lattice point, so membership needs no check.  Raises
+    ShellCacheError at the first failure.
     """
     path = Path(path)
     try:
@@ -731,19 +731,39 @@ def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
         shell = _shell_from_coeffs(lattice, norm, coeffs)
     except ValueError as exc:
         raise ShellCacheError(f"{path}: {exc}") from exc
-    _check_distinct_and_symmetric(path, shell.coeffs)
+    del coeffs  # the unsorted array, freed before the closure check's arrays
+    _check_distinct_and_unit_closed(path, shell)
     return shell
 
 
-def _check_distinct_and_symmetric(path: Path, ordered: np.ndarray) -> None:
-    """Raise ShellCacheError unless the lexicographically sorted
-    coefficient rows are distinct and closed under negation."""
+def _unit_image(lattice: LatticeSpec, rows: np.ndarray) -> np.ndarray:
+    """Ambient rows times a unit that generates the ring's units: i for
+    Z[i], (x, y) -> (-y, x) on the halves x_k + i*x_{D+k}; 1 + omega for
+    Z[omega], (a, b) -> (a - b, a) on each pair a + b*omega."""
+    if lattice.ring == "gaussian":
+        x, y = np.hsplit(rows, 2)
+        return np.hstack([-y, x])
+    a, b = rows[:, 0::2], rows[:, 1::2]
+    return np.stack([a - b, a], axis=2).reshape(rows.shape)
+
+
+def _check_distinct_and_unit_closed(path: Path, shell: Shell) -> None:
+    """Raise ShellCacheError unless the shell's sorted coefficient rows
+    are distinct and its ambient rows closed under the ring's units.
+
+    Distinct rows and their images under the generating unit are two
+    lists of distinct keys; the rows are closed under that unit, and so
+    under every unit, iff each key of the two lists together occurs
+    twice, that is iff the sorted keys are equal in pairs."""
+    ordered = shell.coeffs
     if (ordered[1:] == ordered[:-1]).all(axis=1).any():
         raise ShellCacheError(f"{path}: duplicate rows")
-    # negation reverses lexicographic order, so distinct rows are closed
-    # under negation iff the negated, reversed list is the list itself
-    if not np.array_equal(-ordered[::-1], ordered):
-        raise ShellCacheError(f"{path}: rows are not closed under negation")
+    image = _unit_image(shell.lattice, shell.rows)
+    reach = max(max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in (shell.rows, image))
+    keys = np.concatenate([packed_keys(a, [reach] * shell.lattice.real_dim) for a in (shell.rows, image)])
+    keys = keys[np.lexsort(keys.T[::-1])]
+    if not (keys[0::2] == keys[1::2]).all():
+        raise ShellCacheError(f"{path}: rows are not closed under the ring's units")
 
 
 def stream_shell(

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .exact import EisensteinInt, GaussianInt
+from .exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS, EisensteinInt, GaussianInt
 from .states import PureStateExact, StateSet, component_arrays, overlap_sq, vector_to_state
 
 STABILISER = "Stabiliser"
@@ -609,12 +609,14 @@ def census_rows(counts: Mapping[Fraction, int], dim: int, ring: str) -> tuple[Ce
 
 def sre_census(state_set: StateSet) -> CensusReport:
     """Histogram of exact Xi_2 values (and their magic classes) over a
-    StateSet, from its per-state ``xi2``."""
+    StateSet, from its per-state ``xi2``.  Each state stands for its unit
+    orbit, |units| vectors of a unit-closed shell."""
+    units = len(GAUSSIAN_UNITS if state_set.ring == "gaussian" else EISENSTEIN_UNITS)
     return CensusReport(
         lattice_name=state_set.lattice_name,
         norm=state_set.norm,
-        multiplicity=state_set.uniform_multiplicity,
+        multiplicity=units,
         rows=census_rows(Counter(state_set.xi2), state_set.components.shape[1], state_set.ring),
         state_count=state_set.count,
-        vector_count=state_set.vector_count,
+        vector_count=state_set.count * units,
     )

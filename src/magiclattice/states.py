@@ -13,12 +13,10 @@ components 1..3.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import IO, Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -59,7 +57,6 @@ class PureStateExact:
     ring: str  # "gaussian" or "eisenstein"
     components: tuple
     norm_sq: int
-    provenance: tuple = field(default=(), compare=False, hash=False)
 
     @property
     def dim(self) -> int:
@@ -73,7 +70,7 @@ class PureStateExact:
         return f"PureStateExact([{comps}], N={self.norm_sq})"
 
 
-def vector_to_state(v: RingVector, provenance: tuple = ()) -> PureStateExact:
+def vector_to_state(v: RingVector) -> PureStateExact:
     """Map a nonzero ring vector to its canonical PureStateExact:
     primitive_part, then unit_canonicalize, with norm_sq recomputed from
     the reduced components."""
@@ -83,7 +80,6 @@ def vector_to_state(v: RingVector, provenance: tuple = ()) -> PureStateExact:
         ring=ring,
         components=comps,
         norm_sq=vector_norm(comps),
-        provenance=provenance,
     )
 
 
@@ -92,14 +88,14 @@ class StateSet:
     """Distinct canonical states of shell vectors, as arrays.
 
     components[s, k] holds the (re, im) or (a, b) coordinates of component
-    k of state s, primitive and unit-canonical; the states of a shell
-    (dedup) are in lexicographic order of those coordinates, those of a
-    chunk's representatives (representatives) in chunk order.
-    state_of[v] is the state that vector v reduces to, so the provenance
-    of a state is the ascending list of its vectors.  PureStateExact
-    objects are built only when asked for: one by index, or all of them
-    through ``states``; the exact Xi_2 of every state is computed once, on
-    first use of ``xi2``.
+    k of state s, primitive and unit-canonical: the one vector of the
+    state's unit orbit whose first nonzero component lies in the canonical
+    sector, divided by its integer content.  The states of a shell (dedup)
+    are in lexicographic order of those coordinates, those of a chunk
+    (representatives) in chunk order.  PureStateExact objects are built
+    only when asked for: one by index, or all of them through ``states``;
+    the exact Xi_2 of every state is computed once, on first use of
+    ``xi2``.
     """
 
     lattice_name: str
@@ -107,7 +103,6 @@ class StateSet:
     ring: str
     components: np.ndarray  # (S, dim, 2) int64
     norm_sq: np.ndarray  # (S,) int64
-    state_of: np.ndarray  # (N,) int64
 
     @property
     def count(self) -> int:
@@ -117,19 +112,16 @@ class StateSet:
         return self.count
 
     def __getitem__(self, index: int) -> PureStateExact:
-        index = range(self.count)[index]
-        return self._state(index, tuple(np.flatnonzero(self.state_of == index).tolist()))
+        cls = GaussianInt if self.ring == "gaussian" else EisensteinInt
+        comps = tuple(cls(x, y) for x, y in self.components[index].tolist())
+        return PureStateExact(self.ring, comps, int(self.norm_sq[index]))
 
     def __iter__(self) -> Iterator[PureStateExact]:
         return iter(self.states)
 
     @cached_property
     def states(self) -> tuple[PureStateExact, ...]:
-        members = np.split(
-            np.argsort(self.state_of, kind="stable"),
-            np.cumsum(np.bincount(self.state_of, minlength=self.count))[:-1],
-        )
-        return tuple(self._state(i, tuple(m.tolist())) for i, m in enumerate(members))
+        return tuple(self[i] for i in range(self.count))
 
     @cached_property
     def xi2(self) -> tuple[Fraction, ...]:
@@ -140,25 +132,6 @@ class StateSet:
         kernel = xi_batch_gaussian if self.ring == "gaussian" else xi_batch_eisenstein
         return tuple(kernel(self, alphas=(2,))[2])
 
-    def _state(self, index: int, provenance: tuple) -> PureStateExact:
-        cls = GaussianInt if self.ring == "gaussian" else EisensteinInt
-        comps = tuple(cls(x, y) for x, y in self.components[index].tolist())
-        return PureStateExact(self.ring, comps, int(self.norm_sq[index]), provenance)
-
-    def multiplicity(self, state: PureStateExact) -> int:
-        return len(state.provenance)
-
-    @property
-    def uniform_multiplicity(self) -> int:
-        counts = np.bincount(self.state_of, minlength=self.count)
-        if (counts != counts[0]).any():
-            raise ValueError(f"{self!r} has states of different multiplicity")
-        return int(counts[0])
-
-    @property
-    def vector_count(self) -> int:
-        return len(self.state_of)
-
     def state_id(self, index: int) -> str:
         return f"{self.lattice_name}-l{self.norm}-{index:05d}"
 
@@ -167,14 +140,6 @@ class StateSet:
             f"StateSet({self.lattice_name}, norm={self.norm}, "
             f"states={self.count})"
         )
-
-
-def _unit_matrices(ring: str) -> np.ndarray:
-    """(U, 2, 2): unit u maps the coordinates v of a ring element to
-    units[u] @ v, in the order of GAUSSIAN_UNITS or EISENSTEIN_UNITS."""
-    cls, units = (GaussianInt, GAUSSIAN_UNITS) if ring == "gaussian" else (EisensteinInt, EISENSTEIN_UNITS)
-    images = [[(u * cls(1, 0)).coords(), (u * cls(0, 1)).coords()] for u in units]
-    return np.array(images, dtype=np.int64).transpose(0, 2, 1)
 
 
 def _ring_coords(shell: Shell) -> np.ndarray:
@@ -207,50 +172,6 @@ def _norm_sq(comps: np.ndarray, ring: str) -> np.ndarray:
     return (x * x + y * y if ring == "gaussian" else x * x - x * y + y * y).sum(axis=1)
 
 
-def _canonical_arrays(coords: np.ndarray, ring: str) -> np.ndarray:
-    """canonical_vector of every row of coords, (N, dim, 2) nonzero ring
-    vectors, as a C-contiguous array: each row is divided by its integer
-    content and rotated by the one unit that moves its first nonzero
-    component into the canonical sector."""
-    prim = _primitive(coords)
-    first = _first_nonzero(prim)
-    for unit in _unit_matrices(ring)[1:]:  # in place, one unit at a time
-        rows = _in_sector(*(unit @ first), ring)
-        prim[rows] = prim[rows] @ unit.T
-    return prim
-
-
-def dedup(shell: Shell) -> StateSet:
-    """Group the vectors of a shell into distinct canonical states.
-
-    The unit group acts freely on every shell treated here, so each state
-    should absorb exactly |units| vectors (4 Gaussian, 6 Eisenstein); that
-    claim is checked at runtime rather than assumed.
-    """
-    if shell.count == 0:
-        raise EmptyShellError(f"{shell.lattice.name} l={shell.norm} has no vectors, so no states")
-    ring = shell.lattice.ring
-    flat = _canonical_arrays(_ring_coords(shell), ring).reshape(shell.count, -1)
-    keys = packed_keys(flat, np.maximum(flat.max(axis=0), -flat.min(axis=0)))
-    order = np.lexsort(keys.T[::-1])  # stable, so each state's vectors stay ascending
-    keys = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    state_of = np.empty(len(order), dtype=np.int64)
-    state_of[order] = np.cumsum(first) - 1
-    heads = order[first]  # the first vector of each state
-    counts = np.diff(np.append(np.flatnonzero(first), len(order)))
-    expected_mult = 4 if ring == "gaussian" else 6
-    if (counts != expected_mult).any():
-        bad = int(np.argmax(counts != expected_mult))
-        raise AssertionError(
-            f"state {flat[heads[bad]].tolist()} has multiplicity {counts[bad]}, "
-            f"expected {expected_mult} on every {shell.lattice.name} shell"
-        )
-    comps = flat[heads].reshape(len(counts), -1, 2)
-    return StateSet(shell.lattice.name, shell.norm, ring, comps, _norm_sq(comps, ring), state_of)
-
-
 def representatives(chunk: Shell) -> StateSet:
     """The states that have their representative in a chunk of a shell.
 
@@ -263,11 +184,41 @@ def representatives(chunk: Shell) -> StateSet:
     their norms are.  So over the chunks of a unit-closed shell every
     state has exactly one representative, and the representatives times
     |units| are the shell's vectors.  The result is the StateSet of the
-    representative vectors alone, in chunk order, so state_of is the
-    identity."""
+    representative vectors alone, in chunk order."""
     ring, coords = chunk.lattice.ring, _ring_coords(chunk)
     comps = _primitive(coords[_in_sector(*_first_nonzero(coords), ring)])
-    return StateSet(chunk.lattice.name, chunk.norm, ring, comps, _norm_sq(comps, ring), np.arange(len(comps)))
+    return StateSet(chunk.lattice.name, chunk.norm, ring, comps, _norm_sq(comps, ring))
+
+
+def dedup(shell: Shell) -> StateSet:
+    """The states of a whole shell: its representatives, in lexicographic
+    order of their components.
+
+    On a unit-closed shell each state absorbs exactly |units| vectors (4
+    Gaussian, 6 Eisenstein); that count is checked at runtime rather than
+    assumed.
+    """
+    if shell.count == 0:
+        raise EmptyShellError(f"{shell.lattice.name} l={shell.norm} has no vectors, so no states")
+    found = representatives(shell)
+    units = len(GAUSSIAN_UNITS if found.ring == "gaussian" else EISENSTEIN_UNITS)
+    if found.count * units != shell.count:
+        raise AssertionError(
+            f"{shell.lattice.name} l={shell.norm}: {found.count} states x {units} units "
+            f"!= {shell.count} vectors, so the shell is not closed under the units"
+        )
+    flat = found.components.reshape(found.count, -1)
+    order = np.lexsort(packed_keys(flat, np.maximum(flat.max(axis=0), -flat.min(axis=0))).T[::-1])
+    return StateSet(shell.lattice.name, shell.norm, found.ring, found.components[order], found.norm_sq[order])
+
+
+def vector_states(shell: Shell) -> StateSet:
+    """Every vector of a shell as a state, unreduced and in shell order.
+    A vector's Xi_2 is its state's, since a unit or a scalar leaves Xi_2
+    unchanged, so ``xi2`` tags each vector without mapping it to its
+    state; nothing else may take these components as canonical."""
+    ring, comps = shell.lattice.ring, _ring_coords(shell)
+    return StateSet(shell.lattice.name, shell.norm, ring, comps, _norm_sq(comps, ring))
 
 
 def component_arrays(
@@ -306,38 +257,3 @@ def overlap_sq(psi: PureStateExact, chi: PureStateExact) -> Fraction:
     for a, b in zip(psi.components[1:], chi.components[1:]):
         acc = acc + a.conjugate() * b
     return Fraction(acc.norm(), psi.norm_sq * chi.norm_sq)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def _component_strings(state: PureStateExact) -> str:
-    return ";".join(f"{c.coords()[0]},{c.coords()[1]}" for c in state.components)
-
-
-def export_csv(state_set: StateSet, fh: IO[str]) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["state_id", "components", "norm_sq", "multiplicity"])
-    for i, s in enumerate(state_set.states):
-        writer.writerow(
-            [state_set.state_id(i), _component_strings(s), s.norm_sq, len(s.provenance)]
-        )
-
-
-def export_json(state_set: StateSet) -> str:
-    payload = {
-        "lattice": state_set.lattice_name,
-        "norm": state_set.norm,
-        "ring": state_set.ring,
-        "states": [
-            {
-                "state_id": state_set.state_id(i),
-                "components": [list(c.coords()) for c in s.components],
-                "norm_sq": s.norm_sq,
-                "multiplicity": len(s.provenance),
-            }
-            for i, s in enumerate(state_set.states)
-        ],
-    }
-    return json.dumps(payload, indent=2)

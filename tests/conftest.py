@@ -2,6 +2,7 @@ import pytest
 
 from magiclattice.lattices import build_lattice, ensure_shell
 from magiclattice.states import dedup
+from oracles import unit_orbits
 
 
 class ShellStore:
@@ -15,6 +16,7 @@ class ShellStore:
         self.cache_dir = cache_dir
         self._shells = {}
         self._state_sets = {}
+        self._orbits = {}
 
     def shell(self, name, norm):
         key = (name, norm)
@@ -28,6 +30,13 @@ class ShellStore:
         if key not in self._state_sets:
             self._state_sets[key] = dedup(self.shell(name, norm))
         return self._state_sets[key]
+
+    def orbits(self, name, norm):
+        """unit_orbits of the shell: the scalar oracle of its states."""
+        key = (name, norm)
+        if key not in self._orbits:
+            self._orbits[key] = unit_orbits(self.shell(name, norm))
+        return self._orbits[key]
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,9 @@ from math import isqrt
 
 import numpy as np
 
-from magiclattice.lattices import EnumerationBudgetExceeded, LatticeSpec, _form_for
+from magiclattice.exact import EisensteinInt, canonical_vector
+from magiclattice.lattices import EnumerationBudgetExceeded, LatticeSpec, Shell, _form_for
+from magiclattice.states import real_to_complex
 
 
 def dfs_enumerate(lattice: LatticeSpec, norm: int, node_budget: int = 10**10) -> tuple[np.ndarray, int]:
@@ -72,3 +74,17 @@ def dfs_enumerate(lattice: LatticeSpec, norm: int, node_budget: int = 10**10) ->
     coeffs[: len(half), list(order)] = half
     np.negative(coeffs[: len(half)], out=coeffs[len(half) :])
     return coeffs, visited
+
+
+def unit_orbits(shell: Shell) -> dict[tuple, list[int]]:
+    """The shell's vectors grouped by the scalar canonical_vector: each
+    canonical component tuple (ring elements) -> the ascending indices of
+    the vectors that reduce to it."""
+    orbits: dict[tuple, list[int]] = {}
+    for index, row in enumerate(shell.rows.tolist()):
+        if shell.lattice.ring == "gaussian":
+            comps = real_to_complex(row)
+        else:
+            comps = tuple(EisensteinInt(a, b) for a, b in zip(row[0::2], row[1::2]))
+        orbits.setdefault(canonical_vector(comps)[0], []).append(index)
+    return orbits

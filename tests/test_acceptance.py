@@ -98,8 +98,11 @@ def test_criterion_2_distinct_states(store):
     for (name, norm), (count, mult) in STATE_COUNTS.items():
         ss = store.states(name, norm)
         assert ss.count == count, (name, norm)
-        assert ss.uniform_multiplicity == mult
-        assert ss.vector_count == count * mult
+        # each state absorbs the mult vectors of one unit orbit
+        orbits = store.orbits(name, norm)
+        assert set(orbits) == {st.components for st in ss.states}
+        assert {len(members) for members in orbits.values()} == {mult}
+        assert store.shell(name, norm).count == count * mult
 
 
 def test_criterion_3_sre_census_tables(store):
@@ -258,7 +261,10 @@ def test_criterion_9_bw16_l8(store):
     start = time.monotonic()
     ss = store.states("BW16", 8)
     assert store.shell("BW16", 8).count == 522720
-    assert ss.count == 130680 and ss.uniform_multiplicity == 4
+    assert ss.count == 130680
+    orbits = store.orbits("BW16", 8)
+    assert set(orbits) == {st.components for st in ss.states}
+    assert {len(members) for members in orbits.values()} == {4}
     report = sre_census(ss)
     assert report.histogram() == {F(1): 1080, F(7, 16): 60480, F(11, 32): 69120}
     # measured ~9 s end to end on a 2-core VM; stated target is 30 min

@@ -13,6 +13,7 @@ import pytest
 
 from magiclattice import cli, lattices, magic, pipeline
 from magiclattice.lattices import build_lattice, shell_cache_path
+from magiclattice.states import real_to_complex
 
 GOLDEN_REPRODUCE = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "reproduce.txt"
 
@@ -262,6 +263,20 @@ def _corrupt_cache(cache_dir):
         np.save(fh, np.zeros((1, 8), dtype=np.int64))
 
 
+def _cache_missing_a_pair(cache_dir):
+    # E8 l=4 without one vector v and -v, neither of them its state's
+    # representative: still closed under negation, but not under i
+    shell = lattices.enumerate_shell(build_lattice("E8"), 4)
+    for v, row in enumerate(shell.rows.tolist()):
+        first = next(c for c in real_to_complex(row) if not c.is_zero())
+        if first.re <= 0 < first.im:  # the second quadrant, and -v's first component the fourth
+            break
+    keep = ~((shell.coeffs == shell.coeffs[v]) | (shell.coeffs == -shell.coeffs[v])).all(axis=1)
+    assert keep.sum() == shell.count - 2
+    with shell_cache_path(cache_dir, shell.lattice, 4).open("wb") as fh:
+        np.save(fh, shell.coeffs[keep])
+
+
 @pytest.mark.parametrize(
     "argv, prepare, message",
     [
@@ -276,6 +291,10 @@ def _corrupt_cache(cache_dir):
             ["census", "--lattice", "E8", "--norms", "2"], _corrupt_cache, "wrong norm", id="census-corrupt-cache"
         ),
         pytest.param(["census", "--lattice", "E8", "--norms", "3"], None, "E8 l=3 has no vectors", id="empty-shell"),
+        *(
+            pytest.param(argv, _cache_missing_a_pair, "not closed under the ring's units", id=f"{argv[0]}-not-unit-closed")
+            for argv in (["project-e8"], ["entangle", "--lattice", "E8"], ["census", "--lattice", "E8", "--norms", "4"])
+        ),
     ],
 )
 def test_user_errors_are_one_line(capsys, tmp_path, argv, prepare, message):

@@ -482,7 +482,7 @@ def test_cache_rejects_duplicate_rows(tmp_path, store):
 
 def test_cache_rejects_rows_not_closed_under_negation(tmp_path, cached_e8):
     lat, path = cached_e8
-    _assert_rejected(lat, 2, _save_array(tmp_path / "bad.npy", np.load(path)[1:]), match="negation")
+    _assert_rejected(lat, 2, _save_array(tmp_path / "bad.npy", np.load(path)[1:]), match="units")
 
 
 def _wrapping_coeffs(lattice):
@@ -613,13 +613,15 @@ def _cache_file(store, tmp_path_factory, name, norm):
 def test_cache_rejects_random_corruptions(store, tmp_path_factory, key, data):
     shell, path = _cache_file(store, tmp_path_factory, *key)
     coeffs = shell.coeffs.copy()
-    kind = data.draw(hs.sampled_from(["sign", "drop", "duplicate", "past-bound", "truncate"]))
+    kind = data.draw(hs.sampled_from(["sign", "drop", "drop-pair", "duplicate", "past-bound", "truncate"]))
     i = data.draw(hs.integers(0, len(coeffs) - 1))
     if kind == "sign":  # another vector of the same norm is a duplicate row
         j = data.draw(hs.sampled_from(np.flatnonzero(coeffs[i]).tolist()))
         coeffs[i, j] *= -1
     elif kind == "drop":
         coeffs = np.delete(coeffs, i, axis=0)
+    elif kind == "drop-pair":  # v and -v: still closed under negation, not under the other units
+        coeffs = np.delete(coeffs, [i, len(coeffs) - 1 - i], axis=0)  # negation reverses the sorted rows
     elif kind == "duplicate":
         coeffs = np.insert(coeffs, data.draw(hs.integers(0, len(coeffs))), coeffs[i], axis=0)
     elif kind == "past-bound":

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from magiclattice import lattices, pipeline
+from magiclattice.exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS
 from magiclattice.magic import sre_census
 from magiclattice.states import dedup, representatives
 
@@ -22,16 +23,16 @@ def _lexicographic(components):
 
 
 def _streamed_equals_materialised(name, norm, cache_dir, oracle):
+    units = len(GAUSSIAN_UNITS if oracle.ring == "gaussian" else EISENSTEIN_UNITS)
     for cached in (False, True):  # the streamed search, then the one loaded chunk
         assert lattices.shell_cache_path(cache_dir, lattices.build_lattice(name), norm).exists() == cached
         batches = list(pipeline.streamed_batches(name, norm, cache_dir))
         if not cached and oracle.count >= 100:
             # some unit orbit straddles two chunks
-            units = oracle.uniform_multiplicity
             assert any(states.count * units != chunk.count for chunk, states in batches)
         result = pipeline.census_stage(iter(batches))
         assert result.report == sre_census(oracle)
-        assert result.shell.count == oracle.vector_count and result.shell.theta.ok
+        assert result.shell.count == oracle.count * units and result.shell.theta.ok
         # each state has exactly one representative over all the chunks
         reps = np.concatenate([states.components for _, states in batches])
         order = _lexicographic(reps)  # dedup's order
@@ -86,7 +87,8 @@ def test_bw16_l8_census_peak_rss(tmp_path):
 
 def test_census_fails_a_shell_that_is_not_unit_closed(store):
     shell, states = store.shell("E8", 2), store.states("E8", 2)
-    orbit = np.flatnonzero(states.state_of == 0)  # the 4 vectors of state 0
+    orbit = np.array(store.orbits("E8", 2)[states[0].components])  # the 4 vectors of state 0
+    assert len(orbit) == 4
     still_60 = 0
     for lost in [*orbit, orbit]:  # one vector of the orbit, or all four
         keep = np.setdiff1d(np.arange(shell.count), lost)

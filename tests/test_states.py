@@ -1,5 +1,3 @@
-import io
-import json
 import os
 import subprocess
 import sys
@@ -25,8 +23,6 @@ from magiclattice.exact import (
 from magiclattice.lattices import Shell, build_lattice
 from magiclattice.states import (
     dedup,
-    export_csv,
-    export_json,
     overlap_sq,
     real_to_complex,
     vector_to_state,
@@ -80,16 +76,24 @@ def test_overlap_sq():
 def test_dedup_counts(store, name, norm, states, mult):
     ss = store.states(name, norm)
     assert ss.count == states
-    assert ss.uniform_multiplicity == mult
-    assert ss.vector_count == store.shell(name, norm).count
+    # each state is the canonical vector of mult shell vectors, and of no others
+    orbits = store.orbits(name, norm)
+    assert set(orbits) == {st.components for st in ss.states}
+    assert {len(members) for members in orbits.values()} == {mult}
+    assert ss.count * mult == store.shell(name, norm).count
 
 
 def test_dedup_groups_unit_multiples(store):
     ss = store.states("E8", 2)
-    # every state's provenance lists exactly the unit-orbit of vectors
-    for st in ss.states:
-        assert len(st.provenance) == 4
-    # states are distinct as component tuples
+    shell = store.shell("E8", 2)
+    vectors = [real_to_complex(row) for row in shell.rows.tolist()]
+    # the vectors that reduce to a state are exactly the unit multiples of one of them
+    for members in store.orbits("E8", 2).values():
+        first = vectors[members[0]]
+        assert len(members) == 4
+        assert {tuple(u * c for c in first) for u in GAUSSIAN_UNITS} == {vectors[i] for i in members}
+    # states are distinct as component tuples, one per unit orbit
+    assert {st.components for st in ss.states} == set(store.orbits("E8", 2))
     assert len({st.components for st in ss.states}) == ss.count
 
 
@@ -99,35 +103,22 @@ def test_state_ids_are_stable(store):
     assert ss.state_id(11) == "E6-l3-00011"
 
 
-def test_exports(store):
-    ss = store.states("E6", 3)
-    fh = io.StringIO()
-    export_csv(ss, fh)
-    lines = fh.getvalue().strip().splitlines()
-    assert len(lines) == 1 + ss.count
-    assert lines[0].startswith("state_id")
-
-    blob = json.loads(export_json(ss))
-    assert blob["lattice"] == "E6" and blob["norm"] == 3
-    assert len(blob["states"]) == 12
-
-
-_MIXED_MULTIPLICITY_SCRIPT = """
-import numpy as np
-from magiclattice.states import StateSet
-# the states |0> and |1>: the first absorbs vectors 0 and 1, the second vector 2
-components = np.array([[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
+_MISSING_VECTOR_SCRIPT = """
+from magiclattice.lattices import Shell, build_lattice, enumerate_shell
+from magiclattice.states import dedup
+shell = enumerate_shell(build_lattice("E8"), 2)
+# one vector fewer: 239 vectors cannot be 4 per state
 try:
-    StateSet("E8", 2, "gaussian", components, np.array([1, 1]), np.array([0, 0, 1])).uniform_multiplicity
-except ValueError:
-    print("rejected")
+    dedup(Shell(shell.lattice, 2, shell.coeffs[1:], shell.rows[1:]))
+except AssertionError as exc:
+    print("rejected" if "not closed under the units" in str(exc) else exc)
 """
 
 
-def test_mixed_multiplicity_raises_under_optimize():
+def test_dedup_of_a_shell_missing_a_vector_raises_under_optimize():
     env = dict(os.environ, PYTHONPATH=str(Path(magiclattice.__file__).parents[1]))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _MIXED_MULTIPLICITY_SCRIPT],
+        [sys.executable, "-O", "-c", _MISSING_VECTOR_SCRIPT],
         capture_output=True,
         text=True,
         env=env,
@@ -169,16 +160,29 @@ def test_dedup_matches_scalar_canonical_vector(name, data):
     coeffs = np.zeros((len(rows), lattice.coeff_dim), dtype=np.int64)
     state_set = dedup(Shell(lattice, 1, coeffs, np.array(rows, dtype=np.int64)))
 
-    groups = {}
-    for index, v in enumerate(vectors):
-        groups.setdefault(canonical_vector(v)[0], []).append(index)
-    expected = sorted(
-        (tuple(c.coords() for c in comps), vector_norm(comps), tuple(members))
-        for comps, members in groups.items()
-    )
+    canonical = {canonical_vector(v)[0] for v in vectors}
+    expected = sorted((tuple(c.coords() for c in comps), vector_norm(comps)) for comps in canonical)
+
     def fields(states):
-        return [(tuple(c.coords() for c in s.components), s.norm_sq, s.provenance) for s in states]
+        return [(tuple(c.coords() for c in s.components), s.norm_sq) for s in states]
 
     assert fields(state_set.states) == expected
     assert fields(state_set[i] for i in range(state_set.count)) == expected
-    assert state_set.uniform_multiplicity == len(units)
+    assert state_set.count * len(units) == len(vectors)
+
+
+_PAPER_SHELLS = [("E8", n) for n in (2, 4, 6, 8)] + [("BW16", n) for n in (4, 6)] + [
+    ("E6", n) for n in (3, 6, 9, 12, 15)
+]
+
+
+@pytest.mark.parametrize(
+    "name,norm", _PAPER_SHELLS + [pytest.param("BW16", 8, marks=pytest.mark.heavy, id="BW16-8")]
+)
+def test_dedup_is_the_sorted_scalar_canonical_vectors(store, name, norm):
+    # the scalar canonical_vector of every vector of the shell, as a sorted
+    # set, is the oracle of dedup's components and norm_sq
+    expected = sorted((tuple(c.coords() for c in comps), vector_norm(comps)) for comps in store.orbits(name, norm))
+    ss = store.states(name, norm)
+    assert [tuple(map(tuple, comps)) for comps in ss.components.tolist()] == [comps for comps, _ in expected]
+    assert ss.norm_sq.tolist() == [n for _, n in expected]
