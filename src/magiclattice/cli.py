@@ -6,7 +6,7 @@ Each subcommand runs its stage from ``pipeline`` and formats the record.
 Exact rationals print as num/den; floats print with 12 significant
 digits.  The process exits 1 iff any check fails, so the CLI doubles as
 an acceptance harness, and 2 on bad usage, an exceeded node budget, a
-corrupt shell cache or an empty shell.
+norm past the int64 headroom, a corrupt shell cache or an empty shell.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from . import pipeline
 from .lattices import (
     DEFAULT_NODE_BUDGET,
     EnumerationBudgetExceeded,
+    HeadroomError,
     ShellCacheError,
     default_cache_dir,
 )
@@ -342,7 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failures = Failures()
     try:
         args.func(args, failures)
-    except (EnumerationBudgetExceeded, ShellCacheError, EmptyShellError) as exc:
+    except (EnumerationBudgetExceeded, HeadroomError, ShellCacheError, EmptyShellError) as exc:
         print(f"magiclattice: error: {exc}", file=sys.stderr)
         return 2
     return 1 if failures.messages else 0

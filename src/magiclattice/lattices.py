@@ -55,6 +55,10 @@ class ShellCacheError(RuntimeError):
     """Raised when a cached shell file is malformed or inconsistent."""
 
 
+class HeadroomError(ValueError):
+    """Raised when a shell's arrays or its search could overflow int64."""
+
+
 # ---------------------------------------------------------------------------
 # generator matrices
 
@@ -160,7 +164,6 @@ class LatticeSpec:
     real_dim: int
     coeff_dim: int
     scale: int  # ambient coordinates are stored times this factor
-    known_counts: dict[int, int]
     gram: tuple[tuple[Fraction, ...], ...]  # coefficient-space Gram matrix
     gram_inv_diag: tuple[Fraction, ...]
     scaled_generator: tuple[tuple[int, ...], ...]  # scale*M; ambient row = coeffs @ this
@@ -210,19 +213,16 @@ def build_lattice(name: str) -> LatticeSpec:
         gen = _e8_generator()
         gram = _mat_mul_t(gen)
         scale = 2
-        counts = {2: 240, 4: 2160, 6: 6720, 8: 17520}
         ring, cdim, rdim = "gaussian", 4, 8
     elif key == "BW16":
         gen = _bw16_generator()
         gram = _mat_mul_t(gen)
         scale = 2
-        counts = {4: 4320, 6: 61440, 8: 522720, 10: 2211840}
         ring, cdim, rdim = "gaussian", 8, 16
     elif key == "E6":
         gen = _e6_real_generator()
         gram = _eisenstein_gram(gen)
         scale = 1
-        counts = {3: 72, 6: 270, 9: 720, 12: 936, 15: 2160}
         ring, cdim, rdim = "eisenstein", 3, 6
     else:
         raise ValueError(f"unknown lattice {name!r}; expected E8, BW16 or E6")
@@ -240,7 +240,6 @@ def build_lattice(name: str) -> LatticeSpec:
         real_dim=rdim,
         coeff_dim=len(gram),
         scale=scale,
-        known_counts=counts,
         gram=tuple(tuple(row) for row in gram),
         gram_inv_diag=diag,
         scaled_generator=scaled,
@@ -289,28 +288,50 @@ class Shell:
         return f"Shell({self.lattice.name}, norm={self.norm}, count={self.count})"
 
 
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def shell_size(lattice: LatticeSpec, norm: int) -> int:
+    """The number of vectors of square norm norm > 0: the coefficient of
+    the lattice's theta series, from its closed form (Conway-Sloane,
+    SPLAG ch. 4; Ebeling, Lattices and Codes), in exact integers."""
+    if norm <= 0:
+        raise ValueError("shell norm must be positive")
+    if lattice.name == "E6":  # with n = l/3 and chi the non-trivial character mod 3
+        if norm % 3:
+            return 0
+        n, chi = norm // 3, (0, 1, -1)
+        return sum((81 * chi[n // d % 3] - 9 * chi[d % 3]) * d * d for d in _divisors(n))
+    if norm % 2:
+        return 0
+    m = norm // 2
+    if lattice.name == "E8":
+        return 240 * sum(d**3 for d in _divisors(m))
+    # BW16: the coefficient of q^m in (E8(q) + 16 E8(q^2) - 480 q prod_k
+    # (1 - q^k)^8 (1 - q^2k)^8) / 17, E8 = 1 + 480 sum sigma_7(n) q^n; eta
+    # is that product to q^(m-1), with (1 - q^k) 16 times for even k
+    eta = [1] + [0] * (m - 1)
+    for k in range(1, m):
+        for _ in range(8 if k % 2 else 16):
+            for i in range(m - 1, k - 1, -1):
+                eta[i] -= eta[i - k]
+    e8_m, e8_half = (480 * sum(d**7 for d in _divisors(n)) for n in (m, m // 2))
+    return (e8_m + 16 * e8_half * (m % 2 == 0) - 480 * eta[m - 1]) // 17
+
+
 @dataclass(frozen=True)
 class ThetaCheckResult:
     ok: bool
-    checked: bool
-    expected: Optional[int]
+    expected: int
     actual: int
 
 
-def theta_check(shell: Shell) -> ThetaCheckResult:
-    """Compare the shell size against the tabulated vector count.
-
-    Unknown norms are reported as unchecked rather than failed.
-    """
-    return count_check(shell.lattice, shell.norm, shell.count)
-
-
-def count_check(lattice: LatticeSpec, norm: int, count: int) -> ThetaCheckResult:
-    """theta_check of a shell of count vectors."""
-    expected = lattice.known_counts.get(norm)
-    if expected is None:
-        return ThetaCheckResult(ok=True, checked=False, expected=None, actual=count)
-    return ThetaCheckResult(ok=(count == expected), checked=True, expected=expected, actual=count)
+def theta_check(lattice: LatticeSpec, norm: int, count: int) -> ThetaCheckResult:
+    """Compare the vector count of a shell with its theta series."""
+    expected = shell_size(lattice, norm)
+    return ThetaCheckResult(ok=(count == expected), expected=expected, actual=count)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +533,7 @@ def _scaled_norms(lattice: LatticeSpec, rows: np.ndarray) -> np.ndarray:
 
 
 def _int64_bounds(lattice: LatticeSpec, norm: int) -> np.ndarray:
-    """coordinate_bounds as an int64 array; ValueError unless a shell's
+    """coordinate_bounds as an int64 array; HeadroomError unless a shell's
     arrays and its search fit in int64.
 
     A coefficient row within these bounds has every ambient coordinate,
@@ -531,19 +552,20 @@ def _int64_bounds(lattice: LatticeSpec, norm: int) -> np.ndarray:
         for k in range(lattice.real_dim)
     )
     if 2 * lattice.real_dim * reach * reach >= 2**63:
-        raise ValueError(f"{lattice.name} norm {norm} is past the int64 headroom of the shell arrays")
+        raise HeadroomError(f"{lattice.name} norm {norm} is past the int64 headroom of the shell arrays")
     order, lam, _, _, common = _form_for(lattice)
     sigma = max(sum(abs(c) * bounds[order[i]] for i, c in pairs) for pairs in lam)
     if common * norm >= 2**52 or sigma >= 2**52:
-        raise ValueError(f"{lattice.name} norm {norm} is past the int64 headroom of the shell search")
+        raise HeadroomError(f"{lattice.name} norm {norm} is past the int64 headroom of the shell search")
     return np.array(bounds, dtype=np.int64)
 
 
 def _shell_from_coeffs(lattice: LatticeSpec, norm: int, coeffs: np.ndarray, sort: bool = True) -> Shell:
     """The Shell of (N, coeff_dim) int64 coefficient rows, sorted unless
-    sort is false, with their ambient rows.  Raises ValueError past the
-    int64 headroom or when a row has the wrong norm; every coefficient is
-    bounded before the matmul, so no int64 intermediate can wrap."""
+    sort is false, with their ambient rows.  Raises HeadroomError past the
+    int64 headroom and ValueError when a row has the wrong norm; every
+    coefficient is bounded before the matmul, so no int64 intermediate
+    can wrap."""
     bounds = _int64_bounds(lattice, norm)
     outside = ((coeffs < -bounds) | (coeffs > bounds)).any(axis=1)
     if outside.any():
@@ -567,9 +589,9 @@ def enumerate_shell(
     integer arithmetic after clearing denominators, so pruning is exact.
     Vectors are returned sorted lexicographically by coefficients.  Raises
     EnumerationBudgetExceeded if more than node_budget branch nodes are
-    visited, and ValueError if the shell's arrays or its search could
-    overflow int64 (checked before the search) or, on a bug, if a vector
-    fails the norm check.
+    visited, HeadroomError if the shell's arrays or its search could
+    overflow int64 (checked before the search) and, on a bug, ValueError
+    if a vector fails the norm check.
     """
     _int64_bounds(lattice, norm)  # raises before a search past the headroom
     # no reference kept here, so the unsorted array is freed once sorted
@@ -706,10 +728,10 @@ def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
 
     The file must hold an (N, coeff_dim) int64 array in .npy format.  Its
     rows then take the checks of an enumerated shell (int64 headroom,
-    coefficient bound, norm), and must be distinct and closed under the
-    ring's units, as an enumerated shell is.  Every integer coefficient
-    row is a lattice point, so membership needs no check.  Raises
-    ShellCacheError at the first failure.
+    coefficient bound, norm), and must be distinct and number
+    shell_size(lattice, norm): as every integer coefficient row is a
+    lattice point, they are then the whole shell.  Raises ShellCacheError
+    at the first failure.
     """
     path = Path(path)
     try:
@@ -731,39 +753,12 @@ def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
         shell = _shell_from_coeffs(lattice, norm, coeffs)
     except ValueError as exc:
         raise ShellCacheError(f"{path}: {exc}") from exc
-    del coeffs  # the unsorted array, freed before the closure check's arrays
-    _check_distinct_and_unit_closed(path, shell)
-    return shell
-
-
-def _unit_image(lattice: LatticeSpec, rows: np.ndarray) -> np.ndarray:
-    """Ambient rows times a unit that generates the ring's units: i for
-    Z[i], (x, y) -> (-y, x) on the halves x_k + i*x_{D+k}; 1 + omega for
-    Z[omega], (a, b) -> (a - b, a) on each pair a + b*omega."""
-    if lattice.ring == "gaussian":
-        x, y = np.hsplit(rows, 2)
-        return np.hstack([-y, x])
-    a, b = rows[:, 0::2], rows[:, 1::2]
-    return np.stack([a - b, a], axis=2).reshape(rows.shape)
-
-
-def _check_distinct_and_unit_closed(path: Path, shell: Shell) -> None:
-    """Raise ShellCacheError unless the shell's sorted coefficient rows
-    are distinct and its ambient rows closed under the ring's units.
-
-    Distinct rows and their images under the generating unit are two
-    lists of distinct keys; the rows are closed under that unit, and so
-    under every unit, iff each key of the two lists together occurs
-    twice, that is iff the sorted keys are equal in pairs."""
-    ordered = shell.coeffs
-    if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+    if (shell.coeffs[1:] == shell.coeffs[:-1]).all(axis=1).any():
         raise ShellCacheError(f"{path}: duplicate rows")
-    image = _unit_image(shell.lattice, shell.rows)
-    reach = max(max(-int(a.min(initial=0)), int(a.max(initial=0))) for a in (shell.rows, image))
-    keys = np.concatenate([packed_keys(a, [reach] * shell.lattice.real_dim) for a in (shell.rows, image)])
-    keys = keys[np.lexsort(keys.T[::-1])]
-    if not (keys[0::2] == keys[1::2]).all():
-        raise ShellCacheError(f"{path}: rows are not closed under the ring's units")
+    expected = shell_size(lattice, norm)
+    if shell.count != expected:
+        raise ShellCacheError(f"{path}: {shell.count} rows, but the shell has {expected} vectors")
+    return shell
 
 
 def stream_shell(

@@ -34,7 +34,6 @@ from .lattices import (
     Shell,
     ThetaCheckResult,
     build_lattice,
-    count_check,
     ensure_shell,
     stream_shell,
     theta_check,
@@ -127,7 +126,8 @@ def shell_stage(
     """Load or enumerate one shell and compare its size with the theta series."""
     start = time.perf_counter()
     shell = materialise(name, norm, cache_dir, node_budget)
-    return ShellResult(name, norm, shell.count, theta_check(shell), time.perf_counter() - start)
+    theta = theta_check(shell.lattice, norm, shell.count)
+    return ShellResult(name, norm, shell.count, theta, time.perf_counter() - start)
 
 
 def streamed_batches(
@@ -183,7 +183,7 @@ def census_stage(batches: Iterable[Batch]) -> CensusResult:
     lattice, norm = chunk.lattice, chunk.norm
     if not vectors:
         raise EmptyShellError(f"{lattice.name} l={norm} has no vectors, so no states")
-    shell = ShellResult(lattice.name, norm, vectors, count_check(lattice, norm, vectors), shell_seconds)
+    shell = ShellResult(lattice.name, norm, vectors, theta_check(lattice, norm, vectors), shell_seconds)
     units = len(GAUSSIAN_UNITS if lattice.ring == "gaussian" else EISENSTEIN_UNITS)
     rows = census_rows({Fraction(*pair): n for pair, n in counts.items()}, lattice.complex_dim, lattice.ring)
     report = CensusReport(lattice.name, norm, units, rows, states, vectors)

@@ -83,14 +83,14 @@ def test_criterion_1_shell_counts(store):
         for norm, count in SHELL_COUNTS[name].items():
             shell = store.shell(name, norm)
             assert shell.count == count, (name, norm)
-            check = theta_check(shell)
-            assert check.ok and check.checked, (name, norm, check)
+            check = theta_check(shell.lattice, norm, shell.count)
+            assert check.ok, (name, norm, check)
     assert time.monotonic() - light < 10.0
     bw = time.monotonic()
     for norm, count in SHELL_COUNTS["BW16"].items():
         shell = store.shell("BW16", norm)
         assert shell.count == count, norm
-        assert theta_check(shell).ok
+        assert theta_check(shell.lattice, norm, shell.count).ok
     assert time.monotonic() - bw < 300.0
 
 

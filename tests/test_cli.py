@@ -85,12 +85,27 @@ def test_census_fails_on_more_stabilisers_than_a_register_has(capsys, store, nam
     assert f"[{found} states at Xi_2 = 1, more than the {limit} stabiliser states]" in fail
 
 
-def test_census_checks_the_theta_series(capsys, store, monkeypatch):
-    monkeypatch.setitem(build_lattice("E6").known_counts, 3, 73)
-    code, out = run_cli(capsys, store, "census", "--lattice", "E6", "--norms", "3")
+def _shell_size_off_by_one(monkeypatch, name, norm):
+    # on a fresh cache, so that no load_shell refuses the file first
+    real = lattices.shell_size
+    monkeypatch.setattr(lattices, "shell_size", lambda lat, n: real(lat, n) + ((lat.name, n) == (name, norm)))
+
+
+def test_census_checks_the_theta_series(capsys, tmp_path, monkeypatch):
+    _shell_size_off_by_one(monkeypatch, "E6", 3)
+    code = cli.main(["census", "--lattice", "E6", "--norms", "3", "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr().out
     assert code == 1
     (fail,) = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert fail.startswith("FAIL shell E6 l=3: 72 vectors")
+
+
+def test_shells_checks_the_theta_series_past_the_paper(capsys, tmp_path, monkeypatch):
+    _shell_size_off_by_one(monkeypatch, "E8", 10)
+    code = cli.main(["shells", "--lattice", "E8", "--norms", "10", "--cache-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("E8 l=10: 30240 vectors, theta MISMATCH (expected 30241)")
 
 
 def test_orbits(capsys, store):
@@ -291,8 +306,14 @@ def _cache_missing_a_pair(cache_dir):
             ["census", "--lattice", "E8", "--norms", "2"], _corrupt_cache, "wrong norm", id="census-corrupt-cache"
         ),
         pytest.param(["census", "--lattice", "E8", "--norms", "3"], None, "E8 l=3 has no vectors", id="empty-shell"),
+        pytest.param(
+            ["census", "--lattice", "BW16", "--norms", "100000000000000"], None, "int64 headroom", id="census-headroom"
+        ),
+        pytest.param(
+            ["shells", "--lattice", "E8", "--norms", "10000000000000000"], None, "int64 headroom", id="shells-headroom"
+        ),
         *(
-            pytest.param(argv, _cache_missing_a_pair, "not closed under the ring's units", id=f"{argv[0]}-not-unit-closed")
+            pytest.param(argv, _cache_missing_a_pair, "2158 rows, but the shell has 2160", id=f"{argv[0]}-not-unit-closed")
             for argv in (["project-e8"], ["entangle", "--lattice", "E8"], ["census", "--lattice", "E8", "--norms", "4"])
         ),
     ],
@@ -309,7 +330,7 @@ def test_user_errors_are_one_line(capsys, tmp_path, argv, prepare, message):
 
 def test_corrupt_cache_header_is_one_stderr_line(tmp_path):
     # "(240, 8)" becomes "(24L, 8)": numpy parses it as a Python 2 header,
-    # with a UserWarning, and the 24 rows are not closed under negation
+    # with a UserWarning, and 24 rows are not the 240 of the shell
     cache = tmp_path / "cache"
     argv = [sys.executable, "-m", "magiclattice.cli", "shells", "--lattice", "E8", "--norms", "2"]
     argv += ["--cache-dir", str(cache)]

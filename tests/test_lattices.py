@@ -17,7 +17,7 @@ from magiclattice.exact import EisensteinInt
 from magiclattice import lattices
 from magiclattice.lattices import (
     EnumerationBudgetExceeded,
-    Shell,
+    HeadroomError,
     ShellCacheError,
     _isqrt,
     _search,
@@ -30,6 +30,7 @@ from magiclattice.lattices import (
     packed_keys,
     save_shell,
     shell_cache_path,
+    shell_size,
     solve_eisenstein_coefficients,
     stream_shell,
     theta_check,
@@ -53,7 +54,7 @@ def eisenstein_components(row):
 def test_build_lattice_specs():
     e8 = build_lattice("E8")
     assert e8.ring == "gaussian" and e8.real_dim == 8 and e8.scale == 2
-    assert e8.known_counts[2] == 240
+    assert shell_size(e8, 2) == 240
 
     bw = build_lattice("bw16")  # case-insensitive
     assert bw.name == "BW16" and bw.real_dim == 16 and bw.complex_dim == 8
@@ -294,16 +295,23 @@ def test_ambient_rows_match_generator(store):
 
 def test_theta_check_results(store):
     shell = store.shell("E8", 2)
-    res = theta_check(shell)
-    assert res.ok and res.checked and res.expected == 240 and res.actual == 240
+    res = theta_check(shell.lattice, 2, shell.count)
+    assert res.ok and res.expected == 240 and res.actual == 240
 
-    truncated = Shell(lattice=shell.lattice, norm=2, coeffs=shell.coeffs[:-1], rows=shell.rows[:-1])
-    res = theta_check(truncated)
-    assert not res.ok and res.actual == 239
+    res = theta_check(shell.lattice, 2, shell.count - 1)
+    assert not res.ok and res.expected == 240 and res.actual == 239
 
-    unknown = enumerate_shell(build_lattice("E8"), 12)
-    res = theta_check(unknown)
-    assert res.ok and not res.checked and res.expected is None
+
+@pytest.mark.parametrize("name,top", [("E8", 18), ("E6", 39), ("BW16", 8)])
+def test_shell_size_counts_every_searched_shell(name, top):
+    # every norm from 1, the empty shells among them; the search is
+    # checked against the recursive and box-scan oracles elsewhere
+    lattice = build_lattice(name)
+    for norm in range(1, top + 1):
+        found = sum(map(len, lattices._search_chunks(lattice, norm, 10**10)))
+        assert shell_size(lattice, norm) == found, norm
+    with pytest.raises(ValueError):
+        shell_size(lattice, 0)
 
 
 def test_cache_round_trip(tmp_path, store):
@@ -482,7 +490,7 @@ def test_cache_rejects_duplicate_rows(tmp_path, store):
 
 def test_cache_rejects_rows_not_closed_under_negation(tmp_path, cached_e8):
     lat, path = cached_e8
-    _assert_rejected(lat, 2, _save_array(tmp_path / "bad.npy", np.load(path)[1:]), match="units")
+    _assert_rejected(lat, 2, _save_array(tmp_path / "bad.npy", np.load(path)[1:]), match="239 rows, but the shell has 240")
 
 
 def _wrapping_coeffs(lattice):
@@ -585,7 +593,7 @@ def test_enumerate_headroom_guard_survives_optimize():
         # 2^52 below which the search's float-seeded square root is exact
         10**14,
     ):
-        with pytest.raises(ValueError, match="int64 headroom"):
+        with pytest.raises(HeadroomError, match="int64 headroom"):
             enumerate_shell(build_lattice("E8"), norm, node_budget=10**6)
         done = subprocess.run(
             [sys.executable, "-O", "-c", _HEADROOM_SCRIPT, str(norm)],
@@ -620,7 +628,7 @@ def test_cache_rejects_random_corruptions(store, tmp_path_factory, key, data):
         coeffs[i, j] *= -1
     elif kind == "drop":
         coeffs = np.delete(coeffs, i, axis=0)
-    elif kind == "drop-pair":  # v and -v: still closed under negation, not under the other units
+    elif kind == "drop-pair":  # v and -v: still closed under negation, two rows short
         coeffs = np.delete(coeffs, [i, len(coeffs) - 1 - i], axis=0)  # negation reverses the sorted rows
     elif kind == "duplicate":
         coeffs = np.insert(coeffs, data.draw(hs.integers(0, len(coeffs))), coeffs[i], axis=0)

@@ -51,6 +51,7 @@ def test_streamed_census_equals_materialised_census(store, tmp_path, monkeypatch
 @pytest.mark.parametrize("norm", [8, 10])
 def test_streamed_census_equals_materialised_census_bw16(tmp_path, norm):
     shell = lattices.enumerate_shell(lattices.build_lattice("BW16"), norm)
+    assert shell.count == lattices.shell_size(shell.lattice, norm)
     oracle = dedup(shell)
     del shell
     _streamed_equals_materialised("BW16", norm, tmp_path, oracle)
