@@ -38,6 +38,8 @@ DEFAULT_NODE_BUDGET = 10**10
 # Children per search chunk: a level whose frontier would expand past this
 # many nodes is searched in runs of parents (see _search_chunks).
 CHUNK_NODES = 2**13
+# Rows per float64 block of the ambient-row matmul (see _shell_from_coeffs).
+MATMUL_ROWS = 2**10
 CACHE_ENV_VAR = "MAGICLATTICE_CACHE"
 
 
@@ -539,7 +541,11 @@ def _int64_bounds(lattice: LatticeSpec, norm: int) -> np.ndarray:
     A coefficient row within these bounds has every ambient coordinate,
     and every partial sum of the matmul, within reach.  A sum of squares
     adds at most reach^2 per coordinate and a^2 - ab + b^2 at most
-    3 reach^2 per pair, so 2 reach^2 per coordinate bounds both.
+    3 reach^2 per pair, so 2 reach^2 per coordinate bounds both.  The
+    guard 2 * real_dim * reach^2 < 2**63 makes reach < 2**30, so every
+    coefficient (each is at most reach: every generator row has a nonzero
+    integer entry), generator entry and partial sum of the matmul is an
+    integer below 2**53, exact in float64 (see _ambient_rows).
 
     In the search, every remaining budget and every w * t^2 is at most
     common * norm; below 2**52 every quotient of it is an exact float64,
@@ -560,20 +566,45 @@ def _int64_bounds(lattice: LatticeSpec, norm: int) -> np.ndarray:
     return np.array(bounds, dtype=np.int64)
 
 
-def _shell_from_coeffs(lattice: LatticeSpec, norm: int, coeffs: np.ndarray, sort: bool = True) -> Shell:
+def _float_generator(lattice: LatticeSpec) -> np.ndarray:
+    return np.array(lattice.scaled_generator, dtype=np.float64)
+
+
+def _ambient_rows(coeffs: np.ndarray, generator: np.ndarray) -> np.ndarray:
+    """coeffs @ generator in int64, for int64 coefficient rows within
+    _int64_bounds and the _float_generator of their lattice.
+
+    Every operand and every partial sum of the product is then an integer
+    below 2**30 (see _int64_bounds), so the product runs in float64, which
+    numpy hands to BLAS (int64 has no BLAS path): below 2**53 any
+    summation order, with or without FMA, gives the exact sum.  It runs in
+    blocks of MATMUL_ROWS rows, each converted back to int64 at once, so
+    the float copy stays small and each product too small for BLAS to
+    start threads."""
+    rows = np.empty((len(coeffs), generator.shape[1]), dtype=np.int64)
+    for start in range(0, len(coeffs), MATMUL_ROWS):
+        block = slice(start, start + MATMUL_ROWS)
+        rows[block] = coeffs[block].astype(np.float64) @ generator
+    return rows
+
+
+def _shell_from_coeffs(
+    lattice: LatticeSpec, norm: int, coeffs: np.ndarray, bounds: np.ndarray, generator: np.ndarray, sort: bool = True
+) -> Shell:
     """The Shell of (N, coeff_dim) int64 coefficient rows, sorted unless
-    sort is false, with their ambient rows.  Raises HeadroomError past the
-    int64 headroom and ValueError when a row has the wrong norm; every
-    coefficient is bounded before the matmul, so no int64 intermediate
-    can wrap."""
-    bounds = _int64_bounds(lattice, norm)
+    sort is false, with their ambient rows; bounds is _int64_bounds(lattice,
+    norm) and generator _float_generator(lattice), which the caller
+    computes once per shell.  Raises ValueError when a row has the wrong
+    norm.  Every coefficient is bounded before the float64 matmul
+    (_ambient_rows), so no sum in it can round; the norm check runs on
+    the int64 rows (_scaled_norms), where a norm may pass 2**53."""
     outside = ((coeffs < -bounds) | (coeffs > bounds)).any(axis=1)
     if outside.any():
         row = coeffs[np.argmax(outside)].tolist()
         raise ValueError(f"row {row} has wrong norm (a coefficient is past its bound {bounds.tolist()})")
     if sort:
         coeffs = coeffs[np.lexsort(packed_keys(coeffs, bounds).T[::-1])]
-    rows = coeffs @ np.array(lattice.scaled_generator, dtype=np.int64)
+    rows = _ambient_rows(coeffs, generator)
     wrong = _scaled_norms(lattice, rows) != norm * lattice.scale**2
     if wrong.any():
         raise ValueError(f"row {coeffs[np.argmax(wrong)].tolist()} has wrong norm")
@@ -593,9 +624,9 @@ def enumerate_shell(
     overflow int64 (checked before the search) and, on a bug, ValueError
     if a vector fails the norm check.
     """
-    _int64_bounds(lattice, norm)  # raises before a search past the headroom
+    bounds = _int64_bounds(lattice, norm)  # raises before a search past the headroom
     # no reference kept here, so the unsorted array is freed once sorted
-    return _shell_from_coeffs(lattice, norm, _search(lattice, norm, node_budget)[0])
+    return _shell_from_coeffs(lattice, norm, _search(lattice, norm, node_budget)[0], bounds, _float_generator(lattice))
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +781,7 @@ def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
             f"expected (N, {lattice.coeff_dim}) int64"
         )
     try:
-        shell = _shell_from_coeffs(lattice, norm, coeffs)
+        shell = _shell_from_coeffs(lattice, norm, coeffs, _int64_bounds(lattice, norm), _float_generator(lattice))
     except ValueError as exc:
         raise ShellCacheError(f"{path}: {exc}") from exc
     if (shell.coeffs[1:] == shell.coeffs[:-1]).all(axis=1).any():
@@ -781,13 +812,14 @@ def stream_shell(
     if path.exists():
         yield load_shell(lattice, norm, path)
         return
-    _int64_bounds(lattice, norm)  # raises before a search past the headroom
+    bounds = _int64_bounds(lattice, norm)  # raises before a search past the headroom
+    generator = _float_generator(lattice)
     header = {"descr": "<i8", "fortran_order": False}
     with _replacing(path) as fh:
         np.lib.format.write_array_header_1_0(fh, {**header, "shape": (0, lattice.coeff_dim)})
         data_start, rows = fh.tell(), 0
         for coeffs in _search_chunks(lattice, norm, node_budget):
-            chunk = _shell_from_coeffs(lattice, norm, coeffs, sort=False)
+            chunk = _shell_from_coeffs(lattice, norm, coeffs, bounds, generator, sort=False)
             fh.write(coeffs.astype("<i8", copy=False).data)
             rows += chunk.count
             yield chunk

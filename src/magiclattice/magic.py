@@ -455,7 +455,9 @@ def _pauli_norms(re: np.ndarray, im: np.ndarray, n: int) -> Iterator[np.ndarray]
     Per X-mask the terms conj(c_j) c_(j^x) are gathered once and one
     +-1 matmul sums them under every Z sign pattern.  Each value is at
     most norm_sq^2, and so is every intermediate on the way: every
-    partial sum is at most sum_j |c_j| |c_(j^x)| <= norm_sq."""
+    partial sum is at most sum_j |c_j| |c_(j^x)| <= norm_sq.  The arrays
+    may be int64, float64 below 2**53 (the matmul then runs in BLAS, and
+    its sums of integers are exact in any order) or Python ints."""
     signs = _walsh_signs(n).astype(re.dtype)
     idx = np.arange(1 << n)
     for x in range(1 << n):
@@ -471,16 +473,19 @@ def xi_batch_gaussian(
     """Exact Xi_alpha for many qubit-register states at once.
 
     The sums over the 4^n Pauli strings of |<c|P|c>|^(2*alpha) are at
-    most 4^n * norm_sq^(2*alpha); they run in int64 when that fits and
-    in Python ints otherwise.  Results are exact rationals identical to
-    xi_alpha, one Fraction object per distinct (sum, norm_sq) pair.
+    most 4^n * norm_sq^(2*alpha), which bounds every intermediate of
+    _pauli_norms and _xi_fractions too.  Below 2**53 they run in float64,
+    where every one of them is an exact integer and the sign matmuls go
+    through BLAS; past it they run in Python ints.  Results are exact
+    rationals identical to xi_alpha, one Fraction object per distinct
+    (sum, norm_sq) pair.
     """
     alphas = tuple(alphas)
     if not len(states):
         return {a: [] for a in alphas}
     dim = states[0].dim
     n = dim.bit_length() - 1
-    re, im, norms = component_arrays(states, lambda nn: 4**n * nn ** (2 * max(alphas)))
+    re, im, norms = component_arrays(states, lambda nn: 4**n * nn ** (2 * max(alphas)), dtype=np.float64)
     return _xi_fractions(_pauli_norms(re, im, n), norms, dim, alphas)
 
 
@@ -500,7 +505,9 @@ def _displacement_norms(a: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
     omega^(a2*(j+a1)) and sum.  With |a_k|, |b_k| <= 2|c_k|/sqrt(3) and
     sum_j |c_j| |c_(j+a1)| <= norm_sq, every coordinate and partial sum is
     at most 4 norm_sq, every partial sum of the norm re^2 - re*om + om^2
-    at most 4 norm_sq^2, and the norm itself at most norm_sq^2."""
+    at most 4 norm_sq^2, and the norm itself at most norm_sq^2.  As with
+    _pauli_norms, the arrays may be int64, float64 below 2**53 or Python
+    ints."""
     idx = np.arange(3)
     for a1 in range(3):
         k = (idx + a1) % 3
@@ -520,14 +527,15 @@ def xi_batch_eisenstein(
 
     The sums over the 9 displacements of |<c|D|c>|^(2*alpha) are at most
     9 * norm_sq^(2*alpha), which also bounds every intermediate of
-    _displacement_norms; they run in int64 when that fits and in Python
-    ints otherwise.  Results are exact rationals identical to xi_alpha,
-    one Fraction object per distinct (sum, norm_sq) pair.
+    _displacement_norms and _xi_fractions; they run in float64 below
+    2**53, where each one is an exact integer, and in Python ints past
+    it.  Results are exact rationals identical to xi_alpha, one Fraction
+    object per distinct (sum, norm_sq) pair.
     """
     alphas = tuple(alphas)
     if not len(states):
         return {a: [] for a in alphas}
-    a, b, norms = component_arrays(states, lambda nn: 9 * nn ** (2 * max(alphas)), "eisenstein")
+    a, b, norms = component_arrays(states, lambda nn: 9 * nn ** (2 * max(alphas)), "eisenstein", np.float64)
     if a.shape[1] != 3:
         raise ValueError("eisenstein states supported at dimension 3 only")
     return _xi_fractions(_displacement_norms(a, b), norms, 3, alphas)
@@ -537,14 +545,19 @@ def _xi_fractions(
     groups: Iterable[np.ndarray], norms: np.ndarray, dim: int, alphas: tuple[int, ...]
 ) -> dict[int, list[Fraction]]:
     """Xi_alpha of every state from its squared expectation values, given
-    in (S, k) groups that together hold each operator once."""
-    sums = {a: np.zeros(len(norms), dtype=norms.dtype) for a in alphas}
+    in (S, k) groups that together hold each operator once.  Float64
+    groups must keep every power and sum below 2**53: the powers are
+    products, never pow, and the sums return to the int64 of norms."""
+    sums = {a: 0 for a in alphas}
     for values in groups:
+        powers = [values]
+        while len(powers) < max(alphas):
+            powers.append(powers[-1] * values)
         for a in alphas:
-            sums[a] += (values**a).sum(axis=1)
+            sums[a] = sums[a] + powers[a - 1].sum(axis=1)
     out: dict[int, list[Fraction]] = {}
     for a in alphas:
-        keys = list(zip(sums[a].tolist(), (dim * norms ** (2 * a)).tolist()))
+        keys = list(zip(sums[a].astype(norms.dtype).tolist(), (dim * norms ** (2 * a)).tolist()))
         fractions = {key: Fraction(*key) for key in set(keys)}
         out[a] = [fractions[key] for key in keys]
     return out

@@ -222,7 +222,10 @@ def vector_states(shell: Shell) -> StateSet:
 
 
 def component_arrays(
-    states: Union[StateSet, Sequence[PureStateExact]], peak: Callable[[int], int], ring: str = "gaussian"
+    states: Union[StateSet, Sequence[PureStateExact]],
+    peak: Callable[[int], int],
+    ring: str = "gaussian",
+    dtype: type = np.int64,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First coordinates (S, dim), second coordinates (S, dim) and norm_sq
     (S,) of ring-integer states of one dimension, (re, im) for Gaussian
@@ -230,22 +233,25 @@ def component_arrays(
     exact arithmetic.
 
     peak(N) must bound every intermediate of the caller's arithmetic on
-    states with norm_sq <= N.  The arrays are int64 when the bound at the
-    largest norm_sq stays below 2**63, and hold Python ints (dtype=object)
-    otherwise, so the same array code stays exact on any input.
+    states with norm_sq <= N.  The coordinates are of dtype (int64 or
+    float64) and norm_sq int64 when the bound at the largest norm_sq stays
+    below the integers that dtype holds exactly, 2**63 for int64 and 2**53
+    for float64, and all three hold Python ints (dtype=object) otherwise,
+    so the same array code stays exact on any input.
     """
     if isinstance(states, StateSet):
         if states.ring != ring:
             raise ValueError(f"expected {ring}-integer states")
         coords, norms = states.components, states.norm_sq
-        if peak(int(norms.max())) >= 2**63:
-            coords, norms = coords.astype(object), norms.astype(object)
-        return coords[..., 0], coords[..., 1], norms
-    if any(s.ring != ring or s.dim != states[0].dim for s in states):
-        raise ValueError(f"expected {ring}-integer states of one dimension")
-    dtype = np.int64 if peak(max(s.norm_sq for s in states)) < 2**63 else object
-    coords = np.array([[c.coords() for c in s.components] for s in states], dtype=dtype)
-    norms = np.array([s.norm_sq for s in states], dtype=dtype)
+    else:
+        if any(s.ring != ring or s.dim != states[0].dim for s in states):
+            raise ValueError(f"expected {ring}-integer states of one dimension")
+        coords = np.array([[c.coords() for c in s.components] for s in states], dtype=object)
+        norms = np.array([s.norm_sq for s in states], dtype=object)
+    if peak(int(norms.max())) < (2**53 if dtype == np.float64 else 2**63):
+        coords, norms = coords.astype(dtype, copy=False), norms.astype(np.int64, copy=False)
+    else:
+        coords, norms = coords.astype(object), norms.astype(object)
     return coords[..., 0], coords[..., 1], norms
 
 

@@ -1,11 +1,14 @@
 import errno
 import io
+import itertools
 import math
 import os
 import subprocess
 import sys
 import warnings
+from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,9 @@ from magiclattice.lattices import (
     EnumerationBudgetExceeded,
     HeadroomError,
     ShellCacheError,
+    _ambient_rows,
+    _float_generator,
+    _int64_bounds,
     _isqrt,
     _search,
     build_lattice,
@@ -281,6 +287,60 @@ def test_packed_keys_start_a_word_before_2_63():
     assert packed_keys(np.zeros((1, 16), dtype=np.int64), [5] * 16).shape == (1, 1)
     with pytest.raises(ValueError, match="headroom"):
         packed_keys(np.zeros((1, 1), dtype=np.int64), [2**62])
+
+
+@lru_cache(maxsize=None)
+def _largest_norm(name):
+    """The largest norm that _int64_bounds accepts for a lattice."""
+    lat, lo, hi = build_lattice(name), 1, 2**62
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _int64_bounds(lat, mid)
+            lo = mid
+        except HeadroomError:
+            hi = mid
+    return lo
+
+
+def _int_product(lat, coeffs):
+    return coeffs.astype(object) @ np.array(lat.scaled_generator, dtype=object)
+
+
+@pytest.mark.parametrize("name", ["E8", "BW16", "E6"])
+def test_float_matmul_is_exact_at_the_largest_accepted_norm(name):
+    # every +-bound corner of the coefficient box, among them for each
+    # ambient column the row that reaches the largest partial sum
+    lat, norm = build_lattice(name), _largest_norm(name)
+    with pytest.raises(HeadroomError):
+        _int64_bounds(lat, norm + 1)
+    bounds = _int64_bounds(lat, norm)
+    signs = np.array(list(itertools.product((1, -1), repeat=lat.coeff_dim)), dtype=np.int64)
+    corners = signs * bounds
+    exact = _int_product(lat, corners)
+    reach = max(sum(int(b) * abs(row[k]) for b, row in zip(bounds, lat.scaled_generator)) for k in range(lat.real_dim))
+    assert np.abs(exact).max() == reach > 2**23
+    assert (_ambient_rows(corners, _float_generator(lat)) == exact).all()
+
+
+@hs.composite
+def _in_bound_rows(draw):
+    name = draw(hs.sampled_from(["E8", "BW16", "E6"]))
+    lat = build_lattice(name)
+    norm = draw(hs.integers(1, _largest_norm(name)) | hs.integers(_largest_norm(name) - 10**6, _largest_norm(name)))
+    bounds = _int64_bounds(lat, norm).tolist()
+    row = hs.tuples(*(hs.integers(-b, b) | hs.sampled_from([-b, b]) for b in bounds))
+    return lat, np.array(draw(hs.lists(row, min_size=1, max_size=12)), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_in_bound_rows(), block=hs.integers(1, 5))
+def test_float_matmul_is_exact_on_in_bound_rows(case, block):
+    lat, coeffs = case
+    with mock.patch.object(lattices, "MATMUL_ROWS", block):  # rows cross block edges
+        rows = _ambient_rows(coeffs, _float_generator(lat))
+    assert rows.dtype == np.int64
+    assert (rows == _int_product(lat, coeffs)).all()
 
 
 def test_ambient_rows_match_generator(store):

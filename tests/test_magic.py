@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import magiclattice
 from magiclattice.exact import EisensteinInt, GaussianInt, OMEGA, THETA
-from magiclattice.states import dedup, overlap_sq, real_to_complex, vector_to_state
+from magiclattice.states import component_arrays, dedup, overlap_sq, real_to_complex, vector_to_state
 from magiclattice import magic as mg
 
 G = GaussianInt
@@ -332,6 +338,63 @@ def test_eisenstein_batch_exact_past_int64_headroom():
     assert st.norm_sq == 2 * 10**10 + 2 * 10**5 + 2
     assert 9 * st.norm_sq**4 >= 2**63
     assert mg.xi_batch_eisenstein([st]) == {2: [mg.xi_alpha(st, 2)]}
+
+
+# The Xi_2 kernels run in float64 while their peak (4^n N^4 for qubits,
+# 9 N^4 for a qutrit) is below 2^53.  Each kernel gets a state just below
+# that edge, and a state past it whose float64 sums really round: the
+# identity's term N^4 is odd and past 2^53, while the peak is far below
+# 2^63, so an int64-sized threshold would take the float path and be wrong.
+_FLOAT_EDGE = {
+    "gaussian": (
+        vector_to_state((G(82, 9), G(9, 1))),  # N = 6887
+        vector_to_state((G(98, 11), G(3, 3))),  # N = 9743
+    ),
+    "eisenstein": (
+        vector_to_state((E(86, 35), E(4, 1), E(0))),  # N = 5624
+        vector_to_state((E(113, 44), E(3), E(1))),  # N = 9743
+    ),
+}
+
+
+def _float64_xi2(st):
+    """Xi_2 from the kernel's own pieces, forced into float64."""
+    ring = st.ring
+    x, y, norms = component_arrays([st], lambda n: 0, ring, np.float64)
+    if ring == "gaussian":
+        return mg._xi_fractions(mg._pauli_norms(x, y, st.dim.bit_length() - 1), norms, st.dim, (2,))[2][0]
+    return mg._xi_fractions(mg._displacement_norms(x, y), norms, 3, (2,))[2][0]
+
+
+@pytest.mark.parametrize("ring", ["gaussian", "eisenstein"])
+def test_batch_takes_float64_only_below_2_53(ring):
+    below, past = _FLOAT_EDGE[ring]
+    kernel, peak = (mg.xi_batch_gaussian, 4) if ring == "gaussian" else (mg.xi_batch_eisenstein, 9)
+    assert 2**53 * 1000 < peak * below.norm_sq**4 * 1001 < 2**53 * 1001  # within 0.1 % below
+    assert past.norm_sq**4 > 2**53 and past.norm_sq % 2 and peak * past.norm_sq**4 < 2**63 // 64
+    assert _float64_xi2(below) == mg.xi_alpha(below, 2)
+    assert _float64_xi2(past) != mg.xi_alpha(past, 2)  # float64 rounds here
+    for st in (below, past):
+        assert kernel([st]) == {2: [mg.xi_alpha(st, 2)]}
+    assert kernel([below, past]) == {2: [mg.xi_alpha(below, 2), mg.xi_alpha(past, 2)]}
+
+
+_EDGE_SCRIPT = """
+from magiclattice import magic as mg
+from magiclattice.exact import EisensteinInt as E, GaussianInt as G
+from magiclattice.states import vector_to_state
+g = vector_to_state((G(98, 11), G(3, 3)))
+e = vector_to_state((E(113, 44), E(3), E(1)))
+print(mg.xi_batch_gaussian([g])[2] == [mg.xi_alpha(g, 2)], mg.xi_batch_eisenstein([e])[2] == [mg.xi_alpha(e, 2)])
+"""
+
+
+def test_batch_float64_threshold_survives_optimize():
+    env = dict(os.environ, PYTHONPATH=str(Path(magiclattice.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _EDGE_SCRIPT], capture_output=True, text=True, env=env, timeout=120, check=True
+    )
+    assert done.stdout == "True True\n"
 
 
 @pytest.mark.parametrize("norm", [3, 6, 9, 12, 15])
