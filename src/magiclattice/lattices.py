@@ -567,6 +567,7 @@ def _int64_bounds(lattice: LatticeSpec, norm: int) -> np.ndarray:
 
 
 def _float_generator(lattice: LatticeSpec) -> np.ndarray:
+    """The scaled generator in float64, the right operand of _ambient_rows."""
     return np.array(lattice.scaled_generator, dtype=np.float64)
 
 

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import log2
+from math import log2, prod
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -550,11 +550,8 @@ def _xi_fractions(
     products, never pow, and the sums return to the int64 of norms."""
     sums = {a: 0 for a in alphas}
     for values in groups:
-        powers = [values]
-        while len(powers) < max(alphas):
-            powers.append(powers[-1] * values)
         for a in alphas:
-            sums[a] = sums[a] + powers[a - 1].sum(axis=1)
+            sums[a] = sums[a] + prod([values] * (a - 1), start=values).sum(axis=1)
     out: dict[int, list[Fraction]] = {}
     for a in alphas:
         keys = list(zip(sums[a].astype(norms.dtype).tolist(), (dim * norms ** (2 * a)).tolist()))

@@ -249,10 +249,10 @@ def component_arrays(
         coords = np.array([[c.coords() for c in s.components] for s in states], dtype=object)
         norms = np.array([s.norm_sq for s in states], dtype=object)
     if peak(int(norms.max())) < (2**53 if dtype == np.float64 else 2**63):
-        coords, norms = coords.astype(dtype, copy=False), norms.astype(np.int64, copy=False)
+        norms = norms.astype(np.int64, copy=False)
     else:
-        coords, norms = coords.astype(object), norms.astype(object)
-    return coords[..., 0], coords[..., 1], norms
+        dtype, norms = object, norms.astype(object)
+    return coords[..., 0].astype(dtype, copy=False), coords[..., 1].astype(dtype, copy=False), norms
 
 
 def overlap_sq(psi: PureStateExact, chi: PureStateExact) -> Fraction:
