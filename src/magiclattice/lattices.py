@@ -38,7 +38,7 @@ DEFAULT_NODE_BUDGET = 10**10
 # Children per search chunk: a level whose frontier would expand past this
 # many nodes is searched in runs of parents (see _search_chunks).
 CHUNK_NODES = 2**13
-# Rows per float64 block of the ambient-row matmul (see _shell_from_coeffs).
+# Rows per float64 block of the ambient-row matmul (see _ambient_rows).
 MATMUL_ROWS = 2**10
 CACHE_ENV_VAR = "MAGICLATTICE_CACHE"
 
@@ -580,8 +580,9 @@ def _ambient_rows(coeffs: np.ndarray, generator: np.ndarray) -> np.ndarray:
     numpy hands to BLAS (int64 has no BLAS path): below 2**53 any
     summation order, with or without FMA, gives the exact sum.  It runs in
     blocks of MATMUL_ROWS rows, each converted back to int64 at once, so
-    the float copy stays small and each product too small for BLAS to
-    start threads."""
+    the float copy stays small, and each product is small enough that
+    OpenBLAS runs it on one thread (unblocked, it woke its worker threads
+    and spent more CPU time than the int64 product)."""
     rows = np.empty((len(coeffs), generator.shape[1]), dtype=np.int64)
     for start in range(0, len(coeffs), MATMUL_ROWS):
         block = slice(start, start + MATMUL_ROWS)
@@ -597,8 +598,8 @@ def _shell_from_coeffs(
     norm) and generator _float_generator(lattice), which the caller
     computes once per shell.  Raises ValueError when a row has the wrong
     norm.  Every coefficient is bounded before the float64 matmul
-    (_ambient_rows), so no sum in it can round; the norm check runs on
-    the int64 rows (_scaled_norms), where a norm may pass 2**53."""
+    (_ambient_rows), so no sum in it can round; the norm check stays in
+    int64 (_scaled_norms), as a norm may pass 2**53."""
     outside = ((coeffs < -bounds) | (coeffs > bounds)).any(axis=1)
     if outside.any():
         row = coeffs[np.argmax(outside)].tolist()
