@@ -6,7 +6,8 @@ Each subcommand runs its stage from ``pipeline`` and formats the record.
 Exact rationals print as num/den; floats print with 12 significant
 digits.  The process exits 1 iff any check fails, so the CLI doubles as
 an acceptance harness, and 2 on bad usage, an exceeded node budget, a
-norm past the int64 headroom, a corrupt shell cache or an empty shell.
+norm past the int64 headroom, a corrupt or unwritable shell cache or an
+empty shell.
 """
 
 from __future__ import annotations

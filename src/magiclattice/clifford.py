@@ -240,14 +240,17 @@ def orbit_partition(
 
     Membership is matched on rays: the Clifford action can rescale a
     representative by theta, so components are compared after a full
-    Eisenstein gcd reduction, not just rational content removal.
+    Eisenstein gcd reduction, not just rational content removal.  Raises
+    ValueError when two of the states lie on one ray.
     """
     states = list(state_set.states if isinstance(state_set, StateSet) else state_set)
     if group is None:
         group = generate_clifford_qutrit()
     ray_index: dict[tuple, int] = {}
     for i, s in enumerate(states):
-        ray_index[ray_reduce(s.components)] = i
+        j = ray_index.setdefault(ray_reduce(s.components), i)
+        if j != i:
+            raise ValueError(f"states {j} and {i} lie on one ray, so their orbits cannot partition the set")
     assigned = [False] * len(states)
     orbits: list[Orbit] = []
     for start, s in enumerate(states):

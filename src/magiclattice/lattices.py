@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import os
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
 from pathlib import Path
 from tokenize import TokenError
-from typing import IO, Generator, Iterable, Iterator, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -731,29 +730,27 @@ def shell_cache_path(cache_dir: Path, lattice: LatticeSpec, norm: int) -> Path:
     return Path(cache_dir) / f"{lattice.name}_norm{norm}.npy"
 
 
-@contextmanager
-def _replacing(path: Path) -> Iterator[IO[bytes]]:
-    """A binary file that replaces path once the block has ended without
-    an exception.  It is written as a temporary file in the same
-    directory, so a failed write never leaves a partial file under the
-    cache name."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def save_shell(shell: Shell, path: Path) -> None:
     """Write a shell's (N, coeff_dim) int64 coefficient array to its cache
-    file in .npy format."""
-    with _replacing(path) as fh:
-        np.save(fh, shell.coeffs, allow_pickle=False)
+    file in .npy format.
+
+    The array is written to a temporary file in the same directory, which
+    then replaces path, so a failed write never leaves a partial file under
+    the cache name.  Raises ShellCacheError when the directory or the file
+    cannot be written."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with tmp.open("wb") as fh:
+                np.save(fh, shell.coeffs, allow_pickle=False)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ShellCacheError(f"cannot write shell cache {path}: {exc}") from exc
 
 
 def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
@@ -800,15 +797,13 @@ def stream_shell(
     cache_dir: Optional[Path] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[Shell]:
-    """The shell as chunks: unsorted Shells that hold every vector once
-    between them.
+    """The shell as chunks: Shells that hold every vector once between
+    them.
 
-    A cached shell is loaded and is the one chunk.  Otherwise each chunk
-    of the search takes the checks of an enumerated shell (bound, matmul,
-    norm) and is appended to the cache file before it is yielded; the
-    file, its rows in search order, replaces the cache name once the
-    search is done.  A search that fails, a write that fails and a stream
-    closed before its end leave no file under the cache name."""
+    A cached shell is loaded, sorted, and is the one chunk.  Otherwise each
+    chunk of the search, unsorted, takes the checks of an enumerated shell
+    (bound, matmul, norm) and is yielded, and the shell is never held whole.
+    The stream writes no cache file."""
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = shell_cache_path(cache, lattice, norm)
     if path.exists():
@@ -816,21 +811,8 @@ def stream_shell(
         return
     bounds = _int64_bounds(lattice, norm)  # raises before a search past the headroom
     generator = _float_generator(lattice)
-    header = {"descr": "<i8", "fortran_order": False}
-    with _replacing(path) as fh:
-        np.lib.format.write_array_header_1_0(fh, {**header, "shape": (0, lattice.coeff_dim)})
-        data_start, rows = fh.tell(), 0
-        for coeffs in _search_chunks(lattice, norm, node_budget):
-            chunk = _shell_from_coeffs(lattice, norm, coeffs, bounds, generator, sort=False)
-            fh.write(coeffs.astype("<i8", copy=False).data)
-            rows += chunk.count
-            yield chunk
-        # numpy pads the header so that the row count can grow to 21
-        # digits in place
-        fh.seek(0)
-        np.lib.format.write_array_header_1_0(fh, {**header, "shape": (rows, lattice.coeff_dim)})
-        if fh.tell() != data_start:
-            raise RuntimeError(f"the .npy header of {path} changed length with its row count")
+    for coeffs in _search_chunks(lattice, norm, node_budget):
+        yield _shell_from_coeffs(lattice, norm, coeffs, bounds, generator, sort=False)
 
 
 def ensure_shell(

@@ -133,8 +133,9 @@ def shell_stage(
 def streamed_batches(
     name: str, norm: int, cache_dir: Path, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Iterator[Batch]:
-    """One shell as a stream of chunks (lattices.stream_shell), each with
-    the states that have their representative in it."""
+    """One shell as a stream of chunks (lattices.stream_shell: the search's
+    chunks, or a cached shell as one chunk; no cache file is written),
+    each with the states that have their representative in it."""
     for chunk in stream_shell(build_lattice(name), norm, cache_dir, node_budget):
         yield chunk, representatives(chunk)
 

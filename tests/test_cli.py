@@ -100,6 +100,14 @@ def test_census_checks_the_theta_series(capsys, tmp_path, monkeypatch):
     assert fail.startswith("FAIL shell E6 l=3: 72 vectors")
 
 
+def test_census_writes_no_shell_cache(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    for name in pipeline.DEFAULT_NORMS:
+        assert cli.main(["census", "--lattice", name, "--cache-dir", str(cache)]) == 0
+    capsys.readouterr()
+    assert not cache.exists()
+
+
 def test_shells_checks_the_theta_series_past_the_paper(capsys, tmp_path, monkeypatch):
     _shell_size_off_by_one(monkeypatch, "E8", 10)
     code = cli.main(["shells", "--lattice", "E8", "--norms", "10", "--cache-dir", str(tmp_path)])
@@ -328,19 +336,36 @@ def test_user_errors_are_one_line(capsys, tmp_path, argv, prepare, message):
     assert err.count("\n") == 1
 
 
+def _cli_process(*argv):
+    """Run the CLI in a child process, so that any traceback reaches its stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "magiclattice.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_corrupt_cache_header_is_one_stderr_line(tmp_path):
     # "(240, 8)" becomes "(24L, 8)": numpy parses it as a Python 2 header,
     # with a UserWarning, and 24 rows are not the 240 of the shell
     cache = tmp_path / "cache"
-    argv = [sys.executable, "-m", "magiclattice.cli", "shells", "--lattice", "E8", "--norms", "2"]
-    argv += ["--cache-dir", str(cache)]
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+    argv = ["shells", "--lattice", "E8", "--norms", "2", "--cache-dir", str(cache)]
+    assert _cli_process(*argv).returncode == 0
     path = shell_cache_path(cache, build_lattice("E8"), 2)
     raw = bytearray(path.read_bytes())
     assert raw[62:64] == b"40"
     raw[63] = ord("L")
     path.write_bytes(raw)
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    done = _cli_process(*argv)
     assert done.returncode == 2
     assert done.stderr.startswith("magiclattice: error: ") and done.stderr.count("\n") == 1
+
+
+def test_unwritable_cache_dir_is_one_stderr_line(tmp_path):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    done = _cli_process("shells", "--lattice", "E8", "--norms", "2", "--cache-dir", str(not_a_dir))
+    assert done.returncode == 2
+    path = shell_cache_path(not_a_dir, build_lattice("E8"), 2)
+    assert done.stderr.startswith(f"magiclattice: error: cannot write shell cache {path}: ")
+    assert done.stderr.count("\n") == 1
+    assert os.listdir(tmp_path) == ["cache"] and not_a_dir.read_text() == ""

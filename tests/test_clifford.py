@@ -136,6 +136,13 @@ def test_orbit_partition_max_magic(store, group):
         assert {xi_alpha(ss.states[i], 2) for i in orbit.members} == {Fraction(1, 2)}
 
 
+def test_orbit_partition_refuses_two_states_on_one_ray(store, group):
+    # E6 l=21 = 3 * 7 with 7 = pi * conj(pi) split: for w of l=3, pi * w
+    # and conj(pi) * w are two of its states on the ray of w
+    with pytest.raises(ValueError, match=r"^states \d+ and \d+ lie on one ray"):
+        cl.orbit_partition(store.states("E6", 21), group)
+
+
 def test_orbit_escape_detected(group):
     e1 = vector_to_state((E(1), E(0), E(0)))
     with pytest.raises(cl.OrbitEscapeError):

@@ -25,11 +25,17 @@ def _lexicographic(components):
 def _streamed_equals_materialised(name, norm, cache_dir, oracle):
     units = len(GAUSSIAN_UNITS if oracle.ring == "gaussian" else EISENSTEIN_UNITS)
     for cached in (False, True):  # the streamed search, then the one loaded chunk
-        assert lattices.shell_cache_path(cache_dir, lattices.build_lattice(name), norm).exists() == cached
+        if cached:
+            lattices.ensure_shell(lattices.build_lattice(name), norm, cache_dir)
         batches = list(pipeline.streamed_batches(name, norm, cache_dir))
-        if not cached and oracle.count >= 100:
-            # some unit orbit straddles two chunks
-            assert any(states.count * units != chunk.count for chunk, states in batches)
+        if cached:
+            ((chunk, _),) = batches  # the file ensure_shell wrote, loaded and sorted
+            assert np.array_equal(np.lexsort(chunk.coeffs.T[::-1]), np.arange(chunk.count))
+        else:
+            assert os.listdir(cache_dir) == []  # the stream wrote no cache file
+            if oracle.count >= 100:
+                # some unit orbit straddles two chunks
+                assert any(states.count * units != chunk.count for chunk, states in batches)
         result = pipeline.census_stage(iter(batches))
         assert result.report == sre_census(oracle)
         assert result.shell.count == oracle.count * units and result.shell.theta.ok
