@@ -657,11 +657,12 @@ class EntanglementCensus:
 def entanglement_census(state_set: StateSet) -> EntanglementCensus:
     """Classify every state of a 3-qubit StateSet.
 
-    Magic classes come from the exact Xi_2 batch, the rest from one
+    Magic classes come from the exact Xi_2 classes, the rest from one
     concurrence_kernel call over all states."""
     k = concurrence_kernel(state_set)
-    label_of = {xi: magic_label(xi, 8, "gaussian") for xi in set(state_set.xi2)}
-    labels = _labels(k, list(map(label_of.__getitem__, state_set.xi2)))
+    values, index = state_set.xi2_classes
+    class_labels = [magic_label(xi, 8, "gaussian") for xi in values]
+    labels = _labels(k, list(map(class_labels.__getitem__, index.tolist())))
     counts = Counter(labels)
     pairwise, one_to_other, f3_values = _display_columns(k)
     return EntanglementCensus(

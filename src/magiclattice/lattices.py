@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt
+from operator import mul
 from pathlib import Path
 from tokenize import TokenError
 from typing import Generator, Iterable, Iterator, Optional, Sequence
@@ -111,24 +112,22 @@ E6_GENERATOR: tuple[tuple[EisensteinInt, ...], ...] = (
 # small exact matrix helpers
 
 
-def _mat_mul_t(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    return [[sum(m[i][k] * m[j][k] for k in range(len(m[i]))) for j in range(n)] for i in range(n)]
-
-
-def _mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _inverse_diagonal(g: Sequence[Sequence[int]], den: int) -> tuple[Fraction, ...]:
+    """The diagonal of (g / den)^-1 for a positive definite integer matrix
+    g, by fraction-free (Bareiss) Gauss-Jordan elimination of [g | I]:
+    every division is exact, and at the end the left block is det(g) * I
+    and the right block det(g) * g^-1."""
+    n = len(g)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    previous = 1
+    for k in range(n):
+        pivot, pivot_row = rows[k][k], rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                factor = row[k]
+                rows[i] = [(pivot * x - factor * y) // previous for x, y in zip(row, pivot_row)]
+        previous = pivot
+    return tuple(Fraction(den * rows[i][n + i], previous) for i in range(n))
 
 
 def _ldl(g: Sequence[Sequence[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
@@ -188,17 +187,17 @@ def _e6_real_generator() -> list[list[Fraction]]:
     return rows
 
 
-def _eisenstein_gram(gen: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Gram matrix of the rows under sum_k |a_k + omega*b_k|^2, the form
-    a^2 - ab + b^2 on each (a, b) pair.  Entries come out in (1/2)Z."""
+def _eisenstein_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Twice the Gram matrix of integer rows under sum_k |a_k + omega*b_k|^2,
+    the form a^2 - ab + b^2 on each (a, b) pair."""
 
-    def dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+    def dot(x: Sequence[int], y: Sequence[int]) -> int:
         return sum(
-            x[k] * y[k] + x[k + 1] * y[k + 1] - (x[k] * y[k + 1] + x[k + 1] * y[k]) / 2
+            2 * (x[k] * y[k] + x[k + 1] * y[k + 1]) - x[k] * y[k + 1] - x[k + 1] * y[k]
             for k in range(0, len(x), 2)
         )
 
-    return [[dot(x, y) for y in gen] for x in gen]
+    return [[dot(x, y) for y in rows] for x in rows]
 
 
 _LATTICE_CACHE: dict[str, LatticeSpec] = {}
@@ -211,28 +210,22 @@ def build_lattice(name: str) -> LatticeSpec:
         return _LATTICE_CACHE[key]
 
     if key == "E8":
-        gen = _e8_generator()
-        gram = _mat_mul_t(gen)
-        scale = 2
-        ring, cdim, rdim = "gaussian", 4, 8
+        gen, scale, ring, cdim, rdim = _e8_generator(), 2, "gaussian", 4, 8
     elif key == "BW16":
-        gen = _bw16_generator()
-        gram = _mat_mul_t(gen)
-        scale = 2
-        ring, cdim, rdim = "gaussian", 8, 16
+        gen, scale, ring, cdim, rdim = _bw16_generator(), 2, "gaussian", 8, 16
     elif key == "E6":
-        gen = _e6_real_generator()
-        gram = _eisenstein_gram(gen)
-        scale = 1
-        ring, cdim, rdim = "eisenstein", 3, 6
+        gen, scale, ring, cdim, rdim = _e6_real_generator(), 1, "eisenstein", 3, 6
     else:
         raise ValueError(f"unknown lattice {name!r}; expected E8, BW16 or E6")
 
-    inv = _mat_inverse(gram)
-    diag = tuple(inv[i][i] for i in range(len(inv)))
     if any((x * scale).denominator != 1 for row in gen for x in row):
         raise ValueError(f"scale {scale} does not make the {key} generator integral")
     scaled = tuple(tuple(int(x * scale) for x in row) for row in gen)
+    # the Gram matrix times den, in integers
+    if ring == "gaussian":
+        gram, den = [[sum(map(mul, x, y)) for y in scaled] for x in scaled], scale * scale
+    else:
+        gram, den = _eisenstein_gram(scaled), 2 * scale * scale
 
     spec = LatticeSpec(
         name=key,
@@ -241,8 +234,8 @@ def build_lattice(name: str) -> LatticeSpec:
         real_dim=rdim,
         coeff_dim=len(gram),
         scale=scale,
-        gram=tuple(tuple(row) for row in gram),
-        gram_inv_diag=diag,
+        gram=tuple(tuple(Fraction(x, den) for x in row) for row in gram),
+        gram_inv_diag=_inverse_diagonal(gram, den),
         scaled_generator=scaled,
     )
     _LATTICE_CACHE[key] = spec

@@ -16,9 +16,9 @@ components act as index shifts, Z components as unit-phase factors.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import product
 from math import log2, prod
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -32,6 +32,8 @@ STABILISER = "Stabiliser"
 MAX_MAGIC_SIC = "MaxMagicSIC"
 MAX_MAGIC_MUB = "MaxMagicMUB"
 INTERMEDIATE = "Intermediate"
+# States per block of the batched Xi_alpha kernel (see xi_classes)
+XI_BLOCK_STATES = 2**11
 
 _OMEGA_POWERS = (EisensteinInt(1, 0), EisensteinInt(0, 1), EisensteinInt(-1, -1))
 _MINUS_I_POWERS = (
@@ -448,45 +450,131 @@ def _walsh_signs(n: int) -> np.ndarray:
 
 def _pauli_norms(re: np.ndarray, im: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """|<c|P|c>|^2 of every state's unnormalised components, grouped by
-    X-mask: for x = 0, 1, ..., 2^n - 1 one (S, 2^n) array whose column z
-    is the Pauli string with X-mask x and Z-mask z (they differ from
-    X^x Z^z by a phase only), so the identity is column 0 of x = 0.
+    X-mask: for x = 0, 1, ..., 2^n - 1 one (S, 2^n) array whose columns
+    are the Pauli strings with X-mask x, one per Z-mask z (they differ
+    from X^x Z^z by a phase only).  Column 0 of x = 0 is the identity;
+    the other columns follow no fixed order of z.
 
-    Per X-mask the terms conj(c_j) c_(j^x) are gathered once and one
-    +-1 matmul sums them under every Z sign pattern.  Each value is at
-    most norm_sq^2, and so is every intermediate on the way: every
-    partial sum is at most sum_j |c_j| |c_(j^x)| <= norm_sq.  The arrays
-    may be int64, float64 below 2**53 (the matmul then runs in BLAS, and
-    its sums of integers are exact in any order) or Python ints."""
-    signs = _walsh_signs(n).astype(re.dtype)
+    x = 0 is one +-1 matmul of the |c_j|^2.  For x != 0 with top bit h,
+    the terms T_j = conj(c_j) c_(j^x) pair up as T_(j^x) = conj(T_j), so
+    over the 2^(n-1) indices j < j^x (bit h of j clear) the sum under
+    Z-mask z is 2 Re(sum s_z(j) T_j) when z.x is even and
+    2i Im(sum s_z(j) T_j) when it is odd.  On those j the signs s_z and
+    s_(z^h) agree, and one of z, z^h is even against x, the other odd: so
+    the Z-masks with bit h clear, as +-2 signs, give the even values from
+    Re T and the odd ones from Im T.  That is one gather of the partners
+    and two matmuls of half the width per X-mask.  Each value is at most
+    norm_sq^2, and so is every intermediate on the way: every partial sum
+    is at most sum_j |T_j| <= sum_j |c_j| |c_(j^x)| <= norm_sq.  The
+    arrays may be int64, float64 below 2**53 (the matmuls then run in
+    BLAS, and their sums of integers are exact in any order) or Python
+    ints."""
+    walsh, halves = _pauli_signs(n, re.dtype)
+    total = (re * re + im * im) @ walsh
+    yield total * total
+    for h, (lo, signs) in enumerate(halves):
+        re_lo, im_lo = re[:, lo], im[:, lo]
+        for x in range(1 << h, 2 << h):
+            re_hi, im_hi = re[:, lo ^ x], im[:, lo ^ x]
+            real = (re_lo * re_hi + im_lo * im_hi) @ signs
+            imag = (re_lo * im_hi - im_lo * re_hi) @ signs
+            yield np.concatenate((real * real, imag * imag), axis=1)
+
+
+@lru_cache(maxsize=None)
+def _pauli_signs(n: int, dtype: np.dtype) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """The sign matrices of _pauli_norms in dtype: the (2^n, 2^n) Walsh
+    signs, and for each bit h the basis indices with bit h clear and twice
+    the Walsh signs among them, (2^(n-1), 2^(n-1))."""
+    walsh = _walsh_signs(n)
     idx = np.arange(1 << n)
-    for x in range(1 << n):
-        rp, ip = re[:, idx ^ x], im[:, idx ^ x]
-        re_s = (re * rp + im * ip) @ signs
-        im_s = (re * ip - im * rp) @ signs
-        yield re_s * re_s + im_s * im_s
+    lows = [idx[idx & (1 << h) == 0] for h in range(n)]
+    return walsh.astype(dtype), tuple((lo, (2 * walsh[np.ix_(lo, lo)]).astype(dtype)) for lo in lows)
+
+
+def xi_classes(
+    states: Union[StateSet, Sequence[PureStateExact]], ring: str, alphas: Iterable[int] = (2,)
+) -> dict[int, tuple[tuple[Fraction, ...], np.ndarray]]:
+    """Exact Xi_alpha of many states of one ring and dimension, as classes:
+    for each alpha the distinct values, each once, and an int index array
+    that gives each state's value among them.
+
+    The sums over the d^2 Weyl-Heisenberg operators (4^n Pauli strings,
+    or 9 qutrit displacements) of |<c|O|c>|^(2*alpha) are at most
+    d^2 * norm_sq^(2*alpha), which bounds every intermediate of
+    _pauli_norms, _displacement_norms and _xi_classes too.  The states go
+    in blocks of XI_BLOCK_STATES, and a block runs in float64 when that
+    bound at its largest norm_sq is below 2**53, where every intermediate
+    is an exact integer and the matmuls go through BLAS; past it the block
+    runs in Python ints."""
+    alphas = tuple(alphas)
+    if not len(states):
+        return {a: ((), np.zeros(0, np.intp)) for a in alphas}
+    dim = states[0].dim
+    if ring == "gaussian":
+        expectations = partial(_pauli_norms, n=dim.bit_length() - 1)
+    elif dim == 3:
+        expectations = _displacement_norms
+    else:
+        raise ValueError("eisenstein states supported at dimension 3 only")
+    top = 2 * max(alphas)
+    blocks = (
+        component_arrays(states[i : i + XI_BLOCK_STATES], lambda nn: dim * dim * nn**top, ring, np.float64)
+        for i in range(0, len(states), XI_BLOCK_STATES)
+    )
+    return _xi_classes(((expectations(x, y), norms) for x, y, norms in blocks), dim, alphas)
+
+
+def _xi_classes(
+    blocks: Iterable[tuple[Iterable[np.ndarray], np.ndarray]], dim: int, alphas: tuple[int, ...]
+) -> dict[int, tuple[tuple[Fraction, ...], np.ndarray]]:
+    """Xi_alpha classes (as xi_classes) of states given in blocks: each
+    block is its squared expectation values, in (S, k) groups that
+    together hold each operator once, and its norm_sq.  Float64 groups
+    must keep every power and sum below 2**53: the powers are products,
+    never pow, and the sums return to the int64 of norms.
+
+    Xi_alpha = sum / (dim * norm_sq^(2*alpha)), so within one norm_sq the
+    classes are the distinct sums; one Fraction per (sum, norm_sq) pair,
+    and pairs with equal Fractions share a class."""
+    sums: dict[int, list[np.ndarray]] = {a: [] for a in alphas}
+    norm_blocks = []
+    for groups, norms in blocks:
+        block = dict.fromkeys(alphas, 0)
+        for values in groups:
+            for a in alphas:
+                block[a] = block[a] + prod([values] * (a - 1), start=values).sum(axis=1)
+        for a in alphas:
+            sums[a].append(block[a].astype(norms.dtype))
+        norm_blocks.append(norms)
+    norm_values, norm_index = np.unique(np.concatenate(norm_blocks), return_inverse=True)
+    members = [np.flatnonzero(norm_index == g) for g in range(len(norm_values))]
+    out = {}
+    for a in alphas:
+        all_sums = np.concatenate(sums[a])
+        index = np.empty(len(all_sums), np.intp)
+        classes: dict[Fraction, int] = {}
+        for norm, rows in zip(norm_values.tolist(), members):
+            values, inverse = np.unique(all_sums[rows], return_inverse=True)
+            denominator = dim * norm ** (2 * a)
+            ids = [classes.setdefault(Fraction(v, denominator), len(classes)) for v in values.tolist()]
+            index[rows] = np.array(ids, np.intp)[inverse]
+        out[a] = (tuple(classes), index)
+    return out
+
+
+def _per_state(classes: dict[int, tuple[tuple[Fraction, ...], np.ndarray]]) -> dict[int, list[Fraction]]:
+    return {a: list(map(values.__getitem__, index.tolist())) for a, (values, index) in classes.items()}
 
 
 def xi_batch_gaussian(
     states: Union[StateSet, Sequence[PureStateExact]], alphas: Iterable[int] = (2,)
 ) -> dict[int, list[Fraction]]:
-    """Exact Xi_alpha for many qubit-register states at once.
-
-    The sums over the 4^n Pauli strings of |<c|P|c>|^(2*alpha) are at
-    most 4^n * norm_sq^(2*alpha), which bounds every intermediate of
-    _pauli_norms and _xi_fractions too.  Below 2**53 they run in float64,
-    where every one of them is an exact integer and the sign matmuls go
-    through BLAS; past it they run in Python ints.  Results are exact
-    rationals identical to xi_alpha, one Fraction object per distinct
-    (sum, norm_sq) pair.
-    """
-    alphas = tuple(alphas)
-    if not len(states):
-        return {a: [] for a in alphas}
-    dim = states[0].dim
-    n = dim.bit_length() - 1
-    re, im, norms = component_arrays(states, lambda nn: 4**n * nn ** (2 * max(alphas)), dtype=np.float64)
-    return _xi_fractions(_pauli_norms(re, im, n), norms, dim, alphas)
+    """Exact Xi_alpha for many qubit-register states at once, one list
+    entry per state: the classes of xi_classes, spelled out.  Results are
+    exact rationals identical to xi_alpha, one Fraction object per
+    distinct value."""
+    return _per_state(xi_classes(states, "gaussian", alphas))
 
 
 # _OMEGA_ROTATIONS[e] maps the coordinates (x, y) of z = x + y*omega to
@@ -523,41 +611,11 @@ def _displacement_norms(a: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
 def xi_batch_eisenstein(
     states: Union[StateSet, Sequence[PureStateExact]], alphas: Iterable[int] = (2,)
 ) -> dict[int, list[Fraction]]:
-    """Exact Xi_alpha for many qutrit (Z[omega]) states at once.
-
-    The sums over the 9 displacements of |<c|D|c>|^(2*alpha) are at most
-    9 * norm_sq^(2*alpha), which also bounds every intermediate of
-    _displacement_norms and _xi_fractions; they run in float64 below
-    2**53, where each one is an exact integer, and in Python ints past
-    it.  Results are exact rationals identical to xi_alpha, one Fraction
-    object per distinct (sum, norm_sq) pair.
-    """
-    alphas = tuple(alphas)
-    if not len(states):
-        return {a: [] for a in alphas}
-    a, b, norms = component_arrays(states, lambda nn: 9 * nn ** (2 * max(alphas)), "eisenstein", np.float64)
-    if a.shape[1] != 3:
-        raise ValueError("eisenstein states supported at dimension 3 only")
-    return _xi_fractions(_displacement_norms(a, b), norms, 3, alphas)
-
-
-def _xi_fractions(
-    groups: Iterable[np.ndarray], norms: np.ndarray, dim: int, alphas: tuple[int, ...]
-) -> dict[int, list[Fraction]]:
-    """Xi_alpha of every state from its squared expectation values, given
-    in (S, k) groups that together hold each operator once.  Float64
-    groups must keep every power and sum below 2**53: the powers are
-    products, never pow, and the sums return to the int64 of norms."""
-    sums = {a: 0 for a in alphas}
-    for values in groups:
-        for a in alphas:
-            sums[a] = sums[a] + prod([values] * (a - 1), start=values).sum(axis=1)
-    out: dict[int, list[Fraction]] = {}
-    for a in alphas:
-        keys = list(zip(sums[a].astype(norms.dtype).tolist(), (dim * norms ** (2 * a)).tolist()))
-        fractions = {key: Fraction(*key) for key in set(keys)}
-        out[a] = [fractions[key] for key in keys]
-    return out
+    """Exact Xi_alpha for many qutrit (Z[omega]) states at once, one list
+    entry per state: the classes of xi_classes, spelled out.  Results are
+    exact rationals identical to xi_alpha, one Fraction object per
+    distinct value."""
+    return _per_state(xi_classes(states, "eisenstein", alphas))
 
 
 def wh_covariance_check_all(states: Sequence[PureStateExact]) -> bool:
@@ -617,16 +675,23 @@ def census_rows(counts: Mapping[Fraction, int], dim: int, ring: str) -> tuple[Ce
     )
 
 
+def xi2_histogram(state_set: StateSet) -> dict[Fraction, int]:
+    """The number of states of a StateSet at each exact Xi_2 value,
+    counted over its ``xi2_classes``."""
+    values, index = state_set.xi2_classes
+    return dict(zip(values, np.bincount(index, minlength=len(values)).tolist()))
+
+
 def sre_census(state_set: StateSet) -> CensusReport:
     """Histogram of exact Xi_2 values (and their magic classes) over a
-    StateSet, from its per-state ``xi2``.  Each state stands for its unit
+    StateSet, from its ``xi2_classes``.  Each state stands for its unit
     orbit, |units| vectors of a unit-closed shell."""
     units = len(GAUSSIAN_UNITS if state_set.ring == "gaussian" else EISENSTEIN_UNITS)
     return CensusReport(
         lattice_name=state_set.lattice_name,
         norm=state_set.norm,
         multiplicity=units,
-        rows=census_rows(Counter(state_set.xi2), state_set.components.shape[1], state_set.ring),
+        rows=census_rows(xi2_histogram(state_set), state_set.components.shape[1], state_set.ring),
         state_count=state_set.count,
         vector_count=state_set.count * units,
     )

@@ -38,7 +38,7 @@ from .lattices import (
     stream_shell,
     theta_check,
 )
-from .magic import CensusReport, census_rows, stabiliser_count
+from .magic import CensusReport, census_rows, stabiliser_count, xi2_histogram
 from .states import EmptyShellError, StateSet, representatives
 
 DEFAULT_NORMS = {"E8": (2, 4, 6, 8), "BW16": (4, 6), "E6": (3, 6, 9, 12, 15)}
@@ -171,12 +171,12 @@ def census_stage(batches: Iterable[Batch]) -> CensusResult:
     stabiliser states, and the expected table, if there is one, matches.
     Raises EmptyShellError on a shell with no vectors."""
     clock = time.perf_counter
-    counts: Counter[tuple[int, int]] = Counter()  # (numerator, denominator) -> states
+    counts: Counter[Fraction] = Counter()  # Xi_2 -> states
     vectors = states = 0
     shell_seconds, last = 0.0, clock()
     for chunk, state_set in batches:
         shell_seconds += clock() - last
-        counts.update(map(Fraction.as_integer_ratio, state_set.xi2))
+        counts.update(xi2_histogram(state_set))
         vectors += chunk.count
         states += state_set.count
         last = clock()
@@ -186,7 +186,7 @@ def census_stage(batches: Iterable[Batch]) -> CensusResult:
         raise EmptyShellError(f"{lattice.name} l={norm} has no vectors, so no states")
     shell = ShellResult(lattice.name, norm, vectors, theta_check(lattice, norm, vectors), shell_seconds)
     units = len(GAUSSIAN_UNITS if lattice.ring == "gaussian" else EISENSTEIN_UNITS)
-    rows = census_rows({Fraction(*pair): n for pair, n in counts.items()}, lattice.complex_dim, lattice.ring)
+    rows = census_rows(counts, lattice.complex_dim, lattice.ring)
     report = CensusReport(lattice.name, norm, units, rows, states, vectors)
     histogram = {str(row.xi2): row.state_count for row in rows}
     key = (lattice.name, norm)

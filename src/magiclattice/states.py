@@ -94,8 +94,9 @@ class StateSet:
     are in lexicographic order of those coordinates, those of a chunk
     (representatives) in chunk order.  PureStateExact objects are built
     only when asked for: one by index, or all of them through ``states``;
-    the exact Xi_2 of every state is computed once, on first use of
-    ``xi2``.
+    a slice is the StateSet of those rows.  The exact Xi_2 of the states
+    is computed once, on first use of ``xi2_classes`` (or of ``xi2``, its
+    per-state view).
     """
 
     lattice_name: str
@@ -111,7 +112,9 @@ class StateSet:
     def __len__(self) -> int:
         return self.count
 
-    def __getitem__(self, index: int) -> PureStateExact:
+    def __getitem__(self, index: Union[int, slice]) -> Union[PureStateExact, "StateSet"]:
+        if isinstance(index, slice):
+            return StateSet(self.lattice_name, self.norm, self.ring, self.components[index], self.norm_sq[index])
         cls = GaussianInt if self.ring == "gaussian" else EisensteinInt
         comps = tuple(cls(x, y) for x, y in self.components[index].tolist())
         return PureStateExact(self.ring, comps, int(self.norm_sq[index]))
@@ -124,13 +127,19 @@ class StateSet:
         return tuple(self[i] for i in range(self.count))
 
     @cached_property
-    def xi2(self) -> tuple[Fraction, ...]:
-        """Exact Xi_2 of every state, from the batched integer kernel of
-        its ring."""
-        from .magic import xi_batch_eisenstein, xi_batch_gaussian  # magic imports this module
+    def xi2_classes(self) -> tuple[tuple[Fraction, ...], np.ndarray]:
+        """Exact Xi_2 of the states as classes, from the batched kernel
+        (magic.xi_classes): the distinct values, and for each state the
+        index of its value among them."""
+        from .magic import xi_classes  # magic imports this module
 
-        kernel = xi_batch_gaussian if self.ring == "gaussian" else xi_batch_eisenstein
-        return tuple(kernel(self, alphas=(2,))[2])
+        return xi_classes(self, self.ring, (2,))[2]
+
+    @property
+    def xi2(self) -> tuple[Fraction, ...]:
+        """Exact Xi_2 of every state, in state order."""
+        values, index = self.xi2_classes
+        return tuple(map(values.__getitem__, index.tolist()))
 
     def state_id(self, index: int) -> str:
         return f"{self.lattice_name}-l{self.norm}-{index:05d}"
@@ -152,7 +161,9 @@ def _ring_coords(shell: Shell) -> np.ndarray:
 
 def _first_nonzero(coords: np.ndarray) -> np.ndarray:
     """(2, N): the coordinates of each row's first nonzero component."""
-    return coords[np.arange(len(coords)), (coords != 0).any(axis=2).argmax(axis=1)].T
+    nonzero = coords[..., 0] != 0
+    nonzero |= coords[..., 1] != 0
+    return coords[np.arange(len(coords)), nonzero.argmax(axis=1)].T
 
 
 def _in_sector(x: np.ndarray, y: np.ndarray, ring: str) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Slow reference implementations that the production kernels are checked
 against."""
 
+from fractions import Fraction
 from math import isqrt
+from typing import Sequence
 
 import numpy as np
 
@@ -88,3 +90,39 @@ def unit_orbits(shell: Shell) -> dict[tuple, list[int]]:
             comps = tuple(EisensteinInt(a, b) for a, b in zip(row[0::2], row[1::2]))
         orbits.setdefault(canonical_vector(comps)[0], []).append(index)
     return orbits
+
+
+def gram_matrix(lattice: LatticeSpec, generator: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """The Gram matrix of a lattice's Fraction generator rows: dot products
+    for E8 and BW16, and for E6 Re(sum_k conj(u_k) v_k) of the rows read
+    as Eisenstein coordinate pairs, in EisensteinInt arithmetic."""
+    if lattice.ring == "gaussian":
+        return [[sum(a * b for a, b in zip(x, y)) for y in generator] for x in generator]
+
+    def ring_row(row):
+        return [EisensteinInt(int(row[k]), int(row[k + 1])) for k in range(0, len(row), 2)]
+
+    def real_part(z: EisensteinInt) -> Fraction:  # x + y*omega has real part x - y/2
+        x, y = z.coords()
+        return Fraction(2 * x - y, 2)
+
+    rows = [ring_row(row) for row in generator]
+    return [
+        [sum((real_part(u.conjugate() * v) for u, v in zip(x, y)), Fraction(0)) for y in rows] for x in rows
+    ]
+
+
+def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """The inverse of a square Fraction matrix, by Gauss-Jordan elimination."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]

@@ -249,11 +249,11 @@ def test_reproduce_evaluates_xi2_once_per_state_set(capsys, store, monkeypatch):
     for name, norms in pipeline.DEFAULT_NORMS.items():  # a warm cache
         for norm in norms:
             store.shell(name, norm)
-    calls = _count_calls(monkeypatch, magic.xi_batch_gaussian)
+    calls = _count_calls(monkeypatch, magic.xi_classes)
     code, _ = run_cli(capsys, store, "reproduce")
     assert code == 0
     # once for each of the 6 Gaussian state sets
-    assert sorted((states.lattice_name, states.norm) for states, *_ in calls) == [
+    assert sorted((states.lattice_name, states.norm) for states, ring, *_ in calls if ring == "gaussian") == [
         ("BW16", 4), ("BW16", 6), ("E8", 2), ("E8", 4), ("E8", 6), ("E8", 8)
     ]
 

@@ -41,7 +41,7 @@ from magiclattice.lattices import (
     stream_shell,
     theta_check,
 )
-from oracles import dfs_enumerate
+from oracles import dfs_enumerate, gram_matrix, mat_inverse
 
 
 def same_vectors(a, b):
@@ -79,6 +79,26 @@ def test_gram_matrices_symmetric_positive_diagonal():
         n = len(g)
         assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
         assert all(g[i][i] > 0 for i in range(n))
+
+
+_FRACTION_GENERATORS = {
+    "E8": lattices._e8_generator,
+    "BW16": lattices._bw16_generator,
+    "E6": lattices._e6_real_generator,
+}
+
+
+@pytest.mark.parametrize("name", ["E8", "BW16", "E6"])
+def test_integer_set_up_matches_the_fraction_oracle(name):
+    # build_lattice works in integers; the Gram matrix and the diagonal of
+    # its inverse must be those of Fraction arithmetic on the generator
+    lat = build_lattice(name)
+    generator = _FRACTION_GENERATORS[name]()
+    assert lat.scaled_generator == tuple(tuple(int(x * lat.scale) for x in row) for row in generator)
+    gram = gram_matrix(lat, generator)
+    assert lat.gram == tuple(map(tuple, gram))
+    inverse = mat_inverse(gram)
+    assert lat.gram_inv_diag == tuple(inverse[i][i] for i in range(lat.coeff_dim))
 
 
 def test_coordinate_bounds_cover_shell(store):

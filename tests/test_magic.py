@@ -13,7 +13,7 @@ from hypothesis import strategies as hs
 
 import magiclattice
 from magiclattice.exact import EisensteinInt, GaussianInt, OMEGA, THETA
-from magiclattice.states import component_arrays, dedup, overlap_sq, real_to_complex, vector_to_state
+from magiclattice.states import StateSet, component_arrays, dedup, overlap_sq, real_to_complex, vector_to_state
 from magiclattice import magic as mg
 
 G = GaussianInt
@@ -289,6 +289,42 @@ def test_batch_matches_scalar_on_random_states(states):
     assert mg.wh_covariance_check_all(states) == all(mg.wh_covariance_check(st) for st in states)
 
 
+@pytest.mark.parametrize("dtype, bound", [(np.int64, 10**3), (np.float64, 10**3), (object, 10**5)])
+@settings(max_examples=30, deadline=None)
+@given(data=hs.data())
+def test_pauli_norms_per_x_mask_match_the_scalar_norms(dtype, bound, data):
+    # the halved sums reorder the columns of a mask, never its values
+    n = data.draw(hs.integers(1, 3))
+    states = data.draw(hs.lists(qubit_states(n, bound), min_size=1, max_size=4))
+    re, im, norms = component_arrays(states, lambda nn: nn * nn, dtype=dtype)
+    assert re.dtype == dtype
+    strings = mg.pauli_strings(n)
+    for x, values in enumerate(mg._pauli_norms(re, im, n)):
+        assert values.shape == (len(states), 1 << n)
+        for row, st in zip(values.tolist(), states):
+            assert sorted(row) == sorted(mg._bilinear_norm(p, st) for p in strings if p.masks()[0] == x)
+        if x == 0:
+            assert values[:, 0].tolist() == (norms * norms).tolist()  # the identity
+
+
+def test_states_of_different_norms_share_a_xi2_class():
+    # |0> with norm_sq 1 and (2 + i)|0> with norm_sq 5: one stabiliser class
+    pair = [vector_to_state((G(1), G(0))), vector_to_state((G(2, 1), G(0)))]
+    assert [st.norm_sq for st in pair] == [1, 5]
+    values, index = mg.xi_classes(pair, "gaussian")[2]
+    assert values == (Fraction(1),) and index.tolist() == [0, 0]
+    comps = np.array([[st.components[k].coords() for k in range(2)] for st in pair])
+    state_set = StateSet("pair", 1, "gaussian", comps, np.array([1, 5]))
+    assert mg.sre_census(state_set).histogram() == {Fraction(1): 2}
+
+
+def test_empty_state_set_has_no_xi2_classes():
+    empty = StateSet("none", 1, "gaussian", np.zeros((0, 4, 2), np.int64), np.zeros(0, np.int64))
+    values, index = empty.xi2_classes
+    assert values == () and index.shape == (0,)
+    assert empty.xi2 == () and mg.sre_census(empty).rows == ()
+
+
 def test_census_batch_equals_scalar(store):
     ss = store.states("E8", 4)
     batch = mg.sre_census(ss)
@@ -361,9 +397,9 @@ def _float64_xi2(st):
     """Xi_2 from the kernel's own pieces, forced into float64."""
     ring = st.ring
     x, y, norms = component_arrays([st], lambda n: 0, ring, np.float64)
-    if ring == "gaussian":
-        return mg._xi_fractions(mg._pauli_norms(x, y, st.dim.bit_length() - 1), norms, st.dim, (2,))[2][0]
-    return mg._xi_fractions(mg._displacement_norms(x, y), norms, 3, (2,))[2][0]
+    groups = mg._pauli_norms(x, y, st.dim.bit_length() - 1) if ring == "gaussian" else mg._displacement_norms(x, y)
+    values, index = mg._xi_classes([(groups, norms)], st.dim, (2,))[2]
+    return values[index[0]]
 
 
 @pytest.mark.parametrize("ring", ["gaussian", "eisenstein"])
