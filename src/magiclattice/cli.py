@@ -6,8 +6,8 @@ Each subcommand runs its stage from ``pipeline`` and formats the record.
 Exact rationals print as num/den; floats print with 12 significant
 digits.  The process exits 1 iff any check fails, so the CLI doubles as
 an acceptance harness, and 2 on bad usage, an exceeded node budget, a
-norm past the int64 headroom, a corrupt or unwritable shell cache or an
-empty shell.
+norm past the int64 headroom, a corrupt or unwritable shell cache, an
+empty shell, or a stdout closed by its reader (as by ``| head``).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from typing import Iterator, Optional, Sequence
 
@@ -344,8 +345,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failures = Failures()
     try:
         args.func(args, failures)
+        sys.stdout.flush()
     except (EnumerationBudgetExceeded, HeadroomError, ShellCacheError, EmptyShellError) as exc:
         print(f"magiclattice: error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return 1 if failures.messages else 0
 

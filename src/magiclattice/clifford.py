@@ -1,30 +1,24 @@
 """Single-qutrit Clifford group, orbit partitions, stabiliser groups.
 
-Group elements are stored as exact Eisenstein matrices E with a scale
-exponent k, representing the unitary E / theta^k up to global phase
-(theta = i*sqrt(3), so E.E^dagger = 3^k * I).  Equality is phase-quotient
-equality: U == V iff U.V^dagger is a scalar matrix.  The canonical key
-below is a pure function of that equivalence class, which makes the
-breadth-first closure a plain hash-set walk.
+The group is held as integer arrays: each element is an exact Eisenstein
+matrix E with a scale exponent k, representing the unitary E / theta^k up
+to global phase (theta = i*sqrt(3), so E.E^dagger = 3^k * I).  Elements
+and states are both compared by their exact ray keys (states.ray_keys),
+which are equal iff two matrices, read as 9-vectors, or two state
+vectors differ by a nonzero scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .exact import (
-    EISENSTEIN_UNITS,
-    EisensteinInt,
-    OMEGA,
-    THETA,
-    ray_reduce,
-    unit_canonicalize,
-)
-from .lattices import Shell, solve_eisenstein_coefficients
-from .magic import WHDisplacement, wh_displacements
-from .states import PureStateExact, StateSet, vector_to_state
+import numpy as np
+
+from .exact import EISENSTEIN_UNITS, EisensteinInt, OMEGA, THETA
+from .lattices import HeadroomError, Shell, packed_keys, solve_eisenstein_coefficients
+from .magic import WHDisplacement
+from .states import PureStateExact, StateSet, ray_keys, vector_to_state
 
 Matrix = tuple[tuple[EisensteinInt, ...], ...]
 
@@ -42,6 +36,11 @@ S_ENTRIES: Matrix = (
     (_ZERO, _ONE, _ZERO),
     (_ZERO, _ZERO, OMEGA),
 )
+IDENTITY_ENTRIES: Matrix = (
+    (_ONE, _ZERO, _ZERO),
+    (_ZERO, _ONE, _ZERO),
+    (_ZERO, _ZERO, _ONE),
+)
 
 
 class ClosureError(RuntimeError):
@@ -57,160 +56,105 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _mat_vec(m: Matrix, v: Sequence[EisensteinInt]) -> tuple[EisensteinInt, ...]:
-    return tuple(sum((m[i][k] * v[k] for k in range(3)), _ZERO) for i in range(3))
+def _matrix_array(m: Matrix) -> np.ndarray:
+    """(3, 3, 2) int64 coordinates (a, b) of an Eisenstein matrix."""
+    return np.array([[z.coords() for z in row] for row in m], dtype=np.int64)
 
 
-def _theta_divide_all(entries: Matrix) -> Matrix | None:
-    """entries / theta if every entry is divisible, else None.
-
-    z / theta = -z * theta / 3 since theta^2 = -3.
-    """
-    out = []
-    for row in entries:
-        new_row = []
-        for z in row:
-            w = z * THETA
-            if w.a % 3 or w.b % 3:
-                return None
-            new_row.append(EisensteinInt(-(w.a // 3), -(w.b // 3)))
-        out.append(tuple(new_row))
-    return tuple(out)
+def _ring_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matrix products of Eisenstein arrays (..., n, m, 2) @ (..., m, p, 2),
+    broadcast over the leading axes: (a + b w)(c + d w) = ac - bd +
+    (ad + bc - bd) w, as w^2 = -1 - w."""
+    a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    bd = b @ d
+    return np.stack((a @ c - bd, a @ d + b @ c - bd), axis=-1)
 
 
-def _reduce_scale(entries: Matrix, k: int) -> tuple[Matrix, int]:
-    while k > 0:
-        divided = _theta_divide_all(entries)
-        if divided is None:
-            break
-        entries = divided
-        k -= 1
-    return entries, k
+def _theta_reduce(entries: np.ndarray, theta_power: np.ndarray) -> None:
+    """Divide each matrix of (M, 3, 3, 2) entries by theta, in place, while
+    its theta_power is positive and theta divides every entry.
 
-
-def _canonical_key(entries: Matrix) -> tuple[tuple[int, int], ...]:
-    """Hashable form invariant under global phase.
-
-    Multiply by the conjugate of the first nonzero entry (this kills any
-    unit-modulus scalar between representatives), clear theta powers and
-    integer content, rotate into the canonical unit sector, read off the
-    coordinates row-major.
-    """
-    flat = [z for row in entries for z in row]
-    first = next(z for z in flat if not z.is_zero())
-    conj = first.conjugate()
-    flat = [z * conj for z in flat]
-    # clear theta factors picked up from conj itself
+    theta = 1 + 2w divides a + b w iff a + b = 0 mod 3, and then
+    (a + b w) / theta = -(a + b w) theta / 3 = ((2b - a) + (b - 2a) w) / 3."""
     while True:
-        divided = []
-        for z in flat:
-            w = z * THETA
-            if w.a % 3 or w.b % 3:
-                divided = None
-                break
-            divided.append(EisensteinInt(-(w.a // 3), -(w.b // 3)))
-        if divided is None:
-            break
-        flat = divided
-    content = 0
-    for z in flat:
-        content = _gcd2(content, _gcd2(abs(z.a), abs(z.b)))
-    if content > 1:
-        flat = [EisensteinInt(z.a // content, z.b // content) for z in flat]
-    rotated, _ = unit_canonicalize(tuple(flat))
-    return tuple(z.coords() for z in rotated)
+        divisible = theta_power > 0
+        divisible &= ~(entries.sum(axis=-1) % 3).any(axis=(1, 2))
+        if not divisible.any():
+            return
+        a, b = entries[divisible, ..., 0], entries[divisible, ..., 1]
+        entries[divisible] = np.stack(((2 * b - a) // 3, (b - 2 * a) // 3), axis=-1)
+        theta_power[divisible] -= 1
 
-
-def _gcd2(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-@dataclass(frozen=True)
-class CliffordElement:
-    entries: Matrix
-    theta_power: int
-
-    def __post_init__(self):
-        # unitarity at the recorded scale: E.E^dagger = 3^k I
-        target = 3**self.theta_power
-        for i in range(3):
-            for j in range(3):
-                acc = _ZERO
-                for k in range(3):
-                    acc = acc + self.entries[i][k] * self.entries[j][k].conjugate()
-                want = (target, 0) if i == j else (0, 0)
-                if acc.coords() != want:
-                    raise ValueError("entries are not unitary at scale theta^k")
-
-    def key(self) -> tuple[tuple[int, int], ...]:
-        return _canonical_key(self.entries)
-
-    def __mul__(self, other: "CliffordElement") -> "CliffordElement":
-        entries, k = _reduce_scale(
-            _mat_mul(self.entries, other.entries),
-            self.theta_power + other.theta_power,
-        )
-        return CliffordElement(entries, k)
-
-    def same_element(self, other: "CliffordElement") -> bool:
-        """Phase-quotient equality: self.other^dagger scalar."""
-        adj = tuple(
-            tuple(other.entries[j][i].conjugate() for j in range(3)) for i in range(3)
-        )
-        prod = _mat_mul(self.entries, adj)
-        diag = prod[0][0]
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    if prod[i][j] != diag:
-                        return False
-                elif not prod[i][j].is_zero():
-                    return False
-        return True
-
-
-H = CliffordElement(H_ENTRIES, 1)
-S = CliffordElement(S_ENTRIES, 0)
-IDENTITY = CliffordElement(
-    ((_ONE, _ZERO, _ZERO), (_ZERO, _ONE, _ZERO), (_ZERO, _ZERO, _ONE)), 0
-)
 
 _GROUP_ORDER = 216  # d^3 (d^2 - 1) at d = 3
 
 
-def generate_clifford_qutrit() -> list[CliffordElement]:
+@dataclass(frozen=True, eq=False)
+class CliffordGroup:
+    """The phase-quotiented single-qutrit Clifford group: element k is the
+    unitary entries[k] / theta**theta_power[k], up to global phase, with
+    entries[k, i, j] the (a, b) of the Eisenstein integer a + b*omega."""
+
+    entries: np.ndarray  # (216, 3, 3, 2) int64
+    theta_power: np.ndarray  # (216,) int64
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def keys(self) -> np.ndarray:
+        """(216, 18) ray keys of the elements read as 9-vectors, row-major:
+        equal iff two elements are one unitary up to phase."""
+        return ray_keys(self.entries.reshape(-1, 9, 2), "eisenstein").reshape(len(self), 18)
+
+
+def _closure(generators: np.ndarray, theta_power: np.ndarray) -> CliffordGroup:
+    """Breadth-first closure of the (G, 3, 3, 2) generators with their
+    theta powers, from the identity: each level multiplies its whole
+    frontier by every generator, divides out theta as far as every entry
+    of a product allows, and keeps the products whose key is new, in
+    (frontier element, generator) order.
+
+    ClosureError as soon as the closure passes _GROUP_ORDER or when it
+    stops short of it; ValueError unless every element E with scale k has
+    E.E^dagger = 3^k I."""
+    frontier = _matrix_array(IDENTITY_ENTRIES)[None]
+    frontier_theta = np.zeros(1, np.int64)
+    seen = {tuple(ray_keys(frontier.reshape(1, 9, 2), "eisenstein").ravel().tolist())}
+    levels, powers = [frontier], [frontier_theta]
+    while len(frontier):
+        products = _ring_matmul(frontier[:, None], generators).reshape(-1, 3, 3, 2)
+        product_theta = (frontier_theta[:, None] + theta_power).ravel()
+        _theta_reduce(products, product_theta)
+        keys = ray_keys(products.reshape(-1, 9, 2), "eisenstein").reshape(len(products), 18)
+        new = []
+        for index, key in enumerate(map(tuple, keys.tolist())):
+            if key not in seen:
+                if len(seen) >= _GROUP_ORDER:
+                    raise ClosureError(f"closure grew past {_GROUP_ORDER} elements")
+                seen.add(key)
+                new.append(index)
+        frontier, frontier_theta = products[new], product_theta[new]
+        levels.append(frontier)
+        powers.append(frontier_theta)
+    if len(seen) != _GROUP_ORDER:
+        raise ClosureError(f"closure stopped at {len(seen)} != {_GROUP_ORDER}")
+    entries, theta = np.concatenate(levels), np.concatenate(powers)
+    # E^dagger, coordinate-wise: conj(a + b w) = (a - b) - b w
+    dagger = np.stack((entries[..., 0] - entries[..., 1], -entries[..., 1]), axis=-1).swapaxes(1, 2)
+    target = np.zeros_like(entries)
+    target[:, [0, 1, 2], [0, 1, 2], 0] = (3**theta)[:, None]
+    if not (_ring_matmul(entries, dagger) == target).all():
+        raise ValueError("entries are not unitary at scale theta^k")
+    for array in (entries, theta):
+        array.flags.writeable = False
+    return CliffordGroup(entries, theta)
+
+
+def generate_clifford_qutrit() -> CliffordGroup:
     """Breadth-first closure of {H, S}: the 216 phase-quotiented
     single-qutrit Clifford elements, in deterministic BFS order."""
-    seen = {IDENTITY.key(): IDENTITY}
-    frontier = [IDENTITY]
-    order = [IDENTITY]
-    while frontier:
-        next_frontier = []
-        for el in frontier:
-            for gen in (H, S):
-                cand = el * gen
-                k = cand.key()
-                if k not in seen:
-                    if len(seen) >= _GROUP_ORDER:
-                        raise ClosureError(
-                            f"closure grew past {_GROUP_ORDER} elements"
-                        )
-                    seen[k] = cand
-                    next_frontier.append(cand)
-                    order.append(cand)
-        frontier = next_frontier
-    if len(order) != _GROUP_ORDER:
-        raise ClosureError(f"closure stopped at {len(order)} != {_GROUP_ORDER}")
-    return order
-
-
-def act(u: CliffordElement, state: PureStateExact) -> PureStateExact:
-    """U|psi> as a canonical state (theta scale and phase dropped)."""
-    if state.ring != "eisenstein" or state.dim != 3:
-        raise ValueError("act expects a single-qutrit state")
-    return vector_to_state(_mat_vec(u.entries, state.components))
+    generators = np.stack([_matrix_array(H_ENTRIES), _matrix_array(S_ENTRIES)])
+    return _closure(generators, np.array([1, 0], dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -232,40 +176,83 @@ class OrbitEscapeError(RuntimeError):
         )
 
 
+def _images(group: CliffordGroup, coords: np.ndarray) -> np.ndarray:
+    """(216, 3, 2): the Eisenstein vector with (3, 2) coords under every
+    element of the group, theta scale and phase left in."""
+    return _ring_matmul(group.entries, coords[:, None]).reshape(len(group), 3, 2)
+
+
+def _single_column(keys: np.ndarray) -> np.ndarray:
+    """(N,) sortable keys from (N, W) packed_keys words: the one word, or a
+    record of the W words, which numpy orders lexicographically."""
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    return np.ascontiguousarray(keys).view([(f"w{i}", np.int64) for i in range(keys.shape[1])])[:, 0]
+
+
 def orbit_partition(
     state_set: StateSet | Sequence[PureStateExact],
-    group: Sequence[CliffordElement] | None = None,
+    group: CliffordGroup | None = None,
 ) -> list[Orbit]:
-    """Partition qutrit states into Clifford orbits, largest first.
+    """Partition qutrit states into Clifford orbits, largest first; each
+    orbit's representative is its least index.
 
-    Membership is matched on rays: the Clifford action can rescale a
-    representative by theta, so components are compared after a full
-    Eisenstein gcd reduction, not just rational content removal.  Raises
-    ValueError when two of the states lie on one ray.
-    """
-    states = list(state_set.states if isinstance(state_set, StateSet) else state_set)
+    States and images are matched on ray keys, so a theta or phase the
+    Clifford action puts on an image does not matter.  The states' keys
+    are sorted once; then each state not yet in an orbit has its images
+    under the whole group computed in one product and looked up in them.
+
+    A coordinate of an image U.c is a sum of at most 9 products of a
+    coordinate of U and one of c, so it is below 9 max|U| max|c| in
+    absolute value.  Below 2**30 that keeps the product exact in int64,
+    and the keys of images and states too (ray_keys); HeadroomError past
+    it.  Raises ValueError when two of the states lie on one ray, and
+    OrbitEscapeError when an image is not one of the states."""
+    if isinstance(state_set, StateSet):
+        qutrits = state_set.ring == "eisenstein" and state_set.components.shape[1] == 3
+        coords = state_set.components
+    else:
+        qutrits = all(s.ring == "eisenstein" and s.dim == 3 for s in state_set)
+        coords = np.array([[z.coords() for z in s.components] for s in state_set], dtype=np.int64)
+    if not qutrits:
+        raise ValueError("orbit_partition expects single-qutrit states")
+    if not len(coords):
+        return []
     if group is None:
         group = generate_clifford_qutrit()
-    ray_index: dict[tuple, int] = {}
-    for i, s in enumerate(states):
-        j = ray_index.setdefault(ray_reduce(s.components), i)
-        if j != i:
-            raise ValueError(f"states {j} and {i} lie on one ray, so their orbits cannot partition the set")
-    assigned = [False] * len(states)
+    if 9 * int(np.abs(group.entries).max()) * int(np.abs(coords).max()) >= 2**30:
+        raise HeadroomError("states past the int64 headroom of the Clifford images")
+
+    count = len(coords)
+    state_keys = ray_keys(coords, "eisenstein").reshape(count, 6)
+    bounds = np.abs(state_keys).max(axis=0)
+    keys = _single_column(packed_keys(state_keys, bounds))
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if len(repeats):
+        i = int(order[repeats + 1].min())
+        j = int(order[np.searchsorted(ordered, keys[i])])
+        raise ValueError(f"states {j} and {i} lie on one ray, so their orbits cannot partition the set")
+
+    assigned = np.zeros(count, dtype=bool)
     orbits: list[Orbit] = []
-    for start, s in enumerate(states):
+    for start in range(count):
         if assigned[start]:
             continue
-        members = set()
-        for u in group:
-            image = act(u, s)
-            j = ray_index.get(ray_reduce(image.components))
-            if j is None:
-                raise OrbitEscapeError(s, image)
-            members.add(j)
-        for j in members:
-            assigned[j] = True
-        orbits.append(Orbit(representative=start, members=tuple(sorted(members))))
+        images = _images(group, coords[start])
+        image_keys = ray_keys(images, "eisenstein").reshape(len(group), 6)
+        found = (np.abs(image_keys) <= bounds).all(axis=1)  # a key past the bounds is no state's
+        packed = _single_column(packed_keys(image_keys[found], bounds))
+        at = np.searchsorted(ordered, packed).clip(max=count - 1)
+        found[found] = ordered[at] == packed
+        if not found.all():
+            miss = images[int(np.argmin(found))].tolist()
+            raise OrbitEscapeError(state_set[start], vector_to_state(tuple(EisensteinInt(*z) for z in miss)))
+        members = np.sort(order[at])
+        members = members[np.diff(members, prepend=-1) != 0]
+        assigned[members] = True
+        orbits.append(Orbit(representative=start, members=tuple(members.tolist())))
     orbits.sort(key=lambda o: (-o.size, o.representative))
     return orbits
 
@@ -286,7 +273,7 @@ class StabiliserGroupQutrit:
 
     def element_matrices(self) -> tuple[Matrix, Matrix, Matrix]:
         g = self.generator_matrix()
-        return (IDENTITY.entries, g, _mat_mul(g, g))
+        return (IDENTITY_ENTRIES, g, _mat_mul(g, g))
 
     def validate(self) -> None:
         """Order 3, abelian, and no nontrivial scalar element."""

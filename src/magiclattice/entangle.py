@@ -5,7 +5,7 @@ every state it computes exact integers: the one-to-other purities and,
 for each qubit pair, the first two characteristic coefficients of
 rho*rho_tilde.  Class labels follow from integer identities on them, so
 no label depends on a float; the float columns (concurrences and F3)
-are derived from the same integers for display only.
+are derived from the same integers for display only, when first read.
 
 The other 3-qubit routines are the kernel's test oracles: exact reduced
 density matrices with Gaussian-integer numerators over the denominator
@@ -22,6 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -510,12 +511,26 @@ def _reduced_numerators(re: np.ndarray, im: np.ndarray, keep: tuple[int, ...]):
     return ar @ art + ai @ ait, ai @ art - ar @ ait
 
 
+# States per block of concurrence_kernel: its temporaries are about 1.3 KB
+# a state, so a block keeps them near 2.6 MB
+KERNEL_BLOCK_STATES = 2**11
+
+
 def concurrence_kernel(states: StateSet | Sequence[PureStateExact]) -> ConcurrenceArrays:
-    """ConcurrenceArrays of 3-qubit states, in int64 when _kernel_peak
-    fits and in Python ints otherwise."""
+    """ConcurrenceArrays of 3-qubit states, in blocks of
+    KERNEL_BLOCK_STATES; a block runs in int64 when _kernel_peak at its
+    largest norm_sq fits and in Python ints otherwise."""
     if not len(states):
         raise ValueError("the concurrence kernel expects 3-qubit states")
-    re, im, norm_sq = component_arrays(states, _kernel_peak)
+    blocks = [
+        _kernel_block(*component_arrays(states[i : i + KERNEL_BLOCK_STATES], _kernel_peak))
+        for i in range(0, len(states), KERNEL_BLOCK_STATES)
+    ]
+    return ConcurrenceArrays(*(np.concatenate(arrays) for arrays in zip(*blocks)))
+
+
+def _kernel_block(re: np.ndarray, im: np.ndarray, norm_sq: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ConcurrenceArrays fields, in order, of one block of states."""
     if re.shape[1] != 8:
         raise ValueError("the concurrence kernel expects 3-qubit states")
     purity = []
@@ -538,7 +553,7 @@ def concurrence_kernel(states: StateSet | Sequence[PureStateExact]) -> Concurren
     heron = gap.sum(axis=1) ** 2 - 2 * (gap * gap).sum(axis=1)
     if (heron < 0).any():
         raise ValueError("one-to-other concurrences violate the triangle inequality")
-    return ConcurrenceArrays(norm_sq, purity, np.stack(c1, axis=1), np.stack(c2, axis=1), heron)
+    return norm_sq, purity, np.stack(c1, axis=1), np.stack(c2, axis=1), heron
 
 
 def _display_columns(k: ConcurrenceArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -631,10 +646,11 @@ def classify_entanglement(state: PureStateExact, magic_class: str) -> Concurrenc
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntanglementCensus:
-    """Class counts and per-state labels of one 3-qubit StateSet, with
-    the per-state float columns for display."""
+    """Class counts and per-state labels of one 3-qubit StateSet, with its
+    kernel arrays; the per-state float columns for display are built from
+    them on first use."""
 
     lattice_name: str
     norm: int
@@ -642,9 +658,7 @@ class EntanglementCensus:
     magic_classes: dict[str, int]
     other: int
     labels: tuple[str, ...]
-    pairwise: tuple[tuple[float, float, float], ...]  # C_AB, C_AC, C_BC
-    one_to_other: tuple[tuple[float, float, float], ...]  # C_A(BC), C_B(AC), C_C(AB)
-    f3: tuple[float, ...]
+    kernel: ConcurrenceArrays
 
     def histogram(self) -> dict[str, int]:
         out = dict(self.stabiliser_classes)
@@ -653,18 +667,33 @@ class EntanglementCensus:
             out[UNCLASSIFIED] = self.other
         return out
 
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _display_columns(self.kernel)
+
+    @cached_property
+    def pairwise(self) -> tuple[tuple[float, float, float], ...]:  # C_AB, C_AC, C_BC
+        return tuple(map(tuple, self._columns[0].tolist()))
+
+    @cached_property
+    def one_to_other(self) -> tuple[tuple[float, float, float], ...]:  # C_A(BC), C_B(AC), C_C(AB)
+        return tuple(map(tuple, self._columns[1].tolist()))
+
+    @cached_property
+    def f3(self) -> tuple[float, ...]:
+        return tuple(self._columns[2].tolist())
+
 
 def entanglement_census(state_set: StateSet) -> EntanglementCensus:
     """Classify every state of a 3-qubit StateSet.
 
-    Magic classes come from the exact Xi_2 classes, the rest from one
-    concurrence_kernel call over all states."""
+    Magic classes come from the exact Xi_2 classes, the rest from the
+    concurrence_kernel arrays of all states."""
     k = concurrence_kernel(state_set)
     values, index = state_set.xi2_classes
     class_labels = [magic_label(xi, 8, "gaussian") for xi in values]
     labels = _labels(k, list(map(class_labels.__getitem__, index.tolist())))
     counts = Counter(labels)
-    pairwise, one_to_other, f3_values = _display_columns(k)
     return EntanglementCensus(
         lattice_name=state_set.lattice_name,
         norm=state_set.norm,
@@ -672,7 +701,5 @@ def entanglement_census(state_set: StateSet) -> EntanglementCensus:
         magic_classes={c: counts[c] for c in (CLASS_A, CLASS_B) if c in counts},
         other=counts[UNCLASSIFIED],
         labels=tuple(labels),
-        pairwise=tuple(map(tuple, pairwise.tolist())),
-        one_to_other=tuple(map(tuple, one_to_other.tolist())),
-        f3=tuple(f3_values.tolist()),
+        kernel=k,
     )

@@ -28,7 +28,7 @@ from .exact import (
     canonical_vector,
     vector_norm,
 )
-from .lattices import Shell, packed_keys
+from .lattices import HeadroomError, Shell, packed_keys
 
 RingVector = Union[Sequence[GaussianInt], Sequence[EisensteinInt]]
 
@@ -176,6 +176,35 @@ def _in_sector(x: np.ndarray, y: np.ndarray, ring: str) -> np.ndarray:
 def _primitive(coords: np.ndarray) -> np.ndarray:
     """Each row of coords divided by its integer content, C-contiguous."""
     return np.floor_divide(coords, np.gcd.reduce(coords, axis=(1, 2))[:, None, None], order="C")
+
+
+def ray_keys(coords: np.ndarray, ring: str) -> np.ndarray:
+    """Exact ray keys (N, dim, 2) of N nonzero ring vectors given as
+    (N, dim, 2) int64 coordinates: each vector c times conj(c_f), c_f its
+    first nonzero component, divided by the integer content of that
+    product.
+
+    For a nonzero lambda in Q(i) or Q(omega), lambda*c gives the product
+    times |lambda|^2 > 0, which the division removes, since the product's
+    first nonzero component |c_f|^2 is positive; and equal keys make
+    c*conj(c_f) a positive rational multiple of d*conj(d_f), so c a
+    multiple of d.  Two vectors have one key iff they span one ray, and no
+    ring gcd is taken.
+
+    Exact in int64 while every coordinate is below 2**30 in absolute
+    value: a key coordinate is a sum of at most three products of two
+    coordinates, below 3 * 2**60 < 2**63.  HeadroomError past that."""
+    if len(coords) and np.abs(coords).max() >= 2**30:
+        raise HeadroomError("ring coordinates past the int64 headroom of a ray key")
+    p, q = _first_nonzero(coords)
+    a, b = coords[..., 0], coords[..., 1]
+    if ring == "gaussian":  # (a + bi)(p - qi)
+        x, y = a * p[:, None] + b * q[:, None], b * p[:, None] - a * q[:, None]
+    else:  # (a + b w)(c + d w) with c + d w = conj(p + q w) = (p - q) - q w
+        c, d = (p - q)[:, None], -q[:, None]
+        bd = b * d
+        x, y = a * c - bd, a * d + b * c - bd
+    return _primitive(np.stack((x, y), axis=-1))
 
 
 def _norm_sq(comps: np.ndarray, ring: str) -> np.ndarray:

@@ -1,15 +1,28 @@
 """Slow reference implementations that the production kernels are checked
 against."""
 
+from __future__ import annotations
+
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Sequence
 
 import numpy as np
 
-from magiclattice.exact import EisensteinInt, canonical_vector
+from magiclattice.clifford import (
+    H_ENTRIES,
+    IDENTITY_ENTRIES,
+    S_ENTRIES,
+    ClosureError,
+    Matrix,
+    Orbit,
+    OrbitEscapeError,
+    _mat_mul,
+)
+from magiclattice.exact import THETA, EisensteinInt, canonical_vector, ray_reduce, unit_canonicalize
 from magiclattice.lattices import EnumerationBudgetExceeded, LatticeSpec, Shell, _form_for
-from magiclattice.states import real_to_complex
+from magiclattice.states import PureStateExact, StateSet, real_to_complex, vector_to_state
 
 
 def dfs_enumerate(lattice: LatticeSpec, norm: int, node_budget: int = 10**10) -> tuple[np.ndarray, int]:
@@ -126,3 +139,178 @@ def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+# ---------------------------------------------------------------------------
+# the qutrit Clifford group and its orbits as Python objects: Eisenstein
+# matrices E with a scale exponent k, the unitary E / theta^k up to phase
+
+_ZERO = EisensteinInt(0)
+
+
+def _mat_vec(m: Matrix, v: Sequence[EisensteinInt]) -> tuple[EisensteinInt, ...]:
+    return tuple(sum((m[i][k] * v[k] for k in range(3)), _ZERO) for i in range(3))
+
+
+def _theta_divide_all(entries: Matrix) -> Matrix | None:
+    """entries / theta if every entry is divisible, else None.
+
+    z / theta = -z * theta / 3 since theta^2 = -3.
+    """
+    out = []
+    for row in entries:
+        new_row = []
+        for z in row:
+            w = z * THETA
+            if w.a % 3 or w.b % 3:
+                return None
+            new_row.append(EisensteinInt(-(w.a // 3), -(w.b // 3)))
+        out.append(tuple(new_row))
+    return tuple(out)
+
+
+def _reduce_scale(entries: Matrix, k: int) -> tuple[Matrix, int]:
+    while k > 0:
+        divided = _theta_divide_all(entries)
+        if divided is None:
+            break
+        entries = divided
+        k -= 1
+    return entries, k
+
+
+def _gcd2(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return a
+
+
+def _canonical_key(entries: Matrix) -> tuple[tuple[int, int], ...]:
+    """Hashable form invariant under global phase.
+
+    Multiply by the conjugate of the first nonzero entry (this kills any
+    unit-modulus scalar between representatives), clear theta powers and
+    integer content, rotate into the canonical unit sector, read off the
+    coordinates row-major.
+    """
+    flat = [z for row in entries for z in row]
+    first = next(z for z in flat if not z.is_zero())
+    conj = first.conjugate()
+    flat = [z * conj for z in flat]
+    # clear theta factors picked up from conj itself
+    while True:
+        divided = []
+        for z in flat:
+            w = z * THETA
+            if w.a % 3 or w.b % 3:
+                divided = None
+                break
+            divided.append(EisensteinInt(-(w.a // 3), -(w.b // 3)))
+        if divided is None:
+            break
+        flat = divided
+    content = 0
+    for z in flat:
+        content = _gcd2(content, _gcd2(abs(z.a), abs(z.b)))
+    if content > 1:
+        flat = [EisensteinInt(z.a // content, z.b // content) for z in flat]
+    rotated, _ = unit_canonicalize(tuple(flat))
+    return tuple(z.coords() for z in rotated)
+
+
+@dataclass(frozen=True)
+class CliffordElement:
+    entries: Matrix
+    theta_power: int
+
+    def __post_init__(self):
+        # unitarity at the recorded scale: E.E^dagger = 3^k I
+        target = 3**self.theta_power
+        for i in range(3):
+            for j in range(3):
+                acc = _ZERO
+                for k in range(3):
+                    acc = acc + self.entries[i][k] * self.entries[j][k].conjugate()
+                want = (target, 0) if i == j else (0, 0)
+                if acc.coords() != want:
+                    raise ValueError("entries are not unitary at scale theta^k")
+
+    def key(self) -> tuple[tuple[int, int], ...]:
+        return _canonical_key(self.entries)
+
+    def __mul__(self, other: "CliffordElement") -> "CliffordElement":
+        entries, k = _reduce_scale(
+            _mat_mul(self.entries, other.entries),
+            self.theta_power + other.theta_power,
+        )
+        return CliffordElement(entries, k)
+
+
+H = CliffordElement(H_ENTRIES, 1)
+S = CliffordElement(S_ENTRIES, 0)
+IDENTITY = CliffordElement(IDENTITY_ENTRIES, 0)
+
+GROUP_ORDER = 216
+
+
+def generate_clifford_qutrit() -> list[CliffordElement]:
+    """Breadth-first closure of {H, S} over CliffordElement objects: the
+    216 phase-quotiented single-qutrit Clifford elements in BFS order."""
+    seen = {IDENTITY.key(): IDENTITY}
+    frontier = [IDENTITY]
+    order = [IDENTITY]
+    while frontier:
+        next_frontier = []
+        for el in frontier:
+            for gen in (H, S):
+                cand = el * gen
+                k = cand.key()
+                if k not in seen:
+                    if len(seen) >= GROUP_ORDER:
+                        raise ClosureError(f"closure grew past {GROUP_ORDER} elements")
+                    seen[k] = cand
+                    next_frontier.append(cand)
+                    order.append(cand)
+        frontier = next_frontier
+    if len(order) != GROUP_ORDER:
+        raise ClosureError(f"closure stopped at {len(order)} != {GROUP_ORDER}")
+    return order
+
+
+def act(u: CliffordElement, state: PureStateExact) -> PureStateExact:
+    """U|psi> as a canonical state (theta scale and phase dropped)."""
+    if state.ring != "eisenstein" or state.dim != 3:
+        raise ValueError("act expects a single-qutrit state")
+    return vector_to_state(_mat_vec(u.entries, state.components))
+
+
+def orbit_partition(
+    state_set: StateSet | Sequence[PureStateExact], group: Sequence[CliffordElement]
+) -> list[Orbit]:
+    """clifford.orbit_partition by act and the scalar ray_reduce on every
+    image: the orbits largest first, each represented by its least index;
+    ValueError when two states lie on one ray, OrbitEscapeError when an
+    image is not one of the states."""
+    states = list(state_set.states if isinstance(state_set, StateSet) else state_set)
+    ray_index: dict[tuple, int] = {}
+    for i, s in enumerate(states):
+        j = ray_index.setdefault(ray_reduce(s.components), i)
+        if j != i:
+            raise ValueError(f"states {j} and {i} lie on one ray, so their orbits cannot partition the set")
+    assigned = [False] * len(states)
+    orbits: list[Orbit] = []
+    for start, s in enumerate(states):
+        if assigned[start]:
+            continue
+        members = set()
+        for u in group:
+            image = act(u, s)
+            j = ray_index.get(ray_reduce(image.components))
+            if j is None:
+                raise OrbitEscapeError(s, image)
+            members.add(j)
+        for j in members:
+            assigned[j] = True
+        orbits.append(Orbit(representative=start, members=tuple(sorted(members))))
+    orbits.sort(key=lambda o: (-o.size, o.representative))
+    return orbits

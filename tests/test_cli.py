@@ -369,3 +369,23 @@ def test_unwritable_cache_dir_is_one_stderr_line(tmp_path):
     assert done.stderr.startswith(f"magiclattice: error: cannot write shell cache {path}: ")
     assert done.stderr.count("\n") == 1
     assert os.listdir(tmp_path) == ["cache"] and not_a_dir.read_text() == ""
+
+
+def test_closed_stdout_exits_2_without_a_traceback(store):
+    # the reader stops after one line, as `| head -n 1` does, while the
+    # 16,442-line csv is far past a pipe's buffer
+    for norm in (4, 6):
+        store.shell("BW16", norm)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ["entangle", "--lattice", "BW16", "--cache-dir", str(store.cache_dir)]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "magiclattice.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline().startswith(b"state_id,")
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait(timeout=120) == 2
+    assert stderr == b""

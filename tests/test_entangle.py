@@ -393,3 +393,39 @@ def test_entanglement_census_labels_each_xi2_value_once(store, monkeypatch):
     census = en.entanglement_census(ss)
     assert len(calls) == len(set(ss.xi2)) == 1
     assert census.stabiliser_classes == {en.CLASS_I: 216, en.CLASS_II: 432, en.CLASS_III: 432}
+
+
+def _kernel_fields(k):
+    return [getattr(k, name).tolist() for name in ("norm_sq", "purity", "c1", "c2", "heron")]
+
+
+@pytest.mark.parametrize("count", [15360, 5000, 1])
+def test_blocked_kernel_equals_one_block(store, monkeypatch, count):
+    # 15,360 is BW16 l=6 whole (7.5 blocks of 2048), 5000 = 2 * 2048 + 904
+    states = store.states("BW16", 6)[:count]
+    blocked = _kernel_fields(en.concurrence_kernel(states))
+    monkeypatch.setattr(en, "KERNEL_BLOCK_STATES", count)
+    assert blocked == _kernel_fields(en.concurrence_kernel(states))
+
+
+def test_blocked_kernel_mixes_int64_and_python_int_blocks(monkeypatch):
+    # blocks of two: the first pair in int64, the second past its bound
+    states = [GHZ, W, ZERO_BELL, LARGE, PRODUCT]
+    one = _kernel_fields(en.concurrence_kernel(states))
+    monkeypatch.setattr(en, "KERNEL_BLOCK_STATES", 2)
+    assert _kernel_fields(en.concurrence_kernel(states)) == one
+
+
+def test_census_builds_display_columns_on_first_read(store, monkeypatch):
+    calls = []
+
+    def counted(k):
+        calls.append(k)
+        return display(k)
+
+    display = en._display_columns
+    monkeypatch.setattr(en, "_display_columns", counted)
+    census = en.entanglement_census(store.states("BW16", 4))
+    assert calls == [] and len(census.labels) == 1080
+    assert census.pairwise[0] == (0.0, 0.0, 0.0) and len(census.one_to_other) == len(census.f3) == 1080
+    assert len(calls) == 1

@@ -18,12 +18,14 @@ from magiclattice.exact import (
     GaussianInt,
     THETA,
     canonical_vector,
+    ray_reduce,
     vector_norm,
 )
-from magiclattice.lattices import Shell, build_lattice
+from magiclattice.lattices import HeadroomError, Shell, build_lattice
 from magiclattice.states import (
     dedup,
     overlap_sq,
+    ray_keys,
     real_to_complex,
     vector_to_state,
 )
@@ -169,6 +171,43 @@ def test_dedup_matches_scalar_canonical_vector(name, data):
     assert fields(state_set.states) == expected
     assert fields(state_set[i] for i in range(state_set.count)) == expected
     assert state_set.count * len(units) == len(vectors)
+
+
+def _coords(vectors):
+    return np.array([[z.coords() for z in v] for v in vectors], dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cls=hs.sampled_from([GaussianInt, EisensteinInt]),
+    dim=hs.integers(1, 4),
+    data=hs.data(),
+)
+def test_ray_keys_are_equal_iff_ray_reduce_is(cls, dim, data):
+    # lambda * c for a nonzero ring lambda lies on the ray of c; an
+    # unrelated vector usually does not, and when it does the keys agree
+    c, d = data.draw(ring_vectors(cls, dim)), data.draw(ring_vectors(cls, dim))
+    lam = data.draw(hs.builds(cls, hs.integers(-9, 9), hs.integers(-9, 9)).filter(lambda z: not z.is_zero()))
+    pairs = [(c, tuple(lam * z for z in c)), (c, d), (tuple(lam * z for z in d), c)]
+    ring = "gaussian" if cls is GaussianInt else "eisenstein"
+    for x, y in pairs:
+        kx, ky = ray_keys(_coords([x, y]), ring).tolist()
+        assert (kx == ky) == (ray_reduce(x) == ray_reduce(y))
+
+
+def test_ray_keys_examples_and_headroom():
+    E = EisensteinInt
+    # theta * (1, 1, 0) and (1, 1, 0) span one ray; primitive_part keeps them apart
+    keys = ray_keys(_coords([(THETA, THETA, E(0)), (E(1), E(1), E(0)), (E(1), E(0), E(0))]), "eisenstein")
+    assert keys.tolist()[0] == keys.tolist()[1] == [[1, 0], [1, 0], [0, 0]]
+    assert keys.tolist()[2] == [[1, 0], [0, 0], [0, 0]]
+    # (1 + i) * (1, i) against (1, i): one Gaussian ray, key (1, i) * conj(1)
+    keys = ray_keys(_coords([(G(1, 1), G(-1, 1)), (G(1), G(0, 1))]), "gaussian")
+    assert keys.tolist() == [[[1, 0], [0, 1]]] * 2
+    # exact up to the bound: (2^30 - 1, 1) times 2^30 - 1, over the content 2^30 - 1
+    assert ray_keys(_coords([(G(2**30 - 1), G(1))]), "gaussian").tolist() == [[[2**30 - 1, 0], [1, 0]]]
+    with pytest.raises(HeadroomError):
+        ray_keys(_coords([(G(2**30), G(1))]), "gaussian")
 
 
 _PAPER_SHELLS = [("E8", n) for n in (2, 4, 6, 8)] + [("BW16", n) for n in (4, 6)] + [
