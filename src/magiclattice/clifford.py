@@ -101,11 +101,6 @@ class CliffordGroup:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def keys(self) -> np.ndarray:
-        """(216, 18) ray keys of the elements read as 9-vectors, row-major:
-        equal iff two elements are one unitary up to phase."""
-        return ray_keys(self.entries.reshape(-1, 9, 2), "eisenstein").reshape(len(self), 18)
-
 
 def _closure(generators: np.ndarray, theta_power: np.ndarray) -> CliffordGroup:
     """Breadth-first closure of the (G, 3, 3, 2) generators with their

@@ -192,8 +192,9 @@ def ray_keys(coords: np.ndarray, ring: str) -> np.ndarray:
     ring gcd is taken.
 
     Exact in int64 while every coordinate is below 2**30 in absolute
-    value: a key coordinate is a sum of at most three products of two
-    coordinates, below 3 * 2**60 < 2**63.  HeadroomError past that."""
+    value: those of conj(c_f) are then below 2**31, and a key coordinate,
+    a sum of at most three products of a coordinate and one of conj(c_f),
+    is below 2**60 + 2**61 + 2**60 = 2**62.  HeadroomError past that."""
     if len(coords) and np.abs(coords).max() >= 2**30:
         raise HeadroomError("ring coordinates past the int64 headroom of a ray key")
     p, q = _first_nonzero(coords)

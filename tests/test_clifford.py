@@ -53,7 +53,7 @@ def test_group_matches_the_object_bfs(group, object_group):
     entries = [[[list(z.coords()) for z in row] for row in g.entries] for g in object_group]
     assert group.entries.tolist() == entries
     assert group.theta_power.tolist() == [g.theta_power for g in object_group]
-    keys = group.keys().tolist()
+    keys = ray_keys(group.entries.reshape(216, 9, 2), "eisenstein").reshape(216, 18).tolist()
     object_keys = [g.key() for g in object_group]
     for i in range(0, 216, 7):
         assert [keys[j] == keys[i] for j in range(216)] == [k == object_keys[i] for k in object_keys]
