@@ -244,6 +244,8 @@ def orbit_partition(
         if not found.all():
             miss = images[int(np.argmin(found))].tolist()
             raise OrbitEscapeError(state_set[start], vector_to_state(tuple(EisensteinInt(*z) for z in miss)))
+        # sorted and deduplicated without np.unique, whose first call in a
+        # process imports numpy.ma (about 13 ms)
         members = np.sort(order[at])
         members = members[np.diff(members, prepend=-1) != 0]
         assigned[members] = True
