@@ -25,7 +25,6 @@ from .lattices import (
     ensure_shell,
     enumerate_shell,
     load_shell,
-    naive_box_enumerate,
     save_shell,
     shell_cache_path,
     solve_eisenstein_coefficients,
@@ -37,8 +36,6 @@ from .states import (
     PureStateExact,
     StateSet,
     dedup,
-    overlap_sq,
-    real_to_complex,
     representatives,
     vector_to_state,
 )
@@ -49,27 +46,17 @@ from .magic import (
     INTERMEDIATE,
     MAX_MAGIC_MUB,
     MAX_MAGIC_SIC,
-    MagicReport,
     PauliString,
     STABILISER,
     WHDisplacement,
     applicable_bounds,
-    apply_operator,
-    classify,
-    expectation_sq,
     extremal_bounds,
-    m_alpha,
     magic_label,
-    mub_orbit_check,
     pauli_strings,
-    sic_check,
     sre_census,
     stabiliser_count,
-    wh_covariance_check,
-    wh_covariance_check_all,
     wh_displacements,
     xi_alpha,
-    xi_batch_eisenstein,
     xi_batch_gaussian,
     xi_classes,
 )
@@ -88,19 +75,10 @@ from .clifford import (
 )
 from .entangle import (
     ConcurrenceArrays,
-    ConcurrenceProfile,
-    ConcurrenceRootError,
-    DensityMatrixExact,
     EntanglementCensus,
-    classify_entanglement,
     concurrence_kernel,
     entanglement_census,
-    f3,
-    one_to_other_concurrence,
-    pairwise_concurrence,
     pairwise_concurrence_2qubit,
-    reduced_density,
-    wootters_concurrence,
 )
 
 __version__ = "0.1.0"

@@ -129,13 +129,7 @@ def cmd_census(args, failures: Failures) -> None:
 
 
 def cmd_orbits(args, failures: Failures) -> None:
-    shortest = pipeline.materialise(*pipeline.SHORTEST_E6, args.cache_dir)
-    load = _loader(args.cache_dir)
-
-    def states(name: str, norm: int) -> StateSet:  # the shell in hand is not loaded again
-        return dedup(shortest) if (name, norm) == pipeline.SHORTEST_E6 else load(name, norm)
-
-    result = pipeline.orbits_stage(states, shortest)
+    result = pipeline.orbits_stage(_loader(args.cache_dir))
     failures.check_all(result.checks())
     sizes, correspondence = result.orbit_sizes, result.correspondence
     if args.format == "json":
@@ -263,13 +257,10 @@ def cmd_reproduce(args, failures: Failures) -> None:
             if failures.check(ok, message):
                 print(f"PASS {message}")
 
-    kept, shortest = {}, None
+    kept = {}
 
     def materialised(name: str, norm: int) -> Iterator[pipeline.Batch]:
-        nonlocal shortest
         shell = pipeline.materialise(name, norm, args.cache_dir)
-        if (name, norm) == pipeline.SHORTEST_E6:
-            shortest = shell
         kept[name, norm] = dedup(shell)
         yield shell, kept[name, norm]
 
@@ -287,7 +278,7 @@ def cmd_reproduce(args, failures: Failures) -> None:
     def states(name: str, norm: int) -> StateSet:
         return kept[name, norm]
 
-    status(pipeline.orbits_stage(states, shortest).checks())
+    status(pipeline.orbits_stage(states).checks())
     for stage in (pipeline.entangle_stage, pipeline.two_qubit_stage):
         status(stage(states).checks())
     print("reproduce: all checks passed" if not failures.messages else

@@ -11,12 +11,11 @@ vectors differ by a nonzero scalar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .exact import EISENSTEIN_UNITS, EisensteinInt, OMEGA, THETA
-from .lattices import HeadroomError, Shell, packed_keys, solve_eisenstein_coefficients
+from .lattices import HeadroomError, packed_keys, solve_eisenstein_coefficients
 from .magic import WHDisplacement
 from .states import PureStateExact, StateSet, ray_keys, vector_to_state
 
@@ -185,10 +184,7 @@ def _single_column(keys: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(keys).view([(f"w{i}", np.int64) for i in range(keys.shape[1])])[:, 0]
 
 
-def orbit_partition(
-    state_set: StateSet | Sequence[PureStateExact],
-    group: CliffordGroup | None = None,
-) -> list[Orbit]:
+def orbit_partition(state_set: StateSet, group: CliffordGroup | None = None) -> list[Orbit]:
     """Partition qutrit states into Clifford orbits, largest first; each
     orbit's representative is its least index.
 
@@ -203,13 +199,8 @@ def orbit_partition(
     and the keys of images and states too (ray_keys); HeadroomError past
     it.  Raises ValueError when two of the states lie on one ray, and
     OrbitEscapeError when an image is not one of the states."""
-    if isinstance(state_set, StateSet):
-        qutrits = state_set.ring == "eisenstein" and state_set.components.shape[1] == 3
-        coords = state_set.components
-    else:
-        qutrits = all(s.ring == "eisenstein" and s.dim == 3 for s in state_set)
-        coords = np.array([[z.coords() for z in s.components] for s in state_set], dtype=np.int64)
-    if not qutrits:
+    coords = state_set.components
+    if state_set.ring != "eisenstein" or coords.shape[1] != 3:
         raise ValueError("orbit_partition expects single-qutrit states")
     if not len(coords):
         return []
@@ -329,19 +320,18 @@ class CorrespondenceReport:
     mismatches: tuple[str, ...]
 
 
-def verify_e6_correspondence(shell: Shell) -> CorrespondenceReport:
+def verify_e6_correspondence(states: StateSet) -> CorrespondenceReport:
     """Check that the 12 qutrit stabiliser states, scaled to norm 3, are
-    exactly the rays of the 72 shortest E6 vectors (shell, the E6 l=3
-    shell), and that each scaled state has integral lattice coefficients."""
-    if (shell.lattice.name, shell.norm) != ("E6", 3):
-        raise ValueError(f"expected the E6 l=3 shell, got {shell!r}")
-    shell_components = {
-        tuple(EisensteinInt(a, b) for a, b in zip(row[0::2], row[1::2]))
-        for row in shell.rows.tolist()
-    }
+    exactly the states of the E6 l=3 StateSet, and that each scaled state
+    has integral lattice coefficients.  Each state stands for its |units|
+    shortest vectors (dedup checks that count), so the matched states
+    cover 6 vectors each."""
+    if (states.lattice_name, states.norm) != ("E6", 3):
+        raise ValueError(f"expected the E6 l=3 states, got {states!r}")
+    shell_states = {state.components for state in states}
 
     mismatches: list[str] = []
-    covered: set[tuple] = set()
+    matched: set[tuple] = set()
     betas: list[tuple[tuple[int, int], ...]] = []
     for group in stabiliser_groups_qutrit():
         state = stabiliser_state(group)
@@ -359,18 +349,17 @@ def verify_e6_correspondence(shell: Shell) -> CorrespondenceReport:
             betas.append(())
         else:
             betas.append(tuple(b.coords() for b in beta))
-        for unit in EISENSTEIN_UNITS:
-            mult = tuple(z * unit for z in comps)
-            if mult in shell_components:
-                covered.add(mult)
-            else:
-                mismatches.append(f"unit multiple {mult} not in the shell")
-    if len(covered) != len(shell_components):
-        missing = len(shell_components) - len(covered)
-        mismatches.append(f"{missing} shell vectors not reached by any state")
+        canonical = vector_to_state(comps).components
+        if canonical in shell_states:
+            matched.add(canonical)
+        else:
+            mismatches.append(f"state {comps} is not among the E6 l=3 states")
+    if len(matched) != len(shell_states):
+        missing = len(shell_states) - len(matched)
+        mismatches.append(f"{missing} E6 l=3 states not reached by any stabiliser state")
     return CorrespondenceReport(
         ok=not mismatches,
-        vectors_covered=len(covered),
+        vectors_covered=len(EISENSTEIN_UNITS) * len(matched),
         betas=tuple(betas),
         mismatches=tuple(mismatches),
     )

@@ -7,9 +7,7 @@ decides one coefficient for every partial vector at once, in int64 numpy
 arrays, and hands its vectors out in chunks, so that a shell can be
 streamed through a census without being held whole.  After clearing
 denominators every bound test is integer arithmetic within a checked
-headroom, so no solution can be lost to rounding.  A brute-force box
-scan over the coordinate bounds is provided as an independent
-cross-check.
+headroom, so no solution can be lost to rounding.
 
 E8 and BW16 live in R^8 and R^16 with half-integer coordinates; their
 ambient vectors are stored doubled (scale 2) so that every coordinate is
@@ -23,7 +21,6 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd, isqrt
 from operator import mul
 from pathlib import Path
@@ -621,63 +618,6 @@ def enumerate_shell(
     bounds = _int64_bounds(lattice, norm)  # raises before a search past the headroom
     # no reference kept here, so the unsorted array is freed once sorted
     return _shell_from_coeffs(lattice, norm, _search(lattice, norm, node_budget)[0], bounds, _float_generator(lattice))
-
-
-# ---------------------------------------------------------------------------
-# independent brute-force oracle
-
-
-def naive_box_enumerate(
-    lattice: LatticeSpec, norm: int, block_limit: int = 1 << 21
-) -> list[tuple[int, ...]]:
-    """Scan the full coordinate-bound box for solutions of a G a^T = norm.
-
-    Exhaustive by construction and independent of the branch-and-bound
-    pruning; quadratic-form values are evaluated in (vectorized) integer
-    arithmetic.  Intended for cross-checks on small shells.
-    """
-    bounds = coordinate_bounds(lattice, norm)
-    n = lattice.coeff_dim
-    denom = _lcm(x.denominator for row in lattice.gram for x in row)
-    gi = np.array(
-        [[int(x * denom) for x in row] for row in lattice.gram], dtype=np.int64
-    )
-    target = denom * norm
-
-    # Split coordinates into an outer python loop and an inner numpy grid.
-    widths = [2 * b + 1 for b in bounds]
-    split = n
-    size = 1
-    while split > 0 and size * widths[split - 1] <= block_limit:
-        split -= 1
-        size *= widths[split]
-    inner_axes = list(range(split, n))
-    inner_ranges = [np.arange(-bounds[i], bounds[i] + 1, dtype=np.int64) for i in inner_axes]
-    if inner_axes:
-        mesh = np.meshgrid(*inner_ranges, indexing="ij")
-        inner = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    else:
-        inner = np.zeros((1, 0), dtype=np.int64)
-
-    g_in = gi[split:, split:]
-    g_cross = gi[:split, split:]
-    g_out = gi[:split, :split]
-    q_in = np.einsum("ij,jk,ik->i", inner, g_in, inner) if inner_axes else np.zeros(1, dtype=np.int64)
-    cross = inner @ g_cross.T if split else None
-
-    out: list[tuple[int, ...]] = []
-    outer_iter = product(*[range(-bounds[i], bounds[i] + 1) for i in range(split)])
-    for head in outer_iter:
-        if split:
-            u = np.array(head, dtype=np.int64)
-            q = q_in + 2 * (cross @ u) + int(u @ g_out @ u)
-        else:
-            q = q_in
-        hits = np.nonzero(q == target)[0]
-        for idx in hits:
-            out.append(tuple(head) + tuple(int(v) for v in inner[idx]))
-    out.sort()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import log2, prod
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
 from .exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS, EisensteinInt, GaussianInt
-from .states import PureStateExact, StateSet, component_arrays, overlap_sq, vector_to_state
+from .states import PureStateExact, StateSet, component_arrays
 
 STABILISER = "Stabiliser"
 MAX_MAGIC_SIC = "MaxMagicSIC"
@@ -36,12 +36,6 @@ INTERMEDIATE = "Intermediate"
 XI_BLOCK_STATES = 2**11
 
 _OMEGA_POWERS = (EisensteinInt(1, 0), EisensteinInt(0, 1), EisensteinInt(-1, -1))
-_MINUS_I_POWERS = (
-    GaussianInt(1, 0),
-    GaussianInt(0, -1),
-    GaussianInt(-1, 0),
-    GaussianInt(0, 1),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -90,49 +84,18 @@ class WHDisplacement:
     a2: int
 
     def matrix(self):
-        """Exact matrix realization (d = 2 over Z[i], d = 3 over Z[omega])."""
-        if self.d == 3:
-            # tau = omega^2; entry (j, k): nonzero iff k = j + a1 (mod 3)
-            tau_exp = (2 * self.a1 * self.a2) % 3
-            rows = []
-            for j in range(3):
-                row = [EisensteinInt(0)] * 3
-                k = (j + self.a1) % 3
-                row[k] = _OMEGA_POWERS[(tau_exp + self.a2 * k) % 3]
-                rows.append(tuple(row))
-            return tuple(rows)
-        if self.d == 2:
-            # tau = -i; entry (j, k): nonzero iff k = j xor a1
-            rows = []
-            for j in range(2):
-                row = [GaussianInt(0)] * 2
-                k = j ^ self.a1
-                sign = -1 if (self.a2 and k) else 1
-                row[k] = _MINUS_I_POWERS[(self.a1 * self.a2) % 4] * sign
-                rows.append(tuple(row))
-            return tuple(rows)
-        raise ValueError("exact matrices available for d in {2, 3} only")
-
-    def compose_phase_exponent(self, other: "WHDisplacement") -> int:
-        """tau exponent picked up in D_a * D_b = tau^e * D_{a+b}.
-
-        Derived from Z^m X^k = omega^(-m*k) X^k Z^m (X shifts indices
-        downward here) and omega = tau^2; at d = 3 it reduces to
-        e = -a1*b2 mod 3.
-        """
-        if self.d != other.d:
-            raise ValueError("dimension mismatch")
-        d = self.d
-        period = d if d % 2 else 2 * d
-        c1 = (self.a1 + other.a1) % d
-        c2 = (self.a2 + other.a2) % d
-        e = (
-            self.a1 * self.a2
-            + other.a1 * other.a2
-            - 2 * self.a2 * other.a1
-            - c1 * c2
-        )
-        return e % period
+        """Exact matrix realization over Z[omega], for d = 3."""
+        if self.d != 3:
+            raise ValueError("exact matrices available for d = 3 only")
+        # tau = omega^2; entry (j, k): nonzero iff k = j + a1 (mod 3)
+        tau_exp = (2 * self.a1 * self.a2) % 3
+        rows = []
+        for j in range(3):
+            row = [EisensteinInt(0)] * 3
+            k = (j + self.a1) % 3
+            row[k] = _OMEGA_POWERS[(tau_exp + self.a2 * k) % 3]
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 def wh_displacements(d: int) -> tuple[WHDisplacement, ...]:
@@ -151,37 +114,6 @@ Operator = Union[PauliString, WHDisplacement]
 
 def _popcount(x: int) -> int:
     return bin(x).count("1")
-
-
-def apply_operator(op: Operator, state: PureStateExact) -> PureStateExact:
-    """O|psi> as a canonical state (global phase canonicalized away)."""
-    comps = _apply_components(op, state)
-    return vector_to_state(comps)
-
-
-def _apply_components(op: Operator, state: PureStateExact):
-    c = state.components
-    if isinstance(op, PauliString):
-        if state.ring != "gaussian" or state.dim != 1 << op.n:
-            raise ValueError("operator does not match the state's register")
-        xm, zm, yc = op.masks()
-        phase = _MINUS_I_POWERS[yc % 4]
-        out = []
-        for j in range(state.dim):
-            val = c[j ^ xm] * phase
-            if _popcount(j & zm) & 1:
-                val = -val
-            out.append(val)
-        return tuple(out)
-    if state.ring != "eisenstein" or state.dim != op.d or op.d != 3:
-        raise ValueError("displacement application implemented for qutrit states")
-    a1, a2 = op.a1, op.a2
-    tau_exp = (2 * a1 * a2) % 3
-    out = []
-    for j in range(3):
-        k = (j + a1) % 3
-        out.append(c[k] * _OMEGA_POWERS[(tau_exp + a2 * k) % 3])
-    return tuple(out)
 
 
 def _bilinear_norm(op: Operator, state: PureStateExact) -> int:
@@ -213,13 +145,9 @@ def _operator_set(state: PureStateExact) -> tuple[Operator, ...]:
     return wh_displacements(3)
 
 
-def expectation_sq(state: PureStateExact, op: Operator) -> Fraction:
-    """Exact |<psi|O|psi>|^2 of the normalized state."""
-    return Fraction(_bilinear_norm(op, state), state.norm_sq * state.norm_sq)
-
-
 def xi_alpha(state: PureStateExact, alpha: int) -> Fraction:
-    """Exact Xi_alpha: (1/d^n) sum of expectation_sq^alpha over the WH set."""
+    """Exact Xi_alpha: (1/d^n) times the sum of |<psi|O|psi>|^(2*alpha) over
+    the WH set."""
     if alpha < 1:
         raise ValueError("alpha must be a positive integer")
     n4 = state.norm_sq * state.norm_sq
@@ -227,14 +155,6 @@ def xi_alpha(state: PureStateExact, alpha: int) -> Fraction:
     for op in _operator_set(state):
         total += Fraction(_bilinear_norm(op, state), n4) ** alpha
     return total / state.dim
-
-
-def m_alpha(state: PureStateExact, alpha: int) -> float:
-    """SRE of order alpha (bits)."""
-    if alpha < 2:
-        raise ValueError("m_alpha requires alpha >= 2")
-    xi = xi_alpha(state, alpha)
-    return -log2(xi) / (alpha - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +198,6 @@ def applicable_bounds(dim: int, ring: str) -> ExtremalBounds:
     raise ValueError(f"no bound on record for dim {dim} over {ring}")
 
 
-@dataclass(frozen=True)
-class MagicReport:
-    xi2: Fraction
-    m2: float
-    label: str
-
-
 def magic_label(xi2: Fraction, dim: int, ring: str) -> str:
     if xi2 == 1:
         return STABILISER
@@ -292,11 +205,6 @@ def magic_label(xi2: Fraction, dim: int, ring: str) -> str:
     if xi2 == bounds.xi_min:
         return MAX_MAGIC_MUB if bounds.delta == 0 else MAX_MAGIC_SIC
     return INTERMEDIATE
-
-
-def classify(state: PureStateExact) -> MagicReport:
-    xi2 = xi_alpha(state, 2)
-    return MagicReport(xi2=xi2, m2=-log2(xi2) if xi2 != 1 else 0.0, label=magic_label(xi2, state.dim, state.ring))
 
 
 def stabiliser_count(n: int, d: int = 2) -> int:
@@ -307,133 +215,6 @@ def stabiliser_count(n: int, d: int = 2) -> int:
     for k in range(1, n + 1):
         out *= d**k + 1
     return out
-
-
-# ---------------------------------------------------------------------------
-# saturation checks
-
-
-def wh_covariance_check(state: PureStateExact) -> bool:
-    """True iff every nonidentity WH expectation_sq equals 1/(D+1),
-    the defining property of a WH-SIC fiducial."""
-    target = Fraction(1, state.dim + 1)
-    ops = _operator_set(state)
-    return all(expectation_sq(state, op) == target for op in ops[1:])
-
-
-def mub_orbit_check(state: PureStateExact, build_orbit: bool = False) -> bool:
-    """Two-qubit MUB-fiducial check.
-
-    Default: exact signature test, the multiset of the 16 Pauli
-    expectation values must be {1} + {0}x3 + {1/4}x12.  With build_orbit
-    the 16-state WH orbit is constructed instead and checked to split
-    into 4 orthonormal bases with cross overlaps 1/4.
-    """
-    if state.ring != "gaussian" or state.dim != 4:
-        raise ValueError("mub_orbit_check applies to two-qubit states")
-    ops = _operator_set(state)
-    if not build_orbit:
-        values = sorted(expectation_sq(state, op) for op in ops)
-        expected = sorted([Fraction(1)] + [Fraction(0)] * 3 + [Fraction(1, 4)] * 12)
-        return values == expected
-
-    orbit = []
-    seen = set()
-    for op in ops:
-        st = apply_operator(op, state)
-        if st.components not in seen:
-            seen.add(st.components)
-            orbit.append(st)
-    if len(orbit) != 16:
-        return False
-    # Orthogonality components must form 4 bases of 4 states; overlaps
-    # across bases must all be 1/4.
-    unassigned = list(range(16))
-    bases: list[list[int]] = []
-    while unassigned:
-        seed = unassigned.pop(0)
-        basis = [seed]
-        rest = []
-        for j in unassigned:
-            if overlap_sq(orbit[seed], orbit[j]) == 0:
-                basis.append(j)
-            else:
-                rest.append(j)
-        unassigned = rest
-        bases.append(basis)
-    if len(bases) != 4 or any(len(b) != 4 for b in bases):
-        return False
-    for b in bases:
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if overlap_sq(orbit[b[i]], orbit[b[j]]) != 0:
-                    return False
-    quarter = Fraction(1, 4)
-    for bi in range(4):
-        for bj in range(bi + 1, 4):
-            for i in bases[bi]:
-                for j in bases[bj]:
-                    if overlap_sq(orbit[i], orbit[j]) != quarter:
-                        return False
-    return True
-
-
-def sic_check(
-    states: Union[PureStateExact, StateSet, Sequence[PureStateExact]],
-) -> tuple[bool, list[str]]:
-    """Verify WH-SIC structure: the WH orbit of each state must contain
-    D^2 distinct states with pairwise overlap_sq = 1/(D+1).
-
-    Accepts a single state (its orbit is generated) or a collection
-    (partitioned into orbits; orbits must stay inside the collection).
-    Returns (ok, violations).
-    """
-    if isinstance(states, PureStateExact):
-        pool = [states]
-        closed = False
-    elif isinstance(states, StateSet):
-        pool = list(states.states)
-        closed = True
-    else:
-        pool = list(states)
-        closed = True
-
-    violations: list[str] = []
-    index = {s.components: i for i, s in enumerate(pool)}
-    visited = [False] * len(pool)
-    target = None
-    for start, s in enumerate(pool):
-        if visited[start]:
-            continue
-        ops = _operator_set(s)
-        d_sq = len(ops)
-        target = Fraction(1, s.dim + 1)
-        orbit_states: dict[tuple, PureStateExact] = {}
-        for op in ops:
-            st = apply_operator(op, s)
-            orbit_states[st.components] = st
-            if closed:
-                k = index.get(st.components)
-                if k is None:
-                    violations.append(
-                        f"orbit of state {start} leaves the given set at {st.components}"
-                    )
-                else:
-                    visited[k] = True
-        visited[start] = True
-        orbit = list(orbit_states.values())
-        if len(orbit) != d_sq:
-            violations.append(
-                f"orbit of state {start} has {len(orbit)} distinct states, expected {d_sq}"
-            )
-        for i in range(len(orbit)):
-            for j in range(i + 1, len(orbit)):
-                ov = overlap_sq(orbit[i], orbit[j])
-                if ov != target:
-                    violations.append(
-                        f"overlap {ov} != {target} inside orbit of state {start}"
-                    )
-    return (not violations, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +274,7 @@ def _pauli_signs(n: int, dtype: np.dtype) -> tuple[np.ndarray, tuple[tuple[np.nd
 
 
 def xi_classes(
-    states: Union[StateSet, Sequence[PureStateExact]], ring: str, alphas: Iterable[int] = (2,)
+    states: StateSet, ring: str, alphas: Iterable[int] = (2,)
 ) -> dict[int, tuple[tuple[Fraction, ...], np.ndarray]]:
     """Exact Xi_alpha of many states of one ring and dimension, as classes:
     for each alpha the distinct values, each once, and an int index array
@@ -510,7 +291,7 @@ def xi_classes(
     alphas = tuple(alphas)
     if not len(states):
         return {a: ((), np.zeros(0, np.intp)) for a in alphas}
-    dim = states[0].dim
+    dim = states.components.shape[1]
     if ring == "gaussian":
         expectations = partial(_pauli_norms, n=dim.bit_length() - 1)
     elif dim == 3:
@@ -567,9 +348,7 @@ def _per_state(classes: dict[int, tuple[tuple[Fraction, ...], np.ndarray]]) -> d
     return {a: list(map(values.__getitem__, index.tolist())) for a, (values, index) in classes.items()}
 
 
-def xi_batch_gaussian(
-    states: Union[StateSet, Sequence[PureStateExact]], alphas: Iterable[int] = (2,)
-) -> dict[int, list[Fraction]]:
+def xi_batch_gaussian(states: StateSet, alphas: Iterable[int] = (2,)) -> dict[int, list[Fraction]]:
     """Exact Xi_alpha for many qubit-register states at once, one list
     entry per state: the classes of xi_classes, spelled out.  Results are
     exact rationals identical to xi_alpha, one Fraction object per
@@ -608,32 +387,6 @@ def _displacement_norms(a: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
         yield re * re - re * om + om * om
 
 
-def xi_batch_eisenstein(
-    states: Union[StateSet, Sequence[PureStateExact]], alphas: Iterable[int] = (2,)
-) -> dict[int, list[Fraction]]:
-    """Exact Xi_alpha for many qutrit (Z[omega]) states at once, one list
-    entry per state: the classes of xi_classes, spelled out.  Results are
-    exact rationals identical to xi_alpha, one Fraction object per
-    distinct value."""
-    return _per_state(xi_classes(states, "eisenstein", alphas))
-
-
-def wh_covariance_check_all(states: Sequence[PureStateExact]) -> bool:
-    """Batch wh_covariance_check; qutrit states take the scalar path."""
-    if not states:
-        return True
-    if states[0].ring != "gaussian":
-        return all(wh_covariance_check(s) for s in states)
-    dim = states[0].dim
-    # need (D+1) * |<c|P|c>|^2 == norm_sq^2 for every non-identity P
-    re, im, norms = component_arrays(states, lambda nn: (dim + 1) * nn * nn)
-    target = (norms * norms)[:, None]
-    for x, gn in enumerate(_pauli_norms(re, im, dim.bit_length() - 1)):
-        if not ((gn[:, 1:] if x == 0 else gn) * (dim + 1) == target).all():
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class CensusRow:
     xi2: Fraction
@@ -653,13 +406,6 @@ class CensusReport:
 
     def histogram(self) -> dict[Fraction, int]:
         return {row.xi2: row.state_count for row in self.rows}
-
-    def class_histogram(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for row in self.rows:
-            out[row.label] = out.get(row.label, 0) + row.state_count
-        return out
-
 
 def census_rows(counts: Mapping[Fraction, int], dim: int, ring: str) -> tuple[CensusRow, ...]:
     """One row per exact Xi_2 value and its state count, in descending

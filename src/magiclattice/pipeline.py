@@ -46,7 +46,6 @@ HEAVY_NORMS = {"BW16": (8,)}
 TABLE_IDS = {"E8": "T2", "BW16": "T3", "E6": "T4"}
 # the shells that the stages after the census read
 ORBIT_SHELLS = (("E6", 3), ("E6", 6))
-SHORTEST_E6 = ("E6", 3)  # the shell the stabiliser correspondence reads
 ENTANGLE_SHELLS = (("BW16", 4), ("BW16", 6))
 TWO_QUBIT_SHELL = ("E8", 4)
 LATER_STAGE_SHELLS = {*ORBIT_SHELLS, *ENTANGLE_SHELLS, TWO_QUBIT_SHELL}
@@ -215,16 +214,14 @@ class OrbitsResult:
         ]
 
 
-def orbits_stage(states: StateLoader, shortest: Shell) -> OrbitsResult:
+def orbits_stage(states: StateLoader) -> OrbitsResult:
     """The qutrit Clifford group, its orbits on the E6 l=3 and l=6 states,
-    and the correspondence of the stabiliser states with the shortest E6
-    vectors (shortest, the E6 l=3 shell)."""
+    and the correspondence of the stabiliser states with the E6 l=3
+    states."""
     group = generate_clifford_qutrit()
-    sizes = {
-        norm: [o.size for o in orbit_partition(states(name, norm), group)]
-        for name, norm in ORBIT_SHELLS
-    }
-    return OrbitsResult(len(group), sizes, verify_e6_correspondence(shortest))
+    state_sets = {norm: states(name, norm) for name, norm in ORBIT_SHELLS}
+    sizes = {norm: [o.size for o in orbit_partition(ss, group)] for norm, ss in state_sets.items()}
+    return OrbitsResult(len(group), sizes, verify_e6_correspondence(state_sets[3]))
 
 
 @dataclass(frozen=True)

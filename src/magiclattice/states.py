@@ -37,15 +37,6 @@ class EmptyShellError(ValueError):
     """Raised when a shell with no vectors is turned into states."""
 
 
-def real_to_complex(x: Sequence[int]) -> tuple[GaussianInt, ...]:
-    """Pair a real vector of even length 2D into D Gaussian components,
-    c_k = x_k + i*x_{D+k}.  Scale factors pass through untouched."""
-    if len(x) % 2:
-        raise ValueError("real vector must have even length")
-    half = len(x) // 2
-    return tuple(GaussianInt(x[k], x[half + k]) for k in range(half))
-
-
 @dataclass(frozen=True)
 class PureStateExact:
     """Unnormalized pure state with exact ring-integer components.
@@ -61,9 +52,6 @@ class PureStateExact:
     @property
     def dim(self) -> int:
         return len(self.components)
-
-    def sort_key(self) -> tuple:
-        return tuple(coord for c in self.components for coord in c.coords())
 
     def __repr__(self) -> str:  # pragma: no cover
         comps = ", ".join(str(c) for c in self.components)
@@ -154,7 +142,7 @@ class StateSet:
 def _ring_coords(shell: Shell) -> np.ndarray:
     """(N, dim, 2) view of a shell's ambient rows as ring coordinates."""
     rows, dim = shell.rows, shell.lattice.complex_dim
-    if shell.lattice.ring == "gaussian":  # c_k = x_k + i*x_{D+k}, as in real_to_complex
+    if shell.lattice.ring == "gaussian":  # c_k = x_k + i*x_{D+k}
         return rows.reshape(len(rows), 2, dim).swapaxes(1, 2)
     return rows.reshape(len(rows), dim, 2)
 
@@ -263,7 +251,7 @@ def vector_states(shell: Shell) -> StateSet:
 
 
 def component_arrays(
-    states: Union[StateSet, Sequence[PureStateExact]],
+    states: StateSet,
     peak: Callable[[int], int],
     ring: str = "gaussian",
     dtype: type = np.int64,
@@ -280,27 +268,12 @@ def component_arrays(
     for float64, and all three hold Python ints (dtype=object) otherwise,
     so the same array code stays exact on any input.
     """
-    if isinstance(states, StateSet):
-        if states.ring != ring:
-            raise ValueError(f"expected {ring}-integer states")
-        coords, norms = states.components, states.norm_sq
-    else:
-        if any(s.ring != ring or s.dim != states[0].dim for s in states):
-            raise ValueError(f"expected {ring}-integer states of one dimension")
-        coords = np.array([[c.coords() for c in s.components] for s in states], dtype=object)
-        norms = np.array([s.norm_sq for s in states], dtype=object)
+    if states.ring != ring:
+        raise ValueError(f"expected {ring}-integer states")
+    coords, norms = states.components, states.norm_sq
     if peak(int(norms.max())) < (2**53 if dtype == np.float64 else 2**63):
         norms = norms.astype(np.int64, copy=False)
     else:
         dtype, norms = object, norms.astype(object)
     return coords[..., 0].astype(dtype, copy=False), coords[..., 1].astype(dtype, copy=False), norms
 
-
-def overlap_sq(psi: PureStateExact, chi: PureStateExact) -> Fraction:
-    """Exact |<psi|chi>|^2 for the normalized states."""
-    if psi.ring != chi.ring or psi.dim != chi.dim:
-        raise ValueError("states live in different spaces")
-    acc = psi.components[0].conjugate() * chi.components[0]
-    for a, b in zip(psi.components[1:], chi.components[1:]):
-        acc = acc + a.conjugate() * b
-    return Fraction(acc.norm(), psi.norm_sq * chi.norm_sq)

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from magiclattice.lattices import build_lattice, ensure_shell
@@ -42,3 +46,14 @@ class ShellStore:
 @pytest.fixture(scope="session")
 def store(tmp_path_factory):
     return ShellStore(tmp_path_factory.mktemp("shellcache"))
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """perfbench/traced.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module

@@ -13,13 +13,9 @@ from fractions import Fraction
 import pytest
 
 from magiclattice import (
-    GaussianInt,
     build_lattice,
-    classify_entanglement,
     entanglement_census,
     generate_clifford_qutrit,
-    mub_orbit_check,
-    naive_box_enumerate,
     orbit_partition,
     pairwise_concurrence_2qubit,
     ray_reduce,
@@ -29,15 +25,18 @@ from magiclattice import (
     stabiliser_state,
     theta_check,
     verify_e6_correspondence,
-    vector_to_state,
-    wh_covariance_check_all,
-    wootters_concurrence,
     xi_alpha,
     xi_batch_gaussian,
 )
-from magiclattice.entangle import DensityMatrixExact
-from magiclattice.exact import EisensteinInt, OMEGA
-from magiclattice.magic import MAX_MAGIC_SIC, WHDisplacement, wh_displacements
+from magiclattice.magic import MAX_MAGIC_SIC, wh_displacements
+from oracles import (
+    classify_entanglement,
+    displacement_law_violations,
+    mub_orbit_check,
+    naive_box_enumerate,
+    wh_covariance_check_all,
+    wootters_gap,
+)
 
 F = Fraction
 
@@ -121,7 +120,7 @@ def test_criterion_4_bound_saturation(store):
 
     # E8 l=4 maximal states: MUB signature {1, 0 x3, 1/4 x12}
     e8 = store.states("E8", 4)
-    xi2 = xi_batch_gaussian(e8.states, alphas=(2,))[2]
+    xi2 = xi_batch_gaussian(e8, alphas=(2,))[2]
     maximal = [s for s, x in zip(e8.states, xi2) if x == F(7, 16)]
     assert len(maximal) == 480
     assert all(mub_orbit_check(s) for s in maximal)
@@ -139,7 +138,7 @@ def test_criterion_5_stabiliser_property(store):
     found = {}
     for name, norm in (("E8", 2), ("E8", 4), ("E8", 8), ("BW16", 4)):
         ss = store.states(name, norm)
-        batch = xi_batch_gaussian(ss.states, alphas=(2, 3))
+        batch = xi_batch_gaussian(ss, alphas=(2, 3))
         stab = [
             (x2, x3)
             for x2, x3 in zip(batch[2], batch[3])
@@ -171,7 +170,7 @@ def test_criterion_6_clifford_orbits(store):
     rays = {ray_reduce(s.components) for s in short.states}
     assert {ray_reduce(stabiliser_state(g).components) for g in groups} == rays
 
-    report = verify_e6_correspondence(store.shell("E6", 3))
+    report = verify_e6_correspondence(short)
     assert report.ok and report.vectors_covered == 72 and not report.mismatches
 
 
@@ -197,7 +196,7 @@ def test_criterion_7_entanglement_census(store):
 
     # two-qubit maximal states: C in {1/2 x192, 1/sqrt(2) x288}
     e8 = store.states("E8", 4)
-    xi2 = xi_batch_gaussian(e8.states, alphas=(2,))[2]
+    xi2 = xi_batch_gaussian(e8, alphas=(2,))[2]
     hist: dict[Fraction, int] = {}
     for st, x in zip(e8.states, xi2):
         if x != F(7, 16):
@@ -216,44 +215,12 @@ def test_criterion_8_oracle_equivalence(store):
         assert fast == naive_box_enumerate(build_lattice(name), norm), (name, norm)
 
     # Wootters on a pure-state density matrix vs the pure formula
-    rng = random.Random(8)
-    worst = 0.0
-    for _ in range(1000):
-        comps = tuple(
-            GaussianInt(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(4)
-        )
-        if all(z.is_zero() for z in comps):
-            comps = (GaussianInt(1), GaussianInt(0), GaussianInt(0), GaussianInt(0))
-        st = vector_to_state(comps)
-        pure_value, _ = pairwise_concurrence_2qubit(st)
-        num = tuple(
-            tuple(st.components[a] * st.components[b].conjugate() for b in range(4))
-            for a in range(4)
-        )
-        rho = DensityMatrixExact(num=num, den=st.norm_sq)
-        worst = max(worst, abs(wootters_concurrence(rho) - pure_value))
+    worst = wootters_gap(random.Random(8), 9)
     assert worst <= 1e-10, worst
 
     # displacement multiplication law on all 81 qutrit pairs
-    def matmul(a, b):
-        return tuple(
-            tuple(
-                sum((a[i][k] * b[k][j] for k in range(3)), EisensteinInt(0))
-                for j in range(3)
-            )
-            for i in range(3)
-        )
-
-    powers = (EisensteinInt(1), OMEGA, OMEGA * OMEGA)
-    ops = wh_displacements(3)
-    assert len(ops) == 9
-    for a in ops:
-        for b in ops:
-            e = a.compose_phase_exponent(b)
-            tau = powers[(2 * e) % 3]
-            c = WHDisplacement(3, (a.a1 + b.a1) % 3, (a.a2 + b.a2) % 3)
-            rhs = tuple(tuple(z * tau for z in row) for row in c.matrix())
-            assert matmul(a.matrix(), b.matrix()) == rhs, (a, b)
+    assert len(wh_displacements(3)) == 9
+    assert displacement_law_violations() == []
 
 
 @pytest.mark.heavy

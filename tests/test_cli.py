@@ -13,7 +13,7 @@ import pytest
 
 from magiclattice import cli, lattices, magic, pipeline
 from magiclattice.lattices import build_lattice, shell_cache_path
-from magiclattice.states import real_to_complex
+from oracles import real_to_complex
 
 GOLDEN_REPRODUCE = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "reproduce.txt"
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -144,7 +145,7 @@ def test_act_examples(group):
     with pytest.raises(ValueError):
         oracles.act(oracles.H, vector_to_state((E(1), E(0))))
     with pytest.raises(ValueError, match="single-qutrit"):
-        cl.orbit_partition([vector_to_state((E(1), E(0)))], group)
+        cl.orbit_partition(oracles.state_set([vector_to_state((E(1), E(0)))]), group)
 
 
 def test_act_preserves_xi(group):
@@ -222,7 +223,7 @@ def test_orbit_partition_refuses_two_states_on_one_ray(store, group):
 def test_orbit_escape_detected(group, object_group):
     e1 = vector_to_state((E(1), E(0), E(0)))
     with pytest.raises(cl.OrbitEscapeError) as caught:
-        cl.orbit_partition([e1], group)
+        cl.orbit_partition(oracles.state_set([e1]), group)
     with pytest.raises(cl.OrbitEscapeError) as expected:
         oracles.orbit_partition([e1], object_group)
     # the first image outside the set, in group order
@@ -255,24 +256,33 @@ def test_orbit_partition_with_multiword_keys(group, object_group):
         st = oracles.act(u, seed)
         rays.setdefault(ray_reduce(st.components), st)
     states = list(rays.values())[::-1]
-    coords = np.array([[z.coords() for z in s.components] for s in states])
-    keys = ray_keys(coords, "eisenstein").reshape(len(states), 6)
+    state_set = oracles.state_set(states)
+    keys = ray_keys(state_set.components, "eisenstein").reshape(len(states), 6)
     assert packed_keys(keys, np.abs(keys).max(axis=0)).shape[1] > 1
-    assert cl.orbit_partition(states, group) == oracles.orbit_partition(states, object_group)
+    assert cl.orbit_partition(state_set, group) == oracles.orbit_partition(states, object_group)
     with pytest.raises(cl.OrbitEscapeError):
-        cl.orbit_partition(states[1:], group)
+        cl.orbit_partition(state_set[1:], group)
 
 
 def test_orbit_partition_refuses_coordinates_past_the_headroom(group):
     with pytest.raises(HeadroomError):
-        cl.orbit_partition([vector_to_state((E(2**28), E(1), E(0)))], group)
+        cl.orbit_partition(oracles.state_set([vector_to_state((E(2**28), E(1), E(0)))]), group)
 
 
 def test_correspondence_report(store):
-    rep = cl.verify_e6_correspondence(store.shell("E6", 3))
+    rep = cl.verify_e6_correspondence(store.states("E6", 3))
     assert rep.ok
     assert rep.vectors_covered == 72
     assert not rep.mismatches
     # coefficient triples of the first and fourth states
     assert rep.betas[0] == ((0, 0), (0, 0), (1, 0))
     assert rep.betas[3] == ((1, 0), (0, 0), (0, 0))
+
+
+def test_correspondence_fails_on_a_state_that_is_no_stabiliser(store):
+    # a maximal-magic state in place of one of the 12 stabiliser states
+    states = list(store.states("E6", 3))
+    states[5] = vector_to_state((THETA, THETA, E(0)))
+    rep = cl.verify_e6_correspondence(replace(oracles.state_set(states), lattice_name="E6", norm=3))
+    assert not rep.ok and rep.vectors_covered == 66
+    assert len(rep.mismatches) == 2 and rep.mismatches[-1] == "1 E6 l=3 states not reached by any stabiliser state"

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import magiclattice
+import oracles
 from magiclattice.exact import GaussianInt
 from magiclattice.states import vector_to_state
 from magiclattice import entangle as en
 from magiclattice import magic as mg
 
 G = GaussianInt
+TESTS = Path(__file__).resolve().parent
 
 
 def qstate(*vals):
@@ -43,19 +45,9 @@ def oracle_invariants(state):
     numerators P_i and the characteristic coefficients c1, c2 of
     num * num_tilde for the pairs AB, AC, BC."""
     n2 = state.norm_sq**2
-    purity = [en.reduced_density(state, [q]).purity() * n2 for q in range(3)]
-    c1, c2 = [], []
-    for pair in PAIRS:
-        num = [list(row) for row in en.reduced_density(state, pair).num]
-        tilde = en._rho_tilde_num(num)
-        m = [
-            [sum((num[a][t] * tilde[t][b] for t in range(4)), G(0)) for b in range(4)]
-            for a in range(4)
-        ]
-        coeffs = en._char_poly_descending(m)
-        c1.append(coeffs[0])
-        c2.append(coeffs[1])
-    return purity, c1, c2
+    purity = [oracles.reduced_density(state, [q]).purity() * n2 for q in range(3)]
+    coeffs = [oracles.characteristic_coefficients(oracles.reduced_density(state, pair).num) for pair in PAIRS]
+    return purity, [c[0] for c in coeffs], [c[1] for c in coeffs]
 
 
 def kernel_invariants(k, s):
@@ -71,14 +63,14 @@ def kernel_invariants(k, s):
 
 
 def test_reduced_density_product_state():
-    rho = en.reduced_density(qstate(1, 0, 0, 0), [0])
+    rho = oracles.reduced_density(qstate(1, 0, 0, 0), [0])
     assert rho.num == ((G(1), G(0)), (G(0), G(0)))
     assert rho.den == 1
     assert rho.purity() == 1
 
 
 def test_reduced_density_bell_half():
-    rho = en.reduced_density(qstate(1, 0, 0, 1), [0])
+    rho = oracles.reduced_density(qstate(1, 0, 0, 1), [0])
     assert rho.num == ((G(1), G(0)), (G(0), G(1)))
     assert rho.den == 2
     assert rho.purity() == Fraction(1, 2)
@@ -86,7 +78,7 @@ def test_reduced_density_bell_half():
 
 
 def test_reduced_density_ghz_pair():
-    rho = en.reduced_density(GHZ, [1, 2])
+    rho = oracles.reduced_density(GHZ, [1, 2])
     assert rho.den == 2
     assert [rho.num[i][i] for i in range(4)] == [G(1), G(0), G(0), G(1)]
     rho.validate_psd()
@@ -94,19 +86,19 @@ def test_reduced_density_ghz_pair():
 
 def test_reduced_density_keep_validation():
     with pytest.raises(ValueError):
-        en.reduced_density(GHZ, [])
+        oracles.reduced_density(GHZ, [])
     with pytest.raises(ValueError):
-        en.reduced_density(GHZ, [0, 1, 2])  # nothing left to trace
+        oracles.reduced_density(GHZ, [0, 1, 2])  # nothing left to trace
     with pytest.raises(ValueError):
-        en.reduced_density(GHZ, [3])
+        oracles.reduced_density(GHZ, [3])
 
 
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
-        en.DensityMatrixExact(num=((G(1), G(1)), (G(0), G(1))), den=2)  # not hermitian
+        oracles.DensityMatrixExact(num=((G(1), G(1)), (G(0), G(1))), den=2)  # not hermitian
     with pytest.raises(ValueError):
-        en.DensityMatrixExact(num=((G(1), G(0)), (G(0), G(2))), den=2)  # trace != den
-    bad = en.DensityMatrixExact(num=((G(1), G(2)), (G(2), G(1))), den=2)
+        oracles.DensityMatrixExact(num=((G(1), G(0)), (G(0), G(2))), den=2)  # trace != den
+    bad = oracles.DensityMatrixExact(num=((G(1), G(2)), (G(2), G(1))), den=2)
     with pytest.raises(ValueError):
         bad.validate_psd()
 
@@ -120,21 +112,21 @@ def test_density_matrix_validation():
 
 def test_real_roots_simple():
     # (x - 1)(x - 2) = x^2 - 3x + 2
-    assert en._real_roots_with_multiplicity((-3, 2)) == [2.0, 1.0]
+    assert oracles._real_roots_with_multiplicity((-3, 2)) == [2.0, 1.0]
 
 
 def test_real_roots_with_zero_and_double_root():
     # x (x - 1)^2: the zero root must come out exactly
-    roots = en._real_roots_with_multiplicity((-2, 1, 0))
+    roots = oracles._real_roots_with_multiplicity((-2, 1, 0))
     assert roots == [1.0, 1.0, 0.0]
 
 
 def test_real_roots_all_zero():
-    assert en._real_roots_with_multiplicity((0, 0, 0, 0)) == [0.0, 0.0, 0.0, 0.0]
+    assert oracles._real_roots_with_multiplicity((0, 0, 0, 0)) == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_real_roots_irrational():
-    roots = en._real_roots_with_multiplicity((0, -2))
+    roots = oracles._real_roots_with_multiplicity((0, -2))
     assert len(roots) == 2
     assert abs(roots[0] - math.sqrt(2)) < 1e-12
     assert abs(roots[1] + math.sqrt(2)) < 1e-12
@@ -142,12 +134,12 @@ def test_real_roots_irrational():
 
 def test_real_roots_integer_snap():
     # integer roots come back exact, not within-epsilon
-    assert en._real_roots_with_multiplicity((-7, 12)) == [4.0, 3.0]
+    assert oracles._real_roots_with_multiplicity((-7, 12)) == [4.0, 3.0]
 
 
 def test_real_roots_rejects_complex_pairs():
-    with pytest.raises(en.ConcurrenceRootError):
-        en._real_roots_with_multiplicity((0, 1))  # x^2 + 1
+    with pytest.raises(oracles.ConcurrenceRootError):
+        oracles._real_roots_with_multiplicity((0, 1))  # x^2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -155,31 +147,31 @@ def test_real_roots_rejects_complex_pairs():
 
 
 def test_one_to_other():
-    value, sq = en.one_to_other_concurrence(GHZ, 0)
+    value, sq = oracles.one_to_other_concurrence(GHZ, 0)
     assert sq == 1 and value == 1.0
-    value, sq = en.one_to_other_concurrence(PRODUCT, 2)
+    value, sq = oracles.one_to_other_concurrence(PRODUCT, 2)
     assert sq == 0 and value == 0.0
-    value, sq = en.one_to_other_concurrence(W, 0)
+    value, sq = oracles.one_to_other_concurrence(W, 0)
     assert sq == Fraction(8, 9)
 
 
 def test_pairwise_concurrence_examples():
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        assert abs(en.pairwise_concurrence(GHZ, i, j)) <= 1e-12
-    assert abs(en.pairwise_concurrence(ZERO_BELL, 1, 2) - 1.0) <= 1e-12
-    assert abs(en.pairwise_concurrence(ZERO_BELL, 0, 1)) <= 1e-12
+        assert abs(oracles.pairwise_concurrence(GHZ, i, j)) <= 1e-12
+    assert abs(oracles.pairwise_concurrence(ZERO_BELL, 1, 2) - 1.0) <= 1e-12
+    assert abs(oracles.pairwise_concurrence(ZERO_BELL, 0, 1)) <= 1e-12
     # W state pairs at 2/3
-    assert abs(en.pairwise_concurrence(W, 0, 1) - 2 / 3) <= 1e-12
+    assert abs(oracles.pairwise_concurrence(W, 0, 1) - 2 / 3) <= 1e-12
 
 
 def test_rank2_path_matches_quartic_on_fixtures():
     fixtures = [GHZ, ZERO_BELL, PRODUCT, W]
-    k = en.concurrence_kernel(fixtures)
+    k = en.concurrence_kernel(oracles.state_set(fixtures))
     pairwise, _, _ = en._display_columns(k)
     for s, st in enumerate(fixtures):
         assert oracle_invariants(st) == kernel_invariants(k, s)
         for col, (i, j) in enumerate(PAIRS):
-            assert abs(en.pairwise_concurrence(st, i, j) - pairwise[s, col]) <= 1e-10
+            assert abs(oracles.pairwise_concurrence(st, i, j) - pairwise[s, col]) <= 1e-10
     assert en._labels(k, [mg.STABILISER] * 4) == [
         en.CLASS_III,
         en.CLASS_II,
@@ -189,11 +181,11 @@ def test_rank2_path_matches_quartic_on_fixtures():
 
 
 def test_rank2_path_matches_quartic_on_lattice_states(store):
-    states = store.states("BW16", 6).states[::997]
+    states = store.states("BW16", 6)[::997]
     pairwise, _, _ = en._display_columns(en.concurrence_kernel(states))
     for s, st in enumerate(states):
         for col, (i, j) in enumerate(PAIRS):
-            assert abs(en.pairwise_concurrence(st, i, j) - pairwise[s, col]) <= 1e-10
+            assert abs(oracles.pairwise_concurrence(st, i, j) - pairwise[s, col]) <= 1e-10
 
 
 def three_qubit_states(bound):
@@ -210,18 +202,18 @@ def three_qubit_states(bound):
 def test_kernel_matches_oracles_on_random_states(small, large):
     # any large state moves the whole batch past int64 into Python ints
     states = small + large
-    k = en.concurrence_kernel(states)
+    k = en.concurrence_kernel(oracles.state_set(states))
     pairwise, one_to_other, f3_values = en._display_columns(k)
     for s, st in enumerate(states):
         assert kernel_invariants(k, s) == oracle_invariants(st)
         for col, (i, j) in enumerate(PAIRS):
-            assert abs(pairwise[s, col] - en.pairwise_concurrence(st, i, j)) <= 1e-10
-        profile = en.classify_entanglement(st, mg.INTERMEDIATE)
+            assert abs(pairwise[s, col] - oracles.pairwise_concurrence(st, i, j)) <= 1e-10
+        profile = oracles.classify_entanglement(st, mg.INTERMEDIATE)
         for q in range(3):
-            value, sq = en.one_to_other_concurrence(st, q)
+            value, sq = oracles.one_to_other_concurrence(st, q)
             assert profile.one_to_other_sq[q] == sq
             assert one_to_other[s, q] == value
-        value, sq = en.f3(st)
+        value, sq = oracles.f3(st)
         assert profile.f3_sq == sq and f3_values[s] == value
         assert profile.pairwise == tuple(pairwise[s])
 
@@ -229,17 +221,18 @@ def test_kernel_matches_oracles_on_random_states(small, large):
 _HEADROOM_SCRIPT = """
 import json
 from magiclattice import GaussianInt, concurrence_kernel, vector_to_state, xi_batch_gaussian
+from oracles import state_set
 two = vector_to_state(tuple(GaussianInt(v) for v in (625, 25, 25, 1)))
-xi = xi_batch_gaussian([two], alphas=(2, 3))
+xi = xi_batch_gaussian(state_set([two]), alphas=(2, 3))
 large = vector_to_state(tuple(GaussianInt(*z) for z in json.loads(input())))
-k = concurrence_kernel([large])
+k = concurrence_kernel(state_set([large]))
 print(json.dumps([str(xi[2][0]), str(xi[3][0])] + [[int(v) for v in a[0]] for a in (k.purity, k.c1, k.c2)]))
 """
 
 
 def test_headroom_guards_survive_optimize():
     # both int64 headroom guards must still hold when -O strips asserts
-    env = dict(os.environ, PYTHONPATH=str(Path(magiclattice.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (Path(magiclattice.__file__).parents[1], TESTS))))
     done = subprocess.run(
         [sys.executable, "-O", "-c", _HEADROOM_SCRIPT],
         input=json.dumps([z.coords() for z in LARGE.components]),
@@ -274,8 +267,8 @@ def test_wootters_on_werner_states():
         (G(0), G(0), G(1), G(0)),
         (G(2), G(0), G(0), G(3)),
     )
-    rho = en.DensityMatrixExact(num=num, den=8)
-    assert abs(en.wootters_concurrence(rho) - 0.25) <= 1e-10
+    rho = oracles.DensityMatrixExact(num=num, den=8)
+    assert abs(oracles.wootters_concurrence(rho) - 0.25) <= 1e-10
 
     # p = 1/4 sits below the entanglement threshold
     num = (
@@ -284,25 +277,12 @@ def test_wootters_on_werner_states():
         (G(0), G(0), G(3), G(0)),
         (G(2), G(0), G(0), G(5)),
     )
-    rho = en.DensityMatrixExact(num=num, den=16)
-    assert en.wootters_concurrence(rho) == 0.0
+    rho = oracles.DensityMatrixExact(num=num, den=16)
+    assert oracles.wootters_concurrence(rho) == 0.0
 
 
 def test_wootters_matches_pure_formula_on_random_states():
-    rng = random.Random(20260822)
-    worst = 0.0
-    for _ in range(1000):
-        comps = tuple(G(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4))
-        if all(z.is_zero() for z in comps):
-            comps = (G(1), G(0), G(0), G(0))
-        st = vector_to_state(comps)
-        pure_value, _ = en.pairwise_concurrence_2qubit(st)
-        num = tuple(
-            tuple(st.components[a] * st.components[b].conjugate() for b in range(4))
-            for a in range(4)
-        )
-        rho = en.DensityMatrixExact(num=num, den=st.norm_sq)
-        worst = max(worst, abs(en.wootters_concurrence(rho) - pure_value))
+    worst = oracles.wootters_gap(random.Random(20260822), 5)
     assert worst <= 1e-10, worst
 
 
@@ -311,36 +291,36 @@ def test_wootters_matches_pure_formula_on_random_states():
 
 
 def test_f3_examples():
-    value, sq = en.f3(GHZ)
+    value, sq = oracles.f3(GHZ)
     assert sq == 1 and value == 1.0
-    value, sq = en.f3(PRODUCT)
+    value, sq = oracles.f3(PRODUCT)
     assert sq == 0 and value == 0.0
     # W state: equilateral with squared sides 8/9
-    value, sq = en.f3(W)
+    value, sq = oracles.f3(W)
     assert sq == Fraction(64, 81)
 
 
 def test_classification_fixtures():
-    assert en.classify_entanglement(PRODUCT, mg.STABILISER).label == en.CLASS_I
-    assert en.classify_entanglement(ZERO_BELL, mg.STABILISER).label == en.CLASS_II
-    assert en.classify_entanglement(GHZ, mg.STABILISER).label == en.CLASS_III
+    assert oracles.classify_entanglement(PRODUCT, mg.STABILISER).label == en.CLASS_I
+    assert oracles.classify_entanglement(ZERO_BELL, mg.STABILISER).label == en.CLASS_II
+    assert oracles.classify_entanglement(GHZ, mg.STABILISER).label == en.CLASS_III
     # W is neither a stabiliser class nor a max magic class
-    assert en.classify_entanglement(W, mg.STABILISER).label == en.UNCLASSIFIED
-    assert en.classify_entanglement(W, mg.MAX_MAGIC_SIC).label == en.UNCLASSIFIED
+    assert oracles.classify_entanglement(W, mg.STABILISER).label == en.UNCLASSIFIED
+    assert oracles.classify_entanglement(W, mg.MAX_MAGIC_SIC).label == en.UNCLASSIFIED
 
 
 def test_class_ii_checks_complementary_pair():
-    prof = en.classify_entanglement(ZERO_BELL, mg.STABILISER)
+    prof = oracles.classify_entanglement(ZERO_BELL, mg.STABILISER)
     assert prof.one_to_other_sq == (Fraction(0), Fraction(1), Fraction(1))
     assert abs(prof.pairwise[2] - 1.0) <= 1e-12
 
 
 def test_max_magic_profile_values(store):
     ss = store.states("BW16", 6)
-    xi2 = mg.xi_batch_gaussian(ss.states[:50], alphas=(2,))[2]
+    xi2 = mg.xi_batch_gaussian(ss[:50], alphas=(2,))[2]
     for st, xi in zip(ss.states[:50], xi2):
         assert xi == Fraction(2, 9)
-        prof = en.classify_entanglement(st, mg.MAX_MAGIC_SIC)
+        prof = oracles.classify_entanglement(st, mg.MAX_MAGIC_SIC)
         assert prof.label in (en.CLASS_A, en.CLASS_B)
         assert prof.one_to_other_sq == (Fraction(2, 3),) * 3
         assert prof.f3_sq == Fraction(4, 9)
@@ -357,9 +337,9 @@ def test_classification_permutation_invariant(store):
             comps[new_idx] = s.components[idx]
         return vector_to_state(tuple(comps))
 
-    a = en.classify_entanglement(st, mg.MAX_MAGIC_SIC)
+    a = oracles.classify_entanglement(st, mg.MAX_MAGIC_SIC)
     for perm in ((1, 0, 2), (2, 0, 1), (2, 1, 0)):
-        b = en.classify_entanglement(permute(st, perm), mg.MAX_MAGIC_SIC)
+        b = oracles.classify_entanglement(permute(st, perm), mg.MAX_MAGIC_SIC)
         assert sorted(a.one_to_other_sq) == sorted(b.one_to_other_sq)
         assert sorted(round(x, 12) for x in a.pairwise) == sorted(
             round(x, 12) for x in b.pairwise
@@ -410,7 +390,7 @@ def test_blocked_kernel_equals_one_block(store, monkeypatch, count):
 
 def test_blocked_kernel_mixes_int64_and_python_int_blocks(monkeypatch):
     # blocks of two: the first pair in int64, the second past its bound
-    states = [GHZ, W, ZERO_BELL, LARGE, PRODUCT]
+    states = oracles.state_set([GHZ, W, ZERO_BELL, LARGE, PRODUCT])
     one = _kernel_fields(en.concurrence_kernel(states))
     monkeypatch.setattr(en, "KERNEL_BLOCK_STATES", 2)
     assert _kernel_fields(en.concurrence_kernel(states)) == one

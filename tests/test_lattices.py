@@ -32,7 +32,6 @@ from magiclattice.lattices import (
     enumerate_shell,
     ensure_shell,
     load_shell,
-    naive_box_enumerate,
     packed_keys,
     save_shell,
     shell_cache_path,
@@ -41,7 +40,7 @@ from magiclattice.lattices import (
     stream_shell,
     theta_check,
 )
-from oracles import dfs_enumerate, gram_matrix, mat_inverse
+from oracles import dfs_enumerate, gram_matrix, mat_inverse, naive_box_enumerate
 
 
 def same_vectors(a, b):

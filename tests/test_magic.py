@@ -12,13 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import magiclattice
+import oracles
 from magiclattice.exact import EisensteinInt, GaussianInt, OMEGA, THETA
-from magiclattice.states import StateSet, component_arrays, dedup, overlap_sq, real_to_complex, vector_to_state
+from magiclattice.states import StateSet, component_arrays, vector_to_state
 from magiclattice import magic as mg
+from oracles import overlap_sq, real_to_complex, state_set
 
 G = GaussianInt
 E = EisensteinInt
 W2 = OMEGA * OMEGA
+TESTS = Path(__file__).resolve().parent
 
 
 def qstate(*vals):
@@ -63,22 +66,8 @@ def test_qutrit_displacement_matrices():
 
 def test_qutrit_multiplication_law_all_81_pairs():
     # D_a D_b = tau^e D_{a+b} entrywise, tau = omega^2
-    def matmul(a, b):
-        return tuple(
-            tuple(sum((a[i][k] * b[k][j] for k in range(3)), E(0)) for j in range(3))
-            for i in range(3)
-        )
-
-    powers = (E(1), OMEGA, W2)
-    ops = mg.wh_displacements(3)
-    assert len(ops) == 9
-    for a in ops:
-        for b in ops:
-            e = a.compose_phase_exponent(b)
-            tau = powers[(2 * e) % 3]
-            c = mg.WHDisplacement(3, (a.a1 + b.a1) % 3, (a.a2 + b.a2) % 3)
-            rhs = tuple(tuple(z * tau for z in row) for row in c.matrix())
-            assert matmul(a.matrix(), b.matrix()) == rhs, (a, b)
+    assert len(mg.wh_displacements(3)) == 9
+    assert oracles.displacement_law_violations() == []
 
 
 def test_apply_operator_matches_matrix():
@@ -88,14 +77,14 @@ def test_apply_operator_matches_matrix():
         direct = tuple(
             sum((m[i][k] * psi.components[k] for k in range(3)), E(0)) for i in range(3)
         )
-        assert mg._apply_components(op, psi) == direct
+        assert oracles._apply_components(op, psi) == direct
 
 
 def test_apply_operator_qubits():
     # X on qubit 0 of |00> gives |10>
     st = qstate(1, 0, 0, 0)
     op = mg.PauliString(("X", "I"))
-    moved = mg.apply_operator(op, st)
+    moved = oracles.apply_operator(op, st)
     assert moved.components == qstate(0, 0, 1, 0).components
 
 
@@ -107,16 +96,16 @@ def test_xi_stabiliser_state():
     st00 = qstate(1, 0, 0, 0)
     assert mg.xi_alpha(st00, 2) == 1
     assert mg.xi_alpha(st00, 3) == 1
-    assert mg.m_alpha(st00, 2) == 0.0
+    assert oracles.m_alpha(st00, 2) == 0.0
 
 
 def test_xi_two_qubit_max_magic():
     st = vector_to_state(real_to_complex((0, 0, 0, 1, 0, 1, 1, 1)))
     assert mg.xi_alpha(st, 2) == Fraction(7, 16)
     assert mg.magic_label(Fraction(7, 16), 4, "gaussian") == mg.MAX_MAGIC_MUB
-    rep = mg.classify(st)
+    rep = oracles.classify(st)
     assert rep.label == mg.MAX_MAGIC_MUB
-    assert math.isclose(mg.m_alpha(st, 2), -math.log2(7 / 16))
+    assert math.isclose(oracles.m_alpha(st, 2), -math.log2(7 / 16))
 
 
 def test_xi_qutrit_sic():
@@ -134,7 +123,7 @@ def test_xi_unit_rescaling_invariant():
 def test_frame_identity():
     # sum over the full operator set of expectation_sq equals the dimension
     for st in (qstate(1, 0, 0, 0), qstate(1, 1, 1, (1, -1))):
-        total = sum(mg.expectation_sq(st, op) for op in mg.pauli_strings(2))
+        total = sum(oracles.expectation_sq(st, op) for op in mg.pauli_strings(2))
         assert total == st.dim
 
 
@@ -142,7 +131,7 @@ def test_xi_alpha_validates_alpha():
     with pytest.raises(ValueError):
         mg.xi_alpha(qstate(1, 0, 0, 0), 0)
     with pytest.raises(ValueError):
-        mg.m_alpha(qstate(1, 0, 0, 0), 1)
+        oracles.m_alpha(qstate(1, 0, 0, 0), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +174,21 @@ def test_stabiliser_count():
 
 
 def test_wh_covariance_check():
-    assert mg.wh_covariance_check(vector_to_state((THETA, THETA, E(0)))) is True
-    assert mg.wh_covariance_check(vector_to_state((E(1), E(0), E(0)))) is False
+    assert oracles.wh_covariance_check(vector_to_state((THETA, THETA, E(0)))) is True
+    assert oracles.wh_covariance_check(vector_to_state((E(1), E(0), E(0)))) is False
 
 
 def test_mub_orbit_check_both_modes():
     st = vector_to_state(real_to_complex((0, 0, 0, 1, 0, 1, 1, 1)))
-    assert mg.mub_orbit_check(st) is True
-    assert mg.mub_orbit_check(st, build_orbit=True) is True
-    assert mg.mub_orbit_check(qstate(1, 0, 0, 0)) is False
+    assert oracles.mub_orbit_check(st) is True
+    assert oracles.mub_orbit_check(st, build_orbit=True) is True
+    assert oracles.mub_orbit_check(qstate(1, 0, 0, 0)) is False
     with pytest.raises(ValueError):
-        mg.mub_orbit_check(qstate(1, 0))
+        oracles.mub_orbit_check(qstate(1, 0))
 
 
 def test_sic_check_single_qutrit_fiducial():
-    ok, violations = mg.sic_check(vector_to_state((THETA, THETA, E(0))))
+    ok, violations = oracles.sic_check(vector_to_state((THETA, THETA, E(0))))
     assert ok and not violations
 
 
@@ -208,7 +197,7 @@ def test_sic_check_qutrit_orbit_is_nine_states():
     orbit = []
     seen = set()
     for op in mg.wh_displacements(3):
-        st = mg.apply_operator(op, fid)
+        st = oracles.apply_operator(op, fid)
         if st.components not in seen:
             seen.add(st.components)
             orbit.append(st)
@@ -218,12 +207,12 @@ def test_sic_check_qutrit_orbit_is_nine_states():
         for i in range(9)
         for j in range(i + 1, 9)
     )
-    ok, violations = mg.sic_check(orbit)
+    ok, violations = oracles.sic_check(orbit)
     assert ok, violations
 
 
 def test_sic_check_rejects_basis_states():
-    ok, violations = mg.sic_check([qstate(1, 0, 0, 0), qstate(0, 1, 0, 0)])
+    ok, violations = oracles.sic_check([qstate(1, 0, 0, 0), qstate(0, 1, 0, 0)])
     assert not ok and violations
 
 
@@ -232,7 +221,7 @@ def test_sic_check_three_qubit_orbit(store):
     fid = store.states("BW16", 6).states[0]
     orbit = {}
     for op in mg.pauli_strings(3):
-        st = mg.apply_operator(op, fid)
+        st = oracles.apply_operator(op, fid)
         orbit[st.components] = st
     assert len(orbit) == 64
     states = list(orbit.values())
@@ -241,7 +230,7 @@ def test_sic_check_three_qubit_orbit(store):
         for i in range(8)
         for j in range(i + 1, 8)
     )
-    ok, violations = mg.sic_check(states)
+    ok, violations = oracles.sic_check(states)
     assert ok, violations
 
 
@@ -251,7 +240,7 @@ def test_sic_check_three_qubit_orbit(store):
 
 def test_batch_matches_scalar(store):
     ss = store.states("E8", 2)
-    by_alpha = mg.xi_batch_gaussian(ss.states, alphas=(2, 3))
+    by_alpha = mg.xi_batch_gaussian(ss, alphas=(2, 3))
     for st, x2, x3 in zip(ss.states, by_alpha[2], by_alpha[3]):
         assert x2 == mg.xi_alpha(st, 2)
         assert x3 == mg.xi_alpha(st, 3)
@@ -261,7 +250,7 @@ def test_batch_exact_past_int64_headroom():
     # N = 391876: 4^n N^(2 alpha) is far past 2^63, so int64 sums would wrap
     st = qstate(625, 25, 25, 1)
     assert st.norm_sq == 391876
-    by_alpha = mg.xi_batch_gaussian([st], alphas=(2, 3))
+    by_alpha = mg.xi_batch_gaussian(state_set([st]), alphas=(2, 3))
     assert by_alpha[2] == [mg.xi_alpha(st, 2)]
     assert by_alpha[3] == [mg.xi_alpha(st, 3)]
     assert by_alpha[3][0] > 0
@@ -283,10 +272,10 @@ def qubit_states(n, bound):
     )
 )
 def test_batch_matches_scalar_on_random_states(states):
-    by_alpha = mg.xi_batch_gaussian(states, alphas=(2, 3))
+    by_alpha = mg.xi_batch_gaussian(state_set(states), alphas=(2, 3))
     assert by_alpha[2] == [mg.xi_alpha(st, 2) for st in states]
     assert by_alpha[3] == [mg.xi_alpha(st, 3) for st in states]
-    assert mg.wh_covariance_check_all(states) == all(mg.wh_covariance_check(st) for st in states)
+    assert oracles.wh_covariance_check_all(states) == all(oracles.wh_covariance_check(st) for st in states)
 
 
 @pytest.mark.parametrize("dtype, bound", [(np.int64, 10**3), (np.float64, 10**3), (object, 10**5)])
@@ -296,7 +285,7 @@ def test_pauli_norms_per_x_mask_match_the_scalar_norms(dtype, bound, data):
     # the halved sums reorder the columns of a mask, never its values
     n = data.draw(hs.integers(1, 3))
     states = data.draw(hs.lists(qubit_states(n, bound), min_size=1, max_size=4))
-    re, im, norms = component_arrays(states, lambda nn: nn * nn, dtype=dtype)
+    re, im, norms = component_arrays(state_set(states), lambda nn: nn * nn, dtype=dtype)
     assert re.dtype == dtype
     strings = mg.pauli_strings(n)
     for x, values in enumerate(mg._pauli_norms(re, im, n)):
@@ -311,11 +300,9 @@ def test_states_of_different_norms_share_a_xi2_class():
     # |0> with norm_sq 1 and (2 + i)|0> with norm_sq 5: one stabiliser class
     pair = [vector_to_state((G(1), G(0))), vector_to_state((G(2, 1), G(0)))]
     assert [st.norm_sq for st in pair] == [1, 5]
-    values, index = mg.xi_classes(pair, "gaussian")[2]
+    values, index = mg.xi_classes(state_set(pair), "gaussian")[2]
     assert values == (Fraction(1),) and index.tolist() == [0, 0]
-    comps = np.array([[st.components[k].coords() for k in range(2)] for st in pair])
-    state_set = StateSet("pair", 1, "gaussian", comps, np.array([1, 5]))
-    assert mg.sre_census(state_set).histogram() == {Fraction(1): 2}
+    assert mg.sre_census(state_set(pair)).histogram() == {Fraction(1): 2}
 
 
 def test_empty_state_set_has_no_xi2_classes():
@@ -339,7 +326,7 @@ def test_census_report_fields(store):
     assert rep.multiplicity == 6
     assert rep.vector_count == 270
     assert rep.histogram() == {Fraction(1, 2): 45}
-    assert rep.class_histogram() == {mg.MAX_MAGIC_SIC: 45}
+    assert [(r.label, r.state_count) for r in rep.rows] == [(mg.MAX_MAGIC_SIC, 45)]
     # rows are sorted by xi2 descending
     rep9 = mg.sre_census(store.states("E6", 9))
     assert [r.xi2 for r in rep9.rows] == [Fraction(1), Fraction(49, 81)]
@@ -347,9 +334,9 @@ def test_census_report_fields(store):
 
 def test_wh_covariance_check_all_both_rings(store):
     # eisenstein states go through the scalar path inside the batch helper
-    assert mg.wh_covariance_check_all(store.states("E6", 6).states) is True
+    assert oracles.wh_covariance_check_all(store.states("E6", 6).states) is True
     # stabiliser states are not SIC fiducials
-    assert mg.wh_covariance_check_all(store.states("E8", 2).states) is False
+    assert oracles.wh_covariance_check_all(store.states("E8", 2).states) is False
 
 
 def qutrit_states(bound):
@@ -363,7 +350,7 @@ def qutrit_states(bound):
 def test_eisenstein_batch_matches_scalar_on_random_states(states):
     # norm_sq up to about 2^82: 9 N^(2 alpha) is then far past 2^63, and
     # the kernel must fall back to Python ints
-    by_alpha = mg.xi_batch_eisenstein(states, alphas=(2, 3))
+    by_alpha = oracles.xi_batch_eisenstein(state_set(states), alphas=(2, 3))
     assert by_alpha[2] == [mg.xi_alpha(st, 2) for st in states]
     assert by_alpha[3] == [mg.xi_alpha(st, 3) for st in states]
 
@@ -373,7 +360,7 @@ def test_eisenstein_batch_exact_past_int64_headroom():
     st = vector_to_state((E(10**5, 0), E(0, 10**5 + 1), E(1, 1)))
     assert st.norm_sq == 2 * 10**10 + 2 * 10**5 + 2
     assert 9 * st.norm_sq**4 >= 2**63
-    assert mg.xi_batch_eisenstein([st]) == {2: [mg.xi_alpha(st, 2)]}
+    assert oracles.xi_batch_eisenstein(state_set([st])) == {2: [mg.xi_alpha(st, 2)]}
 
 
 # The Xi_2 kernels run in float64 while their peak (4^n N^4 for qubits,
@@ -396,7 +383,7 @@ _FLOAT_EDGE = {
 def _float64_xi2(st):
     """Xi_2 from the kernel's own pieces, forced into float64."""
     ring = st.ring
-    x, y, norms = component_arrays([st], lambda n: 0, ring, np.float64)
+    x, y, norms = component_arrays(state_set([st]), lambda n: 0, ring, np.float64)
     groups = mg._pauli_norms(x, y, st.dim.bit_length() - 1) if ring == "gaussian" else mg._displacement_norms(x, y)
     values, index = mg._xi_classes([(groups, norms)], st.dim, (2,))[2]
     return values[index[0]]
@@ -405,28 +392,29 @@ def _float64_xi2(st):
 @pytest.mark.parametrize("ring", ["gaussian", "eisenstein"])
 def test_batch_takes_float64_only_below_2_53(ring):
     below, past = _FLOAT_EDGE[ring]
-    kernel, peak = (mg.xi_batch_gaussian, 4) if ring == "gaussian" else (mg.xi_batch_eisenstein, 9)
+    kernel, peak = (mg.xi_batch_gaussian, 4) if ring == "gaussian" else (oracles.xi_batch_eisenstein, 9)
     assert 2**53 * 1000 < peak * below.norm_sq**4 * 1001 < 2**53 * 1001  # within 0.1 % below
     assert past.norm_sq**4 > 2**53 and past.norm_sq % 2 and peak * past.norm_sq**4 < 2**63 // 64
     assert _float64_xi2(below) == mg.xi_alpha(below, 2)
     assert _float64_xi2(past) != mg.xi_alpha(past, 2)  # float64 rounds here
     for st in (below, past):
-        assert kernel([st]) == {2: [mg.xi_alpha(st, 2)]}
-    assert kernel([below, past]) == {2: [mg.xi_alpha(below, 2), mg.xi_alpha(past, 2)]}
+        assert kernel(state_set([st])) == {2: [mg.xi_alpha(st, 2)]}
+    assert kernel(state_set([below, past])) == {2: [mg.xi_alpha(below, 2), mg.xi_alpha(past, 2)]}
 
 
 _EDGE_SCRIPT = """
 from magiclattice import magic as mg
 from magiclattice.exact import EisensteinInt as E, GaussianInt as G
 from magiclattice.states import vector_to_state
+from oracles import state_set, xi_batch_eisenstein
 g = vector_to_state((G(98, 11), G(3, 3)))
 e = vector_to_state((E(113, 44), E(3), E(1)))
-print(mg.xi_batch_gaussian([g])[2] == [mg.xi_alpha(g, 2)], mg.xi_batch_eisenstein([e])[2] == [mg.xi_alpha(e, 2)])
+print(mg.xi_batch_gaussian(state_set([g]))[2] == [mg.xi_alpha(g, 2)], xi_batch_eisenstein(state_set([e]))[2] == [mg.xi_alpha(e, 2)])
 """
 
 
 def test_batch_float64_threshold_survives_optimize():
-    env = dict(os.environ, PYTHONPATH=str(Path(magiclattice.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (Path(magiclattice.__file__).parents[1], TESTS))))
     done = subprocess.run(
         [sys.executable, "-O", "-c", _EDGE_SCRIPT], capture_output=True, text=True, env=env, timeout=120, check=True
     )
@@ -437,4 +425,4 @@ def test_batch_float64_threshold_survives_optimize():
 def test_eisenstein_batch_matches_scalar_on_e6_shells(store, norm):
     ss = store.states("E6", norm)
     assert list(ss.xi2) == [mg.xi_alpha(st, 2) for st in ss.states]
-    assert mg.xi_batch_eisenstein(ss) == mg.xi_batch_eisenstein(ss.states)
+    assert oracles.xi_batch_eisenstein(ss) == oracles.xi_batch_eisenstein(state_set(ss.states))

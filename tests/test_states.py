@@ -22,13 +22,8 @@ from magiclattice.exact import (
     vector_norm,
 )
 from magiclattice.lattices import HeadroomError, Shell, build_lattice
-from magiclattice.states import (
-    dedup,
-    overlap_sq,
-    ray_keys,
-    real_to_complex,
-    vector_to_state,
-)
+from magiclattice.states import dedup, ray_keys, vector_to_state
+from oracles import overlap_sq, real_to_complex
 
 G = GaussianInt
 
