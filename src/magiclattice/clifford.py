@@ -235,8 +235,9 @@ def orbit_partition(state_set: StateSet, group: CliffordGroup | None = None) -> 
         if not found.all():
             miss = images[int(np.argmin(found))].tolist()
             raise OrbitEscapeError(state_set[start], vector_to_state(tuple(EisensteinInt(*z) for z in miss)))
-        # sorted and deduplicated without np.unique, whose first call in a
-        # process imports numpy.ma (about 13 ms)
+        # sorted and deduplicated by one sort and one diff, which is what
+        # np.unique would do here (with numpy 2.4 its first call in a
+        # process takes about 0.3 ms and imports no further module)
         members = np.sort(order[at])
         members = members[np.diff(members, prepend=-1) != 0]
         assigned[members] = True

@@ -96,7 +96,7 @@ def concurrence_kernel(states: StateSet) -> ConcurrenceArrays:
     """ConcurrenceArrays of 3-qubit states, in blocks of
     KERNEL_BLOCK_STATES; a block runs in int64 when _kernel_peak at its
     largest norm_sq fits and in Python ints otherwise."""
-    if not len(states):
+    if not len(states) or states.ring != "gaussian":
         raise ValueError("the concurrence kernel expects 3-qubit states")
     blocks = [
         _kernel_block(*component_arrays(states[i : i + KERNEL_BLOCK_STATES], _kernel_peak))
@@ -209,13 +209,6 @@ class EntanglementCensus:
     other: int
     labels: tuple[str, ...]
     kernel: ConcurrenceArrays
-
-    def histogram(self) -> dict[str, int]:
-        out = dict(self.stabiliser_classes)
-        out.update(self.magic_classes)
-        if self.other:
-            out[UNCLASSIFIED] = self.other
-        return out
 
     @cached_property
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,18 +1,22 @@
 """Lattice data and exact shell enumeration for E8, BW16 and E6.
 
-A shell is the full set of lattice vectors of a given square norm.  The
-enumerator runs a branch-and-bound over the coefficient lattice using an
-exact LDL^T decomposition of the Gram matrix, level by level: each level
-decides one coefficient for every partial vector at once, in int64 numpy
-arrays, and hands its vectors out in chunks, so that a shell can be
-streamed through a census without being held whole.  After clearing
-denominators every bound test is integer arithmetic within a checked
-headroom, so no solution can be lost to rounding.
+A shell is the full set of lattice vectors of a given square norm.  Each
+lattice is given by a basis over its ring of integers, Z[i] for E8 and
+BW16 and Z[omega] for E6, and a lattice vector by its ring-coefficient
+pairs, on which the ring's units act as on ring elements.  The enumerator
+runs a branch-and-bound over the coefficient lattice using an exact LDL^T
+decomposition of the Gram matrix, level by level: each level decides one
+coefficient for every partial vector at once, in int64 numpy arrays, and
+hands its vectors out in chunks, so that a shell can be streamed through
+a census without being held whole.  It finds one vector per unit orbit,
+and a whole shell is their unit images.  After clearing denominators
+every bound test is integer arithmetic within a checked headroom, so no
+solution can be lost to rounding.
 
-E8 and BW16 live in R^8 and R^16 with half-integer coordinates; their
-ambient vectors are stored doubled (scale 2) so that every coordinate is
-an integer.  E6 lives in C^3 over the Eisenstein integers and is
-enumerated through its rational 6-dimensional real form.
+E8 and BW16 live in R^8 and R^16 (C^4 and C^8) with half-integer
+coordinates; their ambient vectors are stored doubled (scale 2) so that
+every coordinate is an integer.  E6 lives in C^3 over the Eisenstein
+integers and is enumerated through its rational 6-dimensional real form.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .exact import EisensteinInt, THETA
+from .exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS, OMEGA, THETA, EisensteinInt, GaussianInt, RingElement
 
 DEFAULT_NODE_BUDGET = 10**10
 # Children per search chunk: a level whose frontier would expand past this
@@ -59,45 +63,33 @@ class HeadroomError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# generator matrices
+# ring bases
 
+_G = GaussianInt
 
-def _e8_generator() -> list[list[Fraction]]:
-    rows = [[Fraction(0)] * 8 for _ in range(8)]
-    for k in range(6):
-        rows[k][k] = Fraction(1)
-        rows[k][k + 1] = Fraction(-1)
-    rows[6] = [Fraction(-1, 2)] * 6 + [Fraction(1, 2), Fraction(1, 2)]
-    rows[7][5] = Fraction(1)
-    rows[7][6] = Fraction(1)
-    return rows
-
-
-_BW16_DOUBLED = (
-    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
-    (0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 2, 0, 0),
-    (0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 2, 0),
-    (0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2),
-    (0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 0),
-    (0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 2, 0, 2),
-    (0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 2, 2),
-    (0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 2, 2, 0),
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 2, 0, 2),
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 2, 2),
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2),
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0),
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0),
-    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4),
+# E8 and BW16 over Z[i], in doubled ambient coordinates c_k = x_k + i*x_{D+k};
+# each is an echelon basis of the real generator rows over the Gaussian
+# integers (Conway-Sloane, SPLAG ch. 7, 8), checked against the real tables
+# it replaces by index (determinant) and containment in the tests.
+E8_BASIS: tuple[tuple[GaussianInt, ...], ...] = (
+    (_G(-1, -1), _G(-1, -1), _G(-1, 1), _G(-1, 1)),
+    (_G(0), _G(2), _G(-2), _G(0)),
+    (_G(0), _G(0), _G(2), _G(-2)),
+    (_G(0), _G(0), _G(0), _G(2, -2)),
 )
 
+BW16_BASIS: tuple[tuple[GaussianInt, ...], ...] = (
+    (_G(1, 1),) * 8,
+    (_G(0), _G(2), _G(0), _G(0, 2), _G(0), _G(0, 2), _G(0), _G(2)),
+    (_G(0), _G(0), _G(2), _G(0, 2), _G(0), _G(0), _G(0, 2), _G(2)),
+    (_G(0), _G(0), _G(0), _G(2, 2), _G(0), _G(0), _G(0), _G(2, 2)),
+    (_G(0), _G(0), _G(0), _G(0), _G(2), _G(0, 2), _G(0, 2), _G(2)),
+    (_G(0),) * 5 + (_G(2, 2), _G(0), _G(2, 2)),
+    (_G(0),) * 6 + (_G(2, 2), _G(2, 2)),
+    (_G(0),) * 7 + (_G(4),),
+)
 
-def _bw16_generator() -> list[list[Fraction]]:
-    return [[Fraction(x, 2) for x in row] for row in _BW16_DOUBLED]
-
-
-# E6 complex generator over Z[omega]; rows are basis vectors of the lattice.
+# E6 over Z[omega], in ambient coordinates a + b*omega (scale 1).
 E6_GENERATOR: tuple[tuple[EisensteinInt, ...], ...] = (
     (THETA, EisensteinInt(0), EisensteinInt(0)),
     (EisensteinInt(0), THETA, EisensteinInt(0)),
@@ -169,19 +161,20 @@ class LatticeSpec:
         return f"LatticeSpec({self.name})"
 
 
-def _e6_real_generator() -> list[list[Fraction]]:
-    # Real form of E6_GENERATOR: row i holds the (a, b) pairs of the three
-    # ambient coordinates a + omega*b of the i-th unit coefficient vector
-    # (a1, a2, a3, b1, b2, b3), beta_k = a_k + omega*b_k.
+def _real_generator(basis: Sequence[Sequence[RingElement]], unit: RingElement) -> tuple[tuple[int, ...], ...]:
+    """The integer generator of the lattice with ring basis beta_1..beta_n:
+    coefficient vector (a_1, ..., a_n, b_1, ..., b_n) is the lattice vector
+    sum_k (a_k + b_k*unit) * beta_k, so row k is beta_k and row n + k is
+    unit * beta_k, each as an ambient row: (x_1..x_D, y_1..y_D) for the
+    Gaussian coordinates x_k + i*y_k, and (a_1, b_1, ..., a_D, b_D) for
+    the Eisenstein coordinates a_k + b_k*omega."""
     rows = []
-    for i in range(6):
-        beta = [EisensteinInt(int(i == k), int(i == 3 + k)) for k in range(3)]
-        row = []
-        for col in range(3):
-            amb = sum((beta[r] * E6_GENERATOR[r][col] for r in range(3)), EisensteinInt(0))
-            row.extend(Fraction(x) for x in amb.coords())
-        rows.append(row)
-    return rows
+    for u in (type(unit)(1), unit):
+        for beta in basis:
+            coords = [(u * z).coords() for z in beta]
+            pairs = zip(*coords) if isinstance(unit, GaussianInt) else coords
+            rows.append(tuple(x for pair in pairs for x in pair))
+    return tuple(rows)
 
 
 def _eisenstein_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -207,17 +200,14 @@ def build_lattice(name: str) -> LatticeSpec:
         return _LATTICE_CACHE[key]
 
     if key == "E8":
-        gen, scale, ring, cdim, rdim = _e8_generator(), 2, "gaussian", 4, 8
+        scaled, scale, ring, cdim, rdim = _real_generator(E8_BASIS, GaussianInt(0, 1)), 2, "gaussian", 4, 8
     elif key == "BW16":
-        gen, scale, ring, cdim, rdim = _bw16_generator(), 2, "gaussian", 8, 16
+        scaled, scale, ring, cdim, rdim = _real_generator(BW16_BASIS, GaussianInt(0, 1)), 2, "gaussian", 8, 16
     elif key == "E6":
-        gen, scale, ring, cdim, rdim = _e6_real_generator(), 1, "eisenstein", 3, 6
+        scaled, scale, ring, cdim, rdim = _real_generator(E6_GENERATOR, OMEGA), 1, "eisenstein", 3, 6
     else:
         raise ValueError(f"unknown lattice {name!r}; expected E8, BW16 or E6")
 
-    if any((x * scale).denominator != 1 for row in gen for x in row):
-        raise ValueError(f"scale {scale} does not make the {key} generator integral")
-    scaled = tuple(tuple(int(x * scale) for x in row) for row in gen)
     # the Gram matrix times den, in integers
     if ring == "gaussian":
         gram, den = [[sum(map(mul, x, y)) for y in scaled] for x in scaled], scale * scale
@@ -257,26 +247,107 @@ def coordinate_bounds(lattice: LatticeSpec, norm: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Shell:
-    """The vectors of one shell, as int64 arrays sorted by coefficients.
+    """Vectors of one shell, as int64 arrays.
 
-    coeffs[k] holds the lattice coefficients of vector k (the array the
-    shell cache stores) and rows[k] its ambient row: for E8/BW16 the 8/16
-    real coordinates times the lattice scale, for E6 the (a, b) integer
-    pairs of the three Eisenstein coordinates a + b*omega, flattened to 6
-    integers.
+    coeffs[k] holds the lattice coefficients of row k (the array the shell
+    cache stores) and rows[k] its ambient row: for E8/BW16 the 8/16 real
+    coordinates times the lattice scale, for E6 the (a, b) integer pairs
+    of the three Eisenstein coordinates a + b*omega, flattened to 6
+    integers.  Each row stands for multiplicity shell vectors: 1 when the
+    rows are the vectors themselves (a whole shell, sorted by
+    coefficients), the number of ring units when they are one vector per
+    unit orbit (a chunk of the search, or the sector members of a shell).
     """
 
     lattice: LatticeSpec
     norm: int
     coeffs: np.ndarray  # (N, coeff_dim) int64
     rows: np.ndarray  # (N, real_dim) int64
+    multiplicity: int = 1
 
     @property
     def count(self) -> int:
         return len(self.coeffs)
 
+    @property
+    def vectors(self) -> int:
+        """The number of shell vectors the rows stand for."""
+        return self.count * self.multiplicity
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"Shell({self.lattice.name}, norm={self.norm}, count={self.count})"
+
+
+# the units of each ring as (x, y) coordinates of x + y*i or x + y*omega
+UNIT_COORDS = {
+    "gaussian": np.array([u.coords() for u in GAUSSIAN_UNITS], dtype=np.int64),
+    "eisenstein": np.array([u.coords() for u in EISENSTEIN_UNITS], dtype=np.int64),
+}
+
+
+def ring_mul(
+    x: np.ndarray, y: np.ndarray, c: np.ndarray, d: np.ndarray, ring: str, out: tuple = (None, None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of (x + y*u)(c + d*u), u = i or omega, elementwise
+    with broadcasting, into the arrays out if given (neither may share
+    memory with x or y): u^2 = -1 over Z[i] and -1 - u over Z[omega]."""
+    re = np.multiply(x, c, out=out[0])
+    re -= y * d
+    im = np.multiply(x, d, out=out[1])
+    im += y * c
+    if ring == "eisenstein":
+        im -= y * d
+    return re, im
+
+
+def unit_images(lattice: LatticeSpec, coeffs: np.ndarray) -> np.ndarray:
+    """The coefficient rows of u*v for every unit u of the lattice's ring
+    and every row v of coeffs, unit by unit: a unit acts on each pair
+    (a_k, b_k) as on the ring element a_k + b_k*u (see _real_generator)."""
+    half, units = lattice.coeff_dim // 2, UNIT_COORDS[lattice.ring].tolist()
+    a, b = coeffs[:, :half], coeffs[:, half:]
+    images = np.empty((len(units), *coeffs.shape), dtype=np.int64)
+    for image, (c, d) in zip(images, units):
+        ring_mul(a, b, c, d, lattice.ring, out=(image[:, :half], image[:, half:]))
+    return images.reshape(-1, lattice.coeff_dim)
+
+
+def ring_coords(shell: Shell) -> np.ndarray:
+    """(N, dim, 2) view of a shell's ambient rows as ring coordinates."""
+    rows, dim = shell.rows, shell.lattice.complex_dim
+    if shell.lattice.ring == "gaussian":  # c_k = x_k + i*x_{D+k}
+        return rows.reshape(len(rows), 2, dim).swapaxes(1, 2)
+    return rows.reshape(len(rows), dim, 2)
+
+
+def first_nonzero(coords: np.ndarray) -> np.ndarray:
+    """(2, N): the coordinates of each row's first nonzero component."""
+    nonzero = coords[..., 0] != 0
+    nonzero |= coords[..., 1] != 0
+    return coords[np.arange(len(coords)), nonzero.argmax(axis=1)].T
+
+
+def in_sector(x: np.ndarray, y: np.ndarray, ring: str) -> np.ndarray:
+    """Whether each ring element with coordinates (x, y) lies in the
+    canonical sector: Gaussian re > 0, im >= 0; Eisenstein b >= 0, a > b.
+    Each unit orbit of a nonzero element has exactly one member there."""
+    return (x > 0) & (y >= 0) if ring == "gaussian" else (y >= 0) & (x > y)
+
+
+def sector_mask(shell: Shell) -> np.ndarray:
+    """Whether the first nonzero ambient component of each row lies in
+    the canonical sector: on a unit-closed shell, true for one vector of
+    each unit orbit."""
+    return in_sector(*first_nonzero(ring_coords(shell)), shell.lattice.ring)
+
+
+def sector_members(shell: Shell) -> Shell:
+    """The rows of a whole shell in sector_mask, in shell order: one vector
+    per unit orbit of a unit-closed shell, so each stands for |units|
+    vectors."""
+    keep = sector_mask(shell)
+    units = len(UNIT_COORDS[shell.lattice.ring])
+    return Shell(shell.lattice, shell.norm, shell.coeffs[keep], shell.rows[keep], units)
 
 
 def _divisors(n: int) -> list[int]:
@@ -330,22 +401,28 @@ def theta_check(lattice: LatticeSpec, norm: int, count: int) -> ThetaCheckResult
 
 
 def _integer_form(lattice: LatticeSpec) -> tuple[tuple[int, ...], list, list[int], list[int], int]:
-    """Integerized LDL data in a pruned-friendly coordinate order.
+    """Integerized LDL data in the search's coordinate order.
 
-    Returns (order, lam, mus, weights, lam_common) where order[pos] is the
-    original coefficient index at DFS position pos (position 0 is solved
-    innermost), and for each position j:
+    Returns (order, lam, mus, weights, common) where order[pos] is the
+    original coefficient index at search position pos (position 0 is
+    solved innermost), and for each position j:
 
         lam[j]     list of (pos, coef) pairs with pos > j
         mus[j]     positive integer
         weights[j] positive integer
 
     such that common * Q(a) == sum_j weights[j] * t_j^2 with
-    t_j = mus[j]*x_j + sum_{(i,c) in lam[j]} c*x_i over DFS coordinates x.
+    t_j = mus[j]*x_j + sum_{(i,c) in lam[j]} c*x_i over search coordinates x.
+
+    The ring-coefficient pairs (a_k, b_k), coefficients k and n/2 + k,
+    take two adjacent positions each, a above b, so that the search
+    decides a pair's a and then its b; pairs with small coordinate bounds
+    (gram_inv_diag, equal for a_k and b_k) go outermost.
     """
     n = lattice.coeff_dim
-    # Decide coordinates with small bounds at the outermost (last) levels.
-    order = sorted(range(n), key=lambda i: (-lattice.gram_inv_diag[i], i))
+    half = n // 2
+    pairs = sorted(range(half), key=lambda k: (-lattice.gram_inv_diag[k], k))
+    order = [i for k in pairs for i in (half + k, k)]
     g = [[lattice.gram[order[p]][order[q]] for q in range(n)] for p in range(n)]
     d, lo = _ldl(g)
 
@@ -385,47 +462,63 @@ def _isqrt(values: np.ndarray) -> np.ndarray:
     return np.sqrt(values.astype(np.float64)).astype(np.int64)
 
 
+def _pair_cap(a: np.ndarray, ring: str) -> np.ndarray:
+    """The largest b that puts a pair (a, b) with a >= 0 in the canonical
+    sector, or makes it zero: a - 1 over Z[omega] (b >= 0, a > b) and no
+    limit over Z[i] (a > 0, b >= 0), but 0 when a = 0."""
+    if ring == "gaussian":
+        return np.where(a == 0, 0, np.iinfo(np.int64).max)
+    return np.maximum(a - 1, 0)
+
+
 def _search_chunks(
     lattice: LatticeSpec, norm: int, node_budget: int
 ) -> Generator[np.ndarray, None, int]:
-    """All coefficient vectors of the given norm, as chunks of (N,
-    coeff_dim) int64 rows in no particular order; returns the
+    """One coefficient vector of the given norm per unit orbit, as chunks
+    of (N, coeff_dim) int64 rows in no particular order; returns the
     branch-and-bound node count.
 
-    The search decides one DFS coordinate per level, from the outermost
-    (n - 1) to the innermost (0), for every partial vector of the frontier
-    at once.  A frontier node carries its remaining budget common * norm -
-    sum w t^2, whether every coordinate so far is zero (so that of each
-    pair +-v only the one whose first nonzero coordinate is positive is
-    searched), and, for every level j still to come, the part of sigma_j
-    that the decided coordinates contribute.  Each level records the
-    parent and the coordinate of its nodes, from which the vectors are
-    read back at level 0.  When a level's children would pass
-    CHUNK_NODES, its frontier is cut into runs of parents whose children
-    stay within it (a single parent may pass it alone), and each run is
-    searched on its own down to level 0, where it yields one chunk, so a
-    vector and its negation share a chunk and every run yields one, empty
-    or not.  The node count is a depth-first search's: every child of a
-    node above level 0, and every level-1 node once more at level 0.  The
-    caller checks the int64 headroom first."""
+    The search (Fincke-Pohst) decides one search coordinate per level,
+    from the outermost (n - 1) to the innermost (0), for every partial
+    vector of the frontier at once.  A frontier node carries its remaining
+    budget common * norm - sum w t^2, whether every pair above its current
+    one is zero, and, for every level j still to come, the part of sigma_j
+    that the decided coordinates contribute.  A unit acts on every
+    coefficient pair (a_k, b_k) as on a ring element, so each unit orbit
+    has exactly one vector whose first nonzero pair, in search order, lies
+    in the canonical sector, and only that one is searched: while the
+    pairs above are zero, a pair's a is at least 0 and its b lies in
+    [0, _pair_cap(a)].  Each level records the parent and the coordinate
+    of its nodes, from which the vectors are read back at level 0.  When a
+    level's children would pass CHUNK_NODES, its frontier is cut into runs
+    of parents whose children stay within it (a single parent may pass it
+    alone), and each run is searched on its own down to level 0, where it
+    yields one chunk, so every run yields one, empty or not.  The node
+    count is a depth-first search's: every child of a node above level 0,
+    and every level-1 node once more at level 0.  The caller checks the
+    int64 headroom first."""
     order, lam, mus, weights, common = _form_for(lattice)
-    n = lattice.coeff_dim
+    n, ring = lattice.coeff_dim, lattice.ring
     lam_mat = np.zeros((n, n), dtype=np.int64)  # sigma_j = sum_i lam_mat[j, i] * x_i
     for j, pairs in enumerate(lam):
         for i, c in pairs:
             lam_mat[j, i] = c
     visited = 0
 
-    def descend(top, offset, sigmas, remaining, zero_prefix, tree):
+    def descend(top, offset, sigmas, remaining, lead, tree):
         # the frontier, nodes offset, offset + 1, ... of tree[-1], decides
-        # level top next; sigmas is (levels to come, nodes)
+        # level top next; sigmas is (levels to come, nodes), and lead
+        # marks the nodes whose pairs above the current one are all zero
         nonlocal visited
         for level in range(top, 0, -1):
             w, mu, sigma = weights[level], mus[level], sigmas[level]
             s = _isqrt(remaining // w)
             lo = -((s + sigma) // mu)  # the x with |mu*x + sigma| <= s
             hi = (s - sigma) // mu
-            lo[zero_prefix & (lo < 0)] = 0
+            lo[lead & (lo < 0)] = 0
+            if level % 2 == 0:  # the b of a pair whose a the level above decided
+                a = tree[-1][1][offset : offset + len(lo)]
+                hi = np.where(lead, np.minimum(hi, _pair_cap(a, ring)), hi)
             counts = np.maximum(hi - lo + 1, 0)
             total = int(counts.sum())
             if total > CHUNK_NODES and len(counts) > 1:
@@ -435,7 +528,7 @@ def _search_chunks(
                     stop = max(int(np.searchsorted(ends, base + CHUNK_NODES, side="right")), start + 1)
                     yield from descend(
                         level, offset + start, sigmas[:, start:stop], remaining[start:stop],
-                        zero_prefix[start:stop], tree,
+                        lead[start:stop], tree,
                     )
                     start = stop
                 return
@@ -446,13 +539,16 @@ def _search_chunks(
             x = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
             t = mu * x + sigma[parent]
             remaining = remaining[parent] - w * t * t
-            zero_prefix = zero_prefix[parent] & (x == 0)
+            lead = lead[parent]
+            if level % 2 == 0:
+                lead &= (a[parent] == 0) & (x == 0)
             sigmas = sigmas[:level, parent] + lam_mat[:level, level, None] * x
             tree = [*tree, (parent + offset, x)]
             offset = 0
 
-        # level 0 in closed form: t_0 = +-sqrt(remaining / w_0) when that is
-        # an integer, and x_0 = (t_0 - sigma_0) / mu_0 when that is one
+        # level 0, the b of the innermost pair, in closed form: t_0 =
+        # +-sqrt(remaining / w_0) when that is an integer, and x_0 =
+        # (t_0 - sigma_0) / mu_0 when that is one
         visited += len(remaining)
         if visited > node_budget:
             raise EnumerationBudgetExceeded(node_budget, visited)
@@ -461,17 +557,16 @@ def _search_chunks(
         node = np.flatnonzero((rest == 0) & (r * r == q))
         r = r[node]
         x0, rest = np.divmod(np.stack([r, -r]) - sigmas[0, node], mus[0])
-        keep = (rest == 0) & ~(zero_prefix[node] & (x0 <= 0))
+        cap = _pair_cap(tree[-1][1][node], ring)
+        keep = (rest == 0) & ~(lead[node] & ((x0 < 0) | (x0 > cap)))
         keep[1] &= r != 0  # t_0 = 0 once
         sign, hit = np.nonzero(keep)
         node = node[hit]
-        half = len(node)  # the shell is symmetric under negation
-        coeffs = np.empty((2 * half, n), dtype=np.int64)
-        coeffs[:half, order[0]] = x0[sign, hit]
+        coeffs = np.empty((len(node), n), dtype=np.int64)
+        coeffs[:, order[0]] = x0[sign, hit]
         for level, (parent, x) in zip(range(1, n), reversed(tree)):
-            coeffs[:half, order[level]] = x[node]
+            coeffs[:, order[level]] = x[node]
             node = parent[node]
-        np.negative(coeffs[:half], out=coeffs[half:])
         yield coeffs
 
     root = (np.zeros((n, 1), dtype=np.int64), np.array([common * norm], dtype=np.int64), np.ones(1, dtype=bool))
@@ -514,10 +609,13 @@ def packed_keys(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     return np.stack(words, axis=1)
 
 
-def _scaled_norms(lattice: LatticeSpec, rows: np.ndarray) -> np.ndarray:
-    """Square norm of every ambient row times scale**2 (exact integers
-    while the caller's headroom check holds)."""
-    if lattice.ring == "gaussian":
+def square_norms(rows: np.ndarray, ring: str) -> np.ndarray:
+    """The square norm of every (N, 2k) int64 row of ring coordinates: the
+    sum of squares over Z[i] (in any order of the coordinates), and over
+    Z[omega] the sum of a^2 - ab + b^2 over the (a, b) pairs it holds in
+    turn, as E6 ambient rows do.  Exact in int64 while the caller's
+    headroom check holds."""
+    if ring == "gaussian":
         return np.einsum("ij,ij->i", rows, rows)
     a, b = rows[:, 0::2], rows[:, 1::2]
     return np.einsum("ij,ij->i", a, a - b) + np.einsum("ij,ij->i", b, b)
@@ -534,13 +632,23 @@ def _int64_bounds(lattice: LatticeSpec, norm: int) -> np.ndarray:
     guard 2 * real_dim * reach^2 < 2**63 makes reach < 2**30, so every
     coefficient (each is at most reach: every generator row has a nonzero
     integer entry), generator entry and partial sum of the matmul is an
-    integer below 2**53, exact in float64 (see _ambient_rows).
+    integer below 2**53, exact in float64 (see _ambient_rows).  A unit
+    image of a shell vector is a shell vector, so its coefficients and
+    ambient coordinates lie within the same bounds, and ring_mul by a
+    unit, whose coordinates are 0 or +-1, adds at most three of them: below
+    2**32, on the coefficient pairs (unit_images) as on the ambient ring
+    coordinates (states.representatives).
 
     In the search, every remaining budget and every w * t^2 is at most
-    common * norm; below 2**52 every quotient of it is an exact float64,
+    common * norm, with common the lcm of the denominators of the LDL
+    weights of the pair-ordered form (_integer_form: 4 for E8, 24 for
+    BW16, 8 for E6); below 2**52 every quotient of it is an exact float64,
     so _isqrt is exact.  Every node lies within the bounds (a prefix of a
-    point of the ellipsoid), so |sigma| at level j is at most the sum of
-    |c| * bound over lam[j], and lo, hi and t stay within s + |sigma|."""
+    point of the ellipsoid; the sector rule only removes nodes), so |sigma|
+    at level j is at most the sum of |c| * bound over lam[j], and lo, hi
+    and t stay within s + |sigma|: the sector rule only raises lo to 0 and
+    lowers hi to _pair_cap, which is at most a coefficient of the level
+    above, or leaves it."""
     bounds = coordinate_bounds(lattice, norm)
     reach = max(
         sum(b * abs(row[k]) for b, row in zip(bounds, lattice.scaled_generator))
@@ -580,26 +688,27 @@ def _ambient_rows(coeffs: np.ndarray, generator: np.ndarray) -> np.ndarray:
 
 
 def _shell_from_coeffs(
-    lattice: LatticeSpec, norm: int, coeffs: np.ndarray, bounds: np.ndarray, generator: np.ndarray, sort: bool = True
+    lattice: LatticeSpec, norm: int, coeffs: np.ndarray, bounds: np.ndarray, generator: np.ndarray, per_orbit: bool = False
 ) -> Shell:
-    """The Shell of (N, coeff_dim) int64 coefficient rows, sorted unless
-    sort is false, with their ambient rows; bounds is _int64_bounds(lattice,
-    norm) and generator _float_generator(lattice), which the caller
-    computes once per shell.  Raises ValueError when a row has the wrong
+    """The Shell of (N, coeff_dim) int64 coefficient rows with their
+    ambient rows: the vectors themselves, sorted, or with per_orbit one
+    vector per unit orbit, unsorted (see Shell); bounds is
+    _int64_bounds(lattice, norm) and generator _float_generator(lattice),
+    which the caller computes once per shell.  Raises ValueError when a row has the wrong
     norm.  Every coefficient is bounded before the float64 matmul
     (_ambient_rows), so no sum in it can round; the norm check stays in
-    int64 (_scaled_norms), as a norm may pass 2**53."""
+    int64 (square_norms), as a norm may pass 2**53."""
     outside = ((coeffs < -bounds) | (coeffs > bounds)).any(axis=1)
     if outside.any():
         row = coeffs[np.argmax(outside)].tolist()
         raise ValueError(f"row {row} has wrong norm (a coefficient is past its bound {bounds.tolist()})")
-    if sort:
+    if not per_orbit:
         coeffs = coeffs[np.lexsort(packed_keys(coeffs, bounds).T[::-1])]
     rows = _ambient_rows(coeffs, generator)
-    wrong = _scaled_norms(lattice, rows) != norm * lattice.scale**2
+    wrong = square_norms(rows, lattice.ring) != norm * lattice.scale**2
     if wrong.any():
         raise ValueError(f"row {coeffs[np.argmax(wrong)].tolist()} has wrong norm")
-    return Shell(lattice=lattice, norm=norm, coeffs=coeffs, rows=rows)
+    return Shell(lattice, norm, coeffs, rows, len(UNIT_COORDS[lattice.ring]) if per_orbit else 1)
 
 
 def enumerate_shell(
@@ -609,15 +718,18 @@ def enumerate_shell(
 
     The search is exhaustive: the LDL-based bound test is carried out in
     integer arithmetic after clearing denominators, so pruning is exact.
-    Vectors are returned sorted lexicographically by coefficients.  Raises
+    It finds one vector per unit orbit, and the shell is their unit
+    images, sorted lexicographically by coefficients.  Raises
     EnumerationBudgetExceeded if more than node_budget branch nodes are
     visited, HeadroomError if the shell's arrays or its search could
     overflow int64 (checked before the search) and, on a bug, ValueError
     if a vector fails the norm check.
     """
     bounds = _int64_bounds(lattice, norm)  # raises before a search past the headroom
-    # no reference kept here, so the unsorted array is freed once sorted
-    return _shell_from_coeffs(lattice, norm, _search(lattice, norm, node_budget)[0], bounds, _float_generator(lattice))
+    # no reference kept here, so the unsorted arrays are freed once sorted
+    return _shell_from_coeffs(
+        lattice, norm, unit_images(lattice, _search(lattice, norm, node_budget)[0]), bounds, _float_generator(lattice)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +772,10 @@ def default_cache_dir() -> Path:
 
 
 def shell_cache_path(cache_dir: Path, lattice: LatticeSpec, norm: int) -> Path:
-    return Path(cache_dir) / f"{lattice.name}_norm{norm}.npy"
+    """The cache file of a shell.  It holds coefficients over the ring
+    bases (E8_BASIS, BW16_BASIS, E6_GENERATOR); the name differs from that
+    of the files written over the earlier real bases, which are ignored."""
+    return Path(cache_dir) / f"{lattice.name}_norm{norm}_ring.npy"
 
 
 def save_shell(shell: Shell, path: Path) -> None:
@@ -730,22 +845,22 @@ def stream_shell(
     cache_dir: Optional[Path] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[Shell]:
-    """The shell as chunks: Shells that hold every vector once between
-    them.
+    """The shell as chunks of one vector per unit orbit: Shells whose rows
+    stand for every vector once between them (see Shell.multiplicity).
 
-    A cached shell is loaded, sorted, and is the one chunk.  Otherwise each
-    chunk of the search, unsorted, takes the checks of an enumerated shell
-    (bound, matmul, norm) and is yielded, and the shell is never held whole.
-    The stream writes no cache file."""
+    A cached shell is loaded, and its sector members, sorted, are the one
+    chunk.  Otherwise each chunk of the search, unsorted, takes the checks
+    of an enumerated shell (bound, matmul, norm) and is yielded, and the
+    shell is never held whole.  The stream writes no cache file."""
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = shell_cache_path(cache, lattice, norm)
     if path.exists():
-        yield load_shell(lattice, norm, path)
+        yield sector_members(load_shell(lattice, norm, path))
         return
     bounds = _int64_bounds(lattice, norm)  # raises before a search past the headroom
     generator = _float_generator(lattice)
     for coeffs in _search_chunks(lattice, norm, node_budget):
-        yield _shell_from_coeffs(lattice, norm, coeffs, bounds, generator, sort=False)
+        yield _shell_from_coeffs(lattice, norm, coeffs, bounds, generator, per_orbit=True)
 
 
 def ensure_shell(

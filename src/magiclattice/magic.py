@@ -163,10 +163,8 @@ def xi_alpha(state: PureStateExact, alpha: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ExtremalBounds:
-    D: int
     delta: int
     xi_min: Fraction
-    m_max: float
 
 
 def extremal_bounds(D: int, delta: int) -> ExtremalBounds:
@@ -183,7 +181,7 @@ def extremal_bounds(D: int, delta: int) -> ExtremalBounds:
         xi_min = Fraction(2 * D - 1, D * D)
     else:
         raise ValueError("delta must be 0 or 1")
-    return ExtremalBounds(D=D, delta=delta, xi_min=xi_min, m_max=log2(1 / xi_min))
+    return ExtremalBounds(delta=delta, xi_min=xi_min)
 
 
 def applicable_bounds(dim: int, ring: str) -> ExtremalBounds:
@@ -274,9 +272,9 @@ def _pauli_signs(n: int, dtype: np.dtype) -> tuple[np.ndarray, tuple[tuple[np.nd
 
 
 def xi_classes(
-    states: StateSet, ring: str, alphas: Iterable[int] = (2,)
+    states: StateSet, alphas: Iterable[int] = (2,)
 ) -> dict[int, tuple[tuple[Fraction, ...], np.ndarray]]:
-    """Exact Xi_alpha of many states of one ring and dimension, as classes:
+    """Exact Xi_alpha of the states of a StateSet, as classes:
     for each alpha the distinct values, each once, and an int index array
     that gives each state's value among them.
 
@@ -292,7 +290,7 @@ def xi_classes(
     if not len(states):
         return {a: ((), np.zeros(0, np.intp)) for a in alphas}
     dim = states.components.shape[1]
-    if ring == "gaussian":
+    if states.ring == "gaussian":
         expectations = partial(_pauli_norms, n=dim.bit_length() - 1)
     elif dim == 3:
         expectations = _displacement_norms
@@ -300,7 +298,7 @@ def xi_classes(
         raise ValueError("eisenstein states supported at dimension 3 only")
     top = 2 * max(alphas)
     blocks = (
-        component_arrays(states[i : i + XI_BLOCK_STATES], lambda nn: dim * dim * nn**top, ring, np.float64)
+        component_arrays(states[i : i + XI_BLOCK_STATES], lambda nn: dim * dim * nn**top, np.float64)
         for i in range(0, len(states), XI_BLOCK_STATES)
     )
     return _xi_classes(((expectations(x, y), norms) for x, y, norms in blocks), dim, alphas)
@@ -353,7 +351,7 @@ def xi_batch_gaussian(states: StateSet, alphas: Iterable[int] = (2,)) -> dict[in
     entry per state: the classes of xi_classes, spelled out.  Results are
     exact rationals identical to xi_alpha, one Fraction object per
     distinct value."""
-    return _per_state(xi_classes(states, "gaussian", alphas))
+    return _per_state(xi_classes(states, alphas))
 
 
 # _OMEGA_ROTATIONS[e] maps the coordinates (x, y) of z = x + y*omega to
@@ -404,8 +402,6 @@ class CensusReport:
     state_count: int
     vector_count: int
 
-    def histogram(self) -> dict[Fraction, int]:
-        return {row.xi2: row.state_count for row in self.rows}
 
 def census_rows(counts: Mapping[Fraction, int], dim: int, ring: str) -> tuple[CensusRow, ...]:
     """One row per exact Xi_2 value and its state count, in descending

@@ -95,9 +95,9 @@ E8_MAX_MAGIC_XI2 = Fraction(7, 16)
 
 Check = tuple[bool, str]
 StateLoader = Callable[[str, int], StateSet]  # (lattice, norm) -> deduplicated shell
-# a chunk of a shell's vectors, and the states that have their
-# representative in it (the whole shell and all its states, for a
-# deduplicated shell)
+# a chunk of a shell, and the states that have their representative in
+# it: a chunk of one vector per unit orbit and one state per row, or a
+# whole shell and all its states
 Batch = tuple[Shell, StateSet]
 
 
@@ -132,9 +132,10 @@ def shell_stage(
 def streamed_batches(
     name: str, norm: int, cache_dir: Path, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Iterator[Batch]:
-    """One shell as a stream of chunks (lattices.stream_shell: the search's
-    chunks, or a cached shell as one chunk; no cache file is written),
-    each with the states that have their representative in it."""
+    """One shell as a stream of chunks of one vector per unit orbit
+    (lattices.stream_shell: the search's chunks, or the sector members of
+    a cached shell as one chunk; no cache file is written), each with its
+    rows' states."""
     for chunk in stream_shell(build_lattice(name), norm, cache_dir, node_budget):
         yield chunk, representatives(chunk)
 
@@ -163,9 +164,9 @@ def census_stage(batches: Iterable[Batch]) -> CensusResult:
     states hold each state of the shell once, from the Xi_2 of each
     batch's states: a streamed shell is never held whole.
 
-    The shell passes when its size matches the theta series.  The census
-    is ok when the states account for every vector, |units| each (summed
-    over the batches, since a unit orbit can straddle chunks), no more
+    The shell passes when its size, the vectors its chunks stand for,
+    matches the theta series.  The census is ok when the states account
+    for every vector, |units| each (summed over the batches), no more
     states sit at Xi_2 = 1 than a register of that dimension has
     stabiliser states, and the expected table, if there is one, matches.
     Raises EmptyShellError on a shell with no vectors."""
@@ -176,7 +177,7 @@ def census_stage(batches: Iterable[Batch]) -> CensusResult:
     for chunk, state_set in batches:
         shell_seconds += clock() - last
         counts.update(xi2_histogram(state_set))
-        vectors += chunk.count
+        vectors += chunk.vectors
         states += state_set.count
         last = clock()
     shell_seconds += clock() - last

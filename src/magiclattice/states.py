@@ -21,16 +21,27 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 
 from .exact import (
-    EISENSTEIN_UNITS,
-    GAUSSIAN_UNITS,
     EisensteinInt,
     GaussianInt,
     canonical_vector,
     vector_norm,
 )
-from .lattices import HeadroomError, Shell, packed_keys
+from .lattices import (
+    UNIT_COORDS,
+    HeadroomError,
+    Shell,
+    first_nonzero,
+    in_sector,
+    packed_keys,
+    ring_coords,
+    ring_mul,
+    sector_mask,
+    square_norms,
+)
 
 RingVector = Union[Sequence[GaussianInt], Sequence[EisensteinInt]]
+# Vectors per block of _sector_states, whose temporaries then stay in cache
+SECTOR_ROWS = 2**12
 
 
 class EmptyShellError(ValueError):
@@ -121,7 +132,7 @@ class StateSet:
         index of its value among them."""
         from .magic import xi_classes  # magic imports this module
 
-        return xi_classes(self, self.ring, (2,))[2]
+        return xi_classes(self, (2,))[2]
 
     @property
     def xi2(self) -> tuple[Fraction, ...]:
@@ -139,31 +150,11 @@ class StateSet:
         )
 
 
-def _ring_coords(shell: Shell) -> np.ndarray:
-    """(N, dim, 2) view of a shell's ambient rows as ring coordinates."""
-    rows, dim = shell.rows, shell.lattice.complex_dim
-    if shell.lattice.ring == "gaussian":  # c_k = x_k + i*x_{D+k}
-        return rows.reshape(len(rows), 2, dim).swapaxes(1, 2)
-    return rows.reshape(len(rows), dim, 2)
-
-
-def _first_nonzero(coords: np.ndarray) -> np.ndarray:
-    """(2, N): the coordinates of each row's first nonzero component."""
-    nonzero = coords[..., 0] != 0
-    nonzero |= coords[..., 1] != 0
-    return coords[np.arange(len(coords)), nonzero.argmax(axis=1)].T
-
-
-def _in_sector(x: np.ndarray, y: np.ndarray, ring: str) -> np.ndarray:
-    """Whether each ring element with coordinates (x, y) lies in the
-    canonical sector: Gaussian re > 0, im >= 0; Eisenstein b >= 0, a > b.
-    Each unit orbit of a nonzero element has exactly one member there."""
-    return (x > 0) & (y >= 0) if ring == "gaussian" else (y >= 0) & (x > y)
-
-
 def _primitive(coords: np.ndarray) -> np.ndarray:
-    """Each row of coords divided by its integer content, C-contiguous."""
-    return np.floor_divide(coords, np.gcd.reduce(coords, axis=(1, 2))[:, None, None], order="C")
+    """Each row of an (N, dim, 2) int64 array that no one else reads
+    divided by its integer content, in place; returns the array."""
+    coords //= np.gcd.reduce(coords, axis=(1, 2))[:, None, None]
+    return coords
 
 
 def ray_keys(coords: np.ndarray, ring: str) -> np.ndarray:
@@ -185,7 +176,7 @@ def ray_keys(coords: np.ndarray, ring: str) -> np.ndarray:
     is below 2**60 + 2**61 + 2**60 = 2**62.  HeadroomError past that."""
     if len(coords) and np.abs(coords).max() >= 2**30:
         raise HeadroomError("ring coordinates past the int64 headroom of a ray key")
-    p, q = _first_nonzero(coords)
+    p, q = first_nonzero(coords)
     a, b = coords[..., 0], coords[..., 1]
     if ring == "gaussian":  # (a + bi)(p - qi)
         x, y = a * p[:, None] + b * q[:, None], b * p[:, None] - a * q[:, None]
@@ -196,32 +187,48 @@ def ray_keys(coords: np.ndarray, ring: str) -> np.ndarray:
     return _primitive(np.stack((x, y), axis=-1))
 
 
-def _norm_sq(comps: np.ndarray, ring: str) -> np.ndarray:
-    x, y = comps[..., 0], comps[..., 1]
-    return (x * x + y * y if ring == "gaussian" else x * x - x * y + y * y).sum(axis=1)
+def _sector_states(lattice_name: str, norm: int, ring: str, coords: np.ndarray) -> StateSet:
+    """The StateSet of (N, dim, 2) ring vectors, one state per vector in
+    their order: each is multiplied by the unit that takes its first
+    nonzero component into the canonical sector, a fundamental domain of
+    the units on the nonzero ring elements, and divided by its integer
+    content."""
+    units = UNIT_COORDS[ring]
+    comps = np.empty(coords.shape, np.int64)
+    norms = np.empty(len(coords), np.int64)
+    for start in range(0, len(comps), SECTOR_ROWS):
+        rows = slice(start, start + SECTOR_ROWS)
+        p, q = first_nonzero(coords[rows])
+        x, y = ring_mul(p[:, None], q[:, None], units[:, 0], units[:, 1], ring)  # under every unit
+        turn = in_sector(x, y, ring).argmax(axis=1)
+        block = comps[rows]
+        if turn.any():
+            c, d = units[turn].T[:, :, None]
+            ring_mul(coords[rows, :, 0], coords[rows, :, 1], c, d, ring, out=(block[..., 0], block[..., 1]))
+        else:  # every vector is in the sector already, as sector members are
+            block[...] = coords[rows]
+        _primitive(block)
+        norms[rows] = square_norms(block.reshape(len(block), -1), ring)
+    return StateSet(lattice_name, norm, ring, comps, norms)
 
 
 def representatives(chunk: Shell) -> StateSet:
-    """The states that have their representative in a chunk of a shell.
+    """The states of a chunk of one vector per unit orbit (a chunk of the
+    search, or sector_members of a shell), one per row, in chunk order
+    (see _sector_states).
 
-    A vector represents its state when its first nonzero component lies
-    in the canonical sector; divided by its integer content it is that
-    state's components.  The sector is a fundamental domain of the units
-    on the nonzero ring elements, so each unit orbit of vectors has
-    exactly one member there.  Two vectors of one shell with one canonical
-    state differ by a unit: their integer contents are equal because
-    their norms are.  So over the chunks of a unit-closed shell every
-    state has exactly one representative, and the representatives times
-    |units| are the shell's vectors.  The result is the StateSet of the
-    representative vectors alone, in chunk order."""
-    ring, coords = chunk.lattice.ring, _ring_coords(chunk)
-    comps = _primitive(coords[_in_sector(*_first_nonzero(coords), ring)])
-    return StateSet(chunk.lattice.name, chunk.norm, ring, comps, _norm_sq(comps, ring))
+    Two vectors of one shell with one canonical state differ by a unit:
+    their integer contents are equal because their norms are.  So over
+    the chunks of a shell's search, which hold one vector of each unit
+    orbit, every state has exactly one row, and the rows times |units|
+    are the shell's vectors."""
+    return _sector_states(chunk.lattice.name, chunk.norm, chunk.lattice.ring, ring_coords(chunk))
 
 
 def dedup(shell: Shell) -> StateSet:
-    """The states of a whole shell: its representatives, in lexicographic
-    order of their components.
+    """The states of a whole shell: those of its vectors in sector_mask
+    (as representatives takes them), in lexicographic order of their
+    components.
 
     On a unit-closed shell each state absorbs exactly |units| vectors (4
     Gaussian, 6 Eisenstein); that count is checked at runtime rather than
@@ -229,8 +236,8 @@ def dedup(shell: Shell) -> StateSet:
     """
     if shell.count == 0:
         raise EmptyShellError(f"{shell.lattice.name} l={shell.norm} has no vectors, so no states")
-    found = representatives(shell)
-    units = len(GAUSSIAN_UNITS if found.ring == "gaussian" else EISENSTEIN_UNITS)
+    ring, units = shell.lattice.ring, len(UNIT_COORDS[shell.lattice.ring])
+    found = _sector_states(shell.lattice.name, shell.norm, ring, ring_coords(shell)[sector_mask(shell)])
     if found.count * units != shell.count:
         raise AssertionError(
             f"{shell.lattice.name} l={shell.norm}: {found.count} states x {units} units "
@@ -238,7 +245,7 @@ def dedup(shell: Shell) -> StateSet:
         )
     flat = found.components.reshape(found.count, -1)
     order = np.lexsort(packed_keys(flat, np.maximum(flat.max(axis=0), -flat.min(axis=0))).T[::-1])
-    return StateSet(shell.lattice.name, shell.norm, found.ring, found.components[order], found.norm_sq[order])
+    return StateSet(shell.lattice.name, shell.norm, ring, found.components[order], found.norm_sq[order])
 
 
 def vector_states(shell: Shell) -> StateSet:
@@ -246,15 +253,12 @@ def vector_states(shell: Shell) -> StateSet:
     A vector's Xi_2 is its state's, since a unit or a scalar leaves Xi_2
     unchanged, so ``xi2`` tags each vector without mapping it to its
     state; nothing else may take these components as canonical."""
-    ring, comps = shell.lattice.ring, _ring_coords(shell)
-    return StateSet(shell.lattice.name, shell.norm, ring, comps, _norm_sq(comps, ring))
+    ring, comps = shell.lattice.ring, ring_coords(shell)
+    return StateSet(shell.lattice.name, shell.norm, ring, comps, square_norms(shell.rows, ring))
 
 
 def component_arrays(
-    states: StateSet,
-    peak: Callable[[int], int],
-    ring: str = "gaussian",
-    dtype: type = np.int64,
+    states: StateSet, peak: Callable[[int], int], dtype: type = np.int64
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First coordinates (S, dim), second coordinates (S, dim) and norm_sq
     (S,) of ring-integer states of one dimension, (re, im) for Gaussian
@@ -268,8 +272,6 @@ def component_arrays(
     for float64, and all three hold Python ints (dtype=object) otherwise,
     so the same array code stays exact on any input.
     """
-    if states.ring != ring:
-        raise ValueError(f"expected {ring}-integer states")
     coords, norms = states.components, states.norm_sq
     if peak(int(norms.max())) < (2**53 if dtype == np.float64 else 2**63):
         norms = norms.astype(np.int64, copy=False)

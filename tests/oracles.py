@@ -25,11 +25,22 @@ from magiclattice.clifford import (
     OrbitEscapeError,
     _mat_mul,
 )
-from magiclattice.entangle import _Y_SIGN, _display_columns, _labels, concurrence_kernel, pairwise_concurrence_2qubit
+from magiclattice.entangle import UNCLASSIFIED, EntanglementCensus, _Y_SIGN, _display_columns, _labels, concurrence_kernel, pairwise_concurrence_2qubit
 from magiclattice.exact import OMEGA, THETA, EisensteinInt, GaussianInt, canonical_vector, ray_reduce
-from magiclattice.lattices import EnumerationBudgetExceeded, LatticeSpec, Shell, _form_for, _lcm, coordinate_bounds
+from magiclattice.lattices import (
+    BW16_BASIS,
+    E6_GENERATOR,
+    E8_BASIS,
+    EnumerationBudgetExceeded,
+    LatticeSpec,
+    Shell,
+    _form_for,
+    _lcm,
+    coordinate_bounds,
+)
 from magiclattice.magic import (
     _OMEGA_POWERS,
+    CensusReport,
     Operator,
     PauliString,
     WHDisplacement,
@@ -56,69 +67,63 @@ def state_set(states: Sequence[PureStateExact]) -> StateSet:
     return StateSet("oracle", 0, states[0].ring, coords, np.array(norms, dtype))
 
 
-def dfs_enumerate(lattice: LatticeSpec, norm: int, node_budget: int = 10**10) -> tuple[np.ndarray, int]:
+def dfs_enumerate(
+    lattice: LatticeSpec, norm: int, node_budget: int = 10**10, per_orbit: bool = True
+) -> tuple[np.ndarray, int]:
     """The shell search as a recursive depth-first branch-and-bound in
-    Python ints over the same integer form as lattices._search: every
-    coefficient vector of the given norm, (N, coeff_dim) int64 in search
-    order, plus the node count."""
+    Python ints over the same integer form as lattices._search: with
+    per_orbit, the vectors of the given norm whose first nonzero
+    coefficient pair, in search order, lies in the canonical sector (so
+    one per unit orbit, as lattices._search finds them), and without
+    it every vector of the shell; (N, coeff_dim) int64 in search order,
+    plus the node count."""
     order, lam, mus, weights, common = _form_for(lattice)
     n = lattice.coeff_dim
     xs = [0] * n
-    found = []  # rows in DFS coordinate order
+    found = []  # rows in search coordinate order
     visited = 0
 
-    lam0 = lam[0]
-    mu0 = mus[0]
-    w0 = weights[0]
+    def allowed(level: int, x: int, lead: bool) -> bool:
+        # while every pair above is zero, this pair is zero or in the sector
+        if not (per_orbit and lead):
+            return True
+        if level % 2:  # a
+            return x >= 0
+        a = xs[level + 1]
+        if a == 0:
+            return x == 0
+        return x >= 0 and (lattice.ring == "gaussian" or x < a)
 
-    def descend(level: int, remaining: int, zero_prefix: bool) -> None:
+    def descend(level: int, remaining: int, lead: bool) -> None:
         nonlocal visited
+        w, mu = weights[level], mus[level]
+        sigma = sum(c * xs[i] for i, c in lam[level])
         if level == 0:
             visited += 1
-            if remaining % w0:
+            if remaining % w:
                 return
-            q = remaining // w0
-            r = isqrt(q)
-            if r * r != q:
+            r = isqrt(remaining // w)
+            if r * r != remaining // w:
                 return
-            sigma = 0
-            for i, c in lam0:
-                sigma += c * xs[i]
             for t in ((r,) if r == 0 else (r, -r)):
-                num = t - sigma
-                if num % mu0:
-                    continue
-                x0 = num // mu0
-                if zero_prefix and x0 <= 0:
-                    continue
-                xs[0] = x0
-                found.append(list(xs))
+                if (t - sigma) % mu == 0 and allowed(0, (t - sigma) // mu, lead):
+                    xs[0] = (t - sigma) // mu
+                    found.append(list(xs))
             return
-        w = weights[level]
-        mu = mus[level]
-        sigma = 0
-        for i, c in lam[level]:
-            sigma += c * xs[i]
         s = isqrt(remaining // w)
-        lo = -((s + sigma) // mu)
-        hi = (s - sigma) // mu
-        if zero_prefix and lo < 0:
-            lo = 0
-        visited += hi - lo + 1 if hi >= lo else 0
+        children = [x for x in range(-((s + sigma) // mu), (s - sigma) // mu + 1) if allowed(level, x, lead)]
+        visited += len(children)
         if visited > node_budget:
             raise EnumerationBudgetExceeded(node_budget, visited)
-        for x in range(lo, hi + 1):
+        for x in children:
             t = mu * x + sigma
             xs[level] = x
-            descend(level - 1, remaining - w * t * t, zero_prefix and x == 0)
+            pair_zero = level % 2 == 1 or (xs[level + 1] == 0 and x == 0)
+            descend(level - 1, remaining - w * t * t, lead and pair_zero)
 
     descend(n - 1, common * norm, True)
-    # each vector found has its leading DFS coordinate positive; the shell
-    # is symmetric under negation
-    half = np.array(found, dtype=np.int64).reshape(-1, n)
-    coeffs = np.empty((2 * len(half), n), dtype=np.int64)
-    coeffs[: len(half), list(order)] = half
-    np.negative(coeffs[: len(half)], out=coeffs[len(half) :])
+    coeffs = np.zeros((len(found), n), dtype=np.int64)
+    coeffs[:, list(order)] = np.array(found, dtype=np.int64).reshape(-1, n)
     return coeffs, visited
 
 
@@ -189,6 +194,86 @@ def unit_orbits(shell: Shell) -> dict[tuple, list[int]]:
     return orbits
 
 
+# The real generators of E8 and BW16 before their ring bases: E8 as simple
+# roots, BW16 in doubled coordinates.  The ring bases must span the same
+# lattices (tests/test_lattices.py).
+def old_e8_generator() -> list[list[Fraction]]:
+    rows = [[Fraction(0)] * 8 for _ in range(8)]
+    for k in range(6):
+        rows[k][k] = Fraction(1)
+        rows[k][k + 1] = Fraction(-1)
+    rows[6] = [Fraction(-1, 2)] * 6 + [Fraction(1, 2), Fraction(1, 2)]
+    rows[7][5] = Fraction(1)
+    rows[7][6] = Fraction(1)
+    return rows
+
+
+OLD_BW16_DOUBLED = (
+    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+    (0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 2, 0, 0),
+    (0, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 2, 0),
+    (0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2),
+    (0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 2, 2, 0),
+    (0, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 2, 0, 2),
+    (0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 2, 2),
+    (0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 0, 2, 2, 0),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 2, 0, 2),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 2, 2),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0),
+    (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4),
+)
+
+
+def old_generator(name: str) -> list[list[Fraction]]:
+    """The earlier real generator of E8 or BW16, in true coordinates."""
+    if name == "E8":
+        return old_e8_generator()
+    return [[Fraction(x, 2) for x in row] for row in OLD_BW16_DOUBLED]
+
+
+def fraction_generator(lattice: LatticeSpec) -> list[list[Fraction]]:
+    """The real generator of a lattice's ring basis in true coordinates,
+    built in Python complex numbers (Z[i], exact for these small
+    integers) or EisensteinInt: rows beta_k, then u*beta_k, laid out as
+    the ambient rows of lattices.Shell."""
+    if lattice.ring == "gaussian":
+        basis = [[complex(z.re, z.im) for z in beta] for beta in (E8_BASIS if lattice.name == "E8" else BW16_BASIS)]
+        rows = [[u * z for z in beta] for u in (1, 1j) for beta in basis]
+        ambient = [[z.real for z in row] + [z.imag for z in row] for row in rows]
+    else:
+        rows = [[u * z for z in beta] for u in (EisensteinInt(1), OMEGA) for beta in E6_GENERATOR]
+        ambient = [[x for z in row for x in z.coords()] for row in rows]
+    return [[Fraction(int(x), lattice.scale) for x in row] for row in ambient]
+
+
+def solve_rational(rows: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> list[Fraction]:
+    """The x with x @ rows == target, for a square invertible Fraction
+    matrix, by Gauss-Jordan elimination."""
+    inverse = mat_inverse(rows)
+    return [sum((t * inverse[j][i] for j, t in enumerate(target)), Fraction(0)) for i in range(len(rows))]
+
+
+def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """The determinant of a square Fraction matrix, by elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    n, det = len(m), Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot], det = m[pivot], m[col], -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
 def gram_matrix(lattice: LatticeSpec, generator: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """The Gram matrix of a lattice's Fraction generator rows: dot products
     for E8 and BW16, and for E6 Re(sum_k conj(u_k) v_k) of the rows read
@@ -223,6 +308,20 @@ def mat_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def census_histogram(report: CensusReport) -> dict[Fraction, int]:
+    """The state count of a census at each exact Xi_2 value."""
+    return {row.xi2: row.state_count for row in report.rows}
+
+
+def entanglement_histogram(census: EntanglementCensus) -> dict[str, int]:
+    """The state count of an entanglement census in each class, the
+    unclassified states last when there are any."""
+    out = {**census.stabiliser_classes, **census.magic_classes}
+    if census.other:
+        out[UNCLASSIFIED] = census.other
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +575,7 @@ def xi_batch_eisenstein(states: StateSet, alphas: Iterable[int] = (2,)) -> dict[
     """Exact Xi_alpha of qutrit (Z[omega]) states, one list entry per
     state: magic.xi_classes spelled out, as magic.xi_batch_gaussian does
     for qubits."""
-    return _per_state(xi_classes(states, "eisenstein", alphas))
+    return _per_state(xi_classes(states, alphas))
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def test_reproduce_evaluates_xi2_once_per_state_set(capsys, store, monkeypatch):
     code, _ = run_cli(capsys, store, "reproduce")
     assert code == 0
     # once for each of the 6 Gaussian state sets
-    assert sorted((states.lattice_name, states.norm) for states, ring, *_ in calls if ring == "gaussian") == [
+    assert sorted((states.lattice_name, states.norm) for states, *_ in calls if states.ring == "gaussian") == [
         ("BW16", 4), ("BW16", 6), ("E8", 2), ("E8", 4), ("E8", 6), ("E8", 8)
     ]
 
@@ -315,7 +315,7 @@ def _cache_missing_a_pair(cache_dir):
         ),
         pytest.param(["census", "--lattice", "E8", "--norms", "3"], None, "E8 l=3 has no vectors", id="empty-shell"),
         pytest.param(
-            ["census", "--lattice", "BW16", "--norms", "100000000000000"], None, "int64 headroom", id="census-headroom"
+            ["census", "--lattice", "BW16", "--norms", "1000000000000000"], None, "int64 headroom", id="census-headroom"
         ),
         pytest.param(
             ["shells", "--lattice", "E8", "--norms", "10000000000000000"], None, "int64 headroom", id="shells-headroom"

@@ -353,7 +353,7 @@ def test_entanglement_census_small_slice(store):
     assert census4.stabiliser_classes == {"I": 216, "II": 432, "III": 432}
     assert census4.magic_classes == {}
     assert census4.other == 0
-    assert census4.histogram() == {"I": 216, "II": 432, "III": 432}
+    assert oracles.entanglement_histogram(census4) == {"I": 216, "II": 432, "III": 432}
 
 
 def test_entanglement_census_rejects_wrong_dim(store):

@@ -24,6 +24,7 @@ from magiclattice.lattices import (
     ShellCacheError,
     _ambient_rows,
     _float_generator,
+    _form_for,
     _int64_bounds,
     _isqrt,
     _search,
@@ -40,7 +41,16 @@ from magiclattice.lattices import (
     stream_shell,
     theta_check,
 )
-from oracles import dfs_enumerate, gram_matrix, mat_inverse, naive_box_enumerate
+from oracles import (
+    determinant,
+    dfs_enumerate,
+    fraction_generator,
+    gram_matrix,
+    mat_inverse,
+    naive_box_enumerate,
+    old_generator,
+    solve_rational,
+)
 
 
 def same_vectors(a, b):
@@ -80,24 +90,29 @@ def test_gram_matrices_symmetric_positive_diagonal():
         assert all(g[i][i] > 0 for i in range(n))
 
 
-_FRACTION_GENERATORS = {
-    "E8": lattices._e8_generator,
-    "BW16": lattices._bw16_generator,
-    "E6": lattices._e6_real_generator,
-}
-
-
 @pytest.mark.parametrize("name", ["E8", "BW16", "E6"])
 def test_integer_set_up_matches_the_fraction_oracle(name):
     # build_lattice works in integers; the Gram matrix and the diagonal of
     # its inverse must be those of Fraction arithmetic on the generator
     lat = build_lattice(name)
-    generator = _FRACTION_GENERATORS[name]()
+    generator = fraction_generator(lat)
     assert lat.scaled_generator == tuple(tuple(int(x * lat.scale) for x in row) for row in generator)
     gram = gram_matrix(lat, generator)
     assert lat.gram == tuple(map(tuple, gram))
     inverse = mat_inverse(gram)
     assert lat.gram_inv_diag == tuple(inverse[i][i] for i in range(lat.coeff_dim))
+
+
+@pytest.mark.parametrize("name", ["E8", "BW16"])
+def test_ring_basis_spans_the_old_lattice(name):
+    # every row of the old real generator has integer coordinates over the
+    # ring basis, and the two have one covolume: the lattices are equal
+    lat = build_lattice(name)
+    new = fraction_generator(lat)
+    old = old_generator(name)
+    for row in old:
+        assert all(x.denominator == 1 for x in solve_rational(new, row)), row
+    assert abs(determinant(new)) == abs(determinant(old)) != 0
 
 
 def test_coordinate_bounds_cover_shell(store):
@@ -140,11 +155,11 @@ def test_budget_exceeded():
 
 
 def test_budget_exceeded_before_the_innermost_levels():
-    # BW16 l=8 visits 1,548,067 nodes; the search stops at the first level
+    # BW16 l=8 visits 565,679 nodes; the search stops at the first level
     # whose children pass the budget, before it expands them
     with pytest.raises(EnumerationBudgetExceeded) as info:
         enumerate_shell(build_lattice("BW16"), 8, node_budget=10**5)
-    assert info.value.budget == 10**5 and 10**5 < info.value.visited < 1_548_067
+    assert info.value.budget == 10**5 and 10**5 < info.value.visited < 565_679
 
 
 def _same_search(name, norm):
@@ -153,6 +168,42 @@ def _same_search(name, norm):
     oracle, oracle_visited = dfs_enumerate(lattice, norm)
     assert visited == oracle_visited
     assert sorted(map(tuple, coeffs.tolist())) == sorted(map(tuple, oracle.tolist()))
+
+
+def _rows(array):
+    return sorted(map(tuple, array.tolist()))
+
+
+_ORBIT_SHELLS = [("E8", n) for n in range(1, 17)] + [("BW16", n) for n in range(1, 7)] + [
+    ("E6", n) for n in range(1, 31)
+]
+
+
+@pytest.mark.parametrize("name,norm", _ORBIT_SHELLS)
+def test_search_finds_one_vector_per_unit_orbit(name, norm):
+    # the representatives times the units are the whole shell of an
+    # unpruned depth-first search, each representative's first nonzero
+    # coefficient pair in search order lies in the sector, and no two
+    # representatives share a unit orbit
+    lattice = build_lattice(name)
+    reps = _search(lattice, norm, 10**10)[0]
+    images = lattices.unit_images(lattice, reps)
+    assert _rows(images) == _rows(dfs_enumerate(lattice, norm, per_orbit=False)[0])
+    assert len(set(map(tuple, images.tolist()))) == len(images)
+    order = _form_for(lattice)[0]
+    half = lattice.coeff_dim // 2
+    for row in reps.tolist():
+        a, b = next((row[i], row[i + half]) for i in reversed(order) if i < half and (row[i] or row[i + half]))
+        assert lattices.in_sector(np.array(a), np.array(b), lattice.ring)
+
+
+def test_bw16_l8_node_count_is_pinned():
+    # the unit-orbit pruning visits 565,679 nodes (1,548,067 with only +-)
+    chunks = lattices._search_chunks(build_lattice("BW16"), 8, 10**10)
+    with pytest.raises(StopIteration) as done:
+        while True:
+            next(chunks)
+    assert done.value.value == 565_679
 
 
 _PAPER_SHELLS = [("E8", n) for n in (2, 4, 6, 8)] + [("BW16", n) for n in (4, 6)] + [
@@ -178,10 +229,12 @@ def test_small_chunks_match_recursive_oracle(monkeypatch, name, norm):
     # nests its runs; the chunks together are still the oracle's search
     monkeypatch.setattr(lattices, "CHUNK_NODES", 64)
     _same_search(name, norm)
-    chunks = list(lattices._search_chunks(build_lattice(name), norm, 10**10))
+    lattice = build_lattice(name)
+    chunks = list(lattices._search_chunks(lattice, norm, 10**10))
     assert len(chunks) > 1 or len(chunks[0]) < 100
-    for chunk in chunks:  # each chunk is closed under negation
-        assert sorted(map(tuple, chunk.tolist())) == sorted(map(tuple, (-chunk).tolist()))
+    # no two vectors of the chunks share a unit orbit
+    images = lattices.unit_images(lattice, np.concatenate(chunks))
+    assert len(set(map(tuple, images.tolist()))) == len(images)
 
 
 def test_budget_exceeded_mid_stream_leaves_no_cache_file(tmp_path, monkeypatch):
@@ -240,6 +293,14 @@ def _largest_norm(name):
         except HeadroomError:
             hi = mid
     return lo
+
+
+@pytest.mark.parametrize("name,old_largest", [("E8", 75_059_993_789_508), ("BW16", 162_467_519_024), ("E6", 562_949_953_421_311)])
+def test_headroom_accepts_every_norm_the_real_bases_did(name, old_largest):
+    # the largest norms that the guard accepted over the earlier real
+    # generators (common 60 for E8 and 27,720 for BW16); the guard is
+    # monotone in the norm, so every smaller norm passes too
+    assert _largest_norm(name) >= old_largest
 
 
 def _int_product(lat, coeffs):
@@ -308,7 +369,7 @@ def test_shell_size_counts_every_searched_shell(name, top):
     lattice = build_lattice(name)
     for norm in range(1, top + 1):
         found = sum(map(len, lattices._search_chunks(lattice, norm, 10**10)))
-        assert shell_size(lattice, norm) == found, norm
+        assert shell_size(lattice, norm) == found * len(lattices.UNIT_COORDS[lattice.ring]), norm
     with pytest.raises(ValueError):
         shell_size(lattice, 0)
 
@@ -338,13 +399,19 @@ def test_ensure_shell_writes_then_reads(tmp_path):
 
 
 def test_stale_text_cache_is_ignored(tmp_path, store):
+    # the text cache, and the .npy cache over the earlier real basis, under
+    # their own names; a file of the old coefficients would pass the
+    # headroom and bound checks but not the norm check
     stale = tmp_path / "E8_norm2.shell"
     stale.write_text("#magiclattice-shell v1 lattice=E8 norm=2 scale=2 count=1\n2 2 0 0 0 0 0 1\n")
+    old_npy = tmp_path / "E8_norm2.npy"
+    old_npy.write_bytes(b"not this shell")
     shell = ensure_shell(build_lattice("E8"), 2, cache_dir=tmp_path)
     assert same_vectors(shell, store.shell("E8", 2))
-    assert shell_cache_path(tmp_path, shell.lattice, 2).name == "E8_norm2.npy"
-    assert sorted(os.listdir(tmp_path)) == ["E8_norm2.npy", "E8_norm2.shell"]
+    assert shell_cache_path(tmp_path, shell.lattice, 2).name == "E8_norm2_ring.npy"
+    assert sorted(os.listdir(tmp_path)) == ["E8_norm2.npy", "E8_norm2.shell", "E8_norm2_ring.npy"]
     assert stale.read_text().startswith("#magiclattice-shell v1")
+    assert old_npy.read_bytes() == b"not this shell"
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -589,9 +656,9 @@ def test_enumerate_headroom_guard_survives_optimize():
         # coefficients up to 10^9 would wrap the int64 square sum of the
         # norm check
         10**18,
-        # the shell arrays fit, but common * norm = 6 * 10^15 is past the
+        # the shell arrays fit, but common * norm = 4 * 2^50 is past the
         # 2^52 below which the search's float-seeded square root is exact
-        10**14,
+        2**50,
     ):
         with pytest.raises(HeadroomError, match="int64 headroom"):
             enumerate_shell(build_lattice("E8"), norm, node_budget=10**6)

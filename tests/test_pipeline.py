@@ -34,8 +34,10 @@ def _streamed_equals_materialised(name, norm, cache_dir, oracle):
         else:
             assert os.listdir(cache_dir) == []  # the stream wrote no cache file
             if oracle.count >= 100:
-                # some unit orbit straddles two chunks
-                assert any(states.count * units != chunk.count for chunk, states in batches)
+                assert len(batches) > 1  # the search is cut into chunks
+        # one state per row, each row standing for |units| vectors
+        for chunk, states in batches:
+            assert states.count == chunk.count and chunk.vectors == chunk.count * units
         result = pipeline.census_stage(iter(batches))
         assert result.report == sre_census(oracle)
         assert result.shell.count == oracle.count * units and result.shell.theta.ok
@@ -100,7 +102,7 @@ def test_census_fails_a_shell_that_is_not_unit_closed(store):
     for lost in [*orbit, orbit]:  # one vector of the orbit, or all four
         keep = np.setdiff1d(np.arange(shell.count), lost)
         chunk = lattices.Shell(shell.lattice, 2, shell.coeffs[keep], shell.rows[keep])
-        result = pipeline.census_stage([(chunk, representatives(chunk))])
+        result = pipeline.census_stage([(chunk, representatives(lattices.sector_members(chunk)))])
         report = result.report
         assert (report.vector_count == report.state_count * 4) == (np.size(lost) == 4)
         # the theta series fails the shell, the census fails too

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from magiclattice.exact import (
     vector_norm,
 )
 from magiclattice.lattices import HeadroomError, Shell, build_lattice
-from magiclattice.states import dedup, ray_keys, vector_to_state
+from magiclattice import states
+from magiclattice.states import dedup, ray_keys, representatives, vector_to_state
 from oracles import overlap_sq, real_to_complex
 
 G = GaussianInt
@@ -166,6 +168,26 @@ def test_dedup_matches_scalar_canonical_vector(name, data):
     assert fields(state_set.states) == expected
     assert fields(state_set[i] for i in range(state_set.count)) == expected
     assert state_set.count * len(units) == len(vectors)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=hs.sampled_from(["E8", "BW16", "E6"]), block=hs.integers(1, 5), data=hs.data())
+def test_representatives_rotate_each_row_to_its_canonical_state(name, block, data):
+    # one state per row, in row order, whichever unit multiple the row is;
+    # blocks of 1 to 5 rows put block edges between the rows
+    lattice = build_lattice(name)
+    gaussian = lattice.ring == "gaussian"
+    cls = GaussianInt if gaussian else EisensteinInt
+    vectors = data.draw(hs.lists(ring_vectors(cls, lattice.complex_dim), min_size=1, max_size=12))
+    if gaussian:
+        rows = [[c.re for c in v] + [c.im for c in v] for v in vectors]
+    else:
+        rows = [[x for c in v for x in c.coords()] for v in vectors]
+    chunk = Shell(lattice, 1, np.zeros((len(rows), lattice.coeff_dim), dtype=np.int64), np.array(rows, dtype=np.int64), 4)
+    with mock.patch.object(states, "SECTOR_ROWS", block):
+        found = representatives(chunk)
+    assert [s.components for s in found.states] == [canonical_vector(v)[0] for v in vectors]
+    assert found.norm_sq.tolist() == [vector_norm(canonical_vector(v)[0]) for v in vectors]
 
 
 def _coords(vectors):
