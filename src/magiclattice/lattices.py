@@ -37,7 +37,8 @@ from .exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS, OMEGA, THETA, EisensteinInt
 
 DEFAULT_NODE_BUDGET = 10**10
 # Children per search chunk: a level whose frontier would expand past this
-# many nodes is searched in runs of parents (see _search_chunks).
+# many nodes is searched in runs of parents, or of one parent's children
+# (see _search_chunks).
 CHUNK_NODES = 2**13
 # Rows per float64 block of the ambient-row matmul (see _ambient_rows).
 MATMUL_ROWS = 2**10
@@ -256,7 +257,7 @@ class Shell:
     integers.  Each row stands for multiplicity shell vectors: 1 when the
     rows are the vectors themselves (a whole shell, sorted by
     coefficients), the number of ring units when they are one vector per
-    unit orbit (a chunk of the search, or the sector members of a shell).
+    unit orbit, the one the search finds (a chunk of stream_shell).
     """
 
     lattice: LatticeSpec
@@ -341,11 +342,12 @@ def sector_mask(shell: Shell) -> np.ndarray:
     return in_sector(*first_nonzero(ring_coords(shell)), shell.lattice.ring)
 
 
-def sector_members(shell: Shell) -> Shell:
-    """The rows of a whole shell in sector_mask, in shell order: one vector
-    per unit orbit of a unit-closed shell, so each stands for |units|
-    vectors."""
-    keep = sector_mask(shell)
+def search_members(shell: Shell) -> Shell:
+    """The rows of a whole shell that the search finds, in shell order:
+    those whose first nonzero coefficient pair, in search order, lies in
+    the canonical sector (_search_leads).  On a unit-closed shell that is
+    one vector per unit orbit, so each stands for |units| vectors."""
+    keep = in_sector(*_search_leads(shell.lattice, shell.coeffs), shell.lattice.ring)
     units = len(UNIT_COORDS[shell.lattice.ring])
     return Shell(shell.lattice, shell.norm, shell.coeffs[keep], shell.rows[keep], units)
 
@@ -462,6 +464,17 @@ def _isqrt(values: np.ndarray) -> np.ndarray:
     return np.sqrt(values.astype(np.float64)).astype(np.int64)
 
 
+def _search_leads(lattice: LatticeSpec, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The a and the b of each row's first nonzero coefficient pair
+    (a_k, b_k), taking the pairs in search order, outermost first
+    (_integer_form).  The search keeps a vector only when this pair lies
+    in the canonical sector."""
+    order = _form_for(lattice)[0]
+    a, b = coeffs[:, list(order[-1::-2])], coeffs[:, list(order[-2::-2])]
+    first, rows = ((a | b) != 0).argmax(axis=1), np.arange(len(coeffs))
+    return a[rows, first], b[rows, first]
+
+
 def _pair_cap(a: np.ndarray, ring: str) -> np.ndarray:
     """The largest b that puts a pair (a, b) with a >= 0 in the canonical
     sector, or makes it zero: a - 1 over Z[omega] (b >= 0, a > b) and no
@@ -491,12 +504,14 @@ def _search_chunks(
     [0, _pair_cap(a)].  Each level records the parent and the coordinate
     of its nodes, from which the vectors are read back at level 0.  When a
     level's children would pass CHUNK_NODES, its frontier is cut into runs
-    of parents whose children stay within it (a single parent may pass it
-    alone), and each run is searched on its own down to level 0, where it
-    yields one chunk, so every run yields one, empty or not.  The node
-    count is a depth-first search's: every child of a node above level 0,
-    and every level-1 node once more at level 0.  The caller checks the
-    int64 headroom first."""
+    of parents whose children stay within it, and a parent that passes it
+    alone has its children cut into runs of CHUNK_NODES values; each run is
+    searched on its own down to level 0, where it yields one chunk, so
+    every run yields one, empty or not, and no level of a run holds more
+    than CHUNK_NODES nodes.  The node count is a depth-first search's:
+    every child of a node above level 0, and every level-1 node once more
+    at level 0; a level is counted, and the budget checked, before its
+    children are built.  The caller checks the int64 headroom first."""
     order, lam, mus, weights, common = _form_for(lattice)
     n, ring = lattice.coeff_dim, lattice.ring
     lam_mat = np.zeros((n, n), dtype=np.int64)  # sigma_j = sum_i lam_mat[j, i] * x_i
@@ -505,10 +520,13 @@ def _search_chunks(
             lam_mat[j, i] = c
     visited = 0
 
-    def descend(top, offset, sigmas, remaining, lead, tree):
+    def descend(top, offset, sigmas, remaining, lead, tree, first=None):
         # the frontier, nodes offset, offset + 1, ... of tree[-1], decides
         # level top next; sigmas is (levels to come, nodes), and lead
-        # marks the nodes whose pairs above the current one are all zero
+        # marks the nodes whose pairs above the current one are all zero.
+        # Given first, the frontier is one node whose children at level
+        # top the caller has counted, and only those from first on, at
+        # most CHUNK_NODES of them, are searched
         nonlocal visited
         for level in range(top, 0, -1):
             w, mu, sigma = weights[level], mus[level], sigmas[level]
@@ -521,7 +539,10 @@ def _search_chunks(
                 hi = np.where(lead, np.minimum(hi, _pair_cap(a, ring)), hi)
             counts = np.maximum(hi - lo + 1, 0)
             total = int(counts.sum())
-            if total > CHUNK_NODES and len(counts) > 1:
+            if first is not None:
+                lo, hi, first = np.array([first]), np.minimum(hi, first + CHUNK_NODES - 1), None
+                counts = hi - lo + 1
+            elif total > CHUNK_NODES and len(counts) > 1:
                 ends, start = np.cumsum(counts), 0
                 while start < len(ends):
                     base = ends[start - 1] if start else 0
@@ -532,9 +553,14 @@ def _search_chunks(
                     )
                     start = stop
                 return
-            visited += total
-            if visited > node_budget:
-                raise EnumerationBudgetExceeded(node_budget, visited)
+            else:
+                visited += total
+                if visited > node_budget:
+                    raise EnumerationBudgetExceeded(node_budget, visited)
+                if total > CHUNK_NODES:  # one node
+                    for start in range(int(lo[0]), int(hi[0]) + 1, CHUNK_NODES):
+                        yield from descend(level, offset, sigmas, remaining, lead, tree, start)
+                    return
             parent = np.repeat(np.arange(len(counts)), counts)
             x = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
             t = mu * x + sigma[parent]
@@ -691,18 +717,27 @@ def _shell_from_coeffs(
     lattice: LatticeSpec, norm: int, coeffs: np.ndarray, bounds: np.ndarray, generator: np.ndarray, per_orbit: bool = False
 ) -> Shell:
     """The Shell of (N, coeff_dim) int64 coefficient rows with their
-    ambient rows: the vectors themselves, sorted, or with per_orbit one
-    vector per unit orbit, unsorted (see Shell); bounds is
-    _int64_bounds(lattice, norm) and generator _float_generator(lattice),
-    which the caller computes once per shell.  Raises ValueError when a row has the wrong
-    norm.  Every coefficient is bounded before the float64 matmul
-    (_ambient_rows), so no sum in it can round; the norm check stays in
-    int64 (square_norms), as a norm may pass 2**53."""
+    ambient rows; bounds is _int64_bounds(lattice, norm) and generator
+    _float_generator(lattice), which the caller computes once per shell.
+
+    Without per_orbit the rows are the vectors themselves, sorted.  With
+    it they are vectors of the search, unsorted (see Shell), each of which
+    must have its first nonzero coefficient pair, in search order, in the
+    canonical sector (_search_leads), so that no two share a unit orbit.
+    Raises ValueError when a row has the wrong norm or, with per_orbit, is
+    not the search's vector of its orbit.  Every coefficient is bounded
+    before the float64 matmul (_ambient_rows), so no sum in it can round;
+    the norm check stays in int64 (square_norms), as a norm may pass
+    2**53."""
     outside = ((coeffs < -bounds) | (coeffs > bounds)).any(axis=1)
     if outside.any():
         row = coeffs[np.argmax(outside)].tolist()
         raise ValueError(f"row {row} has wrong norm (a coefficient is past its bound {bounds.tolist()})")
-    if not per_orbit:
+    if per_orbit:
+        astray = ~in_sector(*_search_leads(lattice, coeffs), lattice.ring)
+        if astray.any():
+            raise ValueError(f"row {coeffs[np.argmax(astray)].tolist()} is not the search's vector of its unit orbit")
+    else:
         coeffs = coeffs[np.lexsort(packed_keys(coeffs, bounds).T[::-1])]
     rows = _ambient_rows(coeffs, generator)
     wrong = square_norms(rows, lattice.ring) != norm * lattice.scale**2
@@ -845,17 +880,19 @@ def stream_shell(
     cache_dir: Optional[Path] = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Iterator[Shell]:
-    """The shell as chunks of one vector per unit orbit: Shells whose rows
-    stand for every vector once between them (see Shell.multiplicity).
+    """The shell as chunks of the vectors the search finds, one per unit
+    orbit: Shells whose rows stand for every vector once between them (see
+    Shell.multiplicity).
 
-    A cached shell is loaded, and its sector members, sorted, are the one
+    A cached shell is loaded, and its search_members, sorted, are the one
     chunk.  Otherwise each chunk of the search, unsorted, takes the checks
-    of an enumerated shell (bound, matmul, norm) and is yielded, and the
-    shell is never held whole.  The stream writes no cache file."""
+    of an enumerated shell (bound, matmul, norm) and that of one vector
+    per orbit (_shell_from_coeffs) and is yielded, and the shell is never
+    held whole.  The stream writes no cache file."""
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = shell_cache_path(cache, lattice, norm)
     if path.exists():
-        yield sector_members(load_shell(lattice, norm, path))
+        yield search_members(load_shell(lattice, norm, path))
         return
     bounds = _int64_bounds(lattice, norm)  # raises before a search past the headroom
     generator = _float_generator(lattice)

@@ -165,11 +165,14 @@ def census_stage(batches: Iterable[Batch]) -> CensusResult:
     batch's states: a streamed shell is never held whole.
 
     The shell passes when its size, the vectors its chunks stand for,
-    matches the theta series.  The census is ok when the states account
-    for every vector, |units| each (summed over the batches), no more
-    states sit at Xi_2 = 1 than a register of that dimension has
-    stabiliser states, and the expected table, if there is one, matches.
-    Raises EmptyShellError on a shell with no vectors."""
+    matches the theta series; as stream_shell checks that the rows of a
+    search chunk lie in distinct unit orbits, a streamed shell that passes
+    holds one row of each.  The census is ok when the batches' states
+    number their vectors over |units| (one state per row of a chunk of
+    stream_shell, |units| rows per state of a whole shell), no more states
+    sit at Xi_2 = 1 than a register of that dimension has stabiliser
+    states, and the expected table, if there is one, matches.  Raises
+    EmptyShellError on a shell with no vectors."""
     clock = time.perf_counter
     counts: Counter[Fraction] = Counter()  # Xi_2 -> states
     vectors = states = 0

@@ -40,7 +40,7 @@ from .lattices import (
 )
 
 RingVector = Union[Sequence[GaussianInt], Sequence[EisensteinInt]]
-# Vectors per block of _sector_states, whose temporaries then stay in cache
+# Vectors per block of representatives, whose temporaries then stay in cache
 SECTOR_ROWS = 2**12
 
 
@@ -187,12 +187,19 @@ def ray_keys(coords: np.ndarray, ring: str) -> np.ndarray:
     return _primitive(np.stack((x, y), axis=-1))
 
 
-def _sector_states(lattice_name: str, norm: int, ring: str, coords: np.ndarray) -> StateSet:
-    """The StateSet of (N, dim, 2) ring vectors, one state per vector in
-    their order: each is multiplied by the unit that takes its first
-    nonzero component into the canonical sector, a fundamental domain of
-    the units on the nonzero ring elements, and divided by its integer
-    content."""
+def representatives(chunk: Shell) -> StateSet:
+    """The states of a chunk of stream_shell, one vector per unit orbit,
+    one state per row, in chunk order: each row is multiplied by the unit
+    that takes its first nonzero component into the canonical sector, a
+    fundamental domain of the units on the nonzero ring elements, and
+    divided by its integer content.
+
+    Two vectors of one shell with one canonical state differ by a unit:
+    their integer contents are equal because their norms are.  So over
+    the chunks of a shell, which hold one vector of each unit orbit, every
+    state has exactly one row, and the rows times |units| are the shell's
+    vectors."""
+    ring, coords = chunk.lattice.ring, ring_coords(chunk)
     units = UNIT_COORDS[ring]
     comps = np.empty(coords.shape, np.int64)
     norms = np.empty(len(coords), np.int64)
@@ -200,35 +207,19 @@ def _sector_states(lattice_name: str, norm: int, ring: str, coords: np.ndarray) 
         rows = slice(start, start + SECTOR_ROWS)
         p, q = first_nonzero(coords[rows])
         x, y = ring_mul(p[:, None], q[:, None], units[:, 0], units[:, 1], ring)  # under every unit
-        turn = in_sector(x, y, ring).argmax(axis=1)
+        c, d = units[in_sector(x, y, ring).argmax(axis=1)].T[:, :, None]
         block = comps[rows]
-        if turn.any():
-            c, d = units[turn].T[:, :, None]
-            ring_mul(coords[rows, :, 0], coords[rows, :, 1], c, d, ring, out=(block[..., 0], block[..., 1]))
-        else:  # every vector is in the sector already, as sector members are
-            block[...] = coords[rows]
+        ring_mul(coords[rows, :, 0], coords[rows, :, 1], c, d, ring, out=(block[..., 0], block[..., 1]))
         _primitive(block)
         norms[rows] = square_norms(block.reshape(len(block), -1), ring)
-    return StateSet(lattice_name, norm, ring, comps, norms)
-
-
-def representatives(chunk: Shell) -> StateSet:
-    """The states of a chunk of one vector per unit orbit (a chunk of the
-    search, or sector_members of a shell), one per row, in chunk order
-    (see _sector_states).
-
-    Two vectors of one shell with one canonical state differ by a unit:
-    their integer contents are equal because their norms are.  So over
-    the chunks of a shell's search, which hold one vector of each unit
-    orbit, every state has exactly one row, and the rows times |units|
-    are the shell's vectors."""
-    return _sector_states(chunk.lattice.name, chunk.norm, chunk.lattice.ring, ring_coords(chunk))
+    return StateSet(chunk.lattice.name, chunk.norm, ring, comps, norms)
 
 
 def dedup(shell: Shell) -> StateSet:
-    """The states of a whole shell: those of its vectors in sector_mask
-    (as representatives takes them), in lexicographic order of their
-    components.
+    """The states of a whole shell: its vectors in sector_mask, the one
+    member of each unit orbit whose first nonzero component lies in the
+    canonical sector, divided by their integer content, in lexicographic
+    order of their components.
 
     On a unit-closed shell each state absorbs exactly |units| vectors (4
     Gaussian, 6 Eisenstein); that count is checked at runtime rather than
@@ -237,15 +228,16 @@ def dedup(shell: Shell) -> StateSet:
     if shell.count == 0:
         raise EmptyShellError(f"{shell.lattice.name} l={shell.norm} has no vectors, so no states")
     ring, units = shell.lattice.ring, len(UNIT_COORDS[shell.lattice.ring])
-    found = _sector_states(shell.lattice.name, shell.norm, ring, ring_coords(shell)[sector_mask(shell)])
-    if found.count * units != shell.count:
+    comps = _primitive(np.ascontiguousarray(ring_coords(shell)[sector_mask(shell)]))
+    if len(comps) * units != shell.count:
         raise AssertionError(
-            f"{shell.lattice.name} l={shell.norm}: {found.count} states x {units} units "
+            f"{shell.lattice.name} l={shell.norm}: {len(comps)} states x {units} units "
             f"!= {shell.count} vectors, so the shell is not closed under the units"
         )
-    flat = found.components.reshape(found.count, -1)
+    flat = comps.reshape(len(comps), -1)
     order = np.lexsort(packed_keys(flat, np.maximum(flat.max(axis=0), -flat.min(axis=0))).T[::-1])
-    return StateSet(shell.lattice.name, shell.norm, ring, found.components[order], found.norm_sq[order])
+    comps = comps[order]
+    return StateSet(shell.lattice.name, shell.norm, ring, comps, square_norms(comps.reshape(len(comps), -1), ring))
 
 
 def vector_states(shell: Shell) -> StateSet:

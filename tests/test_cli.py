@@ -320,6 +320,14 @@ def _cache_missing_a_pair(cache_dir):
         pytest.param(
             ["shells", "--lattice", "E8", "--norms", "10000000000000000"], None, "int64 headroom", id="shells-headroom"
         ),
+        # l = 10^14 passes the guard; the search takes the 14,142,136 values
+        # of its outermost coordinate in runs and stops at the budget
+        pytest.param(
+            ["census", "--lattice", "BW16", "--norms", "100000000000000", "--node-budget", "30000000"],
+            None,
+            "node budget",
+            id="census-near-headroom",
+        ),
         *(
             pytest.param(argv, _cache_missing_a_pair, "2158 rows, but the shell has 2160", id=f"{argv[0]}-not-unit-closed")
             for argv in (["project-e8"], ["entangle", "--lattice", "E8"], ["census", "--lattice", "E8", "--norms", "4"])

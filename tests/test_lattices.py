@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from functools import lru_cache
 from pathlib import Path
@@ -162,6 +163,38 @@ def test_budget_exceeded_before_the_innermost_levels():
     assert info.value.budget == 10**5 and 10**5 < info.value.visited < 565_679
 
 
+@pytest.mark.parametrize("name", ["E8", "BW16"])
+def test_search_near_the_headroom_holds_no_level_past_a_chunk(name):
+    # l = 10^14 passes the guard, and the outermost coordinate alone takes
+    # 14,142,136 values; the search takes them, and the children of every
+    # later node with more than CHUNK_NODES, in runs, so it yields chunks
+    # in bounded memory until it passes the node budget (the whole root
+    # level at once held about 1.7 GiB for BW16)
+    lattice, norm = build_lattice(name), 10**14
+    _int64_bounds(lattice, norm)
+    chunks = 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetExceeded):
+            for chunk in lattices._search_chunks(lattice, norm, 8 * 10**7):
+                chunks += 1
+                assert len(chunk) <= 2 * lattices.CHUNK_NODES
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunks > 0 and peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("name,norm", [("E8", 4), ("E8", 8), ("BW16", 4), ("E6", 9), ("E6", 12)])
+def test_one_node_chunks_match_recursive_oracle(monkeypatch, name, norm):
+    # with one node per chunk every node that has more than one child has
+    # them searched one by one; every chunk then holds at most the two
+    # roots of level 0
+    monkeypatch.setattr(lattices, "CHUNK_NODES", 1)
+    _same_search(name, norm)
+    assert max(map(len, lattices._search_chunks(build_lattice(name), norm, 10**10))) <= 2
+
+
 def _same_search(name, norm):
     lattice = build_lattice(name)
     coeffs, visited = _search(lattice, norm, 10**10)
@@ -195,6 +228,24 @@ def test_search_finds_one_vector_per_unit_orbit(name, norm):
     for row in reps.tolist():
         a, b = next((row[i], row[i + half]) for i in reversed(order) if i < half and (row[i] or row[i + half]))
         assert lattices.in_sector(np.array(a), np.array(b), lattice.ring)
+
+
+@pytest.mark.parametrize("name,norm", [("E8", 4), ("BW16", 4), ("E6", 9)])
+def test_search_vectors_are_checked_and_are_a_whole_shells_search_members(name, norm):
+    # a chunk of the search must hold the search's vector of each of its
+    # unit orbits; those of a whole shell are the rows search_members
+    # keeps, as a cache hit takes them
+    lattice = build_lattice(name)
+    bounds, generator = _int64_bounds(lattice, norm), _float_generator(lattice)
+    reps = _search(lattice, norm, 10**10)[0]
+    chunk = lattices._shell_from_coeffs(lattice, norm, reps, bounds, generator, per_orbit=True)
+    assert chunk.multiplicity == len(lattices.UNIT_COORDS[lattice.ring]) and chunk.coeffs is reps
+    members = lattices.search_members(enumerate_shell(lattice, norm))
+    assert members.multiplicity == chunk.multiplicity and _rows(members.coeffs) == _rows(reps)
+    # the other members of the orbits: the negated rows, and a row's images
+    for other in (-reps, lattices.unit_images(lattice, reps[:1])[1:]):
+        with pytest.raises(ValueError, match="not the search's vector of its unit orbit"):
+            lattices._shell_from_coeffs(lattice, norm, other, bounds, generator, per_orbit=True)
 
 
 def test_bw16_l8_node_count_is_pinned():

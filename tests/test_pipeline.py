@@ -102,7 +102,7 @@ def test_census_fails_a_shell_that_is_not_unit_closed(store):
     for lost in [*orbit, orbit]:  # one vector of the orbit, or all four
         keep = np.setdiff1d(np.arange(shell.count), lost)
         chunk = lattices.Shell(shell.lattice, 2, shell.coeffs[keep], shell.rows[keep])
-        result = pipeline.census_stage([(chunk, representatives(lattices.sector_members(chunk)))])
+        result = pipeline.census_stage([(chunk, representatives(lattices.search_members(chunk)))])
         report = result.report
         assert (report.vector_count == report.state_count * 4) == (np.size(lost) == 4)
         # the theta series fails the shell, the census fails too
