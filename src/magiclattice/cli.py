@@ -3,7 +3,9 @@ entanglement tables, the 2-D projection export, and a reproduce command
 that runs every check of the other subcommands once.
 
 Each subcommand runs its stage from ``pipeline`` and formats the record.
-Exact rationals print as num/den; floats print with 12 significant
+Only ``shells`` and ``project-e8`` write shell cache files; every other
+stage streams its shells (``lattices.stream_shell``), which reads a cached
+shell.  Exact rationals print as num/den; floats print with 12 significant
 digits.  The process exits 1 iff any check fails, so the CLI doubles as
 an acceptance harness, and 2 on bad usage, an exceeded node budget, a
 norm past the int64 headroom, a corrupt or unwritable shell cache, an
@@ -26,9 +28,11 @@ from .lattices import (
     EnumerationBudgetExceeded,
     HeadroomError,
     ShellCacheError,
+    build_lattice,
     default_cache_dir,
+    ensure_shell,
 )
-from .states import EmptyShellError, StateSet, dedup, vector_states
+from .states import EmptyShellError, StateSet, vector_states
 
 
 def _fmt_float(x: float) -> str:
@@ -61,8 +65,7 @@ def _norms_arg(value: str) -> tuple[int, ...]:
 
 
 def _loader(cache_dir) -> pipeline.StateLoader:
-    # holds no reference to the shell, so it is freed before the stage runs
-    return lambda name, norm: dedup(pipeline.materialise(name, norm, cache_dir))
+    return lambda name, norm: pipeline.shell_states(name, norm, cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +94,7 @@ def cmd_census(args, failures: Failures) -> None:
         )
     rows = []
     for norm in norms:
-        batches = pipeline.streamed_batches(args.lattice, norm, args.cache_dir, args.node_budget)
-        result = pipeline.census_stage(batches)
+        result = pipeline.census_stage(pipeline.search_rows(args.lattice, norm, args.cache_dir, args.node_budget))
         failures.check_all(result.checks())
         report = result.report
         rows.append(
@@ -223,7 +225,7 @@ def cmd_project_e8(args, failures: Failures) -> None:
     writer.writerow(["shell", "x", "y", "tag"])
     tag_counts: dict[str, int] = {}
     for norm in (2, 4):
-        shell = pipeline.materialise("E8", norm, args.cache_dir)
+        shell = ensure_shell(build_lattice("E8"), norm, args.cache_dir)
         tags = ["first"] * shell.count
         if norm == 4:
             tags = ["second-stab" if xi == 1 else "second-magic" for xi in vector_states(shell).xi2]
@@ -247,9 +249,9 @@ def cmd_project_e8(args, failures: Failures) -> None:
 def cmd_reproduce(args, failures: Failures) -> None:
     """Run every stage once and print one PASS/FAIL line per check.
 
-    Each shell is loaded or enumerated once.  A shell that a later stage
-    reads is held whole and deduplicated once, and its census is of
-    those states; every other shell is streamed through its census.
+    Each shell is streamed once and no cache file is written.  A shell
+    that a later stage reads keeps its states (shell_states), and its
+    census is of them; every other census reads its search rows.
     """
 
     def status(checks: Sequence[pipeline.Check]) -> None:
@@ -259,10 +261,10 @@ def cmd_reproduce(args, failures: Failures) -> None:
 
     kept = {}
 
-    def materialised(name: str, norm: int) -> Iterator[pipeline.Batch]:
-        shell = pipeline.materialise(name, norm, args.cache_dir)
-        kept[name, norm] = dedup(shell)
-        yield shell, kept[name, norm]
+    def kept_states(name: str, norm: int) -> Iterator[StateSet]:
+        # a generator, so that the census times the states' making
+        kept[name, norm] = pipeline.shell_states(name, norm, args.cache_dir)
+        yield kept[name, norm]
 
     for name in ("E8", "BW16", "E6"):
         norms = pipeline.DEFAULT_NORMS[name]
@@ -270,17 +272,13 @@ def cmd_reproduce(args, failures: Failures) -> None:
             norms += pipeline.HEAVY_NORMS.get(name, ())
         for norm in norms:
             if (name, norm) in pipeline.LATER_STAGE_SHELLS:
-                batches = materialised(name, norm)
+                state_sets = kept_states(name, norm)
             else:
-                batches = pipeline.streamed_batches(name, norm, args.cache_dir)
-            status(pipeline.census_stage(batches).checks())
+                state_sets = pipeline.search_rows(name, norm, args.cache_dir)
+            status(pipeline.census_stage(state_sets).checks())
 
-    def states(name: str, norm: int) -> StateSet:
-        return kept[name, norm]
-
-    status(pipeline.orbits_stage(states).checks())
-    for stage in (pipeline.entangle_stage, pipeline.two_qubit_stage):
-        status(stage(states).checks())
+    for stage in (pipeline.orbits_stage, pipeline.entangle_stage, pipeline.two_qubit_stage):
+        status(stage(lambda name, norm: kept[name, norm]).checks())
     print("reproduce: all checks passed" if not failures.messages else
           f"reproduce: {len(failures.messages)} check(s) FAILED")
 
@@ -288,7 +286,8 @@ def cmd_reproduce(args, failures: Failures) -> None:
 _FLAGS = {
     "--norms": dict(type=_norms_arg, help="comma-separated squared norms (default: per lattice)"),
     "--cache-dir": dict(
-        help="shell cache directory (default: MAGICLATTICE_CACHE or ~/.cache/magiclattice)"
+        help="shell cache directory, which shells and project-e8 fill and every subcommand "
+        "reads (default: MAGICLATTICE_CACHE or ~/.cache/magiclattice)"
     ),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--node-budget": dict(type=int, default=DEFAULT_NODE_BUDGET),

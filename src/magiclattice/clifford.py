@@ -325,8 +325,8 @@ def verify_e6_correspondence(states: StateSet) -> CorrespondenceReport:
     """Check that the 12 qutrit stabiliser states, scaled to norm 3, are
     exactly the states of the E6 l=3 StateSet, and that each scaled state
     has integral lattice coefficients.  Each state stands for its |units|
-    shortest vectors (dedup checks that count), so the matched states
-    cover 6 vectors each."""
+    shortest vectors (states.canonical_states checks that count), so the
+    matched states cover 6 vectors each."""
     if (states.lattice_name, states.norm) != ("E6", 3):
         raise ValueError(f"expected the E6 l=3 states, got {states!r}")
     shell_states = {state.components for state in states}

@@ -335,13 +335,6 @@ def in_sector(x: np.ndarray, y: np.ndarray, ring: str) -> np.ndarray:
     return (x > 0) & (y >= 0) if ring == "gaussian" else (y >= 0) & (x > y)
 
 
-def sector_mask(shell: Shell) -> np.ndarray:
-    """Whether the first nonzero ambient component of each row lies in
-    the canonical sector: on a unit-closed shell, true for one vector of
-    each unit orbit."""
-    return in_sector(*first_nonzero(ring_coords(shell)), shell.lattice.ring)
-
-
 def search_members(shell: Shell) -> Shell:
     """The rows of a whole shell that the search finds, in shell order:
     those whose first nonzero coefficient pair, in search order, lies in
@@ -470,9 +463,13 @@ def _search_leads(lattice: LatticeSpec, coeffs: np.ndarray) -> tuple[np.ndarray,
     (_integer_form).  The search keeps a vector only when this pair lies
     in the canonical sector."""
     order = _form_for(lattice)[0]
-    a, b = coeffs[:, list(order[-1::-2])], coeffs[:, list(order[-2::-2])]
-    first, rows = ((a | b) != 0).argmax(axis=1), np.arange(len(coeffs))
-    return a[rows, first], b[rows, first]
+    a, b = coeffs[:, order[-1]].copy(), coeffs[:, order[-2]].copy()
+    for ka, kb in zip(order[-3::-2], order[-4::-2]):  # the pairs below, taken by the rows still zero
+        zero = (a == 0) & (b == 0)
+        if not zero.any():
+            break
+        a[zero], b[zero] = coeffs[zero, ka], coeffs[zero, kb]
+    return a, b
 
 
 def _pair_cap(a: np.ndarray, ring: str) -> np.ndarray:
@@ -806,11 +803,13 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "magiclattice"
 
 
-def shell_cache_path(cache_dir: Path, lattice: LatticeSpec, norm: int) -> Path:
-    """The cache file of a shell.  It holds coefficients over the ring
-    bases (E8_BASIS, BW16_BASIS, E6_GENERATOR); the name differs from that
-    of the files written over the earlier real bases, which are ignored."""
-    return Path(cache_dir) / f"{lattice.name}_norm{norm}_ring.npy"
+def shell_cache_path(cache_dir: Optional[Path], lattice: LatticeSpec, norm: int) -> Path:
+    """The cache file of a shell, in cache_dir or else default_cache_dir().
+    It holds coefficients over the ring bases (E8_BASIS, BW16_BASIS,
+    E6_GENERATOR); the name differs from that of the files written over
+    the earlier real bases, which are ignored."""
+    cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    return cache / f"{lattice.name}_norm{norm}_ring.npy"
 
 
 def save_shell(shell: Shell, path: Path) -> None:
@@ -889,8 +888,7 @@ def stream_shell(
     of an enumerated shell (bound, matmul, norm) and that of one vector
     per orbit (_shell_from_coeffs) and is yielded, and the shell is never
     held whole.  The stream writes no cache file."""
-    cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    path = shell_cache_path(cache, lattice, norm)
+    path = shell_cache_path(cache_dir, lattice, norm)
     if path.exists():
         yield search_members(load_shell(lattice, norm, path))
         return
@@ -907,8 +905,7 @@ def ensure_shell(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Shell:
     """Load the shell from cache, or enumerate it and populate the cache."""
-    cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    path = shell_cache_path(cache, lattice, norm)
+    path = shell_cache_path(cache_dir, lattice, norm)
     if path.exists():
         return load_shell(lattice, norm, path)
     shell = enumerate_shell(lattice, norm, node_budget=node_budget)

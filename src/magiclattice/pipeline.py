@@ -28,10 +28,9 @@ from .entangle import (
     entanglement_census,
     pairwise_concurrence_2qubit,
 )
-from .exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS
 from .lattices import (
     DEFAULT_NODE_BUDGET,
-    Shell,
+    UNIT_COORDS,
     ThetaCheckResult,
     build_lattice,
     ensure_shell,
@@ -39,7 +38,7 @@ from .lattices import (
     theta_check,
 )
 from .magic import CensusReport, census_rows, stabiliser_count, xi2_histogram
-from .states import EmptyShellError, StateSet, representatives
+from .states import EmptyShellError, StateSet, canonical_states, vector_states
 
 DEFAULT_NORMS = {"E8": (2, 4, 6, 8), "BW16": (4, 6), "E6": (3, 6, 9, 12, 15)}
 HEAVY_NORMS = {"BW16": (8,)}
@@ -94,11 +93,7 @@ EXPECTED_ORBITS = {3: [12], 6: [36, 9]}
 E8_MAX_MAGIC_XI2 = Fraction(7, 16)
 
 Check = tuple[bool, str]
-StateLoader = Callable[[str, int], StateSet]  # (lattice, norm) -> deduplicated shell
-# a chunk of a shell, and the states that have their representative in
-# it: a chunk of one vector per unit orbit and one state per row, or a
-# whole shell and all its states
-Batch = tuple[Shell, StateSet]
+StateLoader = Callable[[str, int], StateSet]  # (lattice, norm) -> the shell's states
 
 
 @dataclass(frozen=True)
@@ -114,30 +109,29 @@ class ShellResult:
         return [(self.theta.ok, line)]
 
 
-def materialise(name: str, norm: int, cache_dir: Path, node_budget: int = DEFAULT_NODE_BUDGET) -> Shell:
-    """Load one shell, or enumerate it and write its cache file."""
-    return ensure_shell(build_lattice(name), norm, cache_dir=cache_dir, node_budget=node_budget)
-
-
 def shell_stage(
     name: str, norm: int, cache_dir: Path, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ShellResult:
-    """Load or enumerate one shell and compare its size with the theta series."""
+    """Load one shell, or enumerate it and write its cache file; check its size against the theta series."""
     start = time.perf_counter()
-    shell = materialise(name, norm, cache_dir, node_budget)
+    shell = ensure_shell(build_lattice(name), norm, cache_dir=cache_dir, node_budget=node_budget)
     theta = theta_check(shell.lattice, norm, shell.count)
     return ShellResult(name, norm, shell.count, theta, time.perf_counter() - start)
 
 
-def streamed_batches(
+def search_rows(
     name: str, norm: int, cache_dir: Path, node_budget: int = DEFAULT_NODE_BUDGET
-) -> Iterator[Batch]:
-    """One shell as a stream of chunks of one vector per unit orbit
-    (lattices.stream_shell: the search's chunks, or the sector members of
-    a cached shell as one chunk; no cache file is written), each with its
-    rows' states."""
-    for chunk in stream_shell(build_lattice(name), norm, cache_dir, node_budget):
-        yield chunk, representatives(chunk)
+) -> Iterator[StateSet]:
+    """The chunks of lattices.stream_shell, one vector per unit orbit,
+    each row a state unreduced (vector_states), whose Xi_2 is that of its
+    state.  No cache file is written."""
+    return map(vector_states, stream_shell(build_lattice(name), norm, cache_dir, node_budget))
+
+
+def shell_states(name: str, norm: int, cache_dir: Path) -> StateSet:
+    """The states of one shell, canonical_states of its stream_shell
+    chunks.  No cache file is written."""
+    return canonical_states(stream_shell(build_lattice(name), norm, cache_dir))
 
 
 @dataclass(frozen=True)
@@ -159,44 +153,40 @@ class CensusResult:
         return [*self.shell.checks(), (self.ok, line)]
 
 
-def census_stage(batches: Iterable[Batch]) -> CensusResult:
-    """Exact SRE census of one shell, given as one or more batches whose
-    states hold each state of the shell once, from the Xi_2 of each
-    batch's states: a streamed shell is never held whole.
+def census_stage(state_sets: Iterable[StateSet]) -> CensusResult:
+    """Exact SRE census of one shell, given as StateSets of its lattice and
+    norm (search_rows or shell_states) whose states each stand for one unit
+    orbit, |units| vectors; a streamed shell is never held whole.
 
-    The shell passes when its size, the vectors its chunks stand for,
-    matches the theta series; as stream_shell checks that the rows of a
-    search chunk lie in distinct unit orbits, a streamed shell that passes
-    holds one row of each.  The census is ok when the batches' states
-    number their vectors over |units| (one state per row of a chunk of
-    stream_shell, |units| rows per state of a whole shell), no more states
-    sit at Xi_2 = 1 than a register of that dimension has stabiliser
-    states, and the expected table, if there is one, matches.  Raises
-    EmptyShellError on a shell with no vectors."""
+    The shell passes when those vectors match the theta series; as
+    stream_shell checks that the rows of a search chunk lie in distinct
+    unit orbits, a streamed shell that passes holds one row of each.  The
+    census is ok when no more states sit at Xi_2 = 1 than a register of
+    that dimension has stabiliser states and the expected table, if there
+    is one, matches.  Raises EmptyShellError on a shell with no vectors."""
     clock = time.perf_counter
     counts: Counter[Fraction] = Counter()  # Xi_2 -> states
-    vectors = states = 0
+    states = 0
     shell_seconds, last = 0.0, clock()
-    for chunk, state_set in batches:
+    for state_set in state_sets:
         shell_seconds += clock() - last
         counts.update(xi2_histogram(state_set))
-        vectors += chunk.vectors
         states += state_set.count
         last = clock()
     shell_seconds += clock() - last
-    lattice, norm = chunk.lattice, chunk.norm
-    if not vectors:
+    lattice, norm = build_lattice(state_set.lattice_name), state_set.norm
+    if not states:
         raise EmptyShellError(f"{lattice.name} l={norm} has no vectors, so no states")
+    units = len(UNIT_COORDS[lattice.ring])
+    vectors = states * units
     shell = ShellResult(lattice.name, norm, vectors, theta_check(lattice, norm, vectors), shell_seconds)
-    units = len(GAUSSIAN_UNITS if lattice.ring == "gaussian" else EISENSTEIN_UNITS)
     rows = census_rows(counts, lattice.complex_dim, lattice.ring)
     report = CensusReport(lattice.name, norm, units, rows, states, vectors)
     histogram = {str(row.xi2): row.state_count for row in rows}
     key = (lattice.name, norm)
     d = 2 if lattice.ring == "gaussian" else 3
     limit = stabiliser_count(round(log(lattice.complex_dim, d)), d)
-    conserved = vectors == states * units
-    ok = conserved and histogram.get("1", 0) <= limit and histogram == EXPECTED_CENSUS.get(key, histogram)
+    ok = histogram.get("1", 0) <= limit and histogram == EXPECTED_CENSUS.get(key, histogram)
     return CensusResult(shell, report, histogram, ok, ROW_NOTES.get(key), limit)
 
 

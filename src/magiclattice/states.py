@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .lattices import (
     packed_keys,
     ring_coords,
     ring_mul,
-    sector_mask,
     square_norms,
 )
 
@@ -89,13 +88,13 @@ class StateSet:
     components[s, k] holds the (re, im) or (a, b) coordinates of component
     k of state s, primitive and unit-canonical: the one vector of the
     state's unit orbit whose first nonzero component lies in the canonical
-    sector, divided by its integer content.  The states of a shell (dedup)
-    are in lexicographic order of those coordinates, those of a chunk
-    (representatives) in chunk order.  PureStateExact objects are built
-    only when asked for: one by index, or all of them through ``states``;
-    a slice is the StateSet of those rows.  The exact Xi_2 of the states
-    is computed once, on first use of ``xi2_classes`` (or of ``xi2``, its
-    per-state view).
+    sector, divided by its integer content.  The states of a shell
+    (canonical_states) are in lexicographic order of those coordinates,
+    those of a chunk (representatives) in chunk order.  PureStateExact
+    objects are built only when asked for: one by index, or all of them
+    through ``states``; a slice is the StateSet of those rows.  The exact
+    Xi_2 of the states is computed once, on first use of ``xi2_classes``
+    (or of ``xi2``, its per-state view).
     """
 
     lattice_name: str
@@ -215,29 +214,35 @@ def representatives(chunk: Shell) -> StateSet:
     return StateSet(chunk.lattice.name, chunk.norm, ring, comps, norms)
 
 
-def dedup(shell: Shell) -> StateSet:
-    """The states of a whole shell: its vectors in sector_mask, the one
-    member of each unit orbit whose first nonzero component lies in the
-    canonical sector, divided by their integer content, in lexicographic
-    order of their components.
-
-    On a unit-closed shell each state absorbs exactly |units| vectors (4
-    Gaussian, 6 Eisenstein); that count is checked at runtime rather than
-    assumed.
-    """
-    if shell.count == 0:
-        raise EmptyShellError(f"{shell.lattice.name} l={shell.norm} has no vectors, so no states")
-    ring, units = shell.lattice.ring, len(UNIT_COORDS[shell.lattice.ring])
-    comps = _primitive(np.ascontiguousarray(ring_coords(shell)[sector_mask(shell)]))
-    if len(comps) * units != shell.count:
-        raise AssertionError(
-            f"{shell.lattice.name} l={shell.norm}: {len(comps)} states x {units} units "
-            f"!= {shell.count} vectors, so the shell is not closed under the units"
-        )
+def canonical_states(chunks: Iterable[Shell]) -> StateSet:
+    """The distinct representatives of the rows of one shell's chunks
+    (those of stream_shell, or a whole shell as one), in lexicographic
+    order of their components.  That each state stands for |units| of the
+    chunks' vectors, as on a unit-closed shell, is checked by a raise that
+    python -O keeps.  EmptyShellError when the chunks hold no vectors."""
+    parts = [(representatives(chunk), chunk.vectors) for chunk in chunks]
+    first, vectors = parts[0][0], sum(v for _, v in parts)
+    if not vectors:
+        raise EmptyShellError(f"{first.lattice_name} l={first.norm} has no vectors, so no states")
+    comps = np.concatenate([part.components for part, _ in parts])
     flat = comps.reshape(len(comps), -1)
-    order = np.lexsort(packed_keys(flat, np.maximum(flat.max(axis=0), -flat.min(axis=0))).T[::-1])
-    comps = comps[order]
-    return StateSet(shell.lattice.name, shell.norm, ring, comps, square_norms(comps.reshape(len(comps), -1), ring))
+    keys = packed_keys(flat, np.maximum(flat.max(axis=0), -flat.min(axis=0)))
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    order = order[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]]
+    units = len(UNIT_COORDS[first.ring])
+    if len(order) * units != vectors:
+        raise AssertionError(
+            f"{first.lattice_name} l={first.norm}: {len(order)} states x {units} units "
+            f"!= {vectors} vectors, so the shell is not closed under the units"
+        )
+    norms = np.concatenate([part.norm_sq for part, _ in parts])
+    return StateSet(first.lattice_name, first.norm, first.ring, comps[order], norms[order])
+
+
+def dedup(shell: Shell) -> StateSet:
+    """The states of a whole shell: canonical_states of it as one chunk."""
+    return canonical_states([shell])
 
 
 def vector_states(shell: Shell) -> StateSet:

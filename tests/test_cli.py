@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from magiclattice import cli, lattices, magic, pipeline
 from magiclattice.lattices import build_lattice, shell_cache_path
+from magiclattice.states import dedup
 from oracles import real_to_complex
 
 GOLDEN_REPRODUCE = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "reproduce.txt"
@@ -77,7 +79,7 @@ def test_census_expected_mismatch_sets_exit_code(capsys, store, monkeypatch):
 
 @pytest.mark.parametrize("name,norm,found,limit", [("E8", 10, 120, 60), ("E6", 21, 24, 12)])
 def test_census_fails_on_more_stabilisers_than_a_register_has(capsys, store, name, norm, found, limit):
-    # dedup divides out only the integer content, so past the paper's shells
+    # a census counts unit orbits, so past the paper's shells
     # two ring multiples of one ray count as two states
     code, out = run_cli(capsys, store, "census", "--lattice", name, "--norms", str(norm))
     assert code == 1
@@ -144,18 +146,56 @@ def _count_calls(monkeypatch, fn):
 
 
 def test_warm_orbits_enumerates_nothing(capsys, tmp_path, monkeypatch):
-    assert cli.main(["orbits", "--cache-dir", str(tmp_path)]) == 0
+    assert cli.main(["orbits", "--cache-dir", str(tmp_path / "empty")]) == 0
     cold = capsys.readouterr().out
+    assert cli.main(["shells", "--lattice", "E6", "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_shell called with a warm cache")
+        raise AssertionError("the search ran with a filled cache")
 
-    _replace_everywhere(monkeypatch, lattices.enumerate_shell, refuse)
+    _replace_everywhere(monkeypatch, lattices._search_chunks, refuse)
     loads = _count_calls(monkeypatch, lattices.load_shell)
     assert cli.main(["orbits", "--cache-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out == cold
     # E6 l=3 and l=6, each once
     assert sorted(norm for _, norm, _ in loads) == [3, 6]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce"], ["orbits"], ["entangle", "--lattice", "BW16"], ["entangle", "--lattice", "E8"]],
+    ids=lambda argv: "-".join(argv),
+)
+def test_state_stages_stream_and_leave_the_cache_empty(capsys, tmp_path, monkeypatch, argv):
+    # the states come from the stream alone: no whole shell is enumerated,
+    # loaded or written, and no whole shell is deduplicated
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole-shell function ran")
+
+    for fn in (lattices.ensure_shell, lattices.enumerate_shell, lattices.save_shell, dedup):
+        _replace_everywhere(monkeypatch, fn, refuse)
+    assert cli.main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == []
+
+
+def test_reproduce_times_the_kept_shells_states(capsys, tmp_path, monkeypatch):
+    # a kept shell's timing token covers the making of its states
+    real = pipeline.shell_states
+
+    def slow(*args):
+        time.sleep(0.1)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "shell_states", slow)
+    assert cli.main(["reproduce", "--cache-dir", str(tmp_path)]) == 0
+    seconds = {
+        (name, int(norm)): float(t)
+        for name, norm, t in re.findall(r"PASS shell (\w+) l=(\d+): \d+ vectors \((\d+\.\d+)s\)", capsys.readouterr().out)
+    }
+    assert len(seconds) == 11
+    assert all(seconds[key] >= 0.1 for key in pipeline.LATER_STAGE_SHELLS)
 
 
 def test_orbits_json(capsys, store):

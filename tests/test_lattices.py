@@ -230,6 +230,23 @@ def test_search_finds_one_vector_per_unit_orbit(name, norm):
         assert lattices.in_sector(np.array(a), np.array(b), lattice.ring)
 
 
+@pytest.mark.parametrize("name", ["E8", "BW16", "E6"])
+def test_search_leads_match_the_scalar_first_nonzero_pair(name):
+    # sparse rows, so that the first nonzero pair falls at every depth, and
+    # zero rows, whose lead is (0, 0)
+    lattice = build_lattice(name)
+    rng = np.random.default_rng(7)
+    coeffs = rng.integers(-2, 3, (2000, lattice.coeff_dim)) * (rng.random((2000, lattice.coeff_dim)) < 0.15)
+    coeffs[:5] = 0
+    order, half = _form_for(lattice)[0], lattice.coeff_dim // 2
+    expected = [
+        next(((row[i], row[i + half]) for i in reversed(order) if i < half and (row[i] or row[i + half])), (0, 0))
+        for row in coeffs.tolist()
+    ]
+    a, b = lattices._search_leads(lattice, coeffs)
+    assert list(zip(a.tolist(), b.tolist())) == expected
+
+
 @pytest.mark.parametrize("name,norm", [("E8", 4), ("BW16", 4), ("E6", 9)])
 def test_search_vectors_are_checked_and_are_a_whole_shells_search_members(name, norm):
     # a chunk of the search must hold the search's vector of each of its

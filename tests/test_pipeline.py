@@ -9,7 +9,7 @@ import pytest
 from magiclattice import lattices, pipeline
 from magiclattice.exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS
 from magiclattice.magic import sre_census
-from magiclattice.states import dedup, representatives
+from magiclattice.states import dedup
 
 _PAPER_SHELLS = [("E8", n) for n in (2, 4, 6, 8)] + [("BW16", n) for n in (4, 6)] + [
     ("E6", n) for n in (3, 6, 9, 12, 15)
@@ -17,35 +17,26 @@ _PAPER_SHELLS = [("E8", n) for n in (2, 4, 6, 8)] + [("BW16", n) for n in (4, 6)
 _BEYOND_PAPER = [("E8", n) for n in (10, 12, 14, 16)] + [("E6", n) for n in (18, 21, 24, 27, 30)]
 
 
-def _lexicographic(components):
-    flat = components.reshape(len(components), -1)
-    return np.lexsort(flat.T[::-1])
-
-
 def _streamed_equals_materialised(name, norm, cache_dir, oracle):
     units = len(GAUSSIAN_UNITS if oracle.ring == "gaussian" else EISENSTEIN_UNITS)
     for cached in (False, True):  # the streamed search, then the one loaded chunk
         if cached:
             lattices.ensure_shell(lattices.build_lattice(name), norm, cache_dir)
-        batches = list(pipeline.streamed_batches(name, norm, cache_dir))
+        rows = list(pipeline.search_rows(name, norm, cache_dir))
         if cached:
-            ((chunk, _),) = batches  # the file ensure_shell wrote, loaded and sorted
-            assert np.array_equal(np.lexsort(chunk.coeffs.T[::-1]), np.arange(chunk.count))
-        else:
-            assert os.listdir(cache_dir) == []  # the stream wrote no cache file
-            if oracle.count >= 100:
-                assert len(batches) > 1  # the search is cut into chunks
-        # one state per row, each row standing for |units| vectors
-        for chunk, states in batches:
-            assert states.count == chunk.count and chunk.vectors == chunk.count * units
-        result = pipeline.census_stage(iter(batches))
+            assert len(rows) == 1  # the file ensure_shell wrote, loaded as one chunk
+        elif oracle.count >= 100:
+            assert len(rows) > 1  # the search is cut into chunks
+        # one row per state, each standing for |units| vectors
+        result = pipeline.census_stage(iter(rows))
         assert result.report == sre_census(oracle)
         assert result.shell.count == oracle.count * units and result.shell.theta.ok
-        # each state has exactly one representative over all the chunks
-        reps = np.concatenate([states.components for _, states in batches])
-        order = _lexicographic(reps)  # dedup's order
-        assert np.array_equal(reps[order], oracle.components)
-        assert np.array_equal(np.concatenate([states.norm_sq for _, states in batches])[order], oracle.norm_sq)
+        # each state has exactly one representative over all the chunks, in dedup's order
+        states = pipeline.shell_states(name, norm, cache_dir)
+        assert np.array_equal(states.components, oracle.components)
+        assert np.array_equal(states.norm_sq, oracle.norm_sq)
+        if not cached:
+            assert os.listdir(cache_dir) == []  # neither route wrote a cache file
 
 
 @pytest.mark.parametrize("name,norm", _PAPER_SHELLS + _BEYOND_PAPER)
@@ -66,8 +57,8 @@ def test_streamed_census_equals_materialised_census_bw16(tmp_path, norm):
 
 
 def test_census_of_a_state_set_is_its_sre_census(store):
-    shell, states = store.shell("E8", 8), store.states("E8", 8)
-    result = pipeline.census_stage([(shell, states)])
+    states = store.states("E8", 8)
+    result = pipeline.census_stage([states])
     assert result.report == sre_census(states)
     assert result.ok and result.shell.count == 17520
 
@@ -94,20 +85,17 @@ def test_bw16_l8_census_peak_rss(tmp_path):
     assert peak_mib < 150
 
 
-def test_census_fails_a_shell_that_is_not_unit_closed(store):
-    shell, states = store.shell("E8", 2), store.states("E8", 2)
-    orbit = np.array(store.orbits("E8", 2)[states[0].components])  # the 4 vectors of state 0
-    assert len(orbit) == 4
-    still_60 = 0
-    for lost in [*orbit, orbit]:  # one vector of the orbit, or all four
-        keep = np.setdiff1d(np.arange(shell.count), lost)
-        chunk = lattices.Shell(shell.lattice, 2, shell.coeffs[keep], shell.rows[keep])
-        result = pipeline.census_stage([(chunk, representatives(lattices.search_members(chunk)))])
-        report = result.report
-        assert (report.vector_count == report.state_count * 4) == (np.size(lost) == 4)
-        # the theta series fails the shell, the census fails too
-        assert [ok for ok, _ in result.checks()] == [False, False]
-        still_60 += result.histogram == {"1": 60}
-    # losing a vector that is not its state's representative leaves the
-    # histogram as it was; only the vector count catches it
-    assert still_60 == 3
+def test_census_fails_a_shell_that_is_not_unit_closed(tmp_path):
+    # a stream missing one orbit: the theta series fails the shell, and
+    # the census, one stabiliser short, fails too
+    rows = list(pipeline.search_rows("E8", 2, tmp_path))
+    assert sum(len(chunk) for chunk in rows) == 60
+    rows[0] = rows[0][1:]
+    result = pipeline.census_stage(rows)
+    assert result.shell.count == 236 and result.histogram == {"1": 59}
+    assert [ok for ok, _ in result.checks()] == [False, False]
+    # a whole shell missing one vector is refused by dedup, whose raise
+    # python -O keeps (test_states.py runs it under -O)
+    shell = lattices.enumerate_shell(lattices.build_lattice("E8"), 2)
+    with pytest.raises(AssertionError, match="not closed under the units"):
+        dedup(lattices.Shell(shell.lattice, 2, shell.coeffs[1:], shell.rows[1:]))
