@@ -256,8 +256,9 @@ class Shell:
     of the three Eisenstein coordinates a + b*omega, flattened to 6
     integers.  Each row stands for multiplicity shell vectors: 1 when the
     rows are the vectors themselves (a whole shell, sorted by
-    coefficients), the number of ring units when they are one vector per
-    unit orbit, the one the search finds (a chunk of stream_shell).
+    coefficients: enumerate_shell, load_shell), the number of ring units
+    when they are one vector per unit orbit, the one the search finds (a
+    chunk of stream_shell).
     """
 
     lattice: LatticeSpec
@@ -333,16 +334,6 @@ def in_sector(x: np.ndarray, y: np.ndarray, ring: str) -> np.ndarray:
     canonical sector: Gaussian re > 0, im >= 0; Eisenstein b >= 0, a > b.
     Each unit orbit of a nonzero element has exactly one member there."""
     return (x > 0) & (y >= 0) if ring == "gaussian" else (y >= 0) & (x > y)
-
-
-def search_members(shell: Shell) -> Shell:
-    """The rows of a whole shell that the search finds, in shell order:
-    those whose first nonzero coefficient pair, in search order, lies in
-    the canonical sector (_search_leads).  On a unit-closed shell that is
-    one vector per unit orbit, so each stands for |units| vectors."""
-    keep = in_sector(*_search_leads(shell.lattice, shell.coeffs), shell.lattice.ring)
-    units = len(UNIT_COORDS[shell.lattice.ring])
-    return Shell(shell.lattice, shell.norm, shell.coeffs[keep], shell.rows[keep], units)
 
 
 def _divisors(n: int) -> list[int]:
@@ -873,25 +864,15 @@ def load_shell(lattice: LatticeSpec, norm: int, path: Path) -> Shell:
     return shell
 
 
-def stream_shell(
-    lattice: LatticeSpec,
-    norm: int,
-    cache_dir: Optional[Path] = None,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Iterator[Shell]:
+def stream_shell(lattice: LatticeSpec, norm: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Iterator[Shell]:
     """The shell as chunks of the vectors the search finds, one per unit
     orbit: Shells whose rows stand for every vector once between them (see
     Shell.multiplicity).
 
-    A cached shell is loaded, and its search_members, sorted, are the one
-    chunk.  Otherwise each chunk of the search, unsorted, takes the checks
-    of an enumerated shell (bound, matmul, norm) and that of one vector
-    per orbit (_shell_from_coeffs) and is yielded, and the shell is never
-    held whole.  The stream writes no cache file."""
-    path = shell_cache_path(cache_dir, lattice, norm)
-    if path.exists():
-        yield search_members(load_shell(lattice, norm, path))
-        return
+    Each chunk of the search, unsorted, takes the checks of an enumerated
+    shell (bound, matmul, norm) and that of one vector per orbit
+    (_shell_from_coeffs) and is yielded, so the shell is never held whole.
+    The stream reads and writes no cache file."""
     bounds = _int64_bounds(lattice, norm)  # raises before a search past the headroom
     generator = _float_generator(lattice)
     for coeffs in _search_chunks(lattice, norm, node_budget):

@@ -110,7 +110,7 @@ class ShellResult:
 
 
 def shell_stage(
-    name: str, norm: int, cache_dir: Path, node_budget: int = DEFAULT_NODE_BUDGET
+    name: str, norm: int, cache_dir: Optional[Path], node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ShellResult:
     """Load one shell, or enumerate it and write its cache file; check its size against the theta series."""
     start = time.perf_counter()
@@ -119,19 +119,17 @@ def shell_stage(
     return ShellResult(name, norm, shell.count, theta, time.perf_counter() - start)
 
 
-def search_rows(
-    name: str, norm: int, cache_dir: Path, node_budget: int = DEFAULT_NODE_BUDGET
-) -> Iterator[StateSet]:
+def search_rows(name: str, norm: int, node_budget: int = DEFAULT_NODE_BUDGET) -> Iterator[StateSet]:
     """The chunks of lattices.stream_shell, one vector per unit orbit,
     each row a state unreduced (vector_states), whose Xi_2 is that of its
-    state.  No cache file is written."""
-    return map(vector_states, stream_shell(build_lattice(name), norm, cache_dir, node_budget))
+    state."""
+    return map(vector_states, stream_shell(build_lattice(name), norm, node_budget))
 
 
-def shell_states(name: str, norm: int, cache_dir: Path) -> StateSet:
+def shell_states(name: str, norm: int) -> StateSet:
     """The states of one shell, canonical_states of its stream_shell
-    chunks.  No cache file is written."""
-    return canonical_states(stream_shell(build_lattice(name), norm, cache_dir))
+    chunks."""
+    return canonical_states(stream_shell(build_lattice(name), norm))
 
 
 @dataclass(frozen=True)

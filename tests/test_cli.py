@@ -21,7 +21,9 @@ GOLDEN_REPRODUCE = Path(__file__).resolve().parents[1] / "perfbench" / "expected
 
 
 def run_cli(capsys, store, *argv):
-    code = cli.main(list(argv) + ["--cache-dir", str(store.cache_dir)])
+    # only shells reads or writes the shell cache
+    cache = ["--cache-dir", str(store.cache_dir)] if argv[0] == "shells" else []
+    code = cli.main(list(argv) + cache)
     return code, capsys.readouterr().out
 
 
@@ -145,21 +147,25 @@ def _count_calls(monkeypatch, fn):
     return calls
 
 
-def test_warm_orbits_enumerates_nothing(capsys, tmp_path, monkeypatch):
-    assert cli.main(["orbits", "--cache-dir", str(tmp_path / "empty")]) == 0
-    cold = capsys.readouterr().out
-    assert cli.main(["shells", "--lattice", "E6", "--cache-dir", str(tmp_path)]) == 0
+def test_census_and_reproduce_ignore_a_filled_cache(capsys, tmp_path, monkeypatch):
+    # on a directory that shells filled they print what they print without
+    # one, load no file from it and leave it as it was
+    commands = (["census", "--lattice", "E8", "--format", "json"], ["census", "--lattice", "E6"], ["reproduce"])
+
+    def outputs(extra):
+        for argv in commands:
+            assert cli.main(argv + extra) == 0
+            yield re.sub(r" \(\d+\.\d+s\)", "", capsys.readouterr().out)
+
+    cold = list(outputs([]))
+    for name in pipeline.DEFAULT_NORMS:
+        assert cli.main(["shells", "--lattice", name, "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the search ran with a filled cache")
-
-    _replace_everywhere(monkeypatch, lattices._search_chunks, refuse)
+    listing = sorted(os.listdir(tmp_path))
+    assert len(listing) == 11
     loads = _count_calls(monkeypatch, lattices.load_shell)
-    assert cli.main(["orbits", "--cache-dir", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == cold
-    # E6 l=3 and l=6, each once
-    assert sorted(norm for _, norm, _ in loads) == [3, 6]
+    assert list(outputs(["--cache-dir", str(tmp_path)])) == cold
+    assert loads == [] and sorted(os.listdir(tmp_path)) == listing
 
 
 @pytest.mark.parametrize(
@@ -173,9 +179,18 @@ def test_state_stages_stream_and_leave_the_cache_empty(capsys, tmp_path, monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("a whole-shell function ran")
 
-    for fn in (lattices.ensure_shell, lattices.enumerate_shell, lattices.save_shell, dedup):
+    for fn in (lattices.ensure_shell, lattices.enumerate_shell, lattices.load_shell, lattices.save_shell, dedup):
         _replace_everywhere(monkeypatch, fn, refuse)
-    assert cli.main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    monkeypatch.setenv(lattices.CACHE_ENV_VAR, str(tmp_path / "cache"))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert os.listdir(tmp_path) == []
+
+
+def test_project_e8_writes_no_shell_cache(capsys, tmp_path, monkeypatch):
+    # it enumerates its two whole shells and keeps them in memory only
+    monkeypatch.setenv(lattices.CACHE_ENV_VAR, str(tmp_path / "cache"))
+    assert cli.main(["project-e8"]) == 0
     capsys.readouterr()
     assert os.listdir(tmp_path) == []
 
@@ -286,9 +301,6 @@ def test_reproduce_matches_golden(capsys, store):
 
 
 def test_reproduce_evaluates_xi2_once_per_state_set(capsys, store, monkeypatch):
-    for name, norms in pipeline.DEFAULT_NORMS.items():  # a warm cache
-        for norm in norms:
-            store.shell(name, norm)
     calls = _count_calls(monkeypatch, magic.xi_classes)
     code, _ = run_cli(capsys, store, "reproduce")
     assert code == 0
@@ -310,6 +322,9 @@ def test_reproduce_evaluates_xi2_once_per_state_set(capsys, store, monkeypatch):
         ["shells", "--include-heavy"],
         ["shells", "--format", "json"],
         ["shells", "--threads", "2"],
+        ["orbits", "--cache-dir", "x"],
+        ["entangle", "--cache-dir", "x"],
+        ["project-e8", "--cache-dir", "x"],
     ],
     ids=lambda argv: "_".join(a.lstrip("-") for a in argv),
 )
@@ -318,6 +333,14 @@ def test_flags_a_subcommand_ignores_are_rejected(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1", "1.5"])
+def test_node_budget_must_be_a_positive_integer(capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["shells", "--lattice", "E8", "--norms", "2", "--node-budget", budget])
+    assert exc.value.code == 2
+    assert "argument --node-budget: " in capsys.readouterr().err
 
 
 def _corrupt_cache(cache_dir):
@@ -350,9 +373,6 @@ def _cache_missing_a_pair(cache_dir):
             id="node-budget",
         ),
         pytest.param(["shells", "--lattice", "E8", "--norms", "2"], _corrupt_cache, "wrong norm", id="corrupt-cache"),
-        pytest.param(
-            ["census", "--lattice", "E8", "--norms", "2"], _corrupt_cache, "wrong norm", id="census-corrupt-cache"
-        ),
         pytest.param(["census", "--lattice", "E8", "--norms", "3"], None, "E8 l=3 has no vectors", id="empty-shell"),
         pytest.param(
             ["census", "--lattice", "BW16", "--norms", "1000000000000000"], None, "int64 headroom", id="census-headroom"
@@ -368,9 +388,11 @@ def _cache_missing_a_pair(cache_dir):
             "node budget",
             id="census-near-headroom",
         ),
-        *(
-            pytest.param(argv, _cache_missing_a_pair, "2158 rows, but the shell has 2160", id=f"{argv[0]}-not-unit-closed")
-            for argv in (["project-e8"], ["entangle", "--lattice", "E8"], ["census", "--lattice", "E8", "--norms", "4"])
+        pytest.param(
+            ["shells", "--lattice", "E8", "--norms", "4"],
+            _cache_missing_a_pair,
+            "2158 rows, but the shell has 2160",
+            id="shells-not-unit-closed",
         ),
     ],
 )
@@ -419,13 +441,11 @@ def test_unwritable_cache_dir_is_one_stderr_line(tmp_path):
     assert os.listdir(tmp_path) == ["cache"] and not_a_dir.read_text() == ""
 
 
-def test_closed_stdout_exits_2_without_a_traceback(store):
+def test_closed_stdout_exits_2_without_a_traceback():
     # the reader stops after one line, as `| head -n 1` does, while the
     # 16,442-line csv is far past a pipe's buffer
-    for norm in (4, 6):
-        store.shell("BW16", norm)
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    argv = ["entangle", "--lattice", "BW16", "--cache-dir", str(store.cache_dir)]
+    argv = ["entangle", "--lattice", "BW16"]
     child = subprocess.Popen(
         [sys.executable, "-m", "magiclattice.cli", *argv],
         env=env,

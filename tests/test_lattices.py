@@ -250,15 +250,16 @@ def test_search_leads_match_the_scalar_first_nonzero_pair(name):
 @pytest.mark.parametrize("name,norm", [("E8", 4), ("BW16", 4), ("E6", 9)])
 def test_search_vectors_are_checked_and_are_a_whole_shells_search_members(name, norm):
     # a chunk of the search must hold the search's vector of each of its
-    # unit orbits; those of a whole shell are the rows search_members
-    # keeps, as a cache hit takes them
+    # unit orbits: the rows of the whole shell whose first nonzero
+    # coefficient pair, in search order, lies in the canonical sector
     lattice = build_lattice(name)
     bounds, generator = _int64_bounds(lattice, norm), _float_generator(lattice)
     reps = _search(lattice, norm, 10**10)[0]
     chunk = lattices._shell_from_coeffs(lattice, norm, reps, bounds, generator, per_orbit=True)
     assert chunk.multiplicity == len(lattices.UNIT_COORDS[lattice.ring]) and chunk.coeffs is reps
-    members = lattices.search_members(enumerate_shell(lattice, norm))
-    assert members.multiplicity == chunk.multiplicity and _rows(members.coeffs) == _rows(reps)
+    shell = enumerate_shell(lattice, norm)
+    members = shell.coeffs[lattices.in_sector(*lattices._search_leads(lattice, shell.coeffs), lattice.ring)]
+    assert _rows(members) == _rows(reps)
     # the other members of the orbits: the negated rows, and a row's images
     for other in (-reps, lattices.unit_images(lattice, reps[:1])[1:]):
         with pytest.raises(ValueError, match="not the search's vector of its unit orbit"):
@@ -307,7 +308,8 @@ def test_small_chunks_match_recursive_oracle(monkeypatch, name, norm):
 
 def test_budget_exceeded_mid_stream_leaves_no_cache_file(tmp_path, monkeypatch):
     monkeypatch.setattr(lattices, "CHUNK_NODES", 1024)
-    chunks = stream_shell(build_lattice("BW16"), 8, tmp_path, node_budget=10**5)
+    monkeypatch.setenv(lattices.CACHE_ENV_VAR, str(tmp_path))
+    chunks = stream_shell(build_lattice("BW16"), 8, node_budget=10**5)
     assert next(chunks).count > 0  # the first chunk was yielded
     with pytest.raises(EnumerationBudgetExceeded):
         list(chunks)

@@ -8,8 +8,8 @@ import pytest
 
 from magiclattice import lattices, pipeline
 from magiclattice.exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS
-from magiclattice.magic import sre_census
-from magiclattice.states import dedup
+from magiclattice.magic import sre_census, xi_alpha
+from magiclattice.states import component_arrays, dedup, vector_states
 
 _PAPER_SHELLS = [("E8", n) for n in (2, 4, 6, 8)] + [("BW16", n) for n in (4, 6)] + [
     ("E6", n) for n in (3, 6, 9, 12, 15)
@@ -17,43 +17,36 @@ _PAPER_SHELLS = [("E8", n) for n in (2, 4, 6, 8)] + [("BW16", n) for n in (4, 6)
 _BEYOND_PAPER = [("E8", n) for n in (10, 12, 14, 16)] + [("E6", n) for n in (18, 21, 24, 27, 30)]
 
 
-def _streamed_equals_materialised(name, norm, cache_dir, oracle):
+def _streamed_equals_materialised(name, norm, oracle):
     units = len(GAUSSIAN_UNITS if oracle.ring == "gaussian" else EISENSTEIN_UNITS)
-    for cached in (False, True):  # the streamed search, then the one loaded chunk
-        if cached:
-            lattices.ensure_shell(lattices.build_lattice(name), norm, cache_dir)
-        rows = list(pipeline.search_rows(name, norm, cache_dir))
-        if cached:
-            assert len(rows) == 1  # the file ensure_shell wrote, loaded as one chunk
-        elif oracle.count >= 100:
-            assert len(rows) > 1  # the search is cut into chunks
-        # one row per state, each standing for |units| vectors
-        result = pipeline.census_stage(iter(rows))
-        assert result.report == sre_census(oracle)
-        assert result.shell.count == oracle.count * units and result.shell.theta.ok
-        # each state has exactly one representative over all the chunks, in dedup's order
-        states = pipeline.shell_states(name, norm, cache_dir)
-        assert np.array_equal(states.components, oracle.components)
-        assert np.array_equal(states.norm_sq, oracle.norm_sq)
-        if not cached:
-            assert os.listdir(cache_dir) == []  # neither route wrote a cache file
+    rows = list(pipeline.search_rows(name, norm))
+    if oracle.count >= 100:
+        assert len(rows) > 1  # the search is cut into chunks
+    # one row per state, each standing for |units| vectors
+    result = pipeline.census_stage(iter(rows))
+    assert result.report == sre_census(oracle)
+    assert result.shell.count == oracle.count * units and result.shell.theta.ok
+    # each state has exactly one representative over all the chunks, in dedup's order
+    states = pipeline.shell_states(name, norm)
+    assert np.array_equal(states.components, oracle.components)
+    assert np.array_equal(states.norm_sq, oracle.norm_sq)
 
 
 @pytest.mark.parametrize("name,norm", _PAPER_SHELLS + _BEYOND_PAPER)
-def test_streamed_census_equals_materialised_census(store, tmp_path, monkeypatch, name, norm):
+def test_streamed_census_equals_materialised_census(store, monkeypatch, name, norm):
     # 64 children per chunk, so unit orbits straddle chunks
     monkeypatch.setattr(lattices, "CHUNK_NODES", 64)
-    _streamed_equals_materialised(name, norm, tmp_path, store.states(name, norm))
+    _streamed_equals_materialised(name, norm, store.states(name, norm))
 
 
 @pytest.mark.heavy
 @pytest.mark.parametrize("norm", [8, 10])
-def test_streamed_census_equals_materialised_census_bw16(tmp_path, norm):
+def test_streamed_census_equals_materialised_census_bw16(norm):
     shell = lattices.enumerate_shell(lattices.build_lattice("BW16"), norm)
     assert shell.count == lattices.shell_size(shell.lattice, norm)
     oracle = dedup(shell)
     del shell
-    _streamed_equals_materialised("BW16", norm, tmp_path, oracle)
+    _streamed_equals_materialised("BW16", norm, oracle)
 
 
 def test_census_of_a_state_set_is_its_sre_census(store):
@@ -85,10 +78,10 @@ def test_bw16_l8_census_peak_rss(tmp_path):
     assert peak_mib < 150
 
 
-def test_census_fails_a_shell_that_is_not_unit_closed(tmp_path):
+def test_census_fails_a_shell_that_is_not_unit_closed():
     # a stream missing one orbit: the theta series fails the shell, and
     # the census, one stabiliser short, fails too
-    rows = list(pipeline.search_rows("E8", 2, tmp_path))
+    rows = list(pipeline.search_rows("E8", 2))
     assert sum(len(chunk) for chunk in rows) == 60
     rows[0] = rows[0][1:]
     result = pipeline.census_stage(rows)
@@ -99,3 +92,19 @@ def test_census_fails_a_shell_that_is_not_unit_closed(tmp_path):
     shell = lattices.enumerate_shell(lattices.build_lattice("E8"), 2)
     with pytest.raises(AssertionError, match="not closed under the units"):
         dedup(lattices.Shell(shell.lattice, 2, shell.coeffs[1:], shell.rows[1:]))
+
+
+def test_raw_search_rows_past_the_float64_bound_take_the_exact_path():
+    # BW16 l=4's search rows times 30 are lattice vectors of raw norm_sq
+    # 14,400, where the float64 bound 64 * N^4 < 2^53 of xi_classes fails
+    # (it holds for N < 3,444); a unit or a scalar leaves Xi_2 unchanged
+    lattice = lattices.build_lattice("BW16")
+    for chunk in lattices.stream_shell(lattice, 4):
+        rows = vector_states(chunk)
+        scaled = vector_states(lattices.Shell(lattice, 4 * 30**2, chunk.coeffs * 30, chunk.rows * 30, chunk.multiplicity))
+        assert set(scaled.norm_sq.tolist()) == {14_400}
+        x, y, norms = component_arrays(scaled, lambda nn: 64 * nn**4, np.float64)
+        assert x.dtype == y.dtype == norms.dtype == object
+        xi2 = scaled.xi2
+        assert xi2 == rows.xi2
+        assert list(xi2) == [xi_alpha(scaled[i], 2) for i in range(len(scaled))]
