@@ -25,6 +25,8 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import repeat
 from math import gcd, isqrt
 from operator import mul
 from pathlib import Path
@@ -496,10 +498,15 @@ def _search_chunks(
     alone has its children cut into runs of CHUNK_NODES values; each run is
     searched on its own down to level 0, where it yields one chunk, so
     every run yields one, empty or not, and no level of a run holds more
-    than CHUNK_NODES nodes.  The node count is a depth-first search's:
-    every child of a node above level 0, and every level-1 node once more
-    at level 0; a level is counted, and the budget checked, before its
-    children are built.  The caller checks the int64 headroom first."""
+    than CHUNK_NODES nodes.  Each level's expansion (expand) and the
+    read-back (read_back) are functions whose temporaries die on return,
+    so a run suspended while a run below it is searched, or while its
+    chunk is out, holds only its frontier (sigmas, remaining, lead), its
+    tree and its cut points: nothing of a level it has finished.  The node
+    count is a depth-first search's: every child of a node above level 0,
+    and every level-1 node once more at level 0; a level is counted, and
+    the budget checked, before its children are built.  The caller checks
+    the int64 headroom first."""
     order, lam, mus, weights, common = _form_for(lattice)
     n, ring = lattice.coeff_dim, lattice.ring
     lam_mat = np.zeros((n, n), dtype=np.int64)  # sigma_j = sum_i lam_mat[j, i] * x_i
@@ -508,61 +515,59 @@ def _search_chunks(
             lam_mat[j, i] = c
     visited = 0
 
-    def descend(top, offset, sigmas, remaining, lead, tree, first=None):
+    def expand(level, offset, sigmas, remaining, lead, tree, first):
         # the frontier, nodes offset, offset + 1, ... of tree[-1], decides
-        # level top next; sigmas is (levels to come, nodes), and lead
-        # marks the nodes whose pairs above the current one are all zero.
-        # Given first, the frontier is one node whose children at level
-        # top the caller has counted, and only those from first on, at
-        # most CHUNK_NODES of them, are searched
+        # level next; sigmas is (levels to come, nodes), and lead marks the
+        # nodes whose pairs above the current one are all zero.  Returns
+        # either the runs to search on their own, as (start, stop, first)
+        # over the frontier, and None, or None and the frontier of the
+        # level below as (sigmas, remaining, lead, tree).  Given first,
+        # the frontier is one node whose children at this level the caller
+        # has counted, and only those from first on, at most CHUNK_NODES
+        # of them, are built
         nonlocal visited
-        for level in range(top, 0, -1):
-            w, mu, sigma = weights[level], mus[level], sigmas[level]
-            s = _isqrt(remaining // w)
-            lo = -((s + sigma) // mu)  # the x with |mu*x + sigma| <= s
-            hi = (s - sigma) // mu
-            lo[lead & (lo < 0)] = 0
-            if level % 2 == 0:  # the b of a pair whose a the level above decided
-                a = tree[-1][1][offset : offset + len(lo)]
-                hi = np.where(lead, np.minimum(hi, _pair_cap(a, ring)), hi)
-            counts = np.maximum(hi - lo + 1, 0)
-            total = int(counts.sum())
-            if first is not None:
-                lo, hi, first = np.array([first]), np.minimum(hi, first + CHUNK_NODES - 1), None
-                counts = hi - lo + 1
-            elif total > CHUNK_NODES and len(counts) > 1:
-                ends, start = np.cumsum(counts), 0
-                while start < len(ends):
-                    base = ends[start - 1] if start else 0
-                    stop = max(int(np.searchsorted(ends, base + CHUNK_NODES, side="right")), start + 1)
-                    yield from descend(
-                        level, offset + start, sigmas[:, start:stop], remaining[start:stop],
-                        lead[start:stop], tree,
-                    )
-                    start = stop
-                return
-            else:
-                visited += total
-                if visited > node_budget:
-                    raise EnumerationBudgetExceeded(node_budget, visited)
-                if total > CHUNK_NODES:  # one node
-                    for start in range(int(lo[0]), int(hi[0]) + 1, CHUNK_NODES):
-                        yield from descend(level, offset, sigmas, remaining, lead, tree, start)
-                    return
-            parent = np.repeat(np.arange(len(counts)), counts)
-            x = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-            t = mu * x + sigma[parent]
-            remaining = remaining[parent] - w * t * t
-            lead = lead[parent]
-            if level % 2 == 0:
-                lead &= (a[parent] == 0) & (x == 0)
-            sigmas = sigmas[:level, parent] + lam_mat[:level, level, None] * x
-            tree = [*tree, (parent + offset, x)]
-            offset = 0
+        w, mu, sigma = weights[level], mus[level], sigmas[level]
+        s = _isqrt(remaining // w)
+        lo = -((s + sigma) // mu)  # the x with |mu*x + sigma| <= s
+        hi = (s - sigma) // mu
+        lo[lead & (lo < 0)] = 0
+        if level % 2 == 0:  # the b of a pair whose a the level above decided
+            a = tree[-1][1][offset : offset + len(lo)]
+            hi = np.where(lead, np.minimum(hi, _pair_cap(a, ring)), hi)
+        counts = np.maximum(hi - lo + 1, 0)
+        total = int(counts.sum())
+        if first is not None:
+            lo, hi = np.array([first]), np.minimum(hi, first + CHUNK_NODES - 1)
+            counts = hi - lo + 1
+        elif total > CHUNK_NODES and len(counts) > 1:
+            ends, cuts = np.cumsum(counts), [0]
+            while cuts[-1] < len(ends):
+                start = cuts[-1]
+                base = ends[start - 1] if start else 0
+                cuts.append(max(int(np.searchsorted(ends, base + CHUNK_NODES, side="right")), start + 1))
+            cuts = np.array(cuts)  # held while the runs are searched: 8 bytes a cut, not a tuple a run
+            return zip(cuts[:-1], cuts[1:], repeat(None)), None
+        else:
+            visited += total
+            if visited > node_budget:
+                raise EnumerationBudgetExceeded(node_budget, visited)
+            if total > CHUNK_NODES:  # one node
+                return zip(repeat(0), repeat(1), range(int(lo[0]), int(hi[0]) + 1, CHUNK_NODES)), None
+        parent = np.repeat(np.arange(len(counts)), counts)
+        x = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        t = mu * x + sigma[parent]
+        lead = lead[parent]
+        if level % 2 == 0:
+            lead &= (a[parent] == 0) & (x == 0)
+        sigmas = sigmas[:level, parent] + lam_mat[:level, level, None] * x
+        return None, (sigmas, remaining[parent] - w * t * t, lead, [*tree, (parent + offset, x)])
 
+    def read_back(sigmas, remaining, lead, tree):
         # level 0, the b of the innermost pair, in closed form: t_0 =
         # +-sqrt(remaining / w_0) when that is an integer, and x_0 =
-        # (t_0 - sigma_0) / mu_0 when that is one
+        # (t_0 - sigma_0) / mu_0 when that is one; returns the frontier's
+        # vectors
+        nonlocal visited
         visited += len(remaining)
         if visited > node_budget:
             raise EnumerationBudgetExceeded(node_budget, visited)
@@ -581,7 +586,21 @@ def _search_chunks(
         for level, (parent, x) in zip(range(1, n), reversed(tree)):
             coeffs[:, order[level]] = x[node]
             node = parent[node]
-        yield coeffs
+        return coeffs
+
+    def descend(top, offset, sigmas, remaining, lead, tree, first=None):
+        # the run from level top down, one expand per level
+        for level in range(top, 0, -1):
+            runs, frontier = expand(level, offset, sigmas, remaining, lead, tree, first)
+            if frontier is None:
+                for start, stop, first in runs:
+                    yield from descend(
+                        level, offset + start, sigmas[:, start:stop], remaining[start:stop],
+                        lead[start:stop], tree, first,
+                    )
+                return
+            (sigmas, remaining, lead, tree), offset, first = frontier, 0, None
+        yield read_back(sigmas, remaining, lead, tree)
 
     root = (np.zeros((n, 1), dtype=np.int64), np.array([common * norm], dtype=np.int64), np.ones(1, dtype=bool))
     yield from descend(n - 1, 0, *root, [])
@@ -872,11 +891,11 @@ def stream_shell(lattice: LatticeSpec, norm: int, node_budget: int = DEFAULT_NOD
     Each chunk of the search, unsorted, takes the checks of an enumerated
     shell (bound, matmul, norm) and that of one vector per orbit
     (_shell_from_coeffs) and is yielded, so the shell is never held whole.
-    The stream reads and writes no cache file."""
+    The stream reads and writes no cache file, and holds no chunk while
+    it searches the next."""
     bounds = _int64_bounds(lattice, norm)  # raises before a search past the headroom
-    generator = _float_generator(lattice)
-    for coeffs in _search_chunks(lattice, norm, node_budget):
-        yield _shell_from_coeffs(lattice, norm, coeffs, bounds, generator, per_orbit=True)
+    checked = partial(_shell_from_coeffs, lattice, norm, bounds=bounds, generator=_float_generator(lattice), per_orbit=True)
+    yield from map(checked, _search_chunks(lattice, norm, node_budget))
 
 
 def ensure_shell(

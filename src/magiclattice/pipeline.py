@@ -161,18 +161,31 @@ def census_stage(state_sets: Iterable[StateSet]) -> CensusResult:
     unit orbits, a streamed shell that passes holds one row of each.  The
     census is ok when no more states sit at Xi_2 = 1 than a register of
     that dimension has stabiliser states and the expected table, if there
-    is one, matches.  Raises EmptyShellError on a shell with no vectors."""
+    is one, matches.  Raises EmptyShellError on a shell with no vectors,
+    or when no StateSet is given, and ValueError when they are of more
+    than one shell."""
     clock = time.perf_counter
     counts: Counter[Fraction] = Counter()  # Xi_2 -> states
-    states = 0
-    shell_seconds, last = 0.0, clock()
-    for state_set in state_sets:
-        shell_seconds += clock() - last
+    states, census_seconds, start = 0, 0.0, clock()
+
+    def tally(state_set: StateSet) -> tuple[str, int]:
+        # one StateSet into the counts; it dies on return, so no finished
+        # chunk is held while the stream searches the next
+        nonlocal states, census_seconds
+        begin = clock()
         counts.update(xi2_histogram(state_set))
         states += state_set.count
-        last = clock()
-    shell_seconds += clock() - last
-    lattice, norm = build_lattice(state_set.lattice_name), state_set.norm
+        census_seconds += clock() - begin
+        return state_set.lattice_name, state_set.norm
+
+    shells = set(map(tally, state_sets))
+    shell_seconds = clock() - start - census_seconds
+    if not shells:
+        raise EmptyShellError("a census of no StateSets has no shell")
+    if len(shells) > 1:
+        raise ValueError(f"a census takes the StateSets of one shell, not of {sorted(shells)}")
+    [(name, norm)] = shells
+    lattice = build_lattice(name)
     if not states:
         raise EmptyShellError(f"{lattice.name} l={norm} has no vectors, so no states")
     units = len(UNIT_COORDS[lattice.ring])

@@ -374,6 +374,7 @@ def _cache_missing_a_pair(cache_dir):
         ),
         pytest.param(["shells", "--lattice", "E8", "--norms", "2"], _corrupt_cache, "wrong norm", id="corrupt-cache"),
         pytest.param(["census", "--lattice", "E8", "--norms", "3"], None, "E8 l=3 has no vectors", id="empty-shell"),
+        pytest.param(["census", "--lattice", "E6", "--norms", "4"], None, "E6 l=4 has no vectors", id="empty-e6-shell"),
         pytest.param(
             ["census", "--lattice", "BW16", "--norms", "1000000000000000"], None, "int64 headroom", id="census-headroom"
         ),

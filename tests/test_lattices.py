@@ -169,7 +169,8 @@ def test_search_near_the_headroom_holds_no_level_past_a_chunk(name):
     # 14,142,136 values; the search takes them, and the children of every
     # later node with more than CHUNK_NODES, in runs, so it yields chunks
     # in bounded memory until it passes the node budget (the whole root
-    # level at once held about 1.7 GiB for BW16)
+    # level at once held about 1.7 GiB for BW16, and dead level
+    # temporaries in the suspended runs 9.1 MiB)
     lattice, norm = build_lattice(name), 10**14
     _int64_bounds(lattice, norm)
     chunks = 0
@@ -182,7 +183,7 @@ def test_search_near_the_headroom_holds_no_level_past_a_chunk(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert chunks > 0 and peak < 32 * 2**20
+    assert chunks > 0 and peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("name,norm", [("E8", 4), ("E8", 8), ("BW16", 4), ("E6", 9), ("E6", 12)])
