@@ -250,14 +250,17 @@ def _pauli_norms(re: np.ndarray, im: np.ndarray, n: int) -> Iterator[np.ndarray]
     ints."""
     walsh, halves = _pauli_signs(n, re.dtype)
     total = (re * re + im * im) @ walsh
-    yield total * total
+    total *= total
+    yield total
     for h, (lo, signs) in enumerate(halves):
         re_lo, im_lo = re[:, lo], im[:, lo]
         for x in range(1 << h, 2 << h):
             re_hi, im_hi = re[:, lo ^ x], im[:, lo ^ x]
             real = (re_lo * re_hi + im_lo * im_hi) @ signs
             imag = (re_lo * im_hi - im_lo * re_hi) @ signs
-            yield np.concatenate((real * real, imag * imag), axis=1)
+            real *= real
+            imag *= imag
+            yield np.concatenate((real, imag), axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -309,9 +312,11 @@ def _xi_classes(
 ) -> dict[int, tuple[tuple[Fraction, ...], np.ndarray]]:
     """Xi_alpha classes (as xi_classes) of states given in blocks: each
     block is its squared expectation values, in (S, k) groups that
-    together hold each operator once, and its norm_sq.  Float64 groups
-    must keep every power and sum below 2**53: the powers are products,
-    never pow, and the sums return to the int64 of norms.
+    together hold each operator once, and its norm_sq.  Each group adds
+    to the power sums in one row dot of its (alpha - 1)-th power (products,
+    never pow) with itself, so every partial sum is part of the whole sum:
+    float64 groups must keep that below 2**53, and the sums return to the
+    int64 of norms.
 
     Xi_alpha = sum / (dim * norm_sq^(2*alpha)), so within one norm_sq the
     classes are the distinct sums; one Fraction per (sum, norm_sq) pair,
@@ -322,7 +327,8 @@ def _xi_classes(
         block = dict.fromkeys(alphas, 0)
         for values in groups:
             for a in alphas:
-                block[a] = block[a] + prod([values] * (a - 1), start=values).sum(axis=1)
+                power = prod([values] * (a - 2), start=values) if a > 1 else np.ones_like(values)
+                block[a] = block[a] + np.einsum("ij,ij->i", power, values)
         for a in alphas:
             sums[a].append(block[a].astype(norms.dtype))
         norm_blocks.append(norms)

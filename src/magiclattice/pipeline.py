@@ -14,20 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
-from .clifford import (
-    CorrespondenceReport,
-    generate_clifford_qutrit,
-    orbit_partition,
-    verify_e6_correspondence,
-)
-from .entangle import (
-    UNCLASSIFIED,
-    EntanglementCensus,
-    entanglement_census,
-    pairwise_concurrence_2qubit,
-)
 from .lattices import (
     DEFAULT_NODE_BUDGET,
     UNIT_COORDS,
@@ -39,6 +27,12 @@ from .lattices import (
 )
 from .magic import CensusReport, census_rows, stabiliser_count, xi2_histogram
 from .states import EmptyShellError, StateSet, canonical_states, vector_states
+
+# clifford and entangle load inside the stages that run them, so that a
+# census never imports them
+if TYPE_CHECKING:
+    from .clifford import CorrespondenceReport
+    from .entangle import EntanglementCensus
 
 DEFAULT_NORMS = {"E8": (2, 4, 6, 8), "BW16": (4, 6), "E6": (3, 6, 9, 12, 15)}
 HEAVY_NORMS = {"BW16": (8,)}
@@ -223,6 +217,8 @@ def orbits_stage(states: StateLoader) -> OrbitsResult:
     """The qutrit Clifford group, its orbits on the E6 l=3 and l=6 states,
     and the correspondence of the stabiliser states with the E6 l=3
     states."""
+    from .clifford import generate_clifford_qutrit, orbit_partition, verify_e6_correspondence
+
     group = generate_clifford_qutrit()
     state_sets = {norm: states(name, norm) for name, norm in ORBIT_SHELLS}
     sizes = {norm: [o.size for o in orbit_partition(ss, group)] for norm, ss in state_sets.items()}
@@ -235,6 +231,8 @@ class EntangleResult:
     aggregates: dict[str, int]  # class -> states, in order of first appearance
 
     def checks(self) -> list[Check]:
+        from .entangle import UNCLASSIFIED
+
         stab = {k: self.aggregates.get(k, 0) for k in EXPECTED_STAB_CLASSES}
         magic = {k: self.aggregates.get(k, 0) for k in EXPECTED_MAGIC_CLASSES}
         other = self.aggregates.get(UNCLASSIFIED, 0)  # states outside every class
@@ -249,6 +247,8 @@ class EntangleResult:
 
 def entangle_stage(states: StateLoader) -> EntangleResult:
     """Entanglement census of the BW16 l=4 and l=6 states."""
+    from .entangle import entanglement_census
+
     state_sets = [states(*key) for key in ENTANGLE_SHELLS]
     censuses = tuple((ss, entanglement_census(ss)) for ss in state_sets)
     aggregates = Counter(label for _, census in censuses for label in census.labels)
@@ -267,6 +267,8 @@ class TwoQubitResult:
 
 def two_qubit_stage(states: StateLoader) -> TwoQubitResult:
     """Concurrence of every maximal-magic state of E8 l=4."""
+    from .entangle import pairwise_concurrence_2qubit
+
     state_set = states(*TWO_QUBIT_SHELL)
     rows = tuple(
         (state_set.state_id(i), *pairwise_concurrence_2qubit(state_set[i]))

@@ -219,8 +219,11 @@ def canonical_states(chunks: Iterable[Shell]) -> StateSet:
     (those of stream_shell, or a whole shell as one), in lexicographic
     order of their components.  That each state stands for |units| of the
     chunks' vectors, as on a unit-closed shell, is checked by a raise that
-    python -O keeps.  EmptyShellError when the chunks hold no vectors."""
+    python -O keeps.  EmptyShellError when the chunks hold no vectors, or
+    when there are no chunks."""
     parts = [(representatives(chunk), chunk.vectors) for chunk in chunks]
+    if not parts:
+        raise EmptyShellError("no chunks, so no shell and no states")
     first, vectors = parts[0][0], sum(v for _, v in parts)
     if not vectors:
         raise EmptyShellError(f"{first.lattice_name} l={first.norm} has no vectors, so no states")

@@ -48,12 +48,23 @@ def store(tmp_path_factory):
     return ShellStore(tmp_path_factory.mktemp("shellcache"))
 
 
-@pytest.fixture
-def traced(monkeypatch):
-    """perfbench/traced.py, loaded as a module."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
-    spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+def _perfbench_module(stem, monkeypatch):
+    """perfbench/<stem>.py, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """perfbench/traced.py, loaded as a module."""
+    return _perfbench_module("traced", monkeypatch)
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """perfbench/run.py, loaded as a module."""
+    return _perfbench_module("run", monkeypatch)

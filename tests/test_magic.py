@@ -355,6 +355,26 @@ def test_eisenstein_batch_matches_scalar_on_random_states(states):
     assert by_alpha[3] == [mg.xi_alpha(st, 3) for st in states]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    hs.one_of(
+        hs.integers(1, 3).flatmap(
+            lambda n: hs.lists(hs.one_of(qubit_states(n, 3), qubit_states(n, 10**5)), min_size=1, max_size=4)
+        ),
+        hs.lists(hs.one_of(qutrit_states(3), qutrit_states(10**5)), min_size=1, max_size=4),
+    )
+)
+def test_xi1_is_one_for_every_state(states):
+    # the d^2 WH operators are an orthogonal basis, so the sum of
+    # |<c|O|c>|^2 over them is d norm_sq^2 and Xi_1 = 1; alpha = 1 is the
+    # power sum with no product, here beside alphas 2 and 3 of one call
+    classes = mg.xi_classes(state_set(states), (1, 2, 3))
+    assert classes[1][0] == (Fraction(1),) and classes[1][1].tolist() == [0] * len(states)
+    for a in (2, 3):
+        values, index = classes[a]
+        assert [values[i] for i in index.tolist()] == [mg.xi_alpha(st, a) for st in states]
+
+
 def test_eisenstein_batch_exact_past_int64_headroom():
     # N is about 2 * 10^10: 9 N^4 is past 2^63, so int64 sums would wrap
     st = vector_to_state((E(10**5, 0), E(0, 10**5 + 1), E(1, 1)))

@@ -22,7 +22,7 @@ from magiclattice.exact import (
     ray_reduce,
     vector_norm,
 )
-from magiclattice.lattices import HeadroomError, Shell, build_lattice
+from magiclattice.lattices import HeadroomError, Shell, build_lattice, enumerate_shell
 from magiclattice import states
 from magiclattice.states import dedup, ray_keys, representatives, vector_to_state
 from oracles import overlap_sq, real_to_complex
@@ -100,6 +100,14 @@ def test_state_ids_are_stable(store):
     ss = store.states("E6", 3)
     assert ss.state_id(0) == "E6-l3-00000"
     assert ss.state_id(11) == "E6-l3-00011"
+
+
+def test_canonical_states_of_no_vectors_is_a_one_line_error():
+    # no chunks at all, and one chunk of an empty shell (E8 has no odd norm)
+    for chunks in ([], [enumerate_shell(build_lattice("E8"), 3)]):
+        with pytest.raises(states.EmptyShellError) as info:
+            states.canonical_states(chunks)
+        assert "\n" not in str(info.value)
 
 
 _MISSING_VECTOR_SCRIPT = """
