@@ -20,8 +20,8 @@ CENSUS = (
 
 
 def _loaded(code: str, *args: str) -> list[str]:
-    """The last stdout line of a fresh interpreter running code, then
-    printing the magiclattice modules it has loaded."""
+    """The stdout lines of a fresh interpreter that runs code and then
+    prints, as its last line, the magiclattice modules it has loaded."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", code + PRINT_LOADED, *args],
