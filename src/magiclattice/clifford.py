@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import EISENSTEIN_UNITS, EisensteinInt, OMEGA, THETA
-from .lattices import HeadroomError, packed_keys, solve_eisenstein_coefficients
+from .lattices import HeadroomError, packed_keys, ring_conj, ring_matmul, ring_mul, solve_eisenstein_coefficients
 from .magic import WHDisplacement
 from .states import PureStateExact, StateSet, ray_keys, vector_to_state
 
@@ -60,28 +60,20 @@ def _matrix_array(m: Matrix) -> np.ndarray:
     return np.array([[z.coords() for z in row] for row in m], dtype=np.int64)
 
 
-def _ring_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix products of Eisenstein arrays (..., n, m, 2) @ (..., m, p, 2),
-    broadcast over the leading axes: (a + b w)(c + d w) = ac - bd +
-    (ad + bc - bd) w, as w^2 = -1 - w."""
-    a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
-    bd = b @ d
-    return np.stack((a @ c - bd, a @ d + b @ c - bd), axis=-1)
-
-
 def _theta_reduce(entries: np.ndarray, theta_power: np.ndarray) -> None:
     """Divide each matrix of (M, 3, 3, 2) entries by theta, in place, while
     its theta_power is positive and theta divides every entry.
 
     theta = 1 + 2w divides a + b w iff a + b = 0 mod 3, and then
-    (a + b w) / theta = -(a + b w) theta / 3 = ((2b - a) + (b - 2a) w) / 3."""
+    (a + b w) / theta = (a + b w)(-theta) / 3."""
+    minus_theta = (-THETA).coords()
     while True:
         divisible = theta_power > 0
         divisible &= ~(entries.sum(axis=-1) % 3).any(axis=(1, 2))
         if not divisible.any():
             return
-        a, b = entries[divisible, ..., 0], entries[divisible, ..., 1]
-        entries[divisible] = np.stack(((2 * b - a) // 3, (b - 2 * a) // 3), axis=-1)
+        x, y = ring_mul(entries[divisible, ..., 0], entries[divisible, ..., 1], *minus_theta, "eisenstein")
+        entries[divisible] = np.stack((x // 3, y // 3), axis=-1)
         theta_power[divisible] -= 1
 
 
@@ -116,7 +108,7 @@ def _closure(generators: np.ndarray, theta_power: np.ndarray) -> CliffordGroup:
     seen = {tuple(ray_keys(frontier.reshape(1, 9, 2), "eisenstein").ravel().tolist())}
     levels, powers = [frontier], [frontier_theta]
     while len(frontier):
-        products = _ring_matmul(frontier[:, None], generators).reshape(-1, 3, 3, 2)
+        products = ring_matmul(frontier[:, None], generators, "eisenstein").reshape(-1, 3, 3, 2)
         product_theta = (frontier_theta[:, None] + theta_power).ravel()
         _theta_reduce(products, product_theta)
         keys = ray_keys(products.reshape(-1, 9, 2), "eisenstein").reshape(len(products), 18)
@@ -133,11 +125,10 @@ def _closure(generators: np.ndarray, theta_power: np.ndarray) -> CliffordGroup:
     if len(seen) != _GROUP_ORDER:
         raise ClosureError(f"closure stopped at {len(seen)} != {_GROUP_ORDER}")
     entries, theta = np.concatenate(levels), np.concatenate(powers)
-    # E^dagger, coordinate-wise: conj(a + b w) = (a - b) - b w
-    dagger = np.stack((entries[..., 0] - entries[..., 1], -entries[..., 1]), axis=-1).swapaxes(1, 2)
+    dagger = np.stack(ring_conj(entries[..., 0], entries[..., 1], "eisenstein"), axis=-1).swapaxes(1, 2)
     target = np.zeros_like(entries)
     target[:, [0, 1, 2], [0, 1, 2], 0] = (3**theta)[:, None]
-    if not (_ring_matmul(entries, dagger) == target).all():
+    if not (ring_matmul(entries, dagger, "eisenstein") == target).all():
         raise ValueError("entries are not unitary at scale theta^k")
     for array in (entries, theta):
         array.flags.writeable = False
@@ -173,7 +164,7 @@ class OrbitEscapeError(RuntimeError):
 def _images(group: CliffordGroup, coords: np.ndarray) -> np.ndarray:
     """(216, 3, 2): the Eisenstein vector with (3, 2) coords under every
     element of the group, theta scale and phase left in."""
-    return _ring_matmul(group.entries, coords[:, None]).reshape(len(group), 3, 2)
+    return ring_matmul(group.entries, coords[:, None], "eisenstein").reshape(len(group), 3, 2)
 
 
 def _single_column(keys: np.ndarray) -> np.ndarray:

@@ -1,11 +1,16 @@
 """Exact arithmetic over the Gaussian and Eisenstein integers.
 
 Everything downstream (shell enumeration, state canonicalisation, the
-stabiliser-Renyi census) is built on the two rings implemented here:
+stabiliser-Renyi census) is built on the two rings implemented here, both
+Z[u] with u^2 = T*u - 1 and one class, ``QuadraticInt``, for the rule:
 
-* ``GaussianInt``   -- Z[i],     stored as (re, im)
-* ``EisensteinInt`` -- Z[omega], stored as (a, b) meaning a + b*omega,
-  where omega = exp(2*pi*i/3), so omega**2 = -1 - omega.
+* ``GaussianInt``   -- Z[i],     T = 0,  stored as (re, im)
+* ``EisensteinInt`` -- Z[omega], T = -1, stored as (a, b) meaning
+  a + b*omega, where omega = exp(2*pi*i/3), so omega**2 = -1 - omega.
+
+The array forms of the same rule, for int64 coordinate arrays, are the
+ring helpers of ``lattices`` (ring_mul, ring_conj, ring_matmul,
+in_sector, square_norms), which read T from ``RINGS``.
 
 Rational numbers are handled by ``fractions.Fraction`` from the standard
 library; no floating point enters any of these routines.
@@ -16,123 +21,124 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Sequence, TypeVar, Union
 
+Q = TypeVar("Q", bound="QuadraticInt")
 
-class GaussianInt:
-    """An element re + im*i of Z[i]."""
 
-    __slots__ = ("re", "im")
+class QuadraticInt:
+    """An element x + y*u of Z[u], where u^2 = T*u - 1.
 
-    def __init__(self, re: int, im: int = 0) -> None:
-        self.re = re
-        self.im = im
+    A subclass fixes the ring with class attributes: T, the trace of u
+    (u + conj(u) = T and u*conj(u) = 1, so conj(u) = T - u); RING, the
+    ring's name in the array code and the states (RINGS); SYMBOL, the
+    letter that str() prints for u; and QUDIT, the local dimension of the
+    register the ring's lattices give states of.  UNITS, the powers of u
+    up to the first that is +-1 and their negatives, is derived from T
+    (|T| < 2, so that u is a root of unity).  Elements of two rings are
+    never equal, and +, - and * between them raise TypeError.
+    """
 
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
+    __slots__ = ("x", "y")
+    T: int
+    RING: str
+    SYMBOL: str
+    QUDIT: int
+    UNITS: tuple["QuadraticInt", ...]
 
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        one, u = cls(1), cls(0, 1)
+        powers = [one]
+        while (power := powers[-1] * u) not in (one, -one):
+            powers.append(power)
+        cls.UNITS = (*powers, *(-p for p in powers))
 
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
+    def __init__(self, x: int, y: int = 0) -> None:
+        self.x = x
+        self.y = y
 
-    def __mul__(self, other: Union["GaussianInt", int]) -> "GaussianInt":
+    def __add__(self: Q, other: Q) -> Q:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__class__(self.x + other.x, self.y + other.y)
+
+    def __sub__(self: Q, other: Q) -> Q:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__class__(self.x - other.x, self.y - other.y)
+
+    def __neg__(self: Q) -> Q:
+        return self.__class__(-self.x, -self.y)
+
+    def __mul__(self: Q, other: Union[Q, int]) -> Q:
         if isinstance(other, int):
-            return GaussianInt(self.re * other, self.im * other)
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+            return self.__class__(self.x * other, self.y * other)
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # (x + y u)(c + d u) = xc + (xd + yc) u + yd u^2,  u^2 = T u - 1
+        x, y, c, d = self.x, self.y, other.x, other.y
+        yd = y * d
+        return self.__class__(x * c - yd, x * d + y * c + self.T * yd)
 
-    def __rmul__(self, other: int) -> "GaussianInt":
-        return GaussianInt(self.re * other, self.im * other)
+    def __rmul__(self: Q, other: int) -> Q:
+        if not isinstance(other, int):
+            return NotImplemented
+        return self.__class__(self.x * other, self.y * other)
 
-    def conjugate(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
+    def conjugate(self: Q) -> Q:
+        # conj(x + y u) = x + y (T - u)
+        return self.__class__(self.x + self.T * self.y, -self.y)
 
     def norm(self) -> int:
-        """Field norm |z|^2 = re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
+        """Field norm |z|^2 = z conj(z) = x^2 + T*x*y + y^2."""
+        return self.x * self.x + self.T * self.x * self.y + self.y * self.y
+
+    def in_sector(self) -> bool:
+        """Whether z lies in the canonical sector y >= 0, x > -T*y, a
+        half-open fundamental domain of the units on the nonzero
+        elements: the quarter plane re > 0, im >= 0 over Z[i] and the
+        sextant of angles [0, 60) degrees over Z[omega] (embedding
+        a - b/2 + i*b*sqrt(3)/2).  Each unit orbit of a nonzero element
+        has exactly one member there."""
+        return self.y >= 0 and self.x > -self.T * self.y
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.x == 0 and self.y == 0
 
     def coords(self) -> tuple[int, int]:
-        return (self.re, self.im)
+        return (self.x, self.y)
 
     def __eq__(self, other: object) -> bool:
         return (
-            isinstance(other, GaussianInt)
-            and self.re == other.re
-            and self.im == other.im
+            other.__class__ is self.__class__
+            and self.x == other.x  # type: ignore[attr-defined]
+            and self.y == other.y  # type: ignore[attr-defined]
         )
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        return hash((self.T, self.x, self.y))
 
     def __repr__(self) -> str:
-        return f"GaussianInt({self.re}, {self.im})"
+        return f"{self.__class__.__name__}({self.x}, {self.y})"
 
     def __str__(self) -> str:
-        return f"{self.re}{self.im:+d}i"
+        return f"{self.x}{self.y:+d}{self.SYMBOL}"
 
 
-class EisensteinInt:
-    """An element a + b*omega of Z[omega], omega = exp(2*pi*i/3)."""
+class GaussianInt(QuadraticInt):
+    """An element re + im*i of Z[i]: u = i, T = 0."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ()
+    T, RING, SYMBOL, QUDIT = 0, "gaussian", "i", 2
+    re, im = QuadraticInt.x, QuadraticInt.y
 
-    def __init__(self, a: int, b: int = 0) -> None:
-        self.a = a
-        self.b = b
 
-    def __add__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a + other.a, self.b + other.b)
+class EisensteinInt(QuadraticInt):
+    """An element a + b*omega of Z[omega], omega = exp(2*pi*i/3): u =
+    omega, T = -1."""
 
-    def __sub__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "EisensteinInt":
-        return EisensteinInt(-self.a, -self.b)
-
-    def __mul__(self, other: Union["EisensteinInt", int]) -> "EisensteinInt":
-        if isinstance(other, int):
-            return EisensteinInt(self.a * other, self.b * other)
-        # (a + b w)(c + d w) = ac + (ad + bc) w + bd w^2,  w^2 = -1 - w
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
-
-    def __rmul__(self, other: int) -> "EisensteinInt":
-        return EisensteinInt(self.a * other, self.b * other)
-
-    def conjugate(self) -> "EisensteinInt":
-        # conj(w) = w^2 = -1 - w, so conj(a + b w) = (a - b) - b w
-        return EisensteinInt(self.a - self.b, -self.b)
-
-    def norm(self) -> int:
-        """Field norm |z|^2 = a^2 - a*b + b^2."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def coords(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, EisensteinInt)
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, "w"))
-
-    def __repr__(self) -> str:
-        return f"EisensteinInt({self.a}, {self.b})"
-
-    def __str__(self) -> str:
-        return f"{self.a}{self.b:+d}w"
+    __slots__ = ()
+    T, RING, SYMBOL, QUDIT = -1, "eisenstein", "w", 3
+    a, b = QuadraticInt.x, QuadraticInt.y
 
 
 RingElement = TypeVar("RingElement", GaussianInt, EisensteinInt)
@@ -142,38 +148,12 @@ OMEGA = EisensteinInt(0, 1)
 # theta generates the ramified prime above 3.
 THETA = EisensteinInt(1, 2)
 
-GAUSSIAN_UNITS: tuple[GaussianInt, ...] = (
-    GaussianInt(1, 0),
-    GaussianInt(0, 1),
-    GaussianInt(-1, 0),
-    GaussianInt(0, -1),
-)
+GAUSSIAN_UNITS: tuple[GaussianInt, ...] = GaussianInt.UNITS  # type: ignore[assignment]
+EISENSTEIN_UNITS: tuple[EisensteinInt, ...] = EisensteinInt.UNITS  # type: ignore[assignment]
 
-EISENSTEIN_UNITS: tuple[EisensteinInt, ...] = (
-    EisensteinInt(1, 0),
-    EisensteinInt(0, 1),
-    EisensteinInt(-1, -1),  # omega^2
-    EisensteinInt(-1, 0),
-    EisensteinInt(0, -1),
-    EisensteinInt(1, 1),  # -omega^2
-)
-
-
-def units_for(element: RingElement) -> tuple[RingElement, ...]:
-    if isinstance(element, GaussianInt):
-        return GAUSSIAN_UNITS  # type: ignore[return-value]
-    return EISENSTEIN_UNITS  # type: ignore[return-value]
-
-
-def _in_canonical_sector(z: Union[GaussianInt, EisensteinInt]) -> bool:
-    # The unit group acts by rotation; each ring has a half-open fundamental
-    # sector, and the canonical representative of a ray is the rotation
-    # landing inside it.  Gaussian: quarter plane re > 0, im >= 0.
-    # Eisenstein: the sextant of angle [0, 60) degrees, which in (a, b)
-    # coordinates (embedding a - b/2 + i*b*sqrt(3)/2) is b >= 0 and a > b.
-    if isinstance(z, GaussianInt):
-        return z.re > 0 and z.im >= 0
-    return z.b >= 0 and z.a > z.b
+# each ring's class by its name, the ring of LatticeSpec, StateSet and
+# PureStateExact
+RINGS: dict[str, type[QuadraticInt]] = {cls.RING: cls for cls in (GaussianInt, EisensteinInt)}
 
 
 def unit_canonicalize(
@@ -188,8 +168,8 @@ def unit_canonicalize(
     first = next((c for c in components if not c.is_zero()), None)
     if first is None:
         raise ValueError("cannot canonicalize the zero vector")
-    for u in units_for(first):
-        if _in_canonical_sector(u * first):
+    for u in first.UNITS:
+        if (u * first).in_sector():
             return tuple(u * c for c in components), u
     raise AssertionError("no unit lands in the canonical sector")  # pragma: no cover
 

@@ -28,14 +28,13 @@ from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from math import gcd, isqrt
-from operator import mul
 from pathlib import Path
 from tokenize import TokenError
 from typing import Generator, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS, OMEGA, THETA, EisensteinInt, GaussianInt, RingElement
+from .exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS, OMEGA, RINGS, THETA, EisensteinInt, GaussianInt, RingElement
 
 DEFAULT_NODE_BUDGET = 10**10
 # Children per search chunk: a level whose frontier would expand past this
@@ -180,17 +179,20 @@ def _real_generator(basis: Sequence[Sequence[RingElement]], unit: RingElement) -
     return tuple(rows)
 
 
-def _eisenstein_gram(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Twice the Gram matrix of integer rows under sum_k |a_k + omega*b_k|^2,
-    the form a^2 - ab + b^2 on each (a, b) pair."""
+def _gram(rows: Sequence[Sequence[int]], ring: str) -> list[list[int]]:
+    """Twice the Gram matrix of integer rows of ring coordinates under
+    the ring's norm form, x^2 + T*xy + y^2 on each (x, y) pair the row
+    holds in turn.  With T = 0 it is twice the dot product, whatever the
+    order of the coordinates, so the split Gaussian rows take it too."""
+    t = RINGS[ring].T
 
-    def dot(x: Sequence[int], y: Sequence[int]) -> int:
+    def dot(r: Sequence[int], s: Sequence[int]) -> int:
         return sum(
-            2 * (x[k] * y[k] + x[k + 1] * y[k + 1]) - x[k] * y[k + 1] - x[k + 1] * y[k]
-            for k in range(0, len(x), 2)
+            2 * (r[k] * s[k] + r[k + 1] * s[k + 1]) + t * (r[k] * s[k + 1] + r[k + 1] * s[k])
+            for k in range(0, len(r), 2)
         )
 
-    return [[dot(x, y) for y in rows] for x in rows]
+    return [[dot(r, s) for s in rows] for r in rows]
 
 
 _LATTICE_CACHE: dict[str, LatticeSpec] = {}
@@ -212,10 +214,7 @@ def build_lattice(name: str) -> LatticeSpec:
         raise ValueError(f"unknown lattice {name!r}; expected E8, BW16 or E6")
 
     # the Gram matrix times den, in integers
-    if ring == "gaussian":
-        gram, den = [[sum(map(mul, x, y)) for y in scaled] for x in scaled], scale * scale
-    else:
-        gram, den = _eisenstein_gram(scaled), 2 * scale * scale
+    gram, den = _gram(scaled, ring), 2 * scale * scale
 
     spec = LatticeSpec(
         name=key,
@@ -282,26 +281,45 @@ class Shell:
         return f"Shell({self.lattice.name}, norm={self.norm}, count={self.count})"
 
 
-# the units of each ring as (x, y) coordinates of x + y*i or x + y*omega
+# The ring arithmetic of exact.QuadraticInt on int64 arrays of
+# coordinates (x, y) of x + y*u, u = i or omega, with u^2 = T*u - 1 and T
+# read from exact.RINGS.
+
+# the units of each ring as (x, y) coordinates, by the ring's name
 UNIT_COORDS = {
-    "gaussian": np.array([u.coords() for u in GAUSSIAN_UNITS], dtype=np.int64),
-    "eisenstein": np.array([u.coords() for u in EISENSTEIN_UNITS], dtype=np.int64),
+    units[0].RING: np.array([u.coords() for u in units], dtype=np.int64) for units in (GAUSSIAN_UNITS, EISENSTEIN_UNITS)
 }
 
 
 def ring_mul(
     x: np.ndarray, y: np.ndarray, c: np.ndarray, d: np.ndarray, ring: str, out: tuple = (None, None)
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinates of (x + y*u)(c + d*u), u = i or omega, elementwise
-    with broadcasting, into the arrays out if given (neither may share
-    memory with x or y): u^2 = -1 over Z[i] and -1 - u over Z[omega]."""
+    """The coordinates of (x + y*u)(c + d*u) = (xc - yd) + (xd + yc +
+    T*yd)*u, elementwise with broadcasting (c and d of one shape), into
+    the arrays out if given (neither may share memory with x or y).  One
+    temporary holds yd, then T*yd, then yc."""
     re = np.multiply(x, c, out=out[0])
-    re -= y * d
     im = np.multiply(x, d, out=out[1])
-    im += y * c
-    if ring == "eisenstein":
-        im -= y * d
+    term = y * d
+    re -= term
+    term *= RINGS[ring].T
+    im += term
+    im += np.multiply(y, c, out=term)
     return re, im
+
+
+def ring_conj(x: np.ndarray, y: np.ndarray, ring: str) -> tuple[np.ndarray, np.ndarray]:
+    """The coordinates of conj(x + y*u) = (x + T*y) - y*u."""
+    return x + RINGS[ring].T * y, -y
+
+
+def ring_matmul(x: np.ndarray, y: np.ndarray, ring: str) -> np.ndarray:
+    """Matrix products of ring arrays (..., n, m, 2) @ (..., m, p, 2), the
+    last axis the (x, y) coordinates, broadcast over the leading axes, by
+    ring_mul's rule."""
+    a, b, c, d = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    bd = b @ d
+    return np.stack((a @ c - bd, a @ d + b @ c + RINGS[ring].T * bd), axis=-1)
 
 
 def unit_images(lattice: LatticeSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -333,9 +351,9 @@ def first_nonzero(coords: np.ndarray) -> np.ndarray:
 
 def in_sector(x: np.ndarray, y: np.ndarray, ring: str) -> np.ndarray:
     """Whether each ring element with coordinates (x, y) lies in the
-    canonical sector: Gaussian re > 0, im >= 0; Eisenstein b >= 0, a > b.
+    canonical sector y >= 0, x > -T*y (exact.QuadraticInt.in_sector).
     Each unit orbit of a nonzero element has exactly one member there."""
-    return (x > 0) & (y >= 0) if ring == "gaussian" else (y >= 0) & (x > y)
+    return (y >= 0) & (x > -RINGS[ring].T * y)
 
 
 def _divisors(n: int) -> list[int]:
@@ -643,15 +661,15 @@ def packed_keys(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
 
 
 def square_norms(rows: np.ndarray, ring: str) -> np.ndarray:
-    """The square norm of every (N, 2k) int64 row of ring coordinates: the
-    sum of squares over Z[i] (in any order of the coordinates), and over
-    Z[omega] the sum of a^2 - ab + b^2 over the (a, b) pairs it holds in
-    turn, as E6 ambient rows do.  Exact in int64 while the caller's
-    headroom check holds."""
-    if ring == "gaussian":
-        return np.einsum("ij,ij->i", rows, rows)
-    a, b = rows[:, 0::2], rows[:, 1::2]
-    return np.einsum("ij,ij->i", a, a - b) + np.einsum("ij,ij->i", b, b)
+    """The square norm of every (N, 2k) int64 row of ring coordinates, the
+    sum of x^2 + T*xy + y^2 over the (x, y) pairs it holds in turn, as E6
+    ambient rows do; with T = 0 it is the sum of squares, whatever the
+    order of the coordinates, so the split Gaussian rows take it too.
+    Exact in int64 while the caller's headroom check holds."""
+    cross = np.einsum("ij,ij->i", rows[:, 0::2], rows[:, 1::2])
+    cross *= RINGS[ring].T
+    cross += np.einsum("ij,ij->i", rows, rows)
+    return cross
 
 
 def _int64_bounds(lattice: LatticeSpec, norm: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
-from .exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS, EisensteinInt, GaussianInt
+from .exact import RINGS, EisensteinInt, GaussianInt
 from .states import PureStateExact, StateSet, component_arrays
 
 STABILISER = "Stabiliser"
@@ -434,7 +434,7 @@ def sre_census(state_set: StateSet) -> CensusReport:
     """Histogram of exact Xi_2 values (and their magic classes) over a
     StateSet, from its ``xi2_classes``.  Each state stands for its unit
     orbit, |units| vectors of a unit-closed shell."""
-    units = len(GAUSSIAN_UNITS if state_set.ring == "gaussian" else EISENSTEIN_UNITS)
+    units = len(RINGS[state_set.ring].UNITS)
     return CensusReport(
         lattice_name=state_set.lattice_name,
         norm=state_set.norm,

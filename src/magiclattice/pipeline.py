@@ -12,13 +12,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
+from .exact import RINGS
 from .lattices import (
     DEFAULT_NODE_BUDGET,
-    UNIT_COORDS,
     ThetaCheckResult,
     build_lattice,
     ensure_shell,
@@ -182,15 +181,16 @@ def census_stage(state_sets: Iterable[StateSet]) -> CensusResult:
     lattice = build_lattice(name)
     if not states:
         raise EmptyShellError(f"{lattice.name} l={norm} has no vectors, so no states")
-    units = len(UNIT_COORDS[lattice.ring])
+    units = len(RINGS[lattice.ring].UNITS)
     vectors = states * units
     shell = ShellResult(lattice.name, norm, vectors, theta_check(lattice, norm, vectors), shell_seconds)
     rows = census_rows(counts, lattice.complex_dim, lattice.ring)
     report = CensusReport(lattice.name, norm, units, rows, states, vectors)
     histogram = {str(row.xi2): row.state_count for row in rows}
     key = (lattice.name, norm)
-    d = 2 if lattice.ring == "gaussian" else 3
-    limit = stabiliser_count(round(log(lattice.complex_dim, d)), d)
+    d = RINGS[lattice.ring].QUDIT  # n qudits of dimension d, with d**n == complex_dim
+    n = next(n for n in range(lattice.complex_dim) if d**n == lattice.complex_dim)
+    limit = stabiliser_count(n, d)
     ok = histogram.get("1", 0) <= limit and histogram == EXPECTED_CENSUS.get(key, histogram)
     return CensusResult(shell, report, histogram, ok, ROW_NOTES.get(key), limit)
 

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .exact import (
+    RINGS,
     EisensteinInt,
     GaussianInt,
     canonical_vector,
@@ -33,6 +34,7 @@ from .lattices import (
     first_nonzero,
     in_sector,
     packed_keys,
+    ring_conj,
     ring_coords,
     ring_mul,
     square_norms,
@@ -73,9 +75,8 @@ def vector_to_state(v: RingVector) -> PureStateExact:
     primitive_part, then unit_canonicalize, with norm_sq recomputed from
     the reduced components."""
     comps, _content, _unit = canonical_vector(v)
-    ring = "gaussian" if isinstance(comps[0], GaussianInt) else "eisenstein"
     return PureStateExact(
-        ring=ring,
+        ring=comps[0].RING,
         components=comps,
         norm_sq=vector_norm(comps),
     )
@@ -113,7 +114,7 @@ class StateSet:
     def __getitem__(self, index: Union[int, slice]) -> Union[PureStateExact, "StateSet"]:
         if isinstance(index, slice):
             return StateSet(self.lattice_name, self.norm, self.ring, self.components[index], self.norm_sq[index])
-        cls = GaussianInt if self.ring == "gaussian" else EisensteinInt
+        cls = RINGS[self.ring]
         comps = tuple(cls(x, y) for x, y in self.components[index].tolist())
         return PureStateExact(self.ring, comps, int(self.norm_sq[index]))
 
@@ -171,19 +172,14 @@ def ray_keys(coords: np.ndarray, ring: str) -> np.ndarray:
 
     Exact in int64 while every coordinate is below 2**30 in absolute
     value: those of conj(c_f) are then below 2**31, and a key coordinate,
-    a sum of at most three products of a coordinate and one of conj(c_f),
-    is below 2**60 + 2**61 + 2**60 = 2**62.  HeadroomError past that."""
+    a sum of at most three products of a coordinate and one of conj(c_f)
+    (ring_mul), is below 2**60 + 2**61 + 2**60 = 2**62.  HeadroomError
+    past that."""
     if len(coords) and np.abs(coords).max() >= 2**30:
         raise HeadroomError("ring coordinates past the int64 headroom of a ray key")
     p, q = first_nonzero(coords)
-    a, b = coords[..., 0], coords[..., 1]
-    if ring == "gaussian":  # (a + bi)(p - qi)
-        x, y = a * p[:, None] + b * q[:, None], b * p[:, None] - a * q[:, None]
-    else:  # (a + b w)(c + d w) with c + d w = conj(p + q w) = (p - q) - q w
-        c, d = (p - q)[:, None], -q[:, None]
-        bd = b * d
-        x, y = a * c - bd, a * d + b * c - bd
-    return _primitive(np.stack((x, y), axis=-1))
+    c, d = ring_conj(p[:, None], q[:, None], ring)
+    return _primitive(np.stack(ring_mul(coords[..., 0], coords[..., 1], c, d, ring), axis=-1))
 
 
 def representatives(chunk: Shell) -> StateSet:

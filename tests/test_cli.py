@@ -223,22 +223,64 @@ def test_orbits_json(capsys, store):
 
 
 @pytest.mark.parametrize(
-    "fmt, digest",
+    "argv, lines, digest",
     [
         pytest.param(
-            "csv", "fe3aef7ebbd83c21bfbf62b7a9552121c1e9c9ce51e6bbceee6d1fbd12c5d190", id="csv"
+            ("entangle", "--lattice", "BW16"), 16442,
+            "fe3aef7ebbd83c21bfbf62b7a9552121c1e9c9ce51e6bbceee6d1fbd12c5d190", id="entangle-BW16-csv",
         ),
         pytest.param(
-            "json", "4d6e18cfebffab92ebbed1525bde02c9fee041b0ee4dcd4865182af2e32eea04", id="json"
+            ("entangle", "--lattice", "BW16", "--format", "json"), 180851,
+            "4d6e18cfebffab92ebbed1525bde02c9fee041b0ee4dcd4865182af2e32eea04", id="entangle-BW16-json",
+        ),
+        pytest.param(
+            ("entangle", "--lattice", "E8"), 482,
+            "cdaa6783d6d18ddf1d660ed19772eac0b543088513b90f518e235a9b39cfa79a", id="entangle-E8-csv",
+        ),
+        pytest.param(
+            ("entangle", "--lattice", "E8", "--format", "json"), 2408,
+            "212e29d936595b741aa59e14ebf7a6743c20817cc707f347cc54d479f110971b", id="entangle-E8-json",
+        ),
+        pytest.param(
+            ("orbits", "--format", "json"), 12,
+            "cdc9613d00dc5fe9ad44266dd19aa28225951645347863c5ae517cfdeec2da38", id="orbits-json",
+        ),
+        pytest.param(
+            ("project-e8",), 2402,
+            "6765be132a615a952d42fbaf17f93e2f12b66efef566062a8b452e6d93270224", id="project-e8",
+        ),
+        pytest.param(
+            ("census", "--lattice", "E8"), 10,
+            "68ceed83860d823fe72176722aade12126fdb882448a8b74d906879a835a3c2d", id="census-E8-csv",
+        ),
+        pytest.param(
+            ("census", "--lattice", "E8", "--format", "json"), 86,
+            "0f4e0be7a5f5265fc7c3eb624098c9e4f323e5bf0690b28b757d4ca31288cd12", id="census-E8-json",
+        ),
+        pytest.param(
+            ("census", "--lattice", "BW16", "--include-heavy"), 6,
+            "472066c4c020fb33679422b50a8828278d164398cbdb451cc630b2efe80bf5d8", id="census-BW16-csv",
+        ),
+        pytest.param(
+            ("census", "--lattice", "BW16", "--include-heavy", "--format", "json"), 60,
+            "bf20d9bf3d312fa96587fe399afa05513fcce99fbe4acb6db4347c13cc63d127", id="census-BW16-json",
+        ),
+        pytest.param(
+            ("census", "--lattice", "E6"), 11,
+            "69b052a2b98521b25dccd9b83bf2f918a17f1f7282a89f1792a6995dadbac03e", id="census-E6-csv",
+        ),
+        pytest.param(
+            ("census", "--lattice", "E6", "--format", "json"), 94,
+            "b1ee6cdf1be205858dd340f31144bced31883ab3f1c45abfde222bd0bda3b534", id="census-E6-json",
         ),
     ],
 )
-def test_entangle_bw16_output_pinned(capsys, store, fmt, digest):
-    # per-state profiles of all 16,440 BW16 l=4 and l=6 states, byte for byte
-    code, out = run_cli(capsys, store, "entangle", "--lattice", "BW16", "--format", fmt)
+def test_output_pinned(capsys, store, argv, lines, digest):
+    # whole outputs byte for byte, among them the per-state profiles of all
+    # 16,440 BW16 l=4 and l=6 states and the census of every paper shell
+    code, out = run_cli(capsys, store, *argv)
     assert code == 0
-    if fmt == "csv":
-        assert len(out.splitlines()) == 16442
+    assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import magiclattice
-from magiclattice.exact import EisensteinInt
+from magiclattice.exact import RINGS, EisensteinInt
 from magiclattice import lattices
 from magiclattice.lattices import (
     EnumerationBudgetExceeded,
@@ -229,6 +229,51 @@ def test_search_finds_one_vector_per_unit_orbit(name, norm):
     for row in reps.tolist():
         a, b = next((row[i], row[i + half]) for i in reversed(order) if i < half and (row[i] or row[i + half]))
         assert lattices.in_sector(np.array(a), np.array(b), lattice.ring)
+
+
+_COORD = hs.integers(-(2**20), 2**20)  # every product and sum below stays far inside int64
+
+
+@given(hs.data())
+def test_ring_array_helpers_agree_with_the_ring_class(data):
+    # x and y are (n, m) arrays of elements, z an (m, p) one, over either
+    # ring; each array helper must give the object algebra's coordinates
+    ring = data.draw(hs.sampled_from(sorted(RINGS)))
+    cls = RINGS[ring]
+    n, m, p = (data.draw(hs.integers(1, 4)) for _ in range(3))
+
+    def draw(rows, cols):
+        row = hs.lists(hs.tuples(_COORD, _COORD), min_size=cols, max_size=cols)
+        return np.array(data.draw(hs.lists(row, min_size=rows, max_size=rows)), dtype=np.int64)
+
+    def elements(array):
+        return [[cls(*c) for c in row] for row in array.tolist()]
+
+    def coords(rows):
+        return [[list(z.coords()) for z in row] for row in rows]
+
+    x, y, z = draw(n, m), draw(n, m), draw(m, p)
+    ex, ey, ez = elements(x), elements(y), elements(z)
+    products = coords([[a * b for a, b in zip(ra, rb)] for ra, rb in zip(ex, ey)])
+    assert np.stack(lattices.ring_mul(x[..., 0], x[..., 1], y[..., 0], y[..., 1], ring), axis=-1).tolist() == products
+    out = np.empty((2, n, m), dtype=np.int64)
+    re, im = lattices.ring_mul(x[..., 0], x[..., 1], y[..., 0], y[..., 1], ring, out=(out[0], out[1]))
+    assert np.shares_memory(re, out[0]) and np.shares_memory(im, out[1])
+    assert np.stack(out, axis=-1).tolist() == products
+    conj = lattices.ring_conj(x[..., 0], x[..., 1], ring)
+    assert np.stack(conj, axis=-1).tolist() == coords([[a.conjugate() for a in row] for row in ex])
+    matmul = [[sum((ex[i][k] * ez[k][j] for k in range(m)), cls(0)) for j in range(p)] for i in range(n)]
+    assert lattices.ring_matmul(x, z, ring).tolist() == coords(matmul)
+    assert lattices.in_sector(x[..., 0], x[..., 1], ring).tolist() == [[a.in_sector() for a in row] for row in ex]
+    assert lattices.square_norms(x.reshape(n, 2 * m), ring).tolist() == [sum(a.norm() for a in row) for row in ex]
+    # with one element set to zero: each nonzero element has exactly one
+    # unit image in the sector, and zero has none
+    x[0, 0] = 0
+    units = lattices.UNIT_COORDS[ring]
+    assert units.tolist() == [list(u.coords()) for u in cls.UNITS]
+    images = lattices.ring_mul(x[..., 0, None], x[..., 1, None], units[:, 0], units[:, 1], ring)
+    hits = lattices.in_sector(*images, ring).sum(axis=-1)
+    assert hits.tolist() == [[int(a != 0 or b != 0) for a, b in row] for row in x.tolist()]
 
 
 @pytest.mark.parametrize("name", ["E8", "BW16", "E6"])

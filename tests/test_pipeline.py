@@ -102,6 +102,15 @@ def test_bw16_l8_census_peak_rss(tmp_path):
     assert peak_mib < 64
 
 
+@pytest.mark.parametrize("name, norm, limit", [("E8", 2, 60), ("BW16", 4, 1080), ("E6", 3, 12)])
+def test_census_limit_is_the_stabiliser_count_of_the_register(name, norm, limit):
+    # n qudits of the ring's dimension d, d**n the lattice's complex
+    # dimension: 2 qubits, 3 qubits and 1 qutrit; every state of these
+    # shells is a stabiliser state, so the shell reaches the limit
+    result = pipeline.census_stage(pipeline.search_rows(name, norm))
+    assert result.stabiliser_limit == limit == result.histogram["1"] and result.ok
+
+
 def test_census_fails_a_shell_that_is_not_unit_closed():
     # a stream missing one orbit: the theta series fails the shell, and
     # the census, one stabiliser short, fails too
