@@ -16,13 +16,6 @@ _EXPORTS = {
         "GaussianInt",
         "OMEGA",
         "THETA",
-        "canonical_vector",
-        "exact_div",
-        "primitive_part",
-        "ray_reduce",
-        "ring_gcd",
-        "unit_canonicalize",
-        "vector_norm",
     ),
     "lattices": (
         "EnumerationBudgetExceeded",
@@ -36,7 +29,6 @@ _EXPORTS = {
         "load_shell",
         "save_shell",
         "shell_cache_path",
-        "solve_eisenstein_coefficients",
         "stream_shell",
         "theta_check",
     ),
@@ -47,7 +39,6 @@ _EXPORTS = {
         "canonical_states",
         "dedup",
         "representatives",
-        "vector_to_state",
     ),
     "magic": (
         "CensusReport",
@@ -76,11 +67,8 @@ _EXPORTS = {
         "CorrespondenceReport",
         "Orbit",
         "OrbitEscapeError",
-        "StabiliserGroupQutrit",
         "generate_clifford_qutrit",
         "orbit_partition",
-        "stabiliser_groups_qutrit",
-        "stabiliser_state",
         "verify_e6_correspondence",
     ),
     "entangle": (

@@ -1,4 +1,4 @@
-"""Single-qutrit Clifford group, orbit partitions, stabiliser groups.
+"""Single-qutrit Clifford group, orbit partitions, stabiliser states.
 
 The group is held as integer arrays: each element is an exact Eisenstein
 matrix E with a scale exponent k, representing the unitary E / theta^k up
@@ -14,66 +14,51 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import EISENSTEIN_UNITS, EisensteinInt, OMEGA, THETA
-from .lattices import HeadroomError, packed_keys, ring_conj, ring_matmul, ring_mul, solve_eisenstein_coefficients
-from .magic import WHDisplacement
-from .states import PureStateExact, StateSet, ray_keys, vector_to_state
+from .exact import EISENSTEIN_UNITS, EisensteinInt, THETA
+from .lattices import UNIT_COORDS, HeadroomError, packed_keys, ring_conj, ring_matmul, ring_mul
+from .states import PureStateExact, StateSet, canonical_coords, ray_keys
 
-Matrix = tuple[tuple[EisensteinInt, ...], ...]
+_OMEGA_POWERS = UNIT_COORDS["eisenstein"][:3]  # (1, 0), (0, 1), (-1, -1): 1, omega, omega^2
+_MINUS_THETA = (-THETA).coords()
+_EYE = np.eye(3, dtype=np.int64)[..., None]
 
-_ZERO = EisensteinInt(0)
-_ONE = EisensteinInt(1)
-_OMEGA2 = OMEGA * OMEGA
 
-H_ENTRIES: Matrix = (
-    (_ONE, _ONE, _ONE),
-    (_ONE, OMEGA, _OMEGA2),
-    (_ONE, _OMEGA2, OMEGA),
-)
-S_ENTRIES: Matrix = (
-    (_ONE, _ZERO, _ZERO),
-    (_ZERO, _ONE, _ZERO),
-    (_ZERO, _ZERO, OMEGA),
-)
-IDENTITY_ENTRIES: Matrix = (
-    (_ONE, _ZERO, _ZERO),
-    (_ZERO, _ONE, _ZERO),
-    (_ZERO, _ZERO, _ONE),
-)
+def _monomial(shift: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """(G, 3, 3, 2): matrix g has entry (j, j + shift[g] mod 3) equal to
+    omega^powers[g, j], and zeros elsewhere."""
+    out = np.zeros((len(powers), 3, 3, 2), np.int64)
+    j = np.arange(3)
+    out[np.arange(len(powers))[:, None], j, (j + shift[:, None]) % 3] = _OMEGA_POWERS[powers % 3]
+    return out
+
+
+# (3, 3, 2) coordinates of the identity, H = (omega^(jk)) and S = diag(1, 1, omega)
+IDENTITY_ENTRIES, S_ENTRIES = _monomial(np.zeros(2, np.int64), np.array([[0, 0, 0], [0, 0, 1]]))
+H_ENTRIES = _OMEGA_POWERS[np.outer(np.arange(3), np.arange(3)) % 3]
 
 
 class ClosureError(RuntimeError):
     """Breadth-first closure left the expected group size."""
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(
-            sum((a[i][k] * b[k][j] for k in range(3)), _ZERO) for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
-def _matrix_array(m: Matrix) -> np.ndarray:
-    """(3, 3, 2) int64 coordinates (a, b) of an Eisenstein matrix."""
-    return np.array([[z.coords() for z in row] for row in m], dtype=np.int64)
+def _over_theta(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eisenstein coordinates (..., 2) divided by theta, and whether theta
+    divides each element: theta = 1 + 2w divides a + b w iff a + b = 0
+    mod 3, and then (a + b w) / theta = (a + b w)(-theta) / 3.  Where it
+    does not divide, the quotient is meaningless."""
+    x, y = ring_mul(z[..., 0], z[..., 1], *_MINUS_THETA, "eisenstein")
+    return np.stack((x // 3, y // 3), axis=-1), z.sum(axis=-1) % 3 == 0
 
 
 def _theta_reduce(entries: np.ndarray, theta_power: np.ndarray) -> None:
     """Divide each matrix of (M, 3, 3, 2) entries by theta, in place, while
-    its theta_power is positive and theta divides every entry.
-
-    theta = 1 + 2w divides a + b w iff a + b = 0 mod 3, and then
-    (a + b w) / theta = (a + b w)(-theta) / 3."""
-    minus_theta = (-THETA).coords()
+    its theta_power is positive and theta divides every entry."""
     while True:
-        divisible = theta_power > 0
-        divisible &= ~(entries.sum(axis=-1) % 3).any(axis=(1, 2))
+        quotient, divides = _over_theta(entries)
+        divisible = (theta_power > 0) & divides.all(axis=(1, 2))
         if not divisible.any():
             return
-        x, y = ring_mul(entries[divisible, ..., 0], entries[divisible, ..., 1], *minus_theta, "eisenstein")
-        entries[divisible] = np.stack((x // 3, y // 3), axis=-1)
+        entries[divisible] = quotient[divisible]
         theta_power[divisible] -= 1
 
 
@@ -103,7 +88,7 @@ def _closure(generators: np.ndarray, theta_power: np.ndarray) -> CliffordGroup:
     ClosureError as soon as the closure passes _GROUP_ORDER or when it
     stops short of it; ValueError unless every element E with scale k has
     E.E^dagger = 3^k I."""
-    frontier = _matrix_array(IDENTITY_ENTRIES)[None]
+    frontier = IDENTITY_ENTRIES[None]
     frontier_theta = np.zeros(1, np.int64)
     seen = {tuple(ray_keys(frontier.reshape(1, 9, 2), "eisenstein").ravel().tolist())}
     levels, powers = [frontier], [frontier_theta]
@@ -126,8 +111,7 @@ def _closure(generators: np.ndarray, theta_power: np.ndarray) -> CliffordGroup:
         raise ClosureError(f"closure stopped at {len(seen)} != {_GROUP_ORDER}")
     entries, theta = np.concatenate(levels), np.concatenate(powers)
     dagger = np.stack(ring_conj(entries[..., 0], entries[..., 1], "eisenstein"), axis=-1).swapaxes(1, 2)
-    target = np.zeros_like(entries)
-    target[:, [0, 1, 2], [0, 1, 2], 0] = (3**theta)[:, None]
+    target = IDENTITY_ENTRIES * (3**theta)[:, None, None, None]
     if not (ring_matmul(entries, dagger, "eisenstein") == target).all():
         raise ValueError("entries are not unitary at scale theta^k")
     for array in (entries, theta):
@@ -138,7 +122,7 @@ def _closure(generators: np.ndarray, theta_power: np.ndarray) -> CliffordGroup:
 def generate_clifford_qutrit() -> CliffordGroup:
     """Breadth-first closure of {H, S}: the 216 phase-quotiented
     single-qutrit Clifford elements, in deterministic BFS order."""
-    generators = np.stack([_matrix_array(H_ENTRIES), _matrix_array(S_ENTRIES)])
+    generators = np.stack([H_ENTRIES, S_ENTRIES])
     return _closure(generators, np.array([1, 0], dtype=np.int64))
 
 
@@ -187,9 +171,11 @@ def orbit_partition(state_set: StateSet, group: CliffordGroup | None = None) -> 
     A coordinate of an image U.c is a sum of at most 9 products of a
     coordinate of U and one of c, so it is below 9 max|U| max|c| in
     absolute value.  Below 2**30 that keeps the product exact in int64,
-    and the keys of images and states too (ray_keys); HeadroomError past
-    it.  Raises ValueError when two of the states lie on one ray, and
-    OrbitEscapeError when an image is not one of the states."""
+    and the keys of images and states too (ray_keys), and the canonical
+    state of an image (canonical_coords), whose square norm is 3^k times
+    the state's; HeadroomError past it.  Raises ValueError when two of
+    the states lie on one ray, and OrbitEscapeError when an image is not
+    one of the states."""
     coords = state_set.components
     if state_set.ring != "eisenstein" or coords.shape[1] != 3:
         raise ValueError("orbit_partition expects single-qutrit states")
@@ -224,8 +210,9 @@ def orbit_partition(state_set: StateSet, group: CliffordGroup | None = None) -> 
         at = np.searchsorted(ordered, packed).clip(max=count - 1)
         found[found] = ordered[at] == packed
         if not found.all():
-            miss = images[int(np.argmin(found))].tolist()
-            raise OrbitEscapeError(state_set[start], vector_to_state(tuple(EisensteinInt(*z) for z in miss)))
+            comps, norms = canonical_coords(images[np.argmin(found)][None], "eisenstein")
+            image = PureStateExact("eisenstein", tuple(EisensteinInt(*z) for z in comps[0].tolist()), int(norms[0]))
+            raise OrbitEscapeError(state_set[start], image)
         # sorted and deduplicated by one sort and one diff, which is what
         # np.unique would do here (with numpy 2.4 its first call in a
         # process takes about 0.3 ms and imports no further module)
@@ -238,66 +225,40 @@ def orbit_partition(state_set: StateSet, group: CliffordGroup | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# stabiliser groups
+# stabiliser states
 
 
-@dataclass(frozen=True)
-class StabiliserGroupQutrit:
-    phase_power: int  # s in omega^s * D
-    displacement: WHDisplacement
-
-    def generator_matrix(self) -> Matrix:
-        m = self.displacement.matrix()
-        phase = (_ONE, OMEGA, _OMEGA2)[self.phase_power % 3]
-        return tuple(tuple(z * phase for z in row) for row in m)
-
-    def element_matrices(self) -> tuple[Matrix, Matrix, Matrix]:
-        g = self.generator_matrix()
-        return (IDENTITY_ENTRIES, g, _mat_mul(g, g))
-
-    def validate(self) -> None:
-        """Order 3, abelian, and no nontrivial scalar element."""
-        ident, g, g2 = self.element_matrices()
-        if _mat_mul(g, g2) != ident:
-            raise ValueError("generator does not have order 3")
-        if _mat_mul(g, g2) != _mat_mul(g2, g):
-            raise ValueError("group is not abelian")
-        for m in (g, g2):
-            if _is_scalar(m):
-                raise ValueError("group contains a nontrivial scalar element")
+def stabiliser_generators() -> np.ndarray:
+    """(12, 3, 3, 2): the generators omega^s D(a1, a2) of the 12
+    scalar-free maximal abelian WH subgroups, in the fixed order D(1,0),
+    D(0,1), D(1,1), D(1,2), each with s = 0, 1, 2.  D(a1, a2) = tau^(a1 a2)
+    X^a1 Z^a2 with tau = omega^2 (magic.WHDisplacement), so entry
+    (j, j + a1) is omega^(2 a1 a2 + a2 (j + a1) + s)."""
+    a1, a2, s = np.array([(a1, a2, s) for a1, a2 in ((1, 0), (0, 1), (1, 1), (1, 2)) for s in range(3)]).T
+    column = np.arange(3) + a1[:, None]  # j + a1
+    return _monomial(a1, (2 * a1 * a2 + s)[:, None] + a2[:, None] * column)
 
 
-def _is_scalar(m: Matrix) -> bool:
-    if any(not m[i][j].is_zero() for i in range(3) for j in range(3) if i != j):
-        return False
-    return m[0][0] == m[1][1] == m[2][2]
+def stabiliser_states(generators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unique +1 eigenstate of each of the (G, 3, 3, 2) generators g,
+    as canonical_coords: the (unnormalized) projector 1 + g + g^2 applied
+    to the first basis vector it does not kill.
 
-
-def stabiliser_groups_qutrit() -> list[StabiliserGroupQutrit]:
-    """The 12 scalar-free maximal abelian WH subgroups, in the fixed
-    order: generators D(1,0), D(0,1), D(1,1), D(1,2), each with phases
-    omega^0, omega^1, omega^2."""
-    groups = []
-    for a1, a2 in ((1, 0), (0, 1), (1, 1), (1, 2)):
-        for s in range(3):
-            grp = StabiliserGroupQutrit(phase_power=s, displacement=WHDisplacement(3, a1, a2))
-            grp.validate()
-            groups.append(grp)
-    return groups
-
-
-def stabiliser_state(group: StabiliserGroupQutrit) -> PureStateExact:
-    """The unique +1 eigenstate, via the (unnormalized) projector
-    1 + s + s^2 applied to the first basis vector it does not kill."""
-    ident, g, g2 = group.element_matrices()
-    proj = tuple(
-        tuple(ident[i][j] + g[i][j] + g2[i][j] for j in range(3)) for i in range(3)
-    )
-    for col in range(3):
-        image = tuple(proj[i][col] for i in range(3))
-        if any(not z.is_zero() for z in image):
-            return vector_to_state(image)
-    raise RuntimeError("projector annihilated every basis vector")
+    ValueError unless every g has order 3 and neither g nor g^2 is a
+    scalar; RuntimeError when a projector kills every basis vector.  These
+    are if/raise, so python -O keeps them.  (g and g^2 commute for any g,
+    so the group each generates is abelian.)"""
+    g2 = ring_matmul(generators, generators, "eisenstein")
+    if not (ring_matmul(g2, generators, "eisenstein") == IDENTITY_ENTRIES).all():
+        raise ValueError("generator does not have order 3")
+    for power in (generators, g2):
+        if (power == power[:, :1, :1] * _EYE).all(axis=(1, 2, 3)).any():
+            raise ValueError("group contains a nontrivial scalar element")
+    projectors = IDENTITY_ENTRIES + generators + g2
+    kept = projectors.any(axis=(1, 3))  # (G, 3): whether column j is nonzero
+    if not kept.any(axis=1).all():
+        raise RuntimeError("projector annihilated every basis vector")
+    return canonical_coords(projectors[np.arange(len(projectors)), :, kept.argmax(axis=1)], "eisenstein")
 
 
 # ---------------------------------------------------------------------------
@@ -315,37 +276,37 @@ class CorrespondenceReport:
 def verify_e6_correspondence(states: StateSet) -> CorrespondenceReport:
     """Check that the 12 qutrit stabiliser states, scaled to norm 3, are
     exactly the states of the E6 l=3 StateSet, and that each scaled state
-    has integral lattice coefficients.  Each state stands for its |units|
-    shortest vectors (states.canonical_states checks that count), so the
-    matched states cover 6 vectors each."""
+    c has integral lattice coefficients beta, beta M = c for the E6
+    generator M: beta_3 = c_3 and beta_k = (c_k - c_3) / theta.  Each state
+    stands for its |units| shortest vectors (states.canonical_states
+    checks that count), so the matched states cover 6 vectors each."""
     if (states.lattice_name, states.norm) != ("E6", 3):
         raise ValueError(f"expected the E6 l=3 states, got {states!r}")
-    shell_states = {state.components for state in states}
+    shell_states = set(map(tuple, states.components.reshape(len(states), 6).tolist()))
+
+    comps, norms = stabiliser_states(stabiliser_generators())
+    times_theta = np.stack(ring_mul(comps[..., 0], comps[..., 1], *THETA.coords(), "eisenstein"), axis=-1)
+    scaled = np.where((norms == 1)[:, None, None], times_theta, comps)
+    quotient, divides = _over_theta(scaled[:, :2] - scaled[:, 2:])
+    canonical, _ = canonical_coords(scaled, "eisenstein")
 
     mismatches: list[str] = []
     matched: set[tuple] = set()
     betas: list[tuple[tuple[int, int], ...]] = []
-    for group in stabiliser_groups_qutrit():
-        state = stabiliser_state(group)
-        comps = state.components
-        if state.norm_sq == 1:
-            comps = tuple(z * THETA for z in comps)
-        elif state.norm_sq != 3:
-            mismatches.append(
-                f"state {state.components} has norm {state.norm_sq}, expected 1 or 3"
-            )
+    for index, norm in enumerate(norms.tolist()):
+        if norm not in (1, 3):
+            mismatches.append(f"state {comps[index].tolist()} has norm {norm}, expected 1 or 3")
             continue
-        beta = solve_eisenstein_coefficients(comps)
-        if beta is None:
-            mismatches.append(f"no lattice coefficients for {comps}")
+        if divides[index].all():
+            betas.append(tuple(map(tuple, (*quotient[index].tolist(), scaled[index, 2].tolist()))))
+        else:
+            mismatches.append(f"no lattice coefficients for {scaled[index].tolist()}")
             betas.append(())
+        key = tuple(canonical[index].ravel().tolist())
+        if key in shell_states:
+            matched.add(key)
         else:
-            betas.append(tuple(b.coords() for b in beta))
-        canonical = vector_to_state(comps).components
-        if canonical in shell_states:
-            matched.add(canonical)
-        else:
-            mismatches.append(f"state {comps} is not among the E6 l=3 states")
+            mismatches.append(f"state {scaled[index].tolist()} is not among the E6 l=3 states")
     if len(matched) != len(shell_states):
         missing = len(shell_states) - len(matched)
         mismatches.append(f"{missing} E6 l=3 states not reached by any stabiliser state")

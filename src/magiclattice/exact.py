@@ -1,6 +1,6 @@
 """Exact arithmetic over the Gaussian and Eisenstein integers.
 
-Everything downstream (shell enumeration, state canonicalisation, the
+Everything downstream (shell enumeration, the states, the
 stabiliser-Renyi census) is built on the two rings implemented here, both
 Z[u] with u^2 = T*u - 1 and one class, ``QuadraticInt``, for the rule:
 
@@ -10,16 +10,13 @@ Z[u] with u^2 = T*u - 1 and one class, ``QuadraticInt``, for the rule:
 
 The array forms of the same rule, for int64 coordinate arrays, are the
 ring helpers of ``lattices`` (ring_mul, ring_conj, ring_matmul,
-in_sector, square_norms), which read T from ``RINGS``.
-
-Rational numbers are handled by ``fractions.Fraction`` from the standard
-library; no floating point enters any of these routines.
+in_sector, square_norms), which read T from ``RINGS``; vectors are
+canonicalised on those arrays (states.canonical_coords, states.ray_keys).
 """
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Iterable, Sequence, TypeVar, Union
+from typing import TypeVar, Union
 
 Q = TypeVar("Q", bound="QuadraticInt")
 
@@ -155,105 +152,3 @@ EISENSTEIN_UNITS: tuple[EisensteinInt, ...] = EisensteinInt.UNITS  # type: ignor
 # PureStateExact
 RINGS: dict[str, type[QuadraticInt]] = {cls.RING: cls for cls in (GaussianInt, EisensteinInt)}
 
-
-def unit_canonicalize(
-    components: Sequence[RingElement],
-) -> tuple[tuple[RingElement, ...], RingElement]:
-    """Rotate a vector by the unit that puts its first nonzero component
-    into the canonical sector.
-
-    Returns ``(rotated_components, unit)`` with ``rotated = unit * input``.
-    Raises ``ValueError`` on the zero vector.
-    """
-    first = next((c for c in components if not c.is_zero()), None)
-    if first is None:
-        raise ValueError("cannot canonicalize the zero vector")
-    for u in first.UNITS:
-        if (u * first).in_sector():
-            return tuple(u * c for c in components), u
-    raise AssertionError("no unit lands in the canonical sector")  # pragma: no cover
-
-
-def primitive_part(
-    components: Sequence[RingElement],
-) -> tuple[tuple[RingElement, ...], int]:
-    """Divide out the rational integer content of a vector.
-
-    The content is the gcd of all (re, im) respectively (a, b) integer
-    coordinates.  Returns ``(primitive_components, content)``; raises
-    ``ValueError`` on the zero vector.
-    """
-    g = 0
-    for c in components:
-        x, y = c.coords()
-        g = gcd(g, gcd(abs(x), abs(y)))
-    if g == 0:
-        raise ValueError("zero vector has no primitive part")
-    if g == 1:
-        return tuple(components), 1
-    cls = type(components[0])
-    reduced = tuple(cls(c.coords()[0] // g, c.coords()[1] // g) for c in components)
-    return reduced, g
-
-
-def canonical_vector(
-    components: Sequence[RingElement],
-) -> tuple[tuple[RingElement, ...], int, RingElement]:
-    """primitive_part followed by unit_canonicalize."""
-    prim, content = primitive_part(components)
-    rotated, unit = unit_canonicalize(prim)
-    return rotated, content, unit
-
-
-def _divmod_nearest(x: RingElement, y: RingElement) -> tuple[RingElement, RingElement]:
-    # Nearest-integer division in basis coordinates.  Both rings are
-    # norm-Euclidean under this rounding (remainder norm <= 3/4 * norm(y)
-    # for Eisenstein, <= 1/2 * norm(y) for Gaussian).
-    n = y.norm()
-    prod = x * y.conjugate()
-    p, q = prod.coords()
-    cls = type(x)
-    qa = (2 * p + n) // (2 * n)
-    qb = (2 * q + n) // (2 * n)
-    quot = cls(qa, qb)
-    rem = x - quot * y
-    return quot, rem
-
-
-def ring_gcd(x: RingElement, y: RingElement) -> RingElement:
-    """A greatest common divisor in Z[i] or Z[omega] (unique up to units)."""
-    while not y.is_zero():
-        _, r = _divmod_nearest(x, y)
-        x, y = y, r
-    return x
-
-
-def exact_div(x: RingElement, y: RingElement) -> RingElement:
-    """x / y when y exactly divides x; raises ``ValueError`` otherwise."""
-    q, r = _divmod_nearest(x, y)
-    if not r.is_zero():
-        raise ValueError(f"{x} is not divisible by {y}")
-    return q
-
-
-def ray_reduce(components: Sequence[RingElement]) -> tuple[RingElement, ...]:
-    """Canonical representative of the ray spanned by a vector.
-
-    Divides out the full ring gcd of the components (not merely the
-    rational content) and canonicalizes the leading unit, so any two ring
-    multiples of the same vector reduce to an identical tuple.
-    """
-    g: RingElement | None = None
-    for c in components:
-        if c.is_zero():
-            continue
-        g = c if g is None else ring_gcd(g, c)
-    if g is None:
-        raise ValueError("cannot reduce the zero vector")
-    reduced = tuple(exact_div(c, g) if not c.is_zero() else c for c in components)
-    rotated, _ = unit_canonicalize(reduced)
-    return rotated
-
-
-def vector_norm(components: Iterable[RingElement]) -> int:
-    return sum(c.norm() for c in components)

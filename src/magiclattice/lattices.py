@@ -793,34 +793,6 @@ def enumerate_shell(
 
 
 # ---------------------------------------------------------------------------
-# E6 coefficient recovery
-
-
-def solve_eisenstein_coefficients(
-    components: Sequence[EisensteinInt],
-) -> Optional[tuple[EisensteinInt, EisensteinInt, EisensteinInt]]:
-    """Solve beta * M = c over Z[omega] for the E6 generator M.
-
-    Returns the coefficient triple, or None when c is not a lattice point
-    (the division by theta fails).
-    """
-    if len(components) != 3:
-        raise ValueError("expected three Eisenstein components")
-    c1, c2, c3 = components
-    beta3 = c3
-    rem1 = c1 - beta3
-    rem2 = c2 - beta3
-    # division by theta: z / theta = -z * theta / 3
-    out = [None, None]
-    for slot, rem in enumerate((rem1, rem2)):
-        prod = -(rem * THETA)
-        if prod.a % 3 or prod.b % 3:
-            return None
-        out[slot] = EisensteinInt(prod.a // 3, prod.b // 3)
-    return (out[0], out[1], beta3)
-
-
-# ---------------------------------------------------------------------------
 # shell cache
 
 

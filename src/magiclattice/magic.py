@@ -83,20 +83,6 @@ class WHDisplacement:
     a1: int
     a2: int
 
-    def matrix(self):
-        """Exact matrix realization over Z[omega], for d = 3."""
-        if self.d != 3:
-            raise ValueError("exact matrices available for d = 3 only")
-        # tau = omega^2; entry (j, k): nonzero iff k = j + a1 (mod 3)
-        tau_exp = (2 * self.a1 * self.a2) % 3
-        rows = []
-        for j in range(3):
-            row = [EisensteinInt(0)] * 3
-            k = (j + self.a1) % 3
-            row[k] = _OMEGA_POWERS[(tau_exp + self.a2 * k) % 3]
-            rows.append(tuple(row))
-        return tuple(rows)
-
 
 def wh_displacements(d: int) -> tuple[WHDisplacement, ...]:
     """All d^2 phase-quotiented displacements, identity first."""

@@ -16,17 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
-from .exact import (
-    RINGS,
-    EisensteinInt,
-    GaussianInt,
-    canonical_vector,
-    vector_norm,
-)
+from .exact import RINGS
 from .lattices import (
     UNIT_COORDS,
     HeadroomError,
@@ -40,7 +34,6 @@ from .lattices import (
     square_norms,
 )
 
-RingVector = Union[Sequence[GaussianInt], Sequence[EisensteinInt]]
 # Vectors per block of representatives, whose temporaries then stay in cache
 SECTOR_ROWS = 2**12
 
@@ -68,18 +61,6 @@ class PureStateExact:
     def __repr__(self) -> str:  # pragma: no cover
         comps = ", ".join(str(c) for c in self.components)
         return f"PureStateExact([{comps}], N={self.norm_sq})"
-
-
-def vector_to_state(v: RingVector) -> PureStateExact:
-    """Map a nonzero ring vector to its canonical PureStateExact:
-    primitive_part, then unit_canonicalize, with norm_sq recomputed from
-    the reduced components."""
-    comps, _content, _unit = canonical_vector(v)
-    return PureStateExact(
-        ring=comps[0].RING,
-        components=comps,
-        norm_sq=vector_norm(comps),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,19 +163,16 @@ def ray_keys(coords: np.ndarray, ring: str) -> np.ndarray:
     return _primitive(np.stack(ring_mul(coords[..., 0], coords[..., 1], c, d, ring), axis=-1))
 
 
-def representatives(chunk: Shell) -> StateSet:
-    """The states of a chunk of stream_shell, one vector per unit orbit,
-    one state per row, in chunk order: each row is multiplied by the unit
-    that takes its first nonzero component into the canonical sector, a
+def canonical_coords(coords: np.ndarray, ring: str) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical state of each of N nonzero ring vectors, given as
+    (N, dim, 2) int64 coordinates: the components (N, dim, 2) and norm_sq
+    (N,) of PureStateExact.  Each vector is multiplied by the unit that
+    takes its first nonzero component into the canonical sector, a
     fundamental domain of the units on the nonzero ring elements, and
-    divided by its integer content.
-
-    Two vectors of one shell with one canonical state differ by a unit:
-    their integer contents are equal because their norms are.  So over
-    the chunks of a shell, which hold one vector of each unit orbit, every
-    state has exactly one row, and the rows times |units| are the shell's
-    vectors."""
-    ring, coords = chunk.lattice.ring, ring_coords(chunk)
+    divided by its integer content, which a unit leaves unchanged.  Exact
+    in int64 while each rotated vector's coordinates and square norm are:
+    a unit's coordinates are 0 or +-1, and the norm is taken after the
+    division."""
     units = UNIT_COORDS[ring]
     comps = np.empty(coords.shape, np.int64)
     norms = np.empty(len(coords), np.int64)
@@ -207,7 +185,20 @@ def representatives(chunk: Shell) -> StateSet:
         ring_mul(coords[rows, :, 0], coords[rows, :, 1], c, d, ring, out=(block[..., 0], block[..., 1]))
         _primitive(block)
         norms[rows] = square_norms(block.reshape(len(block), -1), ring)
-    return StateSet(chunk.lattice.name, chunk.norm, ring, comps, norms)
+    return comps, norms
+
+
+def representatives(chunk: Shell) -> StateSet:
+    """The states of a chunk of stream_shell, one vector per unit orbit,
+    one state per row, in chunk order (canonical_coords).
+
+    Two vectors of one shell with one canonical state differ by a unit:
+    their integer contents are equal because their norms are.  So over
+    the chunks of a shell, which hold one vector of each unit orbit, every
+    state has exactly one row, and the rows times |units| are the shell's
+    vectors."""
+    ring = chunk.lattice.ring
+    return StateSet(chunk.lattice.name, chunk.norm, ring, *canonical_coords(ring_coords(chunk), ring))
 
 
 def canonical_states(chunks: Iterable[Shell]) -> StateSet:
@@ -248,9 +239,12 @@ def vector_states(shell: Shell) -> StateSet:
     """Every vector of a shell as a state, unreduced and in shell order.
     A vector's Xi_2 is its state's, since a unit or a scalar leaves Xi_2
     unchanged, so ``xi2`` tags each vector without mapping it to its
-    state; nothing else may take these components as canonical."""
-    ring, comps = shell.lattice.ring, ring_coords(shell)
-    return StateSet(shell.lattice.name, shell.norm, ring, comps, square_norms(shell.rows, ring))
+    state; nothing else may take these components as canonical.  Every
+    row's norm_sq is norm * scale**2, as _shell_from_coeffs, which builds
+    every Shell, has checked."""
+    lattice, comps = shell.lattice, ring_coords(shell)
+    norms = np.full(len(comps), shell.norm * lattice.scale**2, np.int64)
+    return StateSet(lattice.name, shell.norm, lattice.ring, comps, norms)
 
 
 def component_arrays(

@@ -1,6 +1,9 @@
 """Slow reference implementations that the production kernels are checked
 against, and state_set, which turns PureStateExact objects into the
-StateSet that every kernel takes."""
+StateSet that every kernel takes.  Among them, the object canonicaliser
+(vector_to_state), the ring-gcd ray representative (ray_reduce) and the
+stabiliser states of the qutrit WH groups (stabiliser_state), which the
+array kernels of states and clifford are checked against."""
 
 from __future__ import annotations
 
@@ -15,18 +18,10 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from magiclattice.clifford import (
-    H_ENTRIES,
-    IDENTITY_ENTRIES,
-    S_ENTRIES,
-    ClosureError,
-    Matrix,
-    Orbit,
-    OrbitEscapeError,
-    _mat_mul,
-)
+from magiclattice import clifford
+from magiclattice.clifford import ClosureError, Orbit, OrbitEscapeError
 from magiclattice.entangle import UNCLASSIFIED, EntanglementCensus, _Y_SIGN, _display_columns, _labels, concurrence_kernel, pairwise_concurrence_2qubit
-from magiclattice.exact import OMEGA, THETA, EisensteinInt, GaussianInt, canonical_vector, ray_reduce
+from magiclattice.exact import OMEGA, THETA, EisensteinInt, GaussianInt, RingElement
 from magiclattice.lattices import (
     BW16_BASIS,
     E6_GENERATOR,
@@ -54,7 +49,7 @@ from magiclattice.magic import (
     xi_alpha,
     xi_classes,
 )
-from magiclattice.states import PureStateExact, StateSet, component_arrays, vector_to_state
+from magiclattice.states import PureStateExact, StateSet, component_arrays
 
 
 def state_set(states: Sequence[PureStateExact]) -> StateSet:
@@ -65,6 +60,153 @@ def state_set(states: Sequence[PureStateExact]) -> StateSet:
     dtype = np.int64 if max(norms) < 2**63 else object
     coords = np.array([[z.coords() for z in s.components] for s in states], dtype)
     return StateSet("oracle", 0, states[0].ring, coords, np.array(norms, dtype))
+
+
+# ---------------------------------------------------------------------------
+# vectors of ring elements as Python objects: the object canonicaliser
+
+
+RingVector = Union[Sequence[GaussianInt], Sequence[EisensteinInt]]
+
+
+def unit_canonicalize(
+    components: Sequence[RingElement],
+) -> tuple[tuple[RingElement, ...], RingElement]:
+    """Rotate a vector by the unit that puts its first nonzero component
+    into the canonical sector.
+
+    Returns ``(rotated_components, unit)`` with ``rotated = unit * input``.
+    Raises ``ValueError`` on the zero vector.
+    """
+    first = next((c for c in components if not c.is_zero()), None)
+    if first is None:
+        raise ValueError("cannot canonicalize the zero vector")
+    for u in first.UNITS:
+        if (u * first).in_sector():
+            return tuple(u * c for c in components), u
+    raise AssertionError("no unit lands in the canonical sector")  # pragma: no cover
+
+
+def primitive_part(
+    components: Sequence[RingElement],
+) -> tuple[tuple[RingElement, ...], int]:
+    """Divide out the rational integer content of a vector.
+
+    The content is the gcd of all (re, im) respectively (a, b) integer
+    coordinates.  Returns ``(primitive_components, content)``; raises
+    ``ValueError`` on the zero vector.
+    """
+    g = 0
+    for c in components:
+        x, y = c.coords()
+        g = math.gcd(g, math.gcd(abs(x), abs(y)))
+    if g == 0:
+        raise ValueError("zero vector has no primitive part")
+    if g == 1:
+        return tuple(components), 1
+    cls = type(components[0])
+    reduced = tuple(cls(c.coords()[0] // g, c.coords()[1] // g) for c in components)
+    return reduced, g
+
+
+def canonical_vector(
+    components: Sequence[RingElement],
+) -> tuple[tuple[RingElement, ...], int, RingElement]:
+    """primitive_part followed by unit_canonicalize."""
+    prim, content = primitive_part(components)
+    rotated, unit = unit_canonicalize(prim)
+    return rotated, content, unit
+
+
+def vector_norm(components: Iterable[RingElement]) -> int:
+    return sum(c.norm() for c in components)
+
+
+def vector_to_state(v: RingVector) -> PureStateExact:
+    """Map a nonzero ring vector to its canonical PureStateExact:
+    primitive_part, then unit_canonicalize, with norm_sq recomputed from
+    the reduced components (the oracle of states.canonical_coords)."""
+    comps, _content, _unit = canonical_vector(v)
+    return PureStateExact(
+        ring=comps[0].RING,
+        components=comps,
+        norm_sq=vector_norm(comps),
+    )
+
+
+def _divmod_nearest(x: RingElement, y: RingElement) -> tuple[RingElement, RingElement]:
+    # Nearest-integer division in basis coordinates.  Both rings are
+    # norm-Euclidean under this rounding (remainder norm <= 3/4 * norm(y)
+    # for Eisenstein, <= 1/2 * norm(y) for Gaussian).
+    n = y.norm()
+    prod = x * y.conjugate()
+    p, q = prod.coords()
+    cls = type(x)
+    qa = (2 * p + n) // (2 * n)
+    qb = (2 * q + n) // (2 * n)
+    quot = cls(qa, qb)
+    rem = x - quot * y
+    return quot, rem
+
+
+def ring_gcd(x: RingElement, y: RingElement) -> RingElement:
+    """A greatest common divisor in Z[i] or Z[omega] (unique up to units)."""
+    while not y.is_zero():
+        _, r = _divmod_nearest(x, y)
+        x, y = y, r
+    return x
+
+
+def exact_div(x: RingElement, y: RingElement) -> RingElement:
+    """x / y when y exactly divides x; raises ``ValueError`` otherwise."""
+    q, r = _divmod_nearest(x, y)
+    if not r.is_zero():
+        raise ValueError(f"{x} is not divisible by {y}")
+    return q
+
+
+def ray_reduce(components: Sequence[RingElement]) -> tuple[RingElement, ...]:
+    """Canonical representative of the ray spanned by a vector, the oracle
+    of the ray key states.ray_keys.
+
+    Divides out the full ring gcd of the components (not merely the
+    rational content) and canonicalizes the leading unit, so any two ring
+    multiples of the same vector reduce to an identical tuple.
+    """
+    g: RingElement | None = None
+    for c in components:
+        if c.is_zero():
+            continue
+        g = c if g is None else ring_gcd(g, c)
+    if g is None:
+        raise ValueError("cannot reduce the zero vector")
+    reduced = tuple(exact_div(c, g) if not c.is_zero() else c for c in components)
+    rotated, _ = unit_canonicalize(reduced)
+    return rotated
+
+
+def solve_eisenstein_coefficients(
+    components: Sequence[EisensteinInt],
+) -> tuple[EisensteinInt, EisensteinInt, EisensteinInt] | None:
+    """Solve beta * M = c over Z[omega] for the E6 generator M.
+
+    Returns the coefficient triple, or None when c is not a lattice point
+    (the division by theta fails).
+    """
+    if len(components) != 3:
+        raise ValueError("expected three Eisenstein components")
+    c1, c2, c3 = components
+    beta3 = c3
+    rem1 = c1 - beta3
+    rem2 = c2 - beta3
+    # division by theta: z / theta = -z * theta / 3
+    out = [None, None]
+    for slot, rem in enumerate((rem1, rem2)):
+        prod = -(rem * THETA)
+        if prod.a % 3 or prod.b % 3:
+            return None
+        out[slot] = EisensteinInt(prod.a // 3, prod.b // 3)
+    return (out[0], out[1], beta3)
 
 
 def dfs_enumerate(
@@ -351,6 +493,21 @@ def overlap_sq(psi: PureStateExact, chi: PureStateExact) -> Fraction:
 # Weyl-Heisenberg operators applied one state at a time
 
 
+def wh_matrix(op: WHDisplacement) -> Matrix:
+    """The exact matrix of a qutrit displacement over Z[omega]: entry (j, k)
+    is nonzero iff k = j + a1 (mod 3), and then omega^(2 a1 a2 + a2 k)."""
+    if op.d != 3:
+        raise ValueError("exact matrices available for d = 3 only")
+    tau_exp = (2 * op.a1 * op.a2) % 3  # tau = omega^2
+    rows = []
+    for j in range(3):
+        row = [EisensteinInt(0)] * 3
+        k = (j + op.a1) % 3
+        row[k] = _OMEGA_POWERS[(tau_exp + op.a2 * k) % 3]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def compose_phase_exponent(a: WHDisplacement, b: WHDisplacement) -> int:
     """tau exponent picked up in D_a * D_b = tau^e * D_{a+b}.
 
@@ -377,7 +534,7 @@ def displacement_law_violations() -> list[tuple[WHDisplacement, WHDisplacement]]
     for a, b in product(wh_displacements(3), repeat=2):
         tau = powers[(2 * compose_phase_exponent(a, b)) % 3]
         c = WHDisplacement(3, (a.a1 + b.a1) % 3, (a.a2 + b.a2) % 3)
-        if _mat_mul(a.matrix(), b.matrix()) != tuple(tuple(z * tau for z in row) for row in c.matrix()):
+        if _mat_mul(wh_matrix(a), wh_matrix(b)) != tuple(tuple(z * tau for z in row) for row in wh_matrix(c)):
             violations.append((a, b))
     return violations
 
@@ -1043,7 +1200,23 @@ def classify_entanglement(state: PureStateExact, magic_class: str) -> Concurrenc
 # the qutrit Clifford group and its orbits as Python objects: Eisenstein
 # matrices E with a scale exponent k, the unitary E / theta^k up to phase
 
+Matrix = tuple[tuple[EisensteinInt, ...], ...]
+
 _ZERO = EisensteinInt(0)
+
+
+def object_matrix(entries: np.ndarray) -> Matrix:
+    """The EisensteinInt matrix of (3, 3, 2) int64 coordinates."""
+    return tuple(tuple(EisensteinInt(*z) for z in row) for row in entries.tolist())
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(
+        tuple(
+            sum((a[i][k] * b[k][j] for k in range(3)), _ZERO) for j in range(3)
+        )
+        for i in range(3)
+    )
 
 
 def _mat_vec(m: Matrix, v: Sequence[EisensteinInt]) -> tuple[EisensteinInt, ...]:
@@ -1122,8 +1295,9 @@ class CliffordElement:
         return CliffordElement(entries, k)
 
 
-H = CliffordElement(H_ENTRIES, 1)
-S = CliffordElement(S_ENTRIES, 0)
+IDENTITY_ENTRIES = object_matrix(clifford.IDENTITY_ENTRIES)
+H = CliffordElement(object_matrix(clifford.H_ENTRIES), 1)
+S = CliffordElement(object_matrix(clifford.S_ENTRIES), 0)
 IDENTITY = CliffordElement(IDENTITY_ENTRIES, 0)
 
 GROUP_ORDER = 216
@@ -1188,3 +1362,65 @@ def orbit_partition(states: Iterable[PureStateExact], group: Sequence[CliffordEl
         orbits.append(Orbit(representative=start, members=tuple(sorted(members))))
     orbits.sort(key=lambda o: (-o.size, o.representative))
     return orbits
+
+
+# ---------------------------------------------------------------------------
+# the qutrit stabiliser groups and states as Python objects
+
+
+@dataclass(frozen=True)
+class StabiliserGroupQutrit:
+    phase_power: int  # s in omega^s * D
+    displacement: WHDisplacement
+
+    def generator_matrix(self) -> Matrix:
+        m = wh_matrix(self.displacement)
+        phase = (EisensteinInt(1), OMEGA, OMEGA * OMEGA)[self.phase_power % 3]
+        return tuple(tuple(z * phase for z in row) for row in m)
+
+    def element_matrices(self) -> tuple[Matrix, Matrix, Matrix]:
+        g = self.generator_matrix()
+        return (IDENTITY_ENTRIES, g, _mat_mul(g, g))
+
+    def validate(self) -> None:
+        """Order 3 and no nontrivial scalar element."""
+        ident, g, g2 = self.element_matrices()
+        if _mat_mul(g, g2) != ident:
+            raise ValueError("generator does not have order 3")
+        for m in (g, g2):
+            if _is_scalar(m):
+                raise ValueError("group contains a nontrivial scalar element")
+
+
+def _is_scalar(m: Matrix) -> bool:
+    if any(not m[i][j].is_zero() for i in range(3) for j in range(3) if i != j):
+        return False
+    return m[0][0] == m[1][1] == m[2][2]
+
+
+def stabiliser_groups_qutrit() -> list[StabiliserGroupQutrit]:
+    """The 12 scalar-free maximal abelian WH subgroups, in the fixed
+    order: generators D(1,0), D(0,1), D(1,1), D(1,2), each with phases
+    omega^0, omega^1, omega^2."""
+    groups = []
+    for a1, a2 in ((1, 0), (0, 1), (1, 1), (1, 2)):
+        for s in range(3):
+            grp = StabiliserGroupQutrit(phase_power=s, displacement=WHDisplacement(3, a1, a2))
+            grp.validate()
+            groups.append(grp)
+    return groups
+
+
+def stabiliser_state(group: StabiliserGroupQutrit) -> PureStateExact:
+    """The unique +1 eigenstate, via the (unnormalized) projector
+    1 + s + s^2 applied to the first basis vector it does not kill: the
+    oracle of clifford.stabiliser_states."""
+    ident, g, g2 = group.element_matrices()
+    proj = tuple(
+        tuple(ident[i][j] + g[i][j] + g2[i][j] for j in range(3)) for i in range(3)
+    )
+    for col in range(3):
+        image = tuple(proj[i][col] for i in range(3))
+        if any(not z.is_zero() for z in image):
+            return vector_to_state(image)
+    raise RuntimeError("projector annihilated every basis vector")

@@ -18,11 +18,8 @@ from magiclattice import (
     generate_clifford_qutrit,
     orbit_partition,
     pairwise_concurrence_2qubit,
-    ray_reduce,
     sre_census,
     stabiliser_count,
-    stabiliser_groups_qutrit,
-    stabiliser_state,
     theta_check,
     verify_e6_correspondence,
     xi_alpha,
@@ -35,6 +32,9 @@ from oracles import (
     displacement_law_violations,
     mub_orbit_check,
     naive_box_enumerate,
+    ray_reduce,
+    stabiliser_groups_qutrit,
+    stabiliser_state,
     wh_covariance_check_all,
     wootters_gap,
 )

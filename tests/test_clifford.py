@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 
 import oracles
-from magiclattice.exact import EisensteinInt, OMEGA, THETA, ray_reduce
+from magiclattice.exact import EisensteinInt, OMEGA, THETA
 from magiclattice.lattices import HeadroomError, packed_keys, ring_matmul
-from magiclattice.states import ray_keys, vector_to_state
+from magiclattice.states import StateSet, ray_keys
 from magiclattice.magic import WHDisplacement, xi_alpha
 from magiclattice import clifford as cl
+from oracles import ray_reduce, vector_to_state
 
 E = EisensteinInt
 W2 = OMEGA * OMEGA
-H_ARRAY = cl._matrix_array(cl.H_ENTRIES)
-S_ARRAY = cl._matrix_array(cl.S_ENTRIES)
+H_ARRAY, S_ARRAY = cl.H_ENTRIES, cl.S_ENTRIES
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def test_inverses_exist(group):
 
 def test_h_and_s_shapes(group):
     # the closure starts from the identity, then identity * H, identity * S
-    assert group.entries[0].tolist() == cl._matrix_array(cl.IDENTITY_ENTRIES).tolist()
+    assert group.entries[0].tolist() == cl.IDENTITY_ENTRIES.tolist()
     assert group.entries[1].tolist() == H_ARRAY.tolist()
     assert group.entries[2].tolist() == S_ARRAY.tolist()
     assert group.theta_power[:3].tolist() == [0, 1, 0]
@@ -100,7 +100,7 @@ def test_a_wrong_omega_in_s_leaves_the_group_order(wrong):
 _GUARD_SCRIPT = """
 import numpy as np
 from magiclattice import clifford as cl
-H, S = cl._matrix_array(cl.H_ENTRIES), cl._matrix_array(cl.S_ENTRIES)
+H, S = cl.H_ENTRIES, cl.S_ENTRIES
 bad = S.copy()
 bad[2, 2] = (0, -1)
 for generators, theta, error in ((np.stack([H, S]), [0, 0], ValueError), (np.stack([H, bad]), [1, 0], cl.ClosureError)):
@@ -155,8 +155,13 @@ def test_act_preserves_xi(group):
         assert xi_alpha(vector_to_state(tuple(E(*z) for z in coords)), 2) == Fraction(1, 2)
 
 
+def stabiliser_states():
+    """The 12 stabiliser states of clifford.stabiliser_states as objects."""
+    return StateSet("stabiliser", 0, "eisenstein", *cl.stabiliser_states(cl.stabiliser_generators())).states
+
+
 def test_stabiliser_groups_fixed_order():
-    groups = cl.stabiliser_groups_qutrit()
+    groups = oracles.stabiliser_groups_qutrit()
     assert len(groups) == 12
     assert [(g.displacement.a1, g.displacement.a2, g.phase_power) for g in groups] == [
         (1, 0, 0), (1, 0, 1), (1, 0, 2),
@@ -168,16 +173,70 @@ def test_stabiliser_groups_fixed_order():
     assert groups[3].generator_matrix() == (
         (E(1), E(0), E(0)), (E(0), OMEGA, E(0)), (E(0), E(0), W2)
     )
+    # the array generators are the oracle's, in the same order
+    generators = cl.stabiliser_generators()
+    assert generators.shape == (12, 3, 3, 2)
+    assert [oracles.object_matrix(g) for g in generators] == [g.generator_matrix() for g in groups]
 
 
 def test_scalar_group_rejected():
-    bad = cl.StabiliserGroupQutrit(phase_power=1, displacement=WHDisplacement(3, 0, 0))
+    bad = oracles.StabiliserGroupQutrit(phase_power=1, displacement=WHDisplacement(3, 0, 0))
     with pytest.raises(ValueError):
         bad.validate()
 
 
+def test_stabiliser_states_match_the_object_oracle():
+    # in order, with the same components and norms
+    expected = [oracles.stabiliser_state(g) for g in oracles.stabiliser_groups_qutrit()]
+    assert list(stabiliser_states()) == expected
+    assert [s.norm_sq for s in expected] == [3, 3, 3, 1, 1, 1, 3, 3, 3, 3, 3, 3]
+
+
+OMEGA_D00 = [[(0, 1), (0, 0), (0, 0)], [(0, 0), (0, 1), (0, 0)], [(0, 0), (0, 0), (0, 1)]]
+# D(1,0) with omega in place of 1 at entry (0, 1): its cube is omega * 1
+WRONG_POWER = [[(0, 0), (0, 1), (0, 0)], [(0, 0), (0, 0), (1, 0)], [(1, 0), (0, 0), (0, 0)]]
+# diag(omega, omega^2, omega) has order 3 and no eigenvalue 1, so 1 + g + g^2 = 0
+NO_EIGENVALUE_ONE = [[(0, 1), (0, 0), (0, 0)], [(0, 0), (-1, -1), (0, 0)], [(0, 0), (0, 0), (0, 1)]]
+BAD_GENERATORS = {
+    "scalar": (OMEGA_D00, ValueError, "nontrivial scalar"),
+    "order": (WRONG_POWER, ValueError, "order 3"),
+    "projector": (NO_EIGENVALUE_ONE, RuntimeError, "annihilated every basis vector"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_GENERATORS)
+def test_stabiliser_checks_raise_on_a_bad_generator(case):
+    bad, error, match = BAD_GENERATORS[case]
+    # the bad generator beside the 12 good ones, so one bad matrix suffices
+    generators = np.concatenate([cl.stabiliser_generators(), np.array([bad])])
+    with pytest.raises(error, match=match):
+        cl.stabiliser_states(generators)
+
+
+_STABILISER_GUARD_SCRIPT = """
+import numpy as np
+from magiclattice import clifford as cl
+from test_clifford import BAD_GENERATORS
+for bad, error, _ in BAD_GENERATORS.values():
+    try:
+        cl.stabiliser_states(np.array([bad]))
+    except error:
+        print("raised")
+"""
+
+
+def test_stabiliser_guards_hold_under_optimize():
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (Path(cl.__file__).parents[1], tests))))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _STABILISER_GUARD_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["raised"] * 3
+
+
 def test_stabiliser_states_are_stabilisers():
-    states = [cl.stabiliser_state(g) for g in cl.stabiliser_groups_qutrit()]
+    states = stabiliser_states()
     assert len({ray_reduce(s.components) for s in states}) == 12
     for st in states:
         assert xi_alpha(st, 2) == 1
@@ -185,7 +244,7 @@ def test_stabiliser_states_are_stabilisers():
 
 
 def test_stabiliser_state_anchor_examples():
-    states = [cl.stabiliser_state(g) for g in cl.stabiliser_groups_qutrit()]
+    states = stabiliser_states()
     # phase-0 members of each family
     assert ray_reduce(states[0].components) == ray_reduce((E(1), E(1), E(1)))
     assert ray_reduce(states[3].components) == ray_reduce((THETA, E(0), E(0)))
@@ -194,9 +253,9 @@ def test_stabiliser_state_anchor_examples():
 
 
 def test_stabiliser_states_match_shortest_shell_rays(store):
-    states = [cl.stabiliser_state(g) for g in cl.stabiliser_groups_qutrit()]
     shell_rays = {ray_reduce(s.components) for s in store.states("E6", 3).states}
-    assert {ray_reduce(s.components) for s in states} == shell_rays
+    assert {ray_reduce(s.components) for s in stabiliser_states()} == shell_rays
+    assert {ray_reduce(oracles.stabiliser_state(g).components) for g in oracles.stabiliser_groups_qutrit()} == shell_rays
 
 
 def test_orbit_partition_stabilisers(store, group):

@@ -14,7 +14,7 @@ from hypothesis import strategies as hs
 import magiclattice
 import oracles
 from magiclattice.exact import GaussianInt
-from magiclattice.states import vector_to_state
+from oracles import vector_to_state
 from magiclattice import entangle as en
 from magiclattice import magic as mg
 
@@ -220,8 +220,8 @@ def test_kernel_matches_oracles_on_random_states(small, large):
 
 _HEADROOM_SCRIPT = """
 import json
-from magiclattice import GaussianInt, concurrence_kernel, vector_to_state, xi_batch_gaussian
-from oracles import state_set
+from magiclattice import GaussianInt, concurrence_kernel, xi_batch_gaussian
+from oracles import state_set, vector_to_state
 two = vector_to_state(tuple(GaussianInt(v) for v in (625, 25, 25, 1)))
 xi = xi_batch_gaussian(state_set([two]), alphas=(2, 3))
 large = vector_to_state(tuple(GaussianInt(*z) for z in json.loads(input())))

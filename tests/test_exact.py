@@ -10,6 +10,8 @@ from magiclattice.exact import (
     GaussianInt,
     OMEGA,
     THETA,
+)
+from oracles import (
     canonical_vector,
     exact_div,
     primitive_part,

@@ -38,7 +38,6 @@ from magiclattice.lattices import (
     save_shell,
     shell_cache_path,
     shell_size,
-    solve_eisenstein_coefficients,
     stream_shell,
     theta_check,
 )
@@ -50,6 +49,7 @@ from oracles import (
     mat_inverse,
     naive_box_enumerate,
     old_generator,
+    solve_eisenstein_coefficients,
     solve_rational,
 )
 

@@ -14,9 +14,9 @@ from hypothesis import strategies as hs
 import magiclattice
 import oracles
 from magiclattice.exact import EisensteinInt, GaussianInt, OMEGA, THETA
-from magiclattice.states import StateSet, component_arrays, vector_to_state
+from magiclattice.states import StateSet, component_arrays
 from magiclattice import magic as mg
-from oracles import census_histogram, overlap_sq, real_to_complex, state_set
+from oracles import census_histogram, overlap_sq, real_to_complex, state_set, vector_to_state, wh_matrix
 
 G = GaussianInt
 E = EisensteinInt
@@ -50,16 +50,16 @@ def test_pauli_masks():
 
 def test_qutrit_displacement_matrices():
     one, zero = E(1), E(0)
-    assert mg.WHDisplacement(3, 1, 0).matrix() == (
+    assert wh_matrix(mg.WHDisplacement(3, 1, 0)) == (
         (zero, one, zero), (zero, zero, one), (one, zero, zero)
     )
-    assert mg.WHDisplacement(3, 0, 1).matrix() == (
+    assert wh_matrix(mg.WHDisplacement(3, 0, 1)) == (
         (one, zero, zero), (zero, OMEGA, zero), (zero, zero, W2)
     )
-    assert mg.WHDisplacement(3, 1, 1).matrix() == (
+    assert wh_matrix(mg.WHDisplacement(3, 1, 1)) == (
         (zero, one, zero), (zero, zero, OMEGA), (W2, zero, zero)
     )
-    assert mg.WHDisplacement(3, 1, 2).matrix() == (
+    assert wh_matrix(mg.WHDisplacement(3, 1, 2)) == (
         (zero, one, zero), (zero, zero, W2), (OMEGA, zero, zero)
     )
 
@@ -73,7 +73,7 @@ def test_qutrit_multiplication_law_all_81_pairs():
 def test_apply_operator_matches_matrix():
     psi = vector_to_state((E(2, 1), E(-1, 0), E(0, -1)))
     for op in mg.wh_displacements(3):
-        m = op.matrix()
+        m = wh_matrix(op)
         direct = tuple(
             sum((m[i][k] * psi.components[k] for k in range(3)), E(0)) for i in range(3)
         )
@@ -425,8 +425,7 @@ def test_batch_takes_float64_only_below_2_53(ring):
 _EDGE_SCRIPT = """
 from magiclattice import magic as mg
 from magiclattice.exact import EisensteinInt as E, GaussianInt as G
-from magiclattice.states import vector_to_state
-from oracles import state_set, xi_batch_eisenstein
+from oracles import state_set, vector_to_state, xi_batch_eisenstein
 g = vector_to_state((G(98, 11), G(3, 3)))
 e = vector_to_state((E(113, 44), E(3), E(1)))
 print(mg.xi_batch_gaussian(state_set([g]))[2] == [mg.xi_alpha(g, 2)], xi_batch_eisenstein(state_set([e]))[2] == [mg.xi_alpha(e, 2)])

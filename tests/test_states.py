@@ -18,14 +18,11 @@ from magiclattice.exact import (
     EisensteinInt,
     GaussianInt,
     THETA,
-    canonical_vector,
-    ray_reduce,
-    vector_norm,
 )
 from magiclattice.lattices import HeadroomError, Shell, build_lattice, enumerate_shell
 from magiclattice import states
-from magiclattice.states import dedup, ray_keys, representatives, vector_to_state
-from oracles import overlap_sq, real_to_complex
+from magiclattice.states import dedup, ray_keys, representatives
+from oracles import canonical_vector, overlap_sq, ray_reduce, real_to_complex, vector_norm, vector_to_state
 
 G = GaussianInt
 
@@ -200,6 +197,29 @@ def test_representatives_rotate_each_row_to_its_canonical_state(name, block, dat
 
 def _coords(vectors):
     return np.array([[z.coords() for z in v] for v in vectors], dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cls=hs.sampled_from([GaussianInt, EisensteinInt]),
+    dim=hs.integers(1, 4),
+    block=hs.integers(1, 5),
+    data=hs.data(),
+)
+def test_canonical_coords_match_the_object_canonicaliser(cls, dim, block, data):
+    # each vector behind 0 to 2 zero components, times an integer content
+    # of 1 to 6, in blocks of 1 to 5 rows
+    vectors = [
+        (cls(0),) * data.draw(hs.integers(0, 2)) + tuple(content * z for z in v)
+        for v, content in data.draw(hs.lists(hs.tuples(ring_vectors(cls, dim), hs.integers(1, 6)), min_size=1, max_size=8))
+    ]
+    width = max(map(len, vectors))
+    vectors = [v + (cls(0),) * (width - len(v)) for v in vectors]
+    with mock.patch.object(states, "SECTOR_ROWS", block):
+        comps, norms = states.canonical_coords(_coords(vectors), cls.RING)
+    expected = [vector_to_state(v) for v in vectors]
+    assert comps.tolist() == [[list(z.coords()) for z in st.components] for st in expected]
+    assert norms.tolist() == [st.norm_sq for st in expected]
 
 
 @settings(max_examples=150, deadline=None)
