@@ -88,16 +88,21 @@ def _reduced_numerators(re: np.ndarray, im: np.ndarray, keep: tuple[int, ...]):
 
 
 # States per block of concurrence_kernel: its temporaries are about 1.3 KB
-# a state, so a block keeps them near 2.6 MB
-KERNEL_BLOCK_STATES = 2**11
+# a state, so a block keeps them near 1.3 MB (at 2**11 states the entangle
+# stage set the peak RSS of reproduce, about 0.7 MiB higher)
+KERNEL_BLOCK_STATES = 2**10
 
 
 def concurrence_kernel(states: StateSet) -> ConcurrenceArrays:
     """ConcurrenceArrays of 3-qubit states, in blocks of
     KERNEL_BLOCK_STATES; a block runs in int64 when _kernel_peak at its
-    largest norm_sq fits and in Python ints otherwise."""
-    if not len(states) or states.ring != "gaussian":
+    largest norm_sq fits and in Python ints otherwise.  No states give
+    empty int64 arrays."""
+    if states.ring != "gaussian" or states.components.shape[1] != 8:
         raise ValueError("the concurrence kernel expects 3-qubit states")
+    if not len(states):
+        pairs = np.zeros((0, 3), np.int64)
+        return ConcurrenceArrays(pairs[:, 0], pairs, pairs, pairs, pairs[:, 0])
     blocks = [
         _kernel_block(*component_arrays(states[i : i + KERNEL_BLOCK_STATES], _kernel_peak))
         for i in range(0, len(states), KERNEL_BLOCK_STATES)
@@ -107,8 +112,6 @@ def concurrence_kernel(states: StateSet) -> ConcurrenceArrays:
 
 def _kernel_block(re: np.ndarray, im: np.ndarray, norm_sq: np.ndarray) -> tuple[np.ndarray, ...]:
     """The ConcurrenceArrays fields, in order, of one block of states."""
-    if re.shape[1] != 8:
-        raise ValueError("the concurrence kernel expects 3-qubit states")
     purity = []
     for q in range(3):
         nr, ni = _reduced_numerators(re, im, (q,))

@@ -214,11 +214,12 @@ def _walsh_signs(n: int) -> np.ndarray:
 
 
 def _pauli_norms(re: np.ndarray, im: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """|<c|P|c>|^2 of every state's unnormalised components, grouped by
-    X-mask: for x = 0, 1, ..., 2^n - 1 one (S, 2^n) array whose columns
-    are the Pauli strings with X-mask x, one per Z-mask z (they differ
-    from X^x Z^z by a phase only).  Column 0 of x = 0 is the identity;
-    the other columns follow no fixed order of z.
+    """|<c|P|c>|^2 of every state's unnormalised components, given
+    component-major as (2^n, S) arrays, grouped by X-mask: for x = 0, 1,
+    ..., 2^n - 1 one (2^n, S) array whose rows are the Pauli strings with
+    X-mask x, one per Z-mask z (they differ from X^x Z^z by a phase only).
+    Row 0 of x = 0 is the identity; the other rows follow no fixed order
+    of z.
 
     x = 0 is one +-1 matmul of the |c_j|^2.  For x != 0 with top bit h,
     the terms T_j = conj(c_j) c_(j^x) pair up as T_(j^x) = conj(T_j), so
@@ -227,26 +228,27 @@ def _pauli_norms(re: np.ndarray, im: np.ndarray, n: int) -> Iterator[np.ndarray]
     2i Im(sum s_z(j) T_j) when it is odd.  On those j the signs s_z and
     s_(z^h) agree, and one of z, z^h is even against x, the other odd: so
     the Z-masks with bit h clear, as +-2 signs, give the even values from
-    Re T and the odd ones from Im T.  That is one gather of the partners
-    and two matmuls of half the width per X-mask.  Each value is at most
-    norm_sq^2, and so is every intermediate on the way: every partial sum
-    is at most sum_j |T_j| <= sum_j |c_j| |c_(j^x)| <= norm_sq.  The
-    arrays may be int64, float64 below 2**53 (the matmuls then run in
-    BLAS, and their sums of integers are exact in any order) or Python
-    ints."""
+    Re T and the odd ones from Im T.  That is one row copy of the partners
+    and two matmuls of half the height per X-mask, each into its half of
+    the mask's array.  Each value is at most norm_sq^2, and so is every
+    intermediate on the way: every partial sum is at most
+    sum_j |T_j| <= sum_j |c_j| |c_(j^x)| <= norm_sq.  The arrays may be
+    int64, float64 below 2**53 (the matmuls then run in BLAS, and their
+    sums of integers are exact in any order) or Python ints."""
     walsh, halves = _pauli_signs(n, re.dtype)
-    total = (re * re + im * im) @ walsh
+    total = walsh @ (re * re + im * im)
     total *= total
     yield total
+    half = 1 << (n - 1)
     for h, (lo, signs) in enumerate(halves):
-        re_lo, im_lo = re[:, lo], im[:, lo]
+        re_lo, im_lo = re[lo], im[lo]
         for x in range(1 << h, 2 << h):
-            re_hi, im_hi = re[:, lo ^ x], im[:, lo ^ x]
-            real = (re_lo * re_hi + im_lo * im_hi) @ signs
-            imag = (re_lo * im_hi - im_lo * re_hi) @ signs
-            real *= real
-            imag *= imag
-            yield np.concatenate((real, imag), axis=1)
+            re_hi, im_hi = re[lo ^ x], im[lo ^ x]
+            values = np.empty_like(re)
+            np.matmul(signs, re_lo * re_hi + im_lo * im_hi, out=values[:half])
+            np.matmul(signs, re_lo * im_hi - im_lo * re_hi, out=values[half:])
+            values *= values
+            yield values
 
 
 @lru_cache(maxsize=None)
@@ -271,10 +273,11 @@ def xi_classes(
     or 9 qutrit displacements) of |<c|O|c>|^(2*alpha) are at most
     d^2 * norm_sq^(2*alpha), which bounds every intermediate of
     _pauli_norms, _displacement_norms and _xi_classes too.  The states go
-    in blocks of XI_BLOCK_STATES, and a block runs in float64 when that
-    bound at its largest norm_sq is below 2**53, where every intermediate
-    is an exact integer and the matmuls go through BLAS; past it the block
-    runs in Python ints."""
+    in blocks of XI_BLOCK_STATES, each laid out component-major for the
+    kernels, and a block runs in float64 when that bound at its largest
+    norm_sq is below 2**53, where every intermediate is an exact integer
+    and the matmuls go through BLAS; past it the block runs in Python
+    ints."""
     alphas = tuple(alphas)
     if not len(states):
         return {a: ((), np.zeros(0, np.intp)) for a in alphas}
@@ -290,19 +293,19 @@ def xi_classes(
         component_arrays(states[i : i + XI_BLOCK_STATES], lambda nn: dim * dim * nn**top, np.float64)
         for i in range(0, len(states), XI_BLOCK_STATES)
     )
-    return _xi_classes(((expectations(x, y), norms) for x, y, norms in blocks), dim, alphas)
+    return _xi_classes(((expectations(x.T.copy(), y.T.copy()), norms) for x, y, norms in blocks), dim, alphas)
 
 
 def _xi_classes(
     blocks: Iterable[tuple[Iterable[np.ndarray], np.ndarray]], dim: int, alphas: tuple[int, ...]
 ) -> dict[int, tuple[tuple[Fraction, ...], np.ndarray]]:
     """Xi_alpha classes (as xi_classes) of states given in blocks: each
-    block is its squared expectation values, in (S, k) groups that
+    block is its squared expectation values, in (k, S) groups that
     together hold each operator once, and its norm_sq.  Each group adds
-    to the power sums in one row dot of its (alpha - 1)-th power (products,
-    never pow) with itself, so every partial sum is part of the whole sum:
-    float64 groups must keep that below 2**53, and the sums return to the
-    int64 of norms.
+    to the power sums in one column dot of its (alpha - 1)-th power
+    (products, never pow) with itself, so every partial sum is part of the
+    whole sum: float64 groups must keep that below 2**53, and the sums
+    return to the int64 of norms.
 
     Xi_alpha = sum / (dim * norm_sq^(2*alpha)), so within one norm_sq the
     classes are the distinct sums; one Fraction per (sum, norm_sq) pair,
@@ -314,7 +317,7 @@ def _xi_classes(
         for values in groups:
             for a in alphas:
                 power = prod([values] * (a - 2), start=values) if a > 1 else np.ones_like(values)
-                block[a] = block[a] + np.einsum("ij,ij->i", power, values)
+                block[a] = block[a] + np.einsum("ij,ij->j", power, values)
         for a in alphas:
             sums[a].append(block[a].astype(norms.dtype))
         norm_blocks.append(norms)
@@ -353,12 +356,13 @@ _OMEGA_ROTATIONS = np.array([[[1, 0], [0, 1]], [[0, -1], [1, -1]], [[-1, 1], [-1
 
 def _displacement_norms(a: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
     """|<c|D|c>|^2 of every qutrit state's unnormalised components
-    c_k = a_k + b_k*omega: for a1 = 0, 1, 2 one (S, 3) array whose column
-    a2 is the displacement D_{a1,a2} (the terms of _bilinear_norm), so the
-    identity is column 0 of a1 = 0.
+    c_k = a_k + b_k*omega, given component-major as (3, S) arrays: for
+    a1 = 0, 1, 2 one (3, S) array whose row a2 is the displacement
+    D_{a1,a2} (the terms of _bilinear_norm), so the identity is row 0 of
+    a1 = 0.
 
-    Per a1 the terms conj(c_j) c_(j+a1) = x_j + y_j*omega are gathered
-    once, and two +-1 matmuls per coordinate rotate term j by
+    Per a1 the terms conj(c_j) c_(j+a1) = x_j + y_j*omega take one row
+    copy, and two +-1 matmuls per coordinate rotate term j by
     omega^(a2*(j+a1)) and sum.  With |a_k|, |b_k| <= 2|c_k|/sqrt(3) and
     sum_j |c_j| |c_(j+a1)| <= norm_sq, every coordinate and partial sum is
     at most 4 norm_sq, every partial sum of the norm re^2 - re*om + om^2
@@ -368,12 +372,12 @@ def _displacement_norms(a: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
     idx = np.arange(3)
     for a1 in range(3):
         k = (idx + a1) % 3
-        ak, bk = a[:, k], b[:, k]
+        ak, bk = a[k], b[k]
         x = a * ak - b * ak + b * bk
         y = a * bk - b * ak
-        rot = _OMEGA_ROTATIONS[np.outer(k, idx) % 3].astype(a.dtype)  # (j, a2, 2, 2)
-        re = x @ rot[..., 0, 0] + y @ rot[..., 0, 1]
-        om = x @ rot[..., 1, 0] + y @ rot[..., 1, 1]
+        rot = _OMEGA_ROTATIONS[np.outer(idx, k) % 3].astype(a.dtype)  # (a2, j, 2, 2)
+        re = rot[..., 0, 0] @ x + rot[..., 0, 1] @ y
+        om = rot[..., 1, 0] @ x + rot[..., 1, 1] @ y
         yield re * re - re * om + om * om
 
 

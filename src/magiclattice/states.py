@@ -207,27 +207,30 @@ def canonical_states(chunks: Iterable[Shell]) -> StateSet:
     order of their components.  That each state stands for |units| of the
     chunks' vectors, as on a unit-closed shell, is checked by a raise that
     python -O keeps.  EmptyShellError when the chunks hold no vectors, or
-    when there are no chunks."""
+    when there are no chunks.  The chunks' states are joined, and their
+    parts dropped, before the sort, so that each array is held once."""
     parts = [(representatives(chunk), chunk.vectors) for chunk in chunks]
     if not parts:
         raise EmptyShellError("no chunks, so no shell and no states")
     first, vectors = parts[0][0], sum(v for _, v in parts)
+    name, norm, ring = first.lattice_name, first.norm, first.ring
     if not vectors:
-        raise EmptyShellError(f"{first.lattice_name} l={first.norm} has no vectors, so no states")
+        raise EmptyShellError(f"{name} l={norm} has no vectors, so no states")
     comps = np.concatenate([part.components for part, _ in parts])
+    norms = np.concatenate([part.norm_sq for part, _ in parts])
+    del parts, first
     flat = comps.reshape(len(comps), -1)
     keys = packed_keys(flat, np.maximum(flat.max(axis=0), -flat.min(axis=0)))
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
     order = order[np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]]
-    units = len(UNIT_COORDS[first.ring])
+    units = len(UNIT_COORDS[ring])
     if len(order) * units != vectors:
         raise AssertionError(
-            f"{first.lattice_name} l={first.norm}: {len(order)} states x {units} units "
+            f"{name} l={norm}: {len(order)} states x {units} units "
             f"!= {vectors} vectors, so the shell is not closed under the units"
         )
-    norms = np.concatenate([part.norm_sq for part, _ in parts])
-    return StateSet(first.lattice_name, first.norm, first.ring, comps[order], norms[order])
+    return StateSet(name, norm, ring, comps[order], norms[order])
 
 
 def dedup(shell: Shell) -> StateSet:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import isqrt, log2
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -39,9 +39,11 @@ from magiclattice.magic import (
     Operator,
     PauliString,
     WHDisplacement,
+    _OMEGA_ROTATIONS,
     _bilinear_norm,
     _operator_set,
     _pauli_norms,
+    _pauli_signs,
     _per_state,
     _popcount,
     magic_label,
@@ -712,6 +714,40 @@ def sic_check(states: Union[PureStateExact, Sequence[PureStateExact]]) -> tuple[
     return (not violations, violations)
 
 
+def row_major_pauli_norms(re: np.ndarray, im: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """magic._pauli_norms's algorithm on state-major (S, 2^n) arrays, the
+    partners gathered along axis 1: for each X-mask an (S, 2^n) array
+    whose columns are the production kernel's rows, in order."""
+    walsh, halves = _pauli_signs(n, re.dtype)
+    total = (re * re + im * im) @ walsh
+    total *= total
+    yield total
+    for h, (lo, signs) in enumerate(halves):
+        re_lo, im_lo = re[:, lo], im[:, lo]
+        for x in range(1 << h, 2 << h):
+            re_hi, im_hi = re[:, lo ^ x], im[:, lo ^ x]
+            real = (re_lo * re_hi + im_lo * im_hi) @ signs
+            imag = (re_lo * im_hi - im_lo * re_hi) @ signs
+            real *= real
+            imag *= imag
+            yield np.concatenate((real, imag), axis=1)
+
+
+def row_major_displacement_norms(a: np.ndarray, b: np.ndarray) -> Iterator[np.ndarray]:
+    """magic._displacement_norms on state-major (S, 3) arrays: for each a1
+    an (S, 3) array whose column a2 is the displacement D_{a1,a2}."""
+    idx = np.arange(3)
+    for a1 in range(3):
+        k = (idx + a1) % 3
+        ak, bk = a[:, k], b[:, k]
+        x = a * ak - b * ak + b * bk
+        y = a * bk - b * ak
+        rot = _OMEGA_ROTATIONS[np.outer(k, idx) % 3].astype(a.dtype)  # (j, a2, 2, 2)
+        re = x @ rot[..., 0, 0] + y @ rot[..., 0, 1]
+        om = x @ rot[..., 1, 0] + y @ rot[..., 1, 1]
+        yield re * re - re * om + om * om
+
+
 def wh_covariance_check_all(states: Sequence[PureStateExact]) -> bool:
     """Batch wh_covariance_check; qutrit states take the scalar path."""
     if not states:
@@ -721,9 +757,9 @@ def wh_covariance_check_all(states: Sequence[PureStateExact]) -> bool:
     dim = states[0].dim
     # need (D+1) * |<c|P|c>|^2 == norm_sq^2 for every non-identity P
     re, im, norms = component_arrays(state_set(states), lambda nn: (dim + 1) * nn * nn)
-    target = (norms * norms)[:, None]
-    for x, gn in enumerate(_pauli_norms(re, im, dim.bit_length() - 1)):
-        if not ((gn[:, 1:] if x == 0 else gn) * (dim + 1) == target).all():
+    target = norms * norms
+    for x, gn in enumerate(_pauli_norms(re.T, im.T, dim.bit_length() - 1)):
+        if not ((gn[1:] if x == 0 else gn) * (dim + 1) == target).all():
             return False
     return True
 

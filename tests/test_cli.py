@@ -273,11 +273,17 @@ def test_orbits_json(capsys, store):
             ("census", "--lattice", "E6", "--format", "json"), 94,
             "b1ee6cdf1be205858dd340f31144bced31883ab3f1c45abfde222bd0bda3b534", id="census-E6-json",
         ),
+        pytest.param(
+            ("census", "--lattice", "BW16", "--norms", "10", "--format", "json"), 20,
+            "7f733c650452108ce41e581235fd884f87accd967894ff0667409e152e1af40e", id="census-BW16-l10-json",
+            marks=pytest.mark.heavy,
+        ),
     ],
 )
 def test_output_pinned(capsys, store, argv, lines, digest):
     # whole outputs byte for byte, among them the per-state profiles of all
-    # 16,440 BW16 l=4 and l=6 states and the census of every paper shell
+    # 16,440 BW16 l=4 and l=6 states, the census of every paper shell and,
+    # as a heavy case, that of BW16 l=10 (2,211,840 vectors, past the paper)
     code, out = run_cli(capsys, store, *argv)
     assert code == 0
     assert len(out.splitlines()) == lines

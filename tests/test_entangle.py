@@ -188,6 +188,18 @@ def test_rank2_path_matches_quartic_on_lattice_states(store):
             assert abs(oracles.pairwise_concurrence(st, i, j) - pairwise[s, col]) <= 1e-10
 
 
+def test_kernel_of_no_states_gives_empty_arrays(store):
+    # a search chunk may hold no rows (BW16 l=10 has some), so no states
+    # give empty arrays, and only states of another register raise
+    k = en.concurrence_kernel(store.states("BW16", 6)[:0])
+    assert [a.shape for a in (k.norm_sq, k.purity, k.c1, k.c2, k.heron)] == [(0,), (0, 3), (0, 3), (0, 3), (0,)]
+    assert [a.shape for a in en._display_columns(k)] == [(0, 3), (0, 3), (0,)]
+    assert en._labels(k, []) == []
+    for name, norm in (("E8", 4), ("E6", 3)):
+        with pytest.raises(ValueError, match="expects 3-qubit states"):
+            en.concurrence_kernel(store.states(name, norm)[:0])
+
+
 def three_qubit_states(bound):
     component = hs.tuples(hs.integers(-bound, bound), hs.integers(-bound, bound))
     vectors = hs.lists(component, min_size=8, max_size=8).filter(lambda v: any(a or b for a, b in v))

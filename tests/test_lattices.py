@@ -186,6 +186,34 @@ def test_search_near_the_headroom_holds_no_level_past_a_chunk(name):
     assert chunks > 0 and peak < 8 * 2**20
 
 
+def _scaled_form(lattice, factor):
+    """_form_for(lattice) with every lam coefficient times factor."""
+    order, lam, mus, weights, common = _form_for(lattice)
+    return order, [[(i, c * factor) for i, c in pairs] for pairs in lam], mus, weights, common
+
+
+@pytest.mark.parametrize("name", ["E8", "BW16", "E6"])
+def test_a_sigma_bound_past_int32_raises_before_any_search(monkeypatch, name):
+    # below the int64 guards the int32 one never fires (the sigma bound
+    # stays below 2^29), so a form with its lam scaled stands in for a
+    # lattice past it: the largest scale that keeps the bound below 2^31
+    # passes, and the next one is refused before a search starts, by the
+    # stream and by the whole-shell search
+    lattice = build_lattice(name)
+    order, lam = _form_for(lattice)[:2]
+    bounds = coordinate_bounds(lattice, 2)
+    largest = (2**31 - 1) // max(sum(abs(c) * bounds[order[i]] for i, c in pairs) for pairs in lam)
+    below, past = _scaled_form(lattice, largest), _scaled_form(lattice, largest + 1)
+    monkeypatch.setattr(lattices, "_search_chunks", mock.Mock(side_effect=AssertionError("searched")))
+    monkeypatch.setitem(lattices._FORM_CACHE, name, below)
+    _int64_bounds(lattice, 2)
+    monkeypatch.setitem(lattices._FORM_CACHE, name, past)
+    for run in (lambda: next(lattices.stream_shell(lattice, 2)), lambda: enumerate_shell(lattice, 2)):
+        with pytest.raises(HeadroomError, match="int32 headroom of the search frontier"):
+            run()
+    lattices._search_chunks.assert_not_called()
+
+
 @pytest.mark.parametrize("name,norm", [("E8", 4), ("E8", 8), ("BW16", 4), ("E6", 9), ("E6", 12)])
 def test_one_node_chunks_match_recursive_oracle(monkeypatch, name, norm):
     # with one node per chunk every node that has more than one child has
@@ -232,6 +260,19 @@ def test_search_finds_one_vector_per_unit_orbit(name, norm):
 
 
 _COORD = hs.integers(-(2**20), 2**20)  # every product and sum below stays far inside int64
+
+
+@settings(max_examples=50, deadline=None)
+@given(hs.data())
+def test_square_norms_is_the_norm_form_on_random_rows(data):
+    # x^2 + T*xy + y^2 summed over each row's (x, y) pairs, in Python
+    # ints, on both rings; Z[i] (T = 0) takes no cross term
+    ring = data.draw(hs.sampled_from(sorted(RINGS)))
+    t, pairs = RINGS[ring].T, data.draw(hs.integers(1, 8))
+    row = hs.lists(hs.integers(-(2**20), 2**20), min_size=2 * pairs, max_size=2 * pairs)
+    rows = data.draw(hs.lists(row, min_size=1, max_size=20))
+    expected = [sum(x * x + t * x * y + y * y for x, y in zip(r[0::2], r[1::2])) for r in rows]
+    assert lattices.square_norms(np.array(rows, dtype=np.int64), ring).tolist() == expected
 
 
 @given(hs.data())

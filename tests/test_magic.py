@@ -282,18 +282,38 @@ def test_batch_matches_scalar_on_random_states(states):
 @settings(max_examples=30, deadline=None)
 @given(data=hs.data())
 def test_pauli_norms_per_x_mask_match_the_scalar_norms(dtype, bound, data):
-    # the halved sums reorder the columns of a mask, never its values
+    # the halved sums reorder the rows of a mask, never its values; the
+    # component-major kernel gives the state-major oracle's arrays
+    # transposed, in every dtype tier
     n = data.draw(hs.integers(1, 3))
     states = data.draw(hs.lists(qubit_states(n, bound), min_size=1, max_size=4))
     re, im, norms = component_arrays(state_set(states), lambda nn: nn * nn, dtype=dtype)
     assert re.dtype == dtype
     strings = mg.pauli_strings(n)
-    for x, values in enumerate(mg._pauli_norms(re, im, n)):
-        assert values.shape == (len(states), 1 << n)
-        for row, st in zip(values.tolist(), states):
-            assert sorted(row) == sorted(mg._bilinear_norm(p, st) for p in strings if p.masks()[0] == x)
+    oracle = oracles.row_major_pauli_norms(re, im, n)
+    for x, (values, expected) in enumerate(zip(mg._pauli_norms(re.T.copy(), im.T.copy(), n), oracle, strict=True)):
+        assert values.shape == (1 << n, len(states)) and values.dtype == dtype
+        assert values.T.tolist() == expected.tolist()
+        for column, st in zip(values.T.tolist(), states):
+            assert sorted(column) == sorted(mg._bilinear_norm(p, st) for p in strings if p.masks()[0] == x)
         if x == 0:
-            assert values[:, 0].tolist() == (norms * norms).tolist()  # the identity
+            assert values[0].tolist() == (norms * norms).tolist()  # the identity
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.int64, 10**3), (np.float64, 10**3), (object, 2**40)])
+@settings(max_examples=30, deadline=None)
+@given(data=hs.data())
+def test_displacement_norms_per_shift_match_the_scalar_norms(dtype, bound, data):
+    # row a2 of shift a1 is D_{a1,a2}, as column a2 of the state-major oracle
+    states = data.draw(hs.lists(qutrit_states(bound), min_size=1, max_size=4))
+    a, b, norms = component_arrays(state_set(states), lambda nn: 16 * nn * nn, dtype=dtype)
+    assert a.dtype == dtype
+    oracle = oracles.row_major_displacement_norms(a, b)
+    for a1, (values, expected) in enumerate(zip(mg._displacement_norms(a.T.copy(), b.T.copy()), oracle, strict=True)):
+        assert values.shape == (3, len(states)) and values.dtype == dtype
+        assert values.T.tolist() == expected.tolist()
+        for column, st in zip(values.T.tolist(), states):
+            assert column == [mg._bilinear_norm(mg.WHDisplacement(3, a1, a2), st) for a2 in range(3)]
 
 
 def test_states_of_different_norms_share_a_xi2_class():
@@ -404,6 +424,7 @@ def _float64_xi2(st):
     """Xi_2 from the kernel's own pieces, forced into float64."""
     ring = st.ring
     x, y, norms = component_arrays(state_set([st]), lambda n: 0, np.float64)
+    x, y = x.T.copy(), y.T.copy()  # component-major, as xi_classes lays out a block
     groups = mg._pauli_norms(x, y, st.dim.bit_length() - 1) if ring == "gaussian" else mg._displacement_norms(x, y)
     values, index = mg._xi_classes([(groups, norms)], st.dim, (2,))[2]
     return values[index[0]]

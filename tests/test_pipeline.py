@@ -64,20 +64,36 @@ def test_census_of_no_state_sets_or_of_two_shells_raises(store):
         pipeline.census_stage([store.states("E8", 2), store.states("E8", 4)])
 
 
-@pytest.mark.parametrize("norm", [8, pytest.param(10, marks=pytest.mark.heavy)])
-def test_streamed_bw16_census_holds_only_its_live_frontier(norm):
-    # a suspended search holds its frontier and tree, and neither the
-    # stream nor the census a finished chunk, so the traced peak stays
-    # flat as the shell grows (12.3 MiB at l=8 and 13.4 at l=10 when dead
-    # level temporaries and the previous chunk were kept alive)
+def _traced_peak(run):
+    """run()'s result and the peak of its traced allocations."""
     tracemalloc.start()
     try:
-        result = pipeline.census_stage(pipeline.search_rows("BW16", norm))
-        peak = tracemalloc.get_traced_memory()[1]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("norm", [8, pytest.param(10, marks=pytest.mark.heavy)])
+def test_streamed_bw16_census_holds_only_its_live_frontier(norm):
+    # a suspended search holds its int32 frontier and tree, and neither
+    # the stream nor the census a finished chunk, so the traced peak stays
+    # flat as the shell grows (12.3 MiB at l=8 and 13.4 at l=10 when dead
+    # level temporaries and the previous chunk were kept alive, 6.9 and
+    # 7.5 with an int64 frontier and 8,192-node chunks)
+    result, peak = _traced_peak(lambda: pipeline.census_stage(pipeline.search_rows("BW16", norm)))
     assert result.ok and result.shell.theta.ok
-    assert peak < 10 * 2**20
+    assert peak < 5 * 2**20
+
+
+def test_kept_shell_states_hold_each_array_once():
+    # the chunks' components and norms are joined, and the per-chunk
+    # parts dropped, before the key sort (6.2 MiB when the parts lived
+    # through it); the joined components and their sorted copy are 1.9 MiB
+    # each
+    states, peak = _traced_peak(lambda: pipeline.shell_states("BW16", 6))
+    assert states.count == 15_360
+    assert peak < 5 * 2**20
 
 
 _PEAK_RSS_SCRIPT = """
