@@ -23,6 +23,8 @@ import os
 import sys
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from . import pipeline
 from .lattices import (
     DEFAULT_NODE_BUDGET,
@@ -158,8 +160,7 @@ def _entangle_bw16(args, failures: Failures) -> None:
     failures.check_all(result.checks())
     profiles = []
     for state_set, census in result.censuses:
-        for i, label in enumerate(census.labels):
-            values = census.pairwise[i] + census.one_to_other[i] + (census.f3[i],)
+        for i, (values, label) in enumerate(zip(census.display.tolist(), census.labels)):
             profiles.append((state_set.state_id(i), [_fmt_float(v) for v in values], label))
     if args.format == "json":
         keys = [c.replace("(", "_").replace(")", "") for c in _PROFILE_COLUMNS]
@@ -219,24 +220,27 @@ def cmd_project_e8(args, failures: Failures) -> None:
     the true (unscaled) lattice coordinates, one row per vector of each
     enumerated shell, in its sorted order.  A second-shell vector is
     tagged by its magic class, from its own Xi_2: that of its state.
+    Each column adds left to right from 0.0 in float64, so the bytes do
+    not depend on how a Python version's builtin sum rounds floats.
     """
-    cos = [math.cos(k * math.pi / 8) / 2 for k in range(8)]
-    sin = [math.sin(k * math.pi / 8) / 2 for k in range(8)]
+    weights = np.array([[math.cos(k * math.pi / 8) / 2, math.sin(k * math.pi / 8) / 2] for k in range(8)])
     writer = csv.writer(sys.stdout)
     writer.writerow(["shell", "x", "y", "tag"])
     tag_counts: dict[str, int] = {}
     for norm in (2, 4):
         shell = enumerate_shell(build_lattice("E8"), norm)
-        tags = ["first"] * shell.count
+        tags = np.full(shell.count, "first")
         if norm == 4:
-            tags = ["second-stab" if xi == 1 else "second-magic" for xi in vector_states(shell).xi2]
-        for row, tag in zip(shell.rows.tolist(), tags):
-            # ambient row is scaled by the lattice's integerization factor
-            coords = [a / shell.lattice.scale for a in row]
-            x = sum(c * w for c, w in zip(coords, cos))
-            y = sum(c * w for c, w in zip(coords, sin))
+            values, index = vector_states(shell).xi2_classes
+            tags = np.where(np.array([xi == 1 for xi in values])[index], "second-stab", "second-magic")
+        # ambient row is scaled by the lattice's integerization factor
+        coords = shell.rows / shell.lattice.scale
+        xy = np.zeros((shell.count, 2))
+        for k in range(8):
+            xy += coords[:, k, None] * weights[k]
+        for tag in tags.tolist():
             tag_counts[tag] = tag_counts.get(tag, 0) + 1
-            writer.writerow([norm, _fmt_float(x), _fmt_float(y), tag])
+        writer.writerows([norm, _fmt_float(x), _fmt_float(y), tag] for (x, y), tag in zip(xy.tolist(), tags.tolist()))
     total = sum(tag_counts.values())
     failures.check(total == 240 + 2160, f"projection row count {total}")
     failures.check(

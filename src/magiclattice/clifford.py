@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import EISENSTEIN_UNITS, EisensteinInt, THETA
+from .exact import EISENSTEIN_UNITS, THETA
 from .lattices import UNIT_COORDS, HeadroomError, packed_keys, ring_conj, ring_matmul, ring_mul
-from .states import PureStateExact, StateSet, canonical_coords, ray_keys
+from .states import StateSet, canonical_coords, ray_keys
 
 _OMEGA_POWERS = UNIT_COORDS["eisenstein"][:3]  # (1, 0), (0, 1), (-1, -1): 1, omega, omega^2
 _MINUS_THETA = (-THETA).coords()
@@ -137,12 +137,12 @@ class Orbit:
 
 
 class OrbitEscapeError(RuntimeError):
-    def __init__(self, state: PureStateExact, image: PureStateExact):
+    """An image of a state is none of the states; both as canonical [[a, b], ...]."""
+
+    def __init__(self, state: list, image: list):
         self.state = state
         self.image = image
-        super().__init__(
-            f"orbit of {state.components} escapes the given set at {image.components}"
-        )
+        super().__init__(f"orbit of {state} escapes the given set at {image}")
 
 
 def _images(group: CliffordGroup, coords: np.ndarray) -> np.ndarray:
@@ -210,9 +210,8 @@ def orbit_partition(state_set: StateSet, group: CliffordGroup | None = None) -> 
         at = np.searchsorted(ordered, packed).clip(max=count - 1)
         found[found] = ordered[at] == packed
         if not found.all():
-            comps, norms = canonical_coords(images[np.argmin(found)][None], "eisenstein")
-            image = PureStateExact("eisenstein", tuple(EisensteinInt(*z) for z in comps[0].tolist()), int(norms[0]))
-            raise OrbitEscapeError(state_set[start], image)
+            image, _ = canonical_coords(images[np.argmin(found)][None], "eisenstein")
+            raise OrbitEscapeError(coords[start].tolist(), image[0].tolist())
         # sorted and deduplicated by one sort and one diff, which is what
         # np.unique would do here (with numpy 2.4 its first call in a
         # process takes about 0.3 ms and imports no further module)

@@ -7,35 +7,38 @@ rho*rho_tilde.  Class labels follow from integer identities on them, so
 no label depends on a float; the float columns (concurrences and F3)
 are derived from the same integers for display only, when first read.
 pairwise_concurrence_2qubit is the pure-state formula for 2-qubit
-states.
+states, as exact integer arrays.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .magic import MAX_MAGIC_SIC, STABILISER, magic_label
-from .states import PureStateExact, StateSet, component_arrays
+from .states import StateSet, component_arrays
 
 _Y_SIGN = (-1, 1, 1, -1)  # sign of (sigma_y x sigma_y)|r> -> |r^3|
 
 
-def pairwise_concurrence_2qubit(state: PureStateExact) -> tuple[float, Fraction]:
-    """Pure-state concurrence of a 2-qubit state: C = 2|c1 c4 - c2 c3| / N,
-    exact square returned alongside."""
-    if state.dim != 4 or state.ring != "gaussian":
-        raise ValueError("expects a 2-qubit state")
-    c = state.components
-    det = c[0] * c[3] - c[1] * c[2]
-    c_sq = Fraction(4 * det.norm(), state.norm_sq**2)
-    return math.sqrt(float(c_sq)), c_sq
+def pairwise_concurrence_2qubit(states: StateSet) -> tuple[np.ndarray, np.ndarray]:
+    """Pure-state concurrence of 2-qubit states, squared, as exact integer
+    numerator and denominator arrays (S,): C^2 = 4|c0 c3 - c1 c2|^2 / N^2.
+
+    |c0 c3| + |c1 c2| <= (|c0|^2 + |c3|^2 + |c1|^2 + |c2|^2)/2 = N/2, so
+    every partial sum of the determinant's parts is at most N in absolute
+    value, and the numerator at most N^2, the denominator: the arrays are
+    int64 while N^2 is, and hold Python ints past it (component_arrays)."""
+    if states.ring != "gaussian" or states.components.shape[1] != 4:
+        raise ValueError("expects 2-qubit states")
+    re, im, norm_sq = component_arrays(states, lambda n: n * n)
+    det_re = re[:, 0] * re[:, 3] - im[:, 0] * im[:, 3] - re[:, 1] * re[:, 2] + im[:, 1] * im[:, 2]
+    det_im = re[:, 0] * im[:, 3] + im[:, 0] * re[:, 3] - re[:, 1] * im[:, 2] - im[:, 1] * re[:, 2]
+    return 4 * (det_re * det_re + det_im * det_im), norm_sq * norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +114,16 @@ def concurrence_kernel(states: StateSet) -> ConcurrenceArrays:
 
 
 def _kernel_block(re: np.ndarray, im: np.ndarray, norm_sq: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The ConcurrenceArrays fields, in order, of one block of states."""
-    purity = []
-    for q in range(3):
-        nr, ni = _reduced_numerators(re, im, (q,))
-        purity.append((nr * nr + ni * ni).sum(axis=(1, 2)))
-    c1, c2 = [], []
+    """The ConcurrenceArrays fields, in order, of one block of states.
+
+    A pure state's complementary reductions share their nonzero spectrum,
+    so Tr rho_i^2 = Tr rho_jk^2 and P_i = sum |num_jk|^2 over the
+    numerator of the pair that leaves qubit i out (Coffman, Kundu and
+    Wootters, PRA 61, 052306, 2000)."""
+    purity, c1, c2 = [], [], []
     for pair in _PAIRS:
         nr, ni = _reduced_numerators(re, im, pair)
+        purity.append((nr * nr + ni * ni).sum(axis=(1, 2)))
         tr = _SPIN_FLIP * nr[:, ::-1, ::-1]
         ti = -_SPIN_FLIP * ni[:, ::-1, ::-1]
         mr = nr @ tr - ni @ ti
@@ -127,7 +132,7 @@ def _kernel_block(re: np.ndarray, im: np.ndarray, norm_sq: np.ndarray) -> tuple[
         trace_sq = (mr * mr.swapaxes(1, 2) - mi * mi.swapaxes(1, 2)).sum(axis=(1, 2))
         c1.append(-trace)
         c2.append((trace * trace - trace_sq) // 2)
-    purity = np.stack(purity, axis=1)
+    purity = np.stack(purity[::-1], axis=1)  # BC, AC, AB leave out A, B, C
     gap = (norm_sq * norm_sq)[:, None] - purity
     heron = gap.sum(axis=1) ** 2 - 2 * (gap * gap).sum(axis=1)
     if (heron < 0).any():
@@ -135,17 +140,17 @@ def _kernel_block(re: np.ndarray, im: np.ndarray, norm_sq: np.ndarray) -> tuple[
     return norm_sq, purity, np.stack(c1, axis=1), np.stack(c2, axis=1), heron
 
 
-def _display_columns(k: ConcurrenceArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float pairwise (S, 3), one-to-other (S, 3) and F3 (S,) values for
-    printing, rounded the same way as the exact rationals they stand for:
-    in the int64 regime every numerator and denominator is below 2**53,
-    so each float division is correctly rounded."""
+def _display_columns(k: ConcurrenceArrays) -> np.ndarray:
+    """Floats (S, 7) for printing, C_AB, C_AC, C_BC, C_A(BC), C_B(AC),
+    C_C(AB) and F3, rounded as the exact rationals they stand for: in the
+    int64 regime every numerator and denominator is below 2**53, so each
+    float division is correctly rounded."""
     n2 = k.norm_sq * k.norm_sq
     radicand = (-k.c1).astype(float) - 2.0 * np.sqrt(np.maximum(k.c2, 0).astype(float))
     pairwise = np.sqrt(np.maximum(radicand, 0.0)) / k.norm_sq.astype(float)[:, None]
     one_to_other = np.sqrt((2 * (n2[:, None] - k.purity) / n2[:, None]).astype(float))
     f3_values = np.sqrt((4 * k.heron / (3 * n2 * n2)).astype(float))
-    return pairwise, one_to_other, f3_values
+    return np.column_stack((pairwise, one_to_other, f3_values))
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +207,8 @@ def _labels(k: ConcurrenceArrays, magic_classes: Sequence[str]) -> list[str]:
 @dataclass(frozen=True, eq=False)
 class EntanglementCensus:
     """Class counts and per-state labels of one 3-qubit StateSet, with its
-    kernel arrays; the per-state float columns for display are built from
-    them on first use."""
+    kernel arrays; the per-state floats for display, ``display``, are
+    built from them on first use."""
 
     lattice_name: str
     norm: int
@@ -214,20 +219,8 @@ class EntanglementCensus:
     kernel: ConcurrenceArrays
 
     @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def display(self) -> np.ndarray:  # (S, 7): C_AB, C_AC, C_BC, C_A(BC), C_B(AC), C_C(AB), F3
         return _display_columns(self.kernel)
-
-    @cached_property
-    def pairwise(self) -> tuple[tuple[float, float, float], ...]:  # C_AB, C_AC, C_BC
-        return tuple(map(tuple, self._columns[0].tolist()))
-
-    @cached_property
-    def one_to_other(self) -> tuple[tuple[float, float, float], ...]:  # C_A(BC), C_B(AC), C_C(AB)
-        return tuple(map(tuple, self._columns[1].tolist()))
-
-    @cached_property
-    def f3(self) -> tuple[float, ...]:
-        return tuple(self._columns[2].tolist())
 
 
 def entanglement_census(state_set: StateSet) -> EntanglementCensus:

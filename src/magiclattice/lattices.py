@@ -71,10 +71,10 @@ class HeadroomError(ValueError):
 
 _G = GaussianInt
 
-# E8 and BW16 over Z[i], in doubled ambient coordinates c_k = x_k + i*x_{D+k};
-# each is an echelon basis of the real generator rows over the Gaussian
-# integers (Conway-Sloane, SPLAG ch. 7, 8), checked against the real tables
-# it replaces by index (determinant) and containment in the tests.
+# E8 over Z[i], in doubled ambient coordinates c_k = x_k + i*x_{D+k}: an
+# echelon basis of the real generator rows over the Gaussian integers
+# (Conway-Sloane, SPLAG ch. 7, 8), checked against the real table it
+# replaces by index (determinant) and containment in the tests.
 E8_BASIS: tuple[tuple[GaussianInt, ...], ...] = (
     (_G(-1, -1), _G(-1, -1), _G(-1, 1), _G(-1, 1)),
     (_G(0), _G(2), _G(-2), _G(0)),
@@ -82,15 +82,12 @@ E8_BASIS: tuple[tuple[GaussianInt, ...], ...] = (
     (_G(0), _G(0), _G(0), _G(2, -2)),
 )
 
-BW16_BASIS: tuple[tuple[GaussianInt, ...], ...] = (
-    (_G(1, 1),) * 8,
-    (_G(0), _G(2), _G(0), _G(0, 2), _G(0), _G(0, 2), _G(0), _G(2)),
-    (_G(0), _G(0), _G(2), _G(0, 2), _G(0), _G(0), _G(0, 2), _G(2)),
-    (_G(0), _G(0), _G(0), _G(2, 2), _G(0), _G(0), _G(0), _G(2, 2)),
-    (_G(0), _G(0), _G(0), _G(0), _G(2), _G(0, 2), _G(0, 2), _G(2)),
-    (_G(0),) * 5 + (_G(2, 2), _G(0), _G(2, 2)),
-    (_G(0),) * 6 + (_G(2, 2), _G(2, 2)),
-    (_G(0),) * 7 + (_G(4),),
+# BW16 as E8's Barnes-Wall double {(u, u + v): u in E8, v in (1+i) E8}
+# (Nebe, Rains and Sloane, "A simple construction for the Barnes-Wall
+# lattices", 2002): rows (beta, beta) and (0, (1+i) beta), the new qubit
+# the top bit of a component's index
+BW16_BASIS: tuple[tuple[GaussianInt, ...], ...] = tuple((*beta, *beta) for beta in E8_BASIS) + tuple(
+    (_G(0),) * 4 + tuple(_G(1, 1) * z for z in beta) for beta in E8_BASIS
 )
 
 # E6 over Z[omega], in ambient coordinates a + b*omega (scale 1).
@@ -826,10 +823,10 @@ def default_cache_dir() -> Path:
 def shell_cache_path(cache_dir: Optional[Path], lattice: LatticeSpec, norm: int) -> Path:
     """The cache file of a shell, in cache_dir or else default_cache_dir().
     It holds coefficients over the ring bases (E8_BASIS, BW16_BASIS,
-    E6_GENERATOR); the name differs from that of the files written over
-    the earlier real bases, which are ignored."""
+    E6_GENERATOR); files over earlier bases (real, or a typed BW16 table)
+    have other names and are ignored."""
     cache = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    return cache / f"{lattice.name}_norm{norm}_ring.npy"
+    return cache / f"{lattice.name}_norm{norm}_ring2.npy"
 
 
 def save_shell(shell: Shell, path: Path) -> None:

@@ -8,6 +8,7 @@ expected tables the checks compare against live here too.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -266,13 +267,14 @@ class TwoQubitResult:
 
 
 def two_qubit_stage(states: StateLoader) -> TwoQubitResult:
-    """Concurrence of every maximal-magic state of E8 l=4."""
+    """Concurrence of every maximal-magic state of E8 l=4, from one call
+    of the array kernel; C is the square root of the exact C^2."""
     from .entangle import pairwise_concurrence_2qubit
 
     state_set = states(*TWO_QUBIT_SHELL)
-    rows = tuple(
-        (state_set.state_id(i), *pairwise_concurrence_2qubit(state_set[i]))
-        for i, xi in enumerate(state_set.xi2)
-        if xi == E8_MAX_MAGIC_XI2
-    )
+    num, den = pairwise_concurrence_2qubit(state_set)
+    values, index = state_set.xi2_classes
+    kept = (index == next((k for k, xi in enumerate(values) if xi == E8_MAX_MAGIC_XI2), -1)).nonzero()[0]
+    squares = map(Fraction, num[kept].tolist(), den[kept].tolist())
+    rows = tuple((state_set.state_id(i), math.sqrt(sq), sq) for i, sq in zip(kept.tolist(), squares))
     return TwoQubitResult(rows, dict(Counter(str(value_sq) for _, _, value_sq in rows)))

@@ -266,7 +266,7 @@ def component_arrays(
     so the same array code stays exact on any input.
     """
     coords, norms = states.components, states.norm_sq
-    if peak(int(norms.max())) < (2**53 if dtype == np.float64 else 2**63):
+    if peak(int(norms.max(initial=0))) < (2**53 if dtype == np.float64 else 2**63):
         norms = norms.astype(np.int64, copy=False)
     else:
         dtype, norms = object, norms.astype(object)

@@ -20,7 +20,17 @@ import numpy as np
 
 from magiclattice import clifford
 from magiclattice.clifford import ClosureError, Orbit, OrbitEscapeError
-from magiclattice.entangle import UNCLASSIFIED, EntanglementCensus, _Y_SIGN, _display_columns, _labels, concurrence_kernel, pairwise_concurrence_2qubit
+from magiclattice.entangle import (
+    UNCLASSIFIED,
+    EntanglementCensus,
+    _Y_SIGN,
+    _display_columns,
+    _kernel_peak,
+    _labels,
+    _reduced_numerators,
+    concurrence_kernel,
+    pairwise_concurrence_2qubit,
+)
 from magiclattice.exact import OMEGA, THETA, EisensteinInt, GaussianInt, RingElement
 from magiclattice.lattices import (
     BW16_BASIS,
@@ -372,6 +382,22 @@ OLD_BW16_DOUBLED = (
 )
 
 
+_G = GaussianInt
+
+# BW16 over Z[i] as it was typed out before lattices.BW16_BASIS was built
+# as E8's Barnes-Wall double: an echelon basis of OLD_BW16_DOUBLED
+BW16_TABLE_BASIS: tuple[tuple[GaussianInt, ...], ...] = (
+    (_G(1, 1),) * 8,
+    (_G(0), _G(2), _G(0), _G(0, 2), _G(0), _G(0, 2), _G(0), _G(2)),
+    (_G(0), _G(0), _G(2), _G(0, 2), _G(0), _G(0), _G(0, 2), _G(2)),
+    (_G(0), _G(0), _G(0), _G(2, 2), _G(0), _G(0), _G(0), _G(2, 2)),
+    (_G(0), _G(0), _G(0), _G(0), _G(2), _G(0, 2), _G(0, 2), _G(2)),
+    (_G(0),) * 5 + (_G(2, 2), _G(0), _G(2, 2)),
+    (_G(0),) * 6 + (_G(2, 2), _G(2, 2)),
+    (_G(0),) * 7 + (_G(4),),
+)
+
+
 def old_generator(name: str) -> list[list[Fraction]]:
     """The earlier real generator of E8 or BW16, in true coordinates."""
     if name == "E8":
@@ -379,13 +405,14 @@ def old_generator(name: str) -> list[list[Fraction]]:
     return [[Fraction(x, 2) for x in row] for row in OLD_BW16_DOUBLED]
 
 
-def fraction_generator(lattice: LatticeSpec) -> list[list[Fraction]]:
-    """The real generator of a lattice's ring basis in true coordinates,
-    built in Python complex numbers (Z[i], exact for these small
-    integers) or EisensteinInt: rows beta_k, then u*beta_k, laid out as
-    the ambient rows of lattices.Shell."""
+def fraction_generator(lattice: LatticeSpec, basis: Sequence[Sequence[GaussianInt]] = ()) -> list[list[Fraction]]:
+    """The real generator of a lattice's ring basis, or of another Gaussian
+    basis of it, in true coordinates, built in Python complex numbers
+    (Z[i], exact for these small integers) or EisensteinInt: rows beta_k,
+    then u*beta_k, laid out as the ambient rows of lattices.Shell."""
     if lattice.ring == "gaussian":
-        basis = [[complex(z.re, z.im) for z in beta] for beta in (E8_BASIS if lattice.name == "E8" else BW16_BASIS)]
+        basis = basis or (E8_BASIS if lattice.name == "E8" else BW16_BASIS)
+        basis = [[complex(z.re, z.im) for z in beta] for beta in basis]
         rows = [[u * z for z in beta] for u in (1, 1j) for beta in basis]
         ambient = [[z.real for z in row] + [z.imag for z in row] for row in rows]
     else:
@@ -1175,21 +1202,49 @@ def one_to_other_concurrence(state: PureStateExact, i: int) -> tuple[float, Frac
     return math.sqrt(float(c_sq)), c_sq
 
 
+def pure_concurrence_2qubit(state: PureStateExact) -> tuple[float, Fraction]:
+    """Pure-state concurrence of one 2-qubit state, C = 2|c1 c4 - c2 c3| / N,
+    exact square returned alongside (the oracle of
+    entangle.pairwise_concurrence_2qubit)."""
+    if state.dim != 4 or state.ring != "gaussian":
+        raise ValueError("expects a 2-qubit state")
+    c = state.components
+    det = c[0] * c[3] - c[1] * c[2]
+    c_sq = Fraction(4 * det.norm(), state.norm_sq**2)
+    return math.sqrt(float(c_sq)), c_sq
+
+
 def wootters_gap(rng: random.Random, bound: int, count: int = 1000) -> float:
     """The largest difference between wootters_concurrence, on the density
     matrix of a pure 2-qubit state, and the pure-state formula
     entangle.pairwise_concurrence_2qubit, over count random states with
     coordinates in [-bound, bound]."""
-    worst = 0.0
+    states = []
     for _ in range(count):
         comps = tuple(GaussianInt(rng.randint(-bound, bound), rng.randint(-bound, bound)) for _ in range(4))
         if all(z.is_zero() for z in comps):
             comps = (GaussianInt(1), GaussianInt(0), GaussianInt(0), GaussianInt(0))
-        st = vector_to_state(comps)
+        states.append(vector_to_state(comps))
+    c_num, c_den = pairwise_concurrence_2qubit(state_set(states))
+    worst = 0.0
+    for st, value in zip(states, np.sqrt(c_num / c_den).tolist()):
         num = tuple(tuple(a * b.conjugate() for b in st.components) for a in st.components)
         rho = DensityMatrixExact(num=num, den=st.norm_sq)
-        worst = max(worst, abs(wootters_concurrence(rho) - pairwise_concurrence_2qubit(st)[0]))
+        worst = max(worst, abs(wootters_concurrence(rho) - value))
     return worst
+
+
+def single_qubit_purities(states: StateSet) -> np.ndarray:
+    """(S, 3) purity numerators P_i = N^2 Tr rho_i^2 of 3-qubit states, each
+    from its own single-qubit reduction (the oracle of the pair-derived
+    purities of entangle.concurrence_kernel); Python ints past the
+    kernel's int64 bound."""
+    re, im, _ = component_arrays(states, _kernel_peak)
+    purity = []
+    for q in range(3):
+        nr, ni = _reduced_numerators(re, im, (q,))
+        purity.append((nr * nr + ni * ni).sum(axis=(1, 2)))
+    return np.stack(purity, axis=1)
 
 
 def f3(state: PureStateExact) -> tuple[float, Fraction]:
@@ -1220,13 +1275,13 @@ def classify_entanglement(state: PureStateExact, magic_class: str) -> Concurrenc
     """Profile + class label of one 3-qubit state: concurrence_kernel
     applied to it, with the exact squares as Fractions."""
     k = concurrence_kernel(state_set([state]))
-    pairwise, one_to_other, f3_values = _display_columns(k)
+    values = _display_columns(k)[0].tolist()
     n2 = state.norm_sq * state.norm_sq
     return ConcurrenceProfile(
-        pairwise=tuple(pairwise[0].tolist()),
-        one_to_other=tuple(one_to_other[0].tolist()),
+        pairwise=tuple(values[:3]),
+        one_to_other=tuple(values[3:6]),
         one_to_other_sq=tuple(Fraction(2 * (n2 - int(p)), n2) for p in k.purity[0]),
-        f3=float(f3_values[0]),
+        f3=values[6],
         f3_sq=Fraction(4 * int(k.heron[0]), 3 * n2 * n2),
         label=_labels(k, [magic_class])[0],
     )
@@ -1391,7 +1446,7 @@ def orbit_partition(states: Iterable[PureStateExact], group: Sequence[CliffordEl
             image = act(u, s)
             j = ray_index.get(ray_reduce(image.components))
             if j is None:
-                raise OrbitEscapeError(s, image)
+                raise OrbitEscapeError(*([list(z.coords()) for z in t.components] for t in (s, image)))
             members.add(j)
         for j in members:
             assigned[j] = True

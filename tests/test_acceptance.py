@@ -199,12 +199,10 @@ def test_criterion_7_entanglement_census(store):
     e8 = store.states("E8", 4)
     xi2 = xi_batch_gaussian(e8, alphas=(2,))[2]
     hist: dict[Fraction, int] = {}
-    for st, x in zip(e8.states, xi2):
+    for x, num, den in zip(xi2, *(a.tolist() for a in pairwise_concurrence_2qubit(e8))):
         if x != F(7, 16):
             continue
-        value, value_sq = pairwise_concurrence_2qubit(st)
-        assert abs(value - math.sqrt(float(value_sq))) <= 1e-12
-        hist[value_sq] = hist.get(value_sq, 0) + 1
+        hist[F(num, den)] = hist.get(F(num, den), 0) + 1
     assert hist == {F(1, 4): 192, F(1, 2): 288}
     assert time.monotonic() - start < 120.0
 

@@ -1,7 +1,9 @@
+import builtins
 import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,6 +20,7 @@ from magiclattice.states import dedup
 from oracles import real_to_complex
 
 GOLDEN_REPRODUCE = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "reproduce.txt"
+PROJECT_E8_DIGEST = "6765be132a615a952d42fbaf17f93e2f12b66efef566062a8b452e6d93270224"
 
 
 def run_cli(capsys, store, *argv):
@@ -247,7 +250,7 @@ def test_orbits_json(capsys, store):
         ),
         pytest.param(
             ("project-e8",), 2402,
-            "6765be132a615a952d42fbaf17f93e2f12b66efef566062a8b452e6d93270224", id="project-e8",
+            PROJECT_E8_DIGEST, id="project-e8",
         ),
         pytest.param(
             ("census", "--lattice", "E8"), 10,
@@ -288,6 +291,34 @@ def test_output_pinned(capsys, store, argv, lines, digest):
     assert code == 0
     assert len(out.splitlines()) == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+BUILTIN_SUM = sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """builtins.sum as CPython 3.12 and later add floats: a float total
+    carries a Neumaier compensation term, added back at the end unless it
+    is zero or not finite (gh-100425); anything else adds as before."""
+    items = list(iterable)
+    if type(start) is not int or not items or any(type(x) is not float for x in items):
+        return BUILTIN_SUM(items, start)
+    total, compensation = start + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_project_e8_bytes_do_not_depend_on_the_builtin_sum(capsys, store, monkeypatch):
+    # the 3.12 sum rounds some projections differently, e.g. 1.1e-16 for
+    # 8.3e-17 at the l=4 row (0, -2, -2, 0, 0, 0, 2, 2), so a projection
+    # that sums with it prints other bytes on 3.12
+    assert compensated_sum([0.1] * 10) == 1.0 != BUILTIN_SUM([0.1] * 10)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    code, out = run_cli(capsys, store, "project-e8")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == PROJECT_E8_DIGEST
 
 
 def test_entangle_e8_two_qubit_mode(capsys, store):

@@ -285,8 +285,11 @@ def test_orbit_escape_detected(group, object_group):
         cl.orbit_partition(oracles.state_set([e1]), group)
     with pytest.raises(cl.OrbitEscapeError) as expected:
         oracles.orbit_partition([e1], object_group)
-    # the first image outside the set, in group order
+    # the first image outside the set, in group order, as the canonical
+    # coordinates of the oracle's state and image
+    assert caught.value.state == [[1, 0], [0, 0], [0, 0]]
     assert (caught.value.state, caught.value.image) == (expected.value.state, expected.value.image)
+    assert caught.value.image == [list(z.coords()) for z in oracles.act(object_group[1], e1).components]
     assert str(caught.value) == str(expected.value)
 
 

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -167,7 +168,7 @@ def test_pairwise_concurrence_examples():
 def test_rank2_path_matches_quartic_on_fixtures():
     fixtures = [GHZ, ZERO_BELL, PRODUCT, W]
     k = en.concurrence_kernel(oracles.state_set(fixtures))
-    pairwise, _, _ = en._display_columns(k)
+    pairwise = en._display_columns(k)[:, :3]
     for s, st in enumerate(fixtures):
         assert oracle_invariants(st) == kernel_invariants(k, s)
         for col, (i, j) in enumerate(PAIRS):
@@ -182,7 +183,7 @@ def test_rank2_path_matches_quartic_on_fixtures():
 
 def test_rank2_path_matches_quartic_on_lattice_states(store):
     states = store.states("BW16", 6)[::997]
-    pairwise, _, _ = en._display_columns(en.concurrence_kernel(states))
+    pairwise = en._display_columns(en.concurrence_kernel(states))[:, :3]
     for s, st in enumerate(states):
         for col, (i, j) in enumerate(PAIRS):
             assert abs(oracles.pairwise_concurrence(st, i, j) - pairwise[s, col]) <= 1e-10
@@ -193,8 +194,10 @@ def test_kernel_of_no_states_gives_empty_arrays(store):
     # give empty arrays, and only states of another register raise
     k = en.concurrence_kernel(store.states("BW16", 6)[:0])
     assert [a.shape for a in (k.norm_sq, k.purity, k.c1, k.c2, k.heron)] == [(0,), (0, 3), (0, 3), (0, 3), (0,)]
-    assert [a.shape for a in en._display_columns(k)] == [(0, 3), (0, 3), (0,)]
+    assert en._display_columns(k).shape == (0, 7)
     assert en._labels(k, []) == []
+    num, den = en.pairwise_concurrence_2qubit(store.states("E8", 4)[:0])
+    assert (num.shape, den.shape, num.dtype) == ((0,), (0,), np.int64)
     for name, norm in (("E8", 4), ("E6", 3)):
         with pytest.raises(ValueError, match="expects 3-qubit states"):
             en.concurrence_kernel(store.states(name, norm)[:0])
@@ -215,7 +218,8 @@ def test_kernel_matches_oracles_on_random_states(small, large):
     # any large state moves the whole batch past int64 into Python ints
     states = small + large
     k = en.concurrence_kernel(oracles.state_set(states))
-    pairwise, one_to_other, f3_values = en._display_columns(k)
+    display = en._display_columns(k)
+    pairwise, one_to_other, f3_values = display[:, :3], display[:, 3:6], display[:, 6]
     for s, st in enumerate(states):
         assert kernel_invariants(k, s) == oracle_invariants(st)
         for col, (i, j) in enumerate(PAIRS):
@@ -261,13 +265,40 @@ def test_headroom_guards_survive_optimize():
 
 
 def test_two_qubit_pure_concurrence():
-    value, sq = en.pairwise_concurrence_2qubit(qstate(1, 0, 0, 1))
-    assert value == 1.0 and sq == 1
-    value, sq = en.pairwise_concurrence_2qubit(qstate(0, 1, 0, 0))
-    assert value == 0.0 and sq == 0
-    value, sq = en.pairwise_concurrence_2qubit(qstate(1, 1, 1, (1, -1)))
-    # 4 |c0 c3 - c1 c2|^2 / N^2 = 4 |(1-i) - 1|^2 / 25
-    assert sq == Fraction(4, 25)
+    states = [qstate(1, 0, 0, 1), qstate(0, 1, 0, 0), qstate(1, 1, 1, (1, -1))]
+    num, den = en.pairwise_concurrence_2qubit(oracles.state_set(states))
+    # 4 |c0 c3 - c1 c2|^2 / N^2 = 4 |(1-i) - 1|^2 / 25 for the third
+    assert list(map(Fraction, num.tolist(), den.tolist())) == [1, 0, Fraction(4, 25)]
+    assert [oracles.pure_concurrence_2qubit(st) for st in states] == [(1.0, 1), (0.0, 0), (0.4, Fraction(4, 25))]
+    with pytest.raises(ValueError, match="expects 2-qubit states"):
+        en.pairwise_concurrence_2qubit(oracles.state_set([GHZ]))
+
+
+def assert_two_qubit_kernel_matches_the_oracles(states):
+    # the array C^2 is the per-state formula, and 4|c0 c3 - c1 c2|^2 is
+    # 2(N^2 - P_A) with P_A = N^2 Tr rho_A^2 from the exact reduction
+    num, den = en.pairwise_concurrence_2qubit(oracles.state_set(states))
+    for st, n, d in zip(states, num.tolist(), den.tolist()):
+        assert Fraction(n, d) == oracles.pure_concurrence_2qubit(st)[1]
+        n2 = st.norm_sq**2
+        assert d == n2 and n == 2 * (n2 - oracles.reduced_density(st, [0]).purity() * n2)
+
+
+def test_two_qubit_kernel_matches_the_oracles_on_e8_l4(store):
+    assert_two_qubit_kernel_matches_the_oracles(store.states("E8", 4).states)
+
+
+def two_qubit_states(bound):
+    component = hs.tuples(hs.integers(-bound, bound), hs.integers(-bound, bound))
+    vectors = hs.lists(component, min_size=4, max_size=4).filter(lambda v: any(a or b for a, b in v))
+    return vectors.map(lambda v: vector_to_state(tuple(G(*z) for z in v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.lists(two_qubit_states(5), min_size=1, max_size=5), hs.lists(two_qubit_states(2**33), max_size=2))
+def test_two_qubit_kernel_matches_the_oracles_on_random_states(small, large):
+    # a coordinate near 2**33 puts N^2 past int64, and the batch into Python ints
+    assert_two_qubit_kernel_matches_the_oracles(small + large)
 
 
 def test_wootters_on_werner_states():
@@ -400,6 +431,33 @@ def test_blocked_kernel_equals_one_block(store, monkeypatch, count):
     assert blocked == _kernel_fields(en.concurrence_kernel(states))
 
 
+@settings(max_examples=40, deadline=None)
+@given(hs.lists(three_qubit_states(5), min_size=1, max_size=5))
+def test_pair_purities_equal_the_single_qubit_reductions(states):
+    # the kernel reads P_i off the pair that leaves qubit i out; the
+    # oracle reduces to qubit i itself, in int64 here and, with LARGE in
+    # the block, in Python ints
+    for block in (states, states + [LARGE]):
+        state_set = oracles.state_set(block)
+        purity = en.concurrence_kernel(state_set).purity
+        assert purity.dtype == (object if block[-1] is LARGE else np.int64)
+        assert purity.tolist() == oracles.single_qubit_purities(state_set).tolist()
+
+
+def test_kernel_reduces_each_block_three_times(store, monkeypatch):
+    calls = []
+
+    def counted(re, im, keep):
+        calls.append(keep)
+        return reduce(re, im, keep)
+
+    reduce = en._reduced_numerators
+    monkeypatch.setattr(en, "_reduced_numerators", counted)
+    monkeypatch.setattr(en, "KERNEL_BLOCK_STATES", 500)
+    en.concurrence_kernel(store.states("BW16", 4))
+    assert calls == [(0, 1), (0, 2), (1, 2)] * 3  # 1080 states in blocks of 500
+
+
 def test_blocked_kernel_mixes_int64_and_python_int_blocks(monkeypatch):
     # blocks of two: the first pair in int64, the second past its bound
     states = oracles.state_set([GHZ, W, ZERO_BELL, LARGE, PRODUCT])
@@ -419,5 +477,5 @@ def test_census_builds_display_columns_on_first_read(store, monkeypatch):
     monkeypatch.setattr(en, "_display_columns", counted)
     census = en.entanglement_census(store.states("BW16", 4))
     assert calls == [] and len(census.labels) == 1080
-    assert census.pairwise[0] == (0.0, 0.0, 0.0) and len(census.one_to_other) == len(census.f3) == 1080
+    assert census.display.shape == (1080, 7) and census.display[0, :3].tolist() == [0.0, 0.0, 0.0]
     assert len(calls) == 1

@@ -42,6 +42,7 @@ from magiclattice.lattices import (
     theta_check,
 )
 from oracles import (
+    BW16_TABLE_BASIS,
     determinant,
     dfs_enumerate,
     fraction_generator,
@@ -116,6 +117,18 @@ def test_ring_basis_spans_the_old_lattice(name):
     assert abs(determinant(new)) == abs(determinant(old)) != 0
 
 
+def test_bw16_double_of_e8_is_the_typed_table_lattice():
+    # each basis's rows have integer coordinates over the other, and the
+    # Gram determinants agree: 2^8, that of BW16 at minimal norm 4 (the
+    # doubled real generator has determinant 2^16 * 2^4 = 2^20)
+    lat = build_lattice("BW16")
+    derived, table = fraction_generator(lat), fraction_generator(lat, BW16_TABLE_BASIS)
+    for rows, other in ((derived, table), (table, derived)):
+        for row in rows:
+            assert all(x.denominator == 1 for x in solve_rational(other, row)), row
+    assert determinant(gram_matrix(lat, derived)) == determinant(gram_matrix(lat, table)) == 2**8
+
+
 def test_coordinate_bounds_cover_shell(store):
     lat = build_lattice("E8")
     bounds = coordinate_bounds(lat, 2)
@@ -156,11 +169,11 @@ def test_budget_exceeded():
 
 
 def test_budget_exceeded_before_the_innermost_levels():
-    # BW16 l=8 visits 565,679 nodes; the search stops at the first level
+    # BW16 l=8 visits 549,283 nodes; the search stops at the first level
     # whose children pass the budget, before it expands them
     with pytest.raises(EnumerationBudgetExceeded) as info:
         enumerate_shell(build_lattice("BW16"), 8, node_budget=10**5)
-    assert info.value.budget == 10**5 and 10**5 < info.value.visited < 565_679
+    assert info.value.budget == 10**5 and 10**5 < info.value.visited < 549_283
 
 
 @pytest.mark.parametrize("name", ["E8", "BW16"])
@@ -354,12 +367,14 @@ def test_search_vectors_are_checked_and_are_a_whole_shells_search_members(name, 
 
 
 def test_bw16_l8_node_count_is_pinned():
-    # the unit-orbit pruning visits 565,679 nodes (1,548,067 with only +-)
+    # the unit-orbit pruning visits 549,283 nodes over the Barnes-Wall
+    # double of E8 (565,679 over the typed table, 1,548,067 there with
+    # only +- pruned)
     chunks = lattices._search_chunks(build_lattice("BW16"), 8, 10**10)
     with pytest.raises(StopIteration) as done:
         while True:
             next(chunks)
-    assert done.value.value == 565_679
+    assert done.value.value == 549_283
 
 
 _PAPER_SHELLS = [("E8", n) for n in (2, 4, 6, 8)] + [("BW16", n) for n in (4, 6)] + [
@@ -556,19 +571,21 @@ def test_ensure_shell_writes_then_reads(tmp_path):
 
 
 def test_stale_text_cache_is_ignored(tmp_path, store):
-    # the text cache, and the .npy cache over the earlier real basis, under
-    # their own names; a file of the old coefficients would pass the
-    # headroom and bound checks but not the norm check
+    # the text cache, the .npy cache over the earlier real basis and the
+    # one over the typed BW16 table, under their own names; a file of the
+    # old coefficients would pass the headroom and bound checks but not
+    # the norm check
     stale = tmp_path / "E8_norm2.shell"
     stale.write_text("#magiclattice-shell v1 lattice=E8 norm=2 scale=2 count=1\n2 2 0 0 0 0 0 1\n")
-    old_npy = tmp_path / "E8_norm2.npy"
-    old_npy.write_bytes(b"not this shell")
+    old_npys = [tmp_path / "E8_norm2.npy", tmp_path / "E8_norm2_ring.npy"]
+    for old_npy in old_npys:
+        old_npy.write_bytes(b"not this shell")
     shell = ensure_shell(build_lattice("E8"), 2, cache_dir=tmp_path)
     assert same_vectors(shell, store.shell("E8", 2))
-    assert shell_cache_path(tmp_path, shell.lattice, 2).name == "E8_norm2_ring.npy"
-    assert sorted(os.listdir(tmp_path)) == ["E8_norm2.npy", "E8_norm2.shell", "E8_norm2_ring.npy"]
+    assert shell_cache_path(tmp_path, shell.lattice, 2).name == "E8_norm2_ring2.npy"
+    assert sorted(os.listdir(tmp_path)) == ["E8_norm2.npy", "E8_norm2.shell", "E8_norm2_ring.npy", "E8_norm2_ring2.npy"]
     assert stale.read_text().startswith("#magiclattice-shell v1")
-    assert old_npy.read_bytes() == b"not this shell"
+    assert all(old_npy.read_bytes() == b"not this shell" for old_npy in old_npys)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
