@@ -158,10 +158,12 @@ _PROFILE_COLUMNS = ("C_AB", "C_AC", "C_BC", "C_A(BC)", "C_B(AC)", "C_C(AB)", "F3
 def _entangle_bw16(args, failures: Failures) -> None:
     result = pipeline.entangle_stage(pipeline.shell_states)
     failures.check_all(result.checks())
-    profiles = []
-    for state_set, census in result.censuses:
-        for i, (values, label) in enumerate(zip(census.display.tolist(), census.labels)):
-            profiles.append((state_set.state_id(i), [_fmt_float(v) for v in values], label))
+
+    def profiles():
+        for state_set, census in result.censuses:
+            for i, (values, label) in enumerate(zip(census.display.tolist(), census.labels)):
+                yield state_set.state_id(i), [_fmt_float(v) for v in values], label
+
     if args.format == "json":
         keys = [c.replace("(", "_").replace(")", "") for c in _PROFILE_COLUMNS]
         print(
@@ -170,7 +172,7 @@ def _entangle_bw16(args, failures: Failures) -> None:
                     "aggregates": result.aggregates,
                     "profiles": [
                         {"state_id": sid, **dict(zip(keys, values)), "class": label}
-                        for sid, values, label in profiles
+                        for sid, values, label in profiles()
                     ],
                 },
                 indent=2,
@@ -179,8 +181,7 @@ def _entangle_bw16(args, failures: Failures) -> None:
         return
     writer = csv.writer(sys.stdout)
     writer.writerow(["state_id", *_PROFILE_COLUMNS, "class"])
-    for sid, values, label in profiles:
-        writer.writerow([sid, *values, label])
+    writer.writerows([sid, *values, label] for sid, values, label in profiles())
     print(f"# aggregate: {json.dumps(result.aggregates, sort_keys=True)}")
 
 

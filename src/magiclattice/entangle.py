@@ -12,10 +12,8 @@ states, as exact integer arrays.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -90,27 +88,30 @@ def _reduced_numerators(re: np.ndarray, im: np.ndarray, keep: tuple[int, ...]):
     return ar @ art + ai @ ait, ai @ art - ar @ ait
 
 
-# States per block of concurrence_kernel: its temporaries are about 1.3 KB
-# a state, so a block keeps them near 1.3 MB (at 2**11 states the entangle
-# stage set the peak RSS of reproduce, about 0.7 MiB higher)
-KERNEL_BLOCK_STATES = 2**10
+# States per block of concurrence_kernel and of the class codes: the
+# kernel's temporaries are about 1.3 KB a state, so a block keeps them near
+# 0.7 MB (at 2**10 states reproduce peaked about 0.8 MiB higher; 2**8 saved
+# 0.25 MiB more but made the entangle stage about 3 ms slower)
+KERNEL_BLOCK_STATES = 2**9
 
 
 def concurrence_kernel(states: StateSet) -> ConcurrenceArrays:
     """ConcurrenceArrays of 3-qubit states, in blocks of
-    KERNEL_BLOCK_STATES; a block runs in int64 when _kernel_peak at its
-    largest norm_sq fits and in Python ints otherwise.  No states give
-    empty int64 arrays."""
+    KERNEL_BLOCK_STATES written into arrays allocated once; a block runs
+    in int64 when _kernel_peak at its largest norm_sq fits and in Python
+    ints otherwise, and the first Python-int block widens the arrays to
+    object.  No states give empty int64 arrays."""
     if states.ring != "gaussian" or states.components.shape[1] != 8:
         raise ValueError("the concurrence kernel expects 3-qubit states")
-    if not len(states):
-        pairs = np.zeros((0, 3), np.int64)
-        return ConcurrenceArrays(pairs[:, 0], pairs, pairs, pairs, pairs[:, 0])
-    blocks = [
-        _kernel_block(*component_arrays(states[i : i + KERNEL_BLOCK_STATES], _kernel_peak))
-        for i in range(0, len(states), KERNEL_BLOCK_STATES)
-    ]
-    return ConcurrenceArrays(*(np.concatenate(arrays) for arrays in zip(*blocks)))
+    n = len(states)
+    fields = [np.empty(shape, np.int64) for shape in ((n,), (n, 3), (n, 3), (n, 3), (n,))]
+    for start in range(0, n, KERNEL_BLOCK_STATES):
+        block = _kernel_block(*component_arrays(states[start : start + KERNEL_BLOCK_STATES], _kernel_peak))
+        if block[0].dtype == object and fields[0].dtype != object:
+            fields = [field.astype(object) for field in fields]
+        for field, values in zip(fields, block):
+            field[start : start + len(values)] = values
+    return ConcurrenceArrays(*fields)
 
 
 def _kernel_block(re: np.ndarray, im: np.ndarray, norm_sq: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -165,43 +166,52 @@ CLASS_B = "B"
 UNCLASSIFIED = "Unclassified"
 
 
-def _labels(k: ConcurrenceArrays, magic_classes: Sequence[str]) -> list[str]:
-    """Class label of every state, decided by integer identities.
+# the classes in code order: _class_codes gives each state the index of its
+# class here
+CLASSES = (CLASS_I, CLASS_II, CLASS_III, CLASS_A, CLASS_B, UNCLASSIFIED)
+
+
+def _class_codes(k: ConcurrenceArrays, stab: np.ndarray, sic: np.ndarray) -> np.ndarray:
+    """The int8 code, an index into CLASSES, of every state's class,
+    decided by integer identities in blocks of KERNEL_BLOCK_STATES; stab
+    and sic flag the states whose magic class is STABILISER and
+    MAX_MAGIC_SIC.
 
     Stabiliser states split into fully separable (I), one separable
     qubit with a maximally entangled complementary pair (II), and
     GHZ-type (III); maximal magic states of SIC type split on their
     pairwise values being all 0 (A) or all sqrt(2)/3 (B).
     """
-    n2 = (k.norm_sq * k.norm_sq)[:, None]
-    c1, c2 = k.c1, k.c2
-    separable = k.purity == n2  # C_i(rest) = 0
-    maximal = 2 * k.purity == n2  # C_i(rest)^2 = 1
-    sic_sides = 3 * k.purity == 2 * n2  # C_i(rest)^2 = 2/3
-    pair_zero = c1 * c1 == 4 * c2  # C = 0
-    d = -c1 - n2
-    pair_one = (d >= 0) & (d * d == 4 * c2)  # C = 1
-    d = -9 * c1 - 2 * n2
-    pair_b = (d >= 0) & (d * d == 324 * c2)  # C^2 = 2/9
-    magic = np.asarray(magic_classes)
-    stab = magic == STABILISER
-    sic = (magic == MAX_MAGIC_SIC) & sic_sides.all(axis=1)
-    # reversed, the pair columns BC, AC, AB line up with the qubits A, B, C
-    # they leave out
-    class_ii = (
-        (separable.sum(axis=1) == 1)
-        & (maximal.sum(axis=1) == 2)
-        & (separable & pair_one[:, ::-1]).any(axis=1)
-    )
-    conditions = [
-        stab & separable.all(axis=1),
-        stab & class_ii,
-        stab & maximal.all(axis=1) & pair_zero.all(axis=1),
-        sic & pair_zero.all(axis=1),
-        sic & pair_b.all(axis=1),
-    ]
-    choices = [CLASS_I, CLASS_II, CLASS_III, CLASS_A, CLASS_B]
-    return np.select(conditions, choices, UNCLASSIFIED).tolist()
+    codes = np.empty(len(k.norm_sq), np.int8)
+    for start in range(0, len(codes), KERNEL_BLOCK_STATES):
+        rows = slice(start, start + KERNEL_BLOCK_STATES)
+        n2 = (k.norm_sq[rows] * k.norm_sq[rows])[:, None]
+        purity, c1, c2 = k.purity[rows], k.c1[rows], k.c2[rows]
+        separable = purity == n2  # C_i(rest) = 0
+        maximal = 2 * purity == n2  # C_i(rest)^2 = 1
+        pair_zero = (c1 * c1 == 4 * c2).all(axis=1)  # C = 0 for every pair
+        d = -c1 - n2
+        pair_one = (d >= 0) & (d * d == 4 * c2)  # C = 1
+        d = -9 * c1 - 2 * n2
+        pair_b = ((d >= 0) & (d * d == 324 * c2)).all(axis=1)  # C^2 = 2/9 for every pair
+        # reversed, the pair columns BC, AC, AB line up with the qubits A, B,
+        # C they leave out
+        class_ii = (
+            (separable.sum(axis=1) == 1)
+            & (maximal.sum(axis=1) == 2)
+            & (separable & pair_one[:, ::-1]).any(axis=1)
+        )
+        stab_rows = stab[rows]
+        sic_rows = sic[rows] & (3 * purity == 2 * n2).all(axis=1)  # C_i(rest)^2 = 2/3
+        conditions = [
+            stab_rows & separable.all(axis=1),
+            stab_rows & class_ii,
+            stab_rows & maximal.all(axis=1) & pair_zero,
+            sic_rows & pair_zero,
+            sic_rows & pair_b,
+        ]
+        codes[rows] = np.select(conditions, list(range(5)), len(CLASSES) - 1)
+    return codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,19 +236,21 @@ class EntanglementCensus:
 def entanglement_census(state_set: StateSet) -> EntanglementCensus:
     """Classify every state of a 3-qubit StateSet.
 
-    Magic classes come from the exact Xi_2 classes, the rest from the
-    concurrence_kernel arrays of all states."""
+    Magic classes come from the exact Xi_2 classes, each labelled once,
+    the rest from the concurrence_kernel arrays of all states."""
     k = concurrence_kernel(state_set)
     values, index = state_set.xi2_classes
-    class_labels = [magic_label(xi, 8, "gaussian") for xi in values]
-    labels = _labels(k, list(map(class_labels.__getitem__, index.tolist())))
-    counts = Counter(labels)
+    magic = [magic_label(xi, 8, "gaussian") for xi in values]
+    stab = np.array([label == STABILISER for label in magic], bool)
+    sic = np.array([label == MAX_MAGIC_SIC for label in magic], bool)
+    codes = _class_codes(k, stab[index], sic[index])
+    counts = dict(zip(CLASSES, np.bincount(codes, minlength=len(CLASSES)).tolist()))
     return EntanglementCensus(
         lattice_name=state_set.lattice_name,
         norm=state_set.norm,
-        stabiliser_classes={c: counts[c] for c in (CLASS_I, CLASS_II, CLASS_III) if c in counts},
-        magic_classes={c: counts[c] for c in (CLASS_A, CLASS_B) if c in counts},
+        stabiliser_classes={c: counts[c] for c in (CLASS_I, CLASS_II, CLASS_III) if counts[c]},
+        magic_classes={c: counts[c] for c in (CLASS_A, CLASS_B) if counts[c]},
         other=counts[UNCLASSIFIED],
-        labels=tuple(labels),
+        labels=tuple(map(CLASSES.__getitem__, codes.tolist())),
         kernel=k,
     )

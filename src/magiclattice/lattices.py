@@ -637,25 +637,29 @@ def _search(lattice: LatticeSpec, norm: int, node_budget: int) -> tuple[np.ndarr
 
 
 def packed_keys(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-    """(N, W) int64 sort keys of (N, k) int64 rows with |rows[:, c]| <=
-    bounds[c].
+    """(N, W) int64 sort keys of (N, k) signed integer rows with
+    |rows[:, c]| <= bounds[c].
 
     Column c is the digit rows[:, c] + bounds[c] of radix
     2 * bounds[c] + 1, the first column most significant, and a new word
-    starts before a word's radix product would reach 2**63.  Two rows are
-    equal iff their keys are, and np.lexsort(keys.T[::-1]) is the stable
-    lexicographic order of the rows, that of np.lexsort(rows.T[::-1])."""
+    starts before a word's radix product would reach 2**63.  Each digit is
+    formed in int64 from its column, so narrow rows are never copied
+    whole.  Two rows are equal iff their keys are, and
+    np.lexsort(keys.T[::-1]) is the stable lexicographic order of the
+    rows, that of np.lexsort(rows.T[::-1])."""
     words: list[np.ndarray] = []
     size = 2**63  # so that the first column starts a word
     for column, bound in zip(rows.T, map(int, bounds)):
         radix = 2 * bound + 1
         if radix >= 2**63:
             raise ValueError(f"bound {bound} is past the int64 headroom of a sort key")
+        digit = np.add(column, bound, dtype=np.int64)
         if size * radix >= 2**63:
-            words.append(column + bound)
+            words.append(digit)
             size = radix
         else:
-            words[-1] = words[-1] * radix + (column + bound)
+            words[-1] *= radix
+            words[-1] += digit
             size *= radix
     return np.stack(words, axis=1)
 

@@ -13,7 +13,7 @@ components 1..3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Union
@@ -207,9 +207,15 @@ def canonical_states(chunks: Iterable[Shell]) -> StateSet:
     order of their components.  That each state stands for |units| of the
     chunks' vectors, as on a unit-closed shell, is checked by a raise that
     python -O keeps.  EmptyShellError when the chunks hold no vectors, or
-    when there are no chunks.  The chunks' states are joined, and their
-    parts dropped, before the sort, so that each array is held once."""
-    parts = [(representatives(chunk), chunk.vectors) for chunk in chunks]
+    when there are no chunks.
+
+    Each array is held once: the chunks are mapped, so no name holds a
+    finished chunk while a stream searches the next; each chunk's states
+    keep their components in the narrowest signed integer type that holds
+    them (int8 on every paper shell); the narrow parts are joined, and
+    dropped, before the key sort; and the components are widened to int64
+    once, in sorted order."""
+    parts = list(map(_narrow_states, chunks))
     if not parts:
         raise EmptyShellError("no chunks, so no shell and no states")
     first, vectors = parts[0][0], sum(v for _, v in parts)
@@ -230,7 +236,17 @@ def canonical_states(chunks: Iterable[Shell]) -> StateSet:
             f"{name} l={norm}: {len(order)} states x {units} units "
             f"!= {vectors} vectors, so the shell is not closed under the units"
         )
-    return StateSet(name, norm, ring, comps[order], norms[order])
+    return StateSet(name, norm, ring, comps[order].astype(np.int64), norms[order])
+
+
+def _narrow_states(chunk: Shell) -> tuple[StateSet, int]:
+    """The representatives of a chunk, their components in the narrowest
+    signed integer type that holds -max|c| - 1, so that negating a
+    component cannot overflow, and the chunk's vector count."""
+    states = representatives(chunk)
+    comps = states.components
+    narrow = np.min_scalar_type(-max(int(comps.max(initial=0)), -int(comps.min(initial=0))) - 1)
+    return replace(states, components=comps.astype(narrow)), chunk.vectors
 
 
 def dedup(shell: Shell) -> StateSet:

@@ -21,12 +21,19 @@ import numpy as np
 from magiclattice import clifford
 from magiclattice.clifford import ClosureError, Orbit, OrbitEscapeError
 from magiclattice.entangle import (
+    CLASS_A,
+    CLASS_B,
+    CLASS_I,
+    CLASS_II,
+    CLASS_III,
+    CLASSES,
     UNCLASSIFIED,
+    ConcurrenceArrays,
     EntanglementCensus,
     _Y_SIGN,
+    _class_codes,
     _display_columns,
     _kernel_peak,
-    _labels,
     _reduced_numerators,
     concurrence_kernel,
     pairwise_concurrence_2qubit,
@@ -45,6 +52,8 @@ from magiclattice.lattices import (
 )
 from magiclattice.magic import (
     _OMEGA_POWERS,
+    MAX_MAGIC_SIC,
+    STABILISER,
     CensusReport,
     Operator,
     PauliString,
@@ -1261,6 +1270,39 @@ def f3(state: PureStateExact) -> tuple[float, Fraction]:
     return math.sqrt(float(f3_sq)), f3_sq
 
 
+def class_labels(k: ConcurrenceArrays, magic_classes: Sequence[str]) -> list[str]:
+    """Class label of every state from the same integer identities as
+    entangle._class_codes, over all states at once, with the magic classes
+    and the labels as numpy string arrays."""
+    n2 = (k.norm_sq * k.norm_sq)[:, None]
+    c1, c2 = k.c1, k.c2
+    separable = k.purity == n2  # C_i(rest) = 0
+    maximal = 2 * k.purity == n2  # C_i(rest)^2 = 1
+    sic_sides = 3 * k.purity == 2 * n2  # C_i(rest)^2 = 2/3
+    pair_zero = c1 * c1 == 4 * c2  # C = 0
+    d = -c1 - n2
+    pair_one = (d >= 0) & (d * d == 4 * c2)  # C = 1
+    d = -9 * c1 - 2 * n2
+    pair_b = (d >= 0) & (d * d == 324 * c2)  # C^2 = 2/9
+    magic = np.asarray(magic_classes)
+    stab = magic == STABILISER
+    sic = (magic == MAX_MAGIC_SIC) & sic_sides.all(axis=1)
+    class_ii = (
+        (separable.sum(axis=1) == 1)
+        & (maximal.sum(axis=1) == 2)
+        & (separable & pair_one[:, ::-1]).any(axis=1)
+    )
+    conditions = [
+        stab & separable.all(axis=1),
+        stab & class_ii,
+        stab & maximal.all(axis=1) & pair_zero.all(axis=1),
+        sic & pair_zero.all(axis=1),
+        sic & pair_b.all(axis=1),
+    ]
+    choices = [CLASS_I, CLASS_II, CLASS_III, CLASS_A, CLASS_B]
+    return np.select(conditions, choices, UNCLASSIFIED).tolist()
+
+
 @dataclass(frozen=True)
 class ConcurrenceProfile:
     pairwise: tuple[float, float, float]  # C_AB, C_AC, C_BC
@@ -1272,9 +1314,10 @@ class ConcurrenceProfile:
 
 
 def classify_entanglement(state: PureStateExact, magic_class: str) -> ConcurrenceProfile:
-    """Profile + class label of one 3-qubit state: concurrence_kernel
-    applied to it, with the exact squares as Fractions."""
+    """Profile + class label of one 3-qubit state: concurrence_kernel and
+    _class_codes applied to it, with the exact squares as Fractions."""
     k = concurrence_kernel(state_set([state]))
+    code = _class_codes(k, np.array([magic_class == STABILISER]), np.array([magic_class == MAX_MAGIC_SIC]))[0]
     values = _display_columns(k)[0].tolist()
     n2 = state.norm_sq * state.norm_sq
     return ConcurrenceProfile(
@@ -1283,7 +1326,7 @@ def classify_entanglement(state: PureStateExact, magic_class: str) -> Concurrenc
         one_to_other_sq=tuple(Fraction(2 * (n2 - int(p)), n2) for p in k.purity[0]),
         f3=values[6],
         f3_sq=Fraction(4 * int(k.heron[0]), 3 * n2 * n2),
-        label=_labels(k, [magic_class])[0],
+        label=CLASSES[code],
     )
 
 

@@ -173,12 +173,9 @@ def test_rank2_path_matches_quartic_on_fixtures():
         assert oracle_invariants(st) == kernel_invariants(k, s)
         for col, (i, j) in enumerate(PAIRS):
             assert abs(oracles.pairwise_concurrence(st, i, j) - pairwise[s, col]) <= 1e-10
-    assert en._labels(k, [mg.STABILISER] * 4) == [
-        en.CLASS_III,
-        en.CLASS_II,
-        en.CLASS_I,
-        en.UNCLASSIFIED,
-    ]
+    codes = en._class_codes(k, np.ones(4, bool), np.zeros(4, bool))
+    expected = [en.CLASS_III, en.CLASS_II, en.CLASS_I, en.UNCLASSIFIED]
+    assert [en.CLASSES[c] for c in codes] == expected == oracles.class_labels(k, [mg.STABILISER] * 4)
 
 
 def test_rank2_path_matches_quartic_on_lattice_states(store):
@@ -195,7 +192,7 @@ def test_kernel_of_no_states_gives_empty_arrays(store):
     k = en.concurrence_kernel(store.states("BW16", 6)[:0])
     assert [a.shape for a in (k.norm_sq, k.purity, k.c1, k.c2, k.heron)] == [(0,), (0, 3), (0, 3), (0, 3), (0,)]
     assert en._display_columns(k).shape == (0, 7)
-    assert en._labels(k, []) == []
+    assert en._class_codes(k, np.zeros(0, bool), np.zeros(0, bool)).shape == (0,)
     num, den = en.pairwise_concurrence_2qubit(store.states("E8", 4)[:0])
     assert (num.shape, den.shape, num.dtype) == ((0,), (0,), np.int64)
     for name, norm in (("E8", 4), ("E6", 3)):
@@ -479,3 +476,45 @@ def test_census_builds_display_columns_on_first_read(store, monkeypatch):
     assert calls == [] and len(census.labels) == 1080
     assert census.display.shape == (1080, 7) and census.display[0, :3].tolist() == [0.0, 0.0, 0.0]
     assert len(calls) == 1
+
+
+def _magic_flags(magic):
+    return np.array([m == mg.STABILISER for m in magic], bool), np.array([m == mg.MAX_MAGIC_SIC for m in magic], bool)
+
+
+@pytest.mark.parametrize("norm", [4, 6])
+def test_class_codes_equal_the_string_oracle_on_bw16(store, norm):
+    # BW16 l=6 holds classes A and B, l=4 I, II and III, over several
+    # KERNEL_BLOCK_STATES blocks
+    states = store.states("BW16", norm)
+    k = en.concurrence_kernel(states)
+    values, index = states.xi2_classes
+    magic = [mg.magic_label(xi, 8, "gaussian") for xi in values]
+    expected = oracles.class_labels(k, [magic[i] for i in index.tolist()])
+    codes = en._class_codes(k, *_magic_flags([magic[i] for i in index.tolist()]))
+    assert codes.dtype == np.int8 and [en.CLASSES[c] for c in codes.tolist()] == expected
+    census = en.entanglement_census(states)
+    assert list(census.labels) == expected
+    assert oracles.entanglement_histogram(census) == {c: expected.count(c) for c in set(expected)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hs.lists(
+        hs.tuples(three_qubit_states(5), hs.sampled_from([mg.STABILISER, mg.MAX_MAGIC_SIC, mg.INTERMEDIATE])),
+        min_size=1,
+        max_size=6,
+    ),
+    hs.booleans(),
+)
+def test_class_codes_equal_the_string_oracle_on_random_states(drawn, large):
+    # fixtures that meet each class's identities among the drawn states;
+    # LARGE moves the whole batch into Python ints
+    drawn = drawn + [(st, mg.STABILISER) for st in (GHZ, ZERO_BELL, PRODUCT, W)]
+    if large:
+        drawn.append((LARGE, mg.MAX_MAGIC_SIC))
+    states, magic = zip(*drawn)
+    k = en.concurrence_kernel(oracles.state_set(states))
+    assert k.purity.dtype == (object if large else np.int64)
+    codes = en._class_codes(k, *_magic_flags(magic))
+    assert [en.CLASSES[c] for c in codes.tolist()] == oracles.class_labels(k, magic)

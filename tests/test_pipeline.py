@@ -2,15 +2,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from magiclattice import lattices, pipeline
+from magiclattice import cli, lattices, pipeline
 from magiclattice.exact import EISENSTEIN_UNITS, GAUSSIAN_UNITS
 from magiclattice.magic import sre_census, xi_alpha
-from magiclattice.states import EmptyShellError, component_arrays, dedup, vector_states
+from magiclattice.states import EmptyShellError, canonical_states, component_arrays, dedup, vector_states
 
 _PAPER_SHELLS = [("E8", n) for n in (2, 4, 6, 8)] + [("BW16", n) for n in (4, 6)] + [
     ("E6", n) for n in (3, 6, 9, 12, 15)
@@ -87,13 +88,51 @@ def test_streamed_bw16_census_holds_only_its_live_frontier(norm):
 
 
 def test_kept_shell_states_hold_each_array_once():
-    # the chunks' components and norms are joined, and the per-chunk
-    # parts dropped, before the key sort (6.2 MiB when the parts lived
-    # through it); the joined components and their sorted copy are 1.9 MiB
-    # each
+    # each chunk's states keep their components in int8 and the narrow
+    # parts are joined, and dropped, before the key sort, so the int64
+    # components exist once, widened in sorted order (4.3 MiB when the
+    # joined int64 components and their sorted copy, 1.9 MiB each, lived
+    # together)
     states, peak = _traced_peak(lambda: pipeline.shell_states("BW16", 6))
     assert states.count == 15_360
     assert peak < 5 * 2**20
+
+
+def test_canonical_states_holds_no_finished_chunk_while_the_stream_searches():
+    # on resume, before the search for the next chunk runs, the consumer
+    # must have dropped the chunk it was handed
+    held = []
+
+    def watched(chunks):
+        for chunk in chunks:
+            ref = weakref.ref(chunk)
+            yield chunk
+            del chunk
+            held.append(ref() is not None)
+
+    states = canonical_states(watched(lattices.stream_shell(lattices.build_lattice("BW16"), 6)))
+    assert states.count == 15_360
+    assert len(held) > 1 and not any(held)
+
+
+def test_entangle_stage_holds_each_array_once():
+    # the kernel writes its blocks into arrays allocated once and the
+    # classes are int8 codes, formed in kernel blocks (3.9 MiB with string
+    # label arrays over every state and the kernel's blocks joined)
+    state_sets = {norm: pipeline.shell_states("BW16", norm) for norm in (4, 6)}
+    for state_set in state_sets.values():
+        state_set.xi2_classes
+    result, peak = _traced_peak(lambda: pipeline.entangle_stage(lambda name, norm: state_sets[norm]))
+    assert all(ok for ok, _ in result.checks())
+    assert peak < 3 * 2**20
+
+
+def test_reproduce_traced_peak():
+    # the kept shells' states and the entanglement census (6.4 MiB when
+    # each held its big arrays twice)
+    code, peak = _traced_peak(lambda: cli.main(["reproduce"]))
+    assert code == 0
+    assert peak < 5.5 * 2**20
 
 
 _PEAK_RSS_SCRIPT = """

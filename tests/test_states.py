@@ -107,6 +107,28 @@ def test_canonical_states_of_no_vectors_is_a_one_line_error():
         assert "\n" not in str(info.value)
 
 
+
+def test_canonical_states_join_chunks_of_different_narrow_types():
+    # per-orbit rows (4 vectors each) of E8 in two chunks: the first has
+    # canonical coordinates past 127, so its part is int16, the second
+    # int8; sorted together, their states interleave
+    lattice = build_lattice("E8")
+    wide = [[200, 1, 0, 0, 0, 0, 3, 0], [-130, 0, 7, 1, 0, 2, 0, 0], [0, 0, 0, 1, 0, 0, 0, 129]]
+    narrow = [[1, 2, 0, 0, 0, 0, 0, 1], [0, 0, 1, -1, 5, 0, 0, 0], [3, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0]]
+
+    def chunk(rows):
+        return Shell(lattice, 1, np.zeros((len(rows), lattice.coeff_dim), np.int64), np.array(rows, np.int64), 4)
+
+    assert [states._narrow_states(chunk(rows))[0].components.dtype for rows in (wide, narrow)] == [np.int16, np.int8]
+    found = states.canonical_states(map(chunk, (wide, narrow)))
+    # the int64 canonicaliser over all rows at once, in row order, sorted
+    every = representatives(chunk(wide + narrow))
+    order = np.lexsort(every.components.reshape(len(every), -1).T[::-1])
+    assert found.components.dtype == np.int64
+    assert found.components.tolist() == every.components[order].tolist()
+    assert found.norm_sq.tolist() == every.norm_sq[order].tolist()
+    assert order.tolist() != sorted(order.tolist())  # the chunks' states interleave
+
 _MISSING_VECTOR_SCRIPT = """
 from magiclattice.lattices import Shell, build_lattice, enumerate_shell
 from magiclattice.states import dedup
