@@ -21,7 +21,8 @@ import json
 import math
 import os
 import sys
-from typing import Iterator, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -152,36 +153,57 @@ def cmd_orbits(args, failures: Failures) -> None:
     )
 
 
+# items per piece of _json_document
+_JSON_PIECE_ITEMS = 2**9
+
+
+def _json_document(head: dict, key: str, items: Iterable[dict]) -> Iterator[str]:
+    """The text that print(json.dumps({**head, key: list(items)}, indent=2))
+    writes, in pieces of _JSON_PIECE_ITEMS items, so that neither the list
+    nor the whole text is ever built."""
+    text, tail = json.dumps({**head, key: []}, indent=2).rsplit("[]", 1)
+    encode = json.JSONEncoder(indent=2).encode
+    items, opening = iter(items), "["
+    while piece := list(islice(items, _JSON_PIECE_ITEMS)):
+        # encode(piece) is "[\n  item,\n  item\n]", its items a level too shallow
+        yield text + opening + encode(piece)[1:-2].replace("\n", "\n  ")
+        text, opening = "", ","
+    yield text + ("[]" if opening == "[" else "\n  ]") + tail + "\n"
+
+
 _PROFILE_COLUMNS = ("C_AB", "C_AC", "C_BC", "C_A(BC)", "C_B(AC)", "C_C(AB)", "F3")
+
+
+def _profiles(censuses) -> Iterator[tuple[str, list[str], str]]:
+    """State id, display strings and class of every state of the
+    (StateSet, EntanglementCensus) pairs; the display floats become
+    Python lists KERNEL_BLOCK_STATES rows at a time."""
+    from .entangle import KERNEL_BLOCK_STATES
+
+    for state_set, census in censuses:
+        for start in range(0, len(census.labels), KERNEL_BLOCK_STATES):
+            rows = census.display[start : start + KERNEL_BLOCK_STATES].tolist()
+            labels = census.labels[start : start + KERNEL_BLOCK_STATES]
+            for i, (values, label) in enumerate(zip(rows, labels), start):
+                yield state_set.state_id(i), [_fmt_float(v) for v in values], label
+
+
+def _profile_dicts(censuses) -> Iterator[dict[str, str]]:
+    keys = [c.replace("(", "_").replace(")", "") for c in _PROFILE_COLUMNS]
+    for sid, values, label in _profiles(censuses):
+        yield {"state_id": sid, **dict(zip(keys, values)), "class": label}
 
 
 def _entangle_bw16(args, failures: Failures) -> None:
     result = pipeline.entangle_stage(pipeline.shell_states)
     failures.check_all(result.checks())
-
-    def profiles():
-        for state_set, census in result.censuses:
-            for i, (values, label) in enumerate(zip(census.display.tolist(), census.labels)):
-                yield state_set.state_id(i), [_fmt_float(v) for v in values], label
-
     if args.format == "json":
-        keys = [c.replace("(", "_").replace(")", "") for c in _PROFILE_COLUMNS]
-        print(
-            json.dumps(
-                {
-                    "aggregates": result.aggregates,
-                    "profiles": [
-                        {"state_id": sid, **dict(zip(keys, values)), "class": label}
-                        for sid, values, label in profiles()
-                    ],
-                },
-                indent=2,
-            )
-        )
+        profiles = _profile_dicts(result.censuses)
+        sys.stdout.writelines(_json_document({"aggregates": result.aggregates}, "profiles", profiles))
         return
     writer = csv.writer(sys.stdout)
     writer.writerow(["state_id", *_PROFILE_COLUMNS, "class"])
-    writer.writerows([sid, *values, label] for sid, values, label in profiles())
+    writer.writerows([sid, *values, label] for sid, values, label in _profiles(result.censuses))
     print(f"# aggregate: {json.dumps(result.aggregates, sort_keys=True)}")
 
 
@@ -189,18 +211,8 @@ def _entangle_e8(args, failures: Failures) -> None:
     result = pipeline.two_qubit_stage(pipeline.shell_states)
     failures.check_all(result.checks())
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "histogram_C_sq": result.histogram,
-                    "rows": [
-                        {"state_id": sid, "C": _fmt_float(v), "C_sq": str(sq)}
-                        for sid, v, sq in result.rows
-                    ],
-                },
-                indent=2,
-            )
-        )
+        rows = ({"state_id": sid, "C": _fmt_float(v), "C_sq": str(sq)} for sid, v, sq in result.rows)
+        sys.stdout.writelines(_json_document({"histogram_C_sq": result.histogram}, "rows", rows))
         return
     writer = csv.writer(sys.stdout)
     writer.writerow(["state_id", "C", "C_sq"])

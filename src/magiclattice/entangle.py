@@ -43,19 +43,26 @@ def pairwise_concurrence_2qubit(states: StateSet) -> tuple[np.ndarray, np.ndarra
 # the batched kernel
 
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))  # column order of pairwise arrays: AB, AC, BC
-_SPIN_FLIP = np.outer(_Y_SIGN, _Y_SIGN)
+# _SPLIT[q, s] holds the indices of the 4 components whose qubit q is s,
+# in big-endian order of the other two qubits
+_SPLIT = np.array([[[i for i in range(8) if (i >> (2 - q)) & 1 == s] for s in (0, 1)] for q in range(3)])
+_SIGN = np.array(_Y_SIGN)[:, None]  # _Y_SIGN down the component axis
 
 
 def _kernel_peak(norm_sq: int) -> int:
-    """Bound on every intermediate of concurrence_kernel and its label
-    identities over states with norm_sq <= N.
+    """Bound on every intermediate of concurrence_kernel, its label
+    identities and its display divisions over states with norm_sq <= N.
 
-    A reduced numerator has |num_ab| <= N, so |M_ab| <= 4N^2,
-    |tr M| <= 16N^2, |tr M^2| <= 256N^4 and |c2| <= 384N^4; the largest
-    quantity formed is 324*c2 in the C^2 = 2/9 test.
+    Split by qubit q, a state's halves have n_0 + n_1 = N, so a pair form
+    and each of its partial sums is at most |psi_s| |psi_t| <= N (Cauchy-
+    Schwarz), |c1| <= (n_0 + n_1)^2 = N^2 and |Det| <= 2 n_0 n_1 <= N^2/2.
+    So c2 <= N^4/4, and the largest quantity formed, 324*c2 in the
+    C^2 = 2/9 test, is at most 81N^4.  Each gap N^2 - P_q is at most
+    N^2/2, so 4*heron <= 4 (sum of the gaps)^2 <= 9N^4; _display_columns
+    divides it by 3N^4 in float64, exactly rounded only below 2**53 =
+    2**63 / 2**10.  That makes the bound 9 * 2**10 * N^4.
     """
-    return 324 * 384 * norm_sq**4
+    return 9 * 2**10 * norm_sq**4
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,22 +83,11 @@ class ConcurrenceArrays:
     heron: np.ndarray  # (S,)
 
 
-def _reduced_numerators(re: np.ndarray, im: np.ndarray, keep: tuple[int, ...]):
-    """Real and imaginary parts, each (S, k, k), of the numerators of the
-    reduced density matrices on the qubits in keep (big-endian order)."""
-    traced = tuple(q for q in range(3) if q not in keep)
-    axes = (0,) + tuple(1 + q for q in keep + traced)
-    shape = (len(re), 1 << len(keep), -1)
-    ar = re.reshape(-1, 2, 2, 2).transpose(axes).reshape(shape)
-    ai = im.reshape(-1, 2, 2, 2).transpose(axes).reshape(shape)
-    art, ait = ar.swapaxes(1, 2), ai.swapaxes(1, 2)
-    return ar @ art + ai @ ait, ai @ art - ar @ ait
-
-
 # States per block of concurrence_kernel and of the class codes: the
-# kernel's temporaries are about 1.3 KB a state, so a block keeps them near
-# 0.7 MB (at 2**10 states reproduce peaked about 0.8 MiB higher; 2**8 saved
-# 0.25 MiB more but made the entangle stage about 3 ms slower)
+# kernel's temporaries are about 1 KB a state, so a block keeps them near
+# 0.5 MB (at 2**10 states reproduce peaked about 0.4 MiB higher; 2**8 saved
+# 0.26 MiB of traced peak but made the census of BW16 l=4 and l=6 about
+# 5 ms slower)
 KERNEL_BLOCK_STATES = 2**9
 
 
@@ -114,31 +110,58 @@ def concurrence_kernel(states: StateSet) -> ConcurrenceArrays:
     return ConcurrenceArrays(*fields)
 
 
-def _kernel_block(re: np.ndarray, im: np.ndarray, norm_sq: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The ConcurrenceArrays fields, in order, of one block of states.
+def _pair_form(a_re, a_im, b_re, b_im) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of a^T (sigma_y x sigma_y) b, summed over
+    the component axis, the second from last, of a and b; the products
+    share two buffers."""
+    b_re, b_im = b_re[..., ::-1, :], b_im[..., ::-1, :]
+    terms = a_re * b_re
+    part = a_im * b_im
+    terms -= part
+    terms *= _SIGN
+    re = terms.sum(axis=-2)
+    np.multiply(a_re, b_im, out=terms)
+    terms += np.multiply(a_im, b_re, out=part)
+    terms *= _SIGN
+    return re, terms.sum(axis=-2)
 
-    A pure state's complementary reductions share their nonzero spectrum,
-    so Tr rho_i^2 = Tr rho_jk^2 and P_i = sum |num_jk|^2 over the
-    numerator of the pair that leaves qubit i out (Coffman, Kundu and
-    Wootters, PRA 61, 052306, 2000)."""
-    purity, c1, c2 = [], [], []
-    for pair in _PAIRS:
-        nr, ni = _reduced_numerators(re, im, pair)
-        purity.append((nr * nr + ni * ni).sum(axis=(1, 2)))
-        tr = _SPIN_FLIP * nr[:, ::-1, ::-1]
-        ti = -_SPIN_FLIP * ni[:, ::-1, ::-1]
-        mr = nr @ tr - ni @ ti
-        mi = nr @ ti + ni @ tr
-        trace = np.trace(mr, axis1=1, axis2=2)
-        trace_sq = (mr * mr.swapaxes(1, 2) - mi * mi.swapaxes(1, 2)).sum(axis=(1, 2))
-        c1.append(-trace)
-        c2.append((trace * trace - trace_sq) // 2)
-    purity = np.stack(purity[::-1], axis=1)  # BC, AC, AB leave out A, B, C
-    gap = (norm_sq * norm_sq)[:, None] - purity
-    heron = gap.sum(axis=1) ** 2 - 2 * (gap * gap).sum(axis=1)
+
+def _kernel_block(re: np.ndarray, im: np.ndarray, norm_sq: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ConcurrenceArrays fields, in order, of one block of states, in
+    closed form (Wootters, PRL 80, 2245, 1998; Coffman, Kundu and
+    Wootters, PRA 61, 052306, 2000).
+
+    Split by qubit q, a state is psi_0 and psi_1, the 4-vectors of the
+    other two qubits with q = 0 and q = 1.  With n_s = |psi_s|^2 and
+    x = <psi_1|psi_0>, P_q = n_0^2 + n_1^2 + 2|x|^2.  The pair that leaves
+    q out has the reduced numerator psi_0 psi_0^H + psi_1 psi_1^H, whose
+    M = num*num_tilde shares its nonzero spectrum with Q Q^H for the
+    symmetric pair forms Q_st = psi_s^T (sigma_y x sigma_y) psi_t: so
+    c1 = -(|q_00|^2 + 2|q_01|^2 + |q_11|^2) and c2 = |q_01^2 - q_00 q_11|^2,
+    the squared Cayley hyperdeterminant |Det|^2, the same for all three
+    pairs."""
+    # component-major halves, (3, 2, 4, S): g[q, s] is psi_s of qubit q
+    g_re, g_im = re.T[_SPLIT], im.T[_SPLIT]
+    a0, b0, a1, b1 = g_re[:, 0], g_im[:, 0], g_re[:, 1], g_im[:, 1]
+    n0 = (a0 * a0 + b0 * b0).sum(axis=1)  # (3, S)
+    n1 = norm_sq - n0
+    x_re = (a1 * a0 + b1 * b0).sum(axis=1)
+    x_im = (a1 * b0 - b1 * a0).sum(axis=1)
+    purity = n0 * n0 + n1 * n1 + 2 * (x_re * x_re + x_im * x_im)  # (3, S)
+    diag_re, diag_im = _pair_form(g_re, g_im, g_re, g_im)  # (3, 2, S): q_00, q_11
+    off_re, off_im = _pair_form(a0, b0, a1, b1)  # (3, S): q_01
+    c1 = -((diag_re * diag_re + diag_im * diag_im).sum(axis=1) + 2 * (off_re * off_re + off_im * off_im))
+    # Det = q_01^2 - q_00 q_11 on the pair BC, which leaves out qubit A
+    (q00_re, q11_re), (q00_im, q11_im), q01_re, q01_im = diag_re[0], diag_im[0], off_re[0], off_im[0]
+    det_re = q01_re * q01_re - q01_im * q01_im - q00_re * q11_re + q00_im * q11_im
+    det_im = 2 * q01_re * q01_im - q00_re * q11_im - q00_im * q11_re
+    c2 = det_re * det_re + det_im * det_im
+    gap = norm_sq * norm_sq - purity
+    heron = gap.sum(axis=0) ** 2 - 2 * (gap * gap).sum(axis=0)
     if (heron < 0).any():
         raise ValueError("one-to-other concurrences violate the triangle inequality")
-    return norm_sq, purity, np.stack(c1, axis=1), np.stack(c2, axis=1), heron
+    # reversed, the qubits A, B, C give the pairs BC, AC, AB they leave out
+    return norm_sq, purity.T, c1[::-1].T, c2[:, None], heron
 
 
 def _display_columns(k: ConcurrenceArrays) -> np.ndarray:

@@ -34,7 +34,6 @@ from magiclattice.entangle import (
     _class_codes,
     _display_columns,
     _kernel_peak,
-    _reduced_numerators,
     concurrence_kernel,
     pairwise_concurrence_2qubit,
 )
@@ -1243,17 +1242,90 @@ def wootters_gap(rng: random.Random, bound: int, count: int = 1000) -> float:
     return worst
 
 
+def _reduced_numerators(re: np.ndarray, im: np.ndarray, keep: tuple[int, ...]):
+    """Real and imaginary parts, each (S, k, k), of the numerators of the
+    reduced density matrices of 3-qubit states on the qubits in keep
+    (big-endian order)."""
+    traced = tuple(q for q in range(3) if q not in keep)
+    axes = (0,) + tuple(1 + q for q in keep + traced)
+    shape = (len(re), 1 << len(keep), -1)
+    ar = re.reshape(-1, 2, 2, 2).transpose(axes).reshape(shape)
+    ai = im.reshape(-1, 2, 2, 2).transpose(axes).reshape(shape)
+    art, ait = ar.swapaxes(1, 2), ai.swapaxes(1, 2)
+    return ar @ art + ai @ ait, ai @ art - ar @ ait
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # column order of pairwise arrays: AB, AC, BC
+
+
+def _matmul_peak(norm_sq: int) -> int:
+    """Bound on every intermediate of matmul_concurrence_arrays over states
+    with norm_sq <= N: a reduced numerator has |num_ab| <= N, so
+    |M_ab| <= 4N^2, |tr M| <= 16N^2, |tr M^2| <= 256N^4 and
+    |c2| <= 384N^4, and its classes test 324*c2."""
+    return 324 * 384 * norm_sq**4
+
+
+def matmul_concurrence_arrays(states: StateSet) -> ConcurrenceArrays:
+    """The ConcurrenceArrays of 3-qubit states from the reduced numerators
+    of the three pairs and their batched products M = num*num_tilde (the
+    oracle of entangle.concurrence_kernel's closed forms): P_i is the
+    purity of the pair that leaves qubit i out, c1 = -tr M and
+    c2 = (tr^2 M - tr M^2)/2; in one block, in Python ints past int64."""
+    re, im, norm_sq = component_arrays(states, _matmul_peak)
+    spin_flip = np.outer(_Y_SIGN, _Y_SIGN)
+    purity, c1, c2 = [], [], []
+    for pair in _PAIRS:
+        nr, ni = _reduced_numerators(re, im, pair)
+        purity.append((nr * nr + ni * ni).sum(axis=(1, 2)))
+        tr = spin_flip * nr[:, ::-1, ::-1]
+        ti = -spin_flip * ni[:, ::-1, ::-1]
+        mr = nr @ tr - ni @ ti
+        mi = nr @ ti + ni @ tr
+        trace = np.trace(mr, axis1=1, axis2=2)
+        trace_sq = (mr * mr.swapaxes(1, 2) - mi * mi.swapaxes(1, 2)).sum(axis=(1, 2))
+        c1.append(-trace)
+        c2.append((trace * trace - trace_sq) // 2)
+    purity = np.stack(purity[::-1], axis=1)  # BC, AC, AB leave out A, B, C
+    gap = (norm_sq * norm_sq)[:, None] - purity
+    heron = gap.sum(axis=1) ** 2 - 2 * (gap * gap).sum(axis=1)
+    return ConcurrenceArrays(norm_sq, purity, np.stack(c1, axis=1), np.stack(c2, axis=1), heron)
+
+
 def single_qubit_purities(states: StateSet) -> np.ndarray:
     """(S, 3) purity numerators P_i = N^2 Tr rho_i^2 of 3-qubit states, each
-    from its own single-qubit reduction (the oracle of the pair-derived
-    purities of entangle.concurrence_kernel); Python ints past the
-    kernel's int64 bound."""
+    from its own single-qubit reduction (the oracle of the purities of
+    entangle.concurrence_kernel); Python ints past the kernel's int64
+    bound."""
     re, im, _ = component_arrays(states, _kernel_peak)
     purity = []
     for q in range(3):
         nr, ni = _reduced_numerators(re, im, (q,))
         purity.append((nr * nr + ni * ni).sum(axis=(1, 2)))
     return np.stack(purity, axis=1)
+
+
+# Cayley's 2x2x2 hyperdeterminant: weight, then the component indices
+# (a_ijk at 4i + 2j + k) of each product in its sum
+_HYPERDETERMINANT_TERMS = (
+    (1, ((0, 0, 7, 7), (1, 1, 6, 6), (2, 2, 5, 5), (4, 4, 3, 3))),
+    (-2, ((0, 1, 6, 7), (0, 2, 5, 7), (0, 4, 3, 7), (1, 2, 5, 6), (1, 4, 3, 6), (2, 4, 3, 5))),
+    (4, ((0, 3, 5, 6), (1, 2, 4, 7))),
+)
+
+
+def cayley_hyperdeterminant(state: PureStateExact) -> GaussianInt:
+    """Det of a 3-qubit state's components, in exact Gaussian integers; the
+    three-tangle is tau_3 = 4|Det|/N^2 (Coffman, Kundu and Wootters,
+    2000)."""
+    det = GaussianInt(0)
+    for weight, products in _HYPERDETERMINANT_TERMS:
+        for indices in products:
+            value = GaussianInt(weight)
+            for i in indices:
+                value = value * state.components[i]
+            det = det + value
+    return det
 
 
 def f3(state: PureStateExact) -> tuple[float, Fraction]:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from magiclattice import cli, lattices, magic, pipeline
+from magiclattice import entangle as en
 from magiclattice.lattices import build_lattice, shell_cache_path
 from magiclattice.states import dedup
 from oracles import real_to_complex
@@ -328,6 +329,22 @@ def test_entangle_e8_two_qubit_mode(capsys, store):
     assert lines[0] == "state_id,C,C_sq"
     assert len([l for l in lines if l.startswith("E8-l4-")]) == 480
     assert '"1/2": 288' in lines[-1] and '"1/4": 192' in lines[-1]
+
+
+@pytest.mark.parametrize("piece_items", [1, 7, cli._JSON_PIECE_ITEMS])
+def test_streamed_json_document_is_json_dumps_of_the_whole_document(store, monkeypatch, piece_items):
+    # BW16 l=4's 1,080 profiles in pieces against the whole document, and
+    # lists of no items
+    monkeypatch.setattr(cli, "_JSON_PIECE_ITEMS", piece_items)
+    states = store.states("BW16", 4)
+    censuses = [(states, en.entanglement_census(states))]
+    head = {"aggregates": {"I": 216, "II": 432, "III": 432}}
+    pieces = list(cli._json_document(head, "profiles", cli._profile_dicts(censuses)))
+    assert len(pieces) == -(-1080 // piece_items) + 1
+    whole = {**head, "profiles": list(cli._profile_dicts(censuses))}
+    assert "".join(pieces) == json.dumps(whole, indent=2) + "\n"
+    for head in ({}, {"h": {"a": [1, []]}}):
+        assert "".join(cli._json_document(head, "rows", [])) == json.dumps({**head, "rows": []}, indent=2) + "\n"
 
 
 def test_project_e8(capsys, store):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -441,18 +442,70 @@ def test_pair_purities_equal_the_single_qubit_reductions(states):
         assert purity.tolist() == oracles.single_qubit_purities(state_set).tolist()
 
 
-def test_kernel_reduces_each_block_three_times(store, monkeypatch):
-    calls = []
+def assert_kernel_equals_the_matmul_oracle(state_set):
+    k, oracle = en.concurrence_kernel(state_set), oracles.matmul_concurrence_arrays(state_set)
+    assert _kernel_fields(k) == _kernel_fields(oracle)
+    return k
 
-    def counted(re, im, keep):
-        calls.append(keep)
-        return reduce(re, im, keep)
 
-    reduce = en._reduced_numerators
-    monkeypatch.setattr(en, "_reduced_numerators", counted)
-    monkeypatch.setattr(en, "KERNEL_BLOCK_STATES", 500)
-    en.concurrence_kernel(store.states("BW16", 4))
-    assert calls == [(0, 1), (0, 2), (1, 2)] * 3  # 1080 states in blocks of 500
+@pytest.mark.parametrize("norm", [4, 6])
+def test_kernel_equals_the_matmul_oracle_on_bw16(store, norm):
+    assert_kernel_equals_the_matmul_oracle(store.states("BW16", norm))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.lists(three_qubit_states(5), min_size=1, max_size=5))
+def test_kernel_equals_the_matmul_oracle_on_random_states(states):
+    # the closed forms against the reduced numerators and their products,
+    # in int64 and, with LARGE in the block, in Python ints
+    for block in (states, states + [LARGE]):
+        k = assert_kernel_equals_the_matmul_oracle(oracles.state_set(block))
+        assert k.c2.dtype == (object if block[-1] is LARGE else np.int64)
+
+
+def assert_c2_is_the_squared_hyperdeterminant(states):
+    # c2 is one value for the three pairs, in the kernel and in the
+    # oracle's three separate reductions, and it is |Det|^2
+    k = en.concurrence_kernel(oracles.state_set(states))
+    oracle = oracles.matmul_concurrence_arrays(oracles.state_set(states))
+    for st, c2, oracle_c2 in zip(states, k.c2.tolist(), oracle.c2.tolist()):
+        assert c2 == oracle_c2 == [oracles.cayley_hyperdeterminant(st).norm()] * 3
+    return k
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.lists(three_qubit_states(5), min_size=1, max_size=5), hs.booleans())
+def test_c2_is_the_squared_hyperdeterminant_on_random_states(states, large):
+    assert_c2_is_the_squared_hyperdeterminant(states + [LARGE] if large else states)
+
+
+# H x H x H of GHZ and of W, unnormalised: (1, 1) and (1, -1) for |0> and |1>
+GHZ_X = qstate(1, 0, 0, 1, 0, 1, 1, 0)
+W_X = qstate(3, 1, 1, -1, 1, -1, -1, -3)
+
+
+def test_ghz_states_have_unit_three_tangle():
+    # tau_3 = 4 sqrt(c2) / N^2 = 1: c2 = 1 at N = 2 and 16 at N = 4
+    k = assert_c2_is_the_squared_hyperdeterminant([GHZ, GHZ_X])
+    assert k.c2.tolist() == [[1] * 3, [16] * 3] and k.norm_sq.tolist() == [2, 4]
+
+
+def test_w_states_have_zero_three_tangle():
+    k = assert_c2_is_the_squared_hyperdeterminant([W, W_X])
+    assert k.c2.tolist() == [[0] * 3] * 2 and k.norm_sq.tolist() == [3, 24]
+
+
+def test_kernel_is_exact_at_its_int64_edge():
+    # a GHZ-like state with N = 5,618, near the largest N the int64 tier
+    # takes (5,624): its fields equal the oracle's Python ints, and the
+    # display divisions of 4*heron by 3N^4 round as those of the Python
+    # ints do
+    edge = qstate(73, 0, 0, 0, 0, 0, 0, 17)
+    assert 2**62 < en._kernel_peak(edge.norm_sq) < 2**63
+    k = assert_kernel_equals_the_matmul_oracle(oracles.state_set([edge]))
+    assert k.c2.dtype == np.int64
+    wide = en.ConcurrenceArrays(*(getattr(k, f.name).astype(object) for f in dataclasses.fields(k)))
+    assert en._display_columns(k).tolist() == en._display_columns(wide).tolist()
 
 
 def test_blocked_kernel_mixes_int64_and_python_int_blocks(monkeypatch):

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import subprocess
 import sys
@@ -133,6 +134,17 @@ def test_reproduce_traced_peak():
     code, peak = _traced_peak(lambda: cli.main(["reproduce"]))
     assert code == 0
     assert peak < 5.5 * 2**20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_entangle_bw16_traced_peak(fmt):
+    # the profiles of 16,440 states reach stdout KERNEL_BLOCK_STATES rows
+    # at a time (9.3 MiB for csv when each census's display floats became
+    # one nested list, 45.3 MiB for json built whole)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        code, peak = _traced_peak(lambda: cli.main(["entangle", "--lattice", "BW16", "--format", fmt]))
+    assert code == 0
+    assert peak < 7.5 * 2**20
 
 
 _PEAK_RSS_SCRIPT = """
